@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import PreconditionError, ZeroFormError
 from .forms import Form, DualForm
-from .linalg import exact_column_space_basis, exact_nullspace, exact_rank
-from .monomials import exponents, falling_product, index_of, space_dim
+from .linalg import exact_column_space_basis, exact_nullspace
+from .monomials import exponents, falling_product, index_of
 
 
 def _entry(f: Form, row: tuple[int, ...], col: tuple[int, ...]):

@@ -15,7 +15,7 @@ import os
 import re
 import sys
 
-from .apolarity import cat_rank_table, essential_variables, rank_lower_bound
+from .apolarity import cat_rank_table, essential_variables
 from .avoidance import AvoidanceSet
 from .binary import (
     RESIDUAL_TOL,

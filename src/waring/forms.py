@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -352,35 +352,34 @@ def distinct_points(points: Sequence, tol: float = 1e-6) -> bool:
 
 # -- parsing and printing -------------------------------------------------
 
-_COEFF_RE = re.compile(r"^(\d+)(?:/(\d+)|\.(\d*))?$|^(\.\d+)$")
+_REAL = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_COEFF_RE = re.compile(rf"^\d+/\d+$|^{_REAL}$")
+# Python's complex repr: 1j, 2.5e-05j, (1+2j), (-0-1j)
+_IMAG_RE = re.compile(rf"^{_REAL}j$|^\([+-]?{_REAL}[+-]{_REAL}j\)$")
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
+# a term's body runs up to the next sign; a sign inside a parenthesized
+# complex coefficient or right after an exponent marker stays in the body.
+# Plain runs and those two pieces start with different characters, so a
+# failed match backtracks in linear, not exponential, time.
+_BODY = r"(?=[^+\-)])[^+\-()]*(?:(?:\([^()]*\)|(?<=[\d.][eE])[+-])[^+\-()]*)*"
+_TERM_RE = re.compile(rf"([+-]?)({_BODY})")
+_TERMS_RE = re.compile(rf"[+-]?{_BODY}(?:[+-]{_BODY})*")
 
 
-def _parse_coeff(text: str) -> Fraction:
-    if not _COEFF_RE.match(text):
-        raise ParseFormError(f"malformed coefficient {text!r}")
-    return Fraction(text)
+def _parse_coeff(text: str) -> Scalar:
+    if _COEFF_RE.match(text):
+        return Fraction(text)
+    if _IMAG_RE.match(text):
+        return complex(text)
+    raise ParseFormError(f"malformed coefficient {text!r}")
 
 
 def _split_terms(text: str) -> list[tuple[int, str]]:
     """Split '-a+b-c' into [(-1,'a'), (1,'b'), (-1,'c')]."""
-    terms = []
-    sign = 1
-    chunk: list[str] = []
-    for pos, ch in enumerate(text):
-        if ch in "+-" and pos > 0:
-            if not chunk:
-                raise ParseFormError("empty term")
-            terms.append((sign, "".join(chunk)))
-            sign, chunk = (1 if ch == "+" else -1), []
-        elif ch in "+-":
-            sign = 1 if ch == "+" else -1
-        else:
-            chunk.append(ch)
-    if not chunk:
-        raise ParseFormError("trailing sign or empty input")
-    terms.append((sign, "".join(chunk)))
-    return terms
+    if not _TERMS_RE.fullmatch(text):
+        head = _TERMS_RE.match(text)
+        raise ParseFormError(f"malformed input at {text[head.end() if head else 0:]!r}")
+    return [(-1 if sign == "-" else 1, body) for sign, body in _TERM_RE.findall(text)]
 
 
 def parse_form(text: str, num_vars: int, degree: int | None = None) -> Form:
@@ -388,13 +387,17 @@ def parse_form(text: str, num_vars: int, degree: int | None = None) -> Form:
 
         term   := [coeff '*'] factor ('*' factor)*  |  coeff
         factor := 'x' index ['^' exponent]
-        coeff  := integer | integer '/' integer | decimal
+        coeff  := integer | integer '/' integer | decimal | imaginary
 
-    Terms are joined by '+' or '-'; whitespace is insignificant.  Decimal
-    coefficients are read exactly as rationals.  The result is always on the
-    exact backend.  Non-homogeneous input is rejected.  Input that cancels
-    to zero is accepted when its degree can be inferred from the terms (or
-    is supplied via `degree`); otherwise it is an error.
+    Terms are joined by '+' or '-'; whitespace is insignificant.  Decimals
+    may carry an exponent ('2.5e-05') and are read exactly as rationals.
+    An imaginary coefficient is written as Python prints a complex number
+    ('1j', '(1+2.5e-05j)'); it puts the whole form on the float backend,
+    which is how `form_to_string` output of a complex form reads back.
+    Otherwise the result is on the exact backend.  Non-homogeneous input
+    is rejected.  Input that cancels to zero is accepted when its degree
+    can be inferred from the terms (or is supplied via `degree`);
+    otherwise it is an error.
     """
     stripped = re.sub(r"\s+", "", text)
     if not stripped:
@@ -449,8 +452,10 @@ def _scalar_string(c) -> str:
 def form_to_string(f: Form) -> str:
     """Inverse of parse_form on the exact backend, up to term order.
 
-    Float forms print with repr coefficients for inspection; only exact
-    output is guaranteed to re-parse to an equal form.
+    Float forms print with repr coefficients, dropping an imaginary part
+    within FLOAT_ZERO_TOL of zero.  Exact output re-parses to an equal
+    form; float output re-parses to the printed values, as exact
+    rationals when they are all real.
     """
     parts: list[str] = []
     for expo, c in f.items():
@@ -465,10 +470,10 @@ def form_to_string(f: Form) -> str:
             else:
                 body = str(mag)
         else:
-            z = complex(c)
-            negative = z.imag == 0 and z.real < 0
-            zmag = -z if negative else z
-            coeff = _scalar_string(zmag)
+            coeff = _scalar_string(c)
+            negative = coeff.startswith("-")
+            if negative:
+                coeff = coeff[1:]
             body = f"{coeff}*{mono}" if mono else coeff
         if not parts:
             parts.append(f"-{body}" if negative else body)

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import PreconditionError
 from .forms import Form, evaluate, is_exact_scalar, substitute
 from .linalg import exact_solve, lstsq_solve
-from .monomials import exponents, index_of
+from .monomials import index_of
 
 
 def cross(a: Sequence, b: Sequence) -> tuple:

@@ -67,7 +67,6 @@ from .roots import aberth_roots, cubic_from_samples, rational_roots
 from .ternary import (
     LineSystem,
     _as_dual_point,
-    _contract_is_zero,
     _random_dual,
     _reducible_member,
     _single_power,

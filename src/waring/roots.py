@@ -6,9 +6,14 @@ roughly 25) that apolar generators reach here.  Binary forms are
 dehomogenized at x0 = 1; a drop in the dehomogenized degree corresponds to
 roots at the point (0 : 1), which are reinstated explicitly.
 
-Exact helpers live here too: rational roots of integer polynomials (used to
-keep determinant-locus searches on the exact backend when luck allows) and
-squarefree tests via Fraction gcd.
+Exact helpers live here too, and run on Python integers (von zur Gathen
+and Gerhard, *Modern Computer Algebra*, ch. 6 and 15).  `rational_roots`
+is complete: it finds the roots of the squarefree part modulo a small
+prime, lifts them by Newton (Hensel) iteration past a root bound and keeps
+the candidates that vanish exactly, at any coefficient size.  `poly_gcd`
+is a primitive PRS over the integers.  `is_squarefree_binary` takes the
+gcd with the derivative modulo a few fixed large primes first and falls
+back to the exact PRS only when none of them proves coprimality.
 """
 
 from __future__ import annotations
@@ -150,53 +155,140 @@ def binary_form_roots(coeffs: Sequence, exact_degree_drop: int | None = None) ->
 
 
 # -- exact univariate helpers ----------------------------------------------
+#
+# Polynomials are ascending coefficient lists.  Rational input is scaled to
+# a primitive integer polynomial first, and everything after that runs on
+# Python integers, either exactly or modulo a prime.
+
+#: large primes for the modular coprimality test (Mersenne primes)
+_TEST_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1)
+
+
+def _strip(u: list) -> list:
+    while u and u[-1] == 0:
+        u.pop()
+    return u
+
+
+def _primitive(u: list[int]) -> list[int]:
+    """u divided by the gcd of its coefficients (u must be nonzero)."""
+    g = math.gcd(*u)
+    return u if g == 1 else [c // g for c in u]
+
+
+def _integer_poly(coeffs: Sequence) -> list[int]:
+    """The primitive integer multiple of a rational polynomial, degree-trimmed."""
+    vals = _strip([Fraction(c) for c in coeffs])
+    if not vals:
+        return []
+    denom = math.lcm(*(c.denominator for c in vals))
+    return _primitive([c.numerator * (denom // c.denominator) for c in vals])
+
+
+def _derivative(u: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(u)][1:]
+
+
+def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of two nonzero integer polynomials (primitive PRS).
+
+    Each step replaces (a, b) by (b, pp(prem(a, b))); the pseudo-division
+    scales by lead(b) once per quotient term, and taking the primitive part
+    keeps the coefficients from compounding across steps.
+    """
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        lead = b[-1]
+        while len(a) >= len(b):
+            top, shift = a[-1], len(a) - len(b)
+            a = [lead * c for c in a]
+            for i, c in enumerate(b):
+                a[i + shift] -= top * c
+            _strip(a)
+        a, b = b, (_primitive(a) if a else a)
+    return a
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials where b divides a in Z[x]."""
+    a = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = a[k + len(b) - 1] // b[-1]
+        q[k] = c
+        if c:
+            for i, bc in enumerate(b):
+                a[i + k] -= c * bc
+    return q
+
+
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """gcd of a and b over GF(p), not normalized."""
+    a = _strip([c % p for c in a])
+    b = _strip([c % p for c in b])
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            factor, shift = a[-1] * inv % p, len(a) - len(b)
+            for i, c in enumerate(b):
+                a[i + shift] = (a[i + shift] - factor * c) % p
+            _strip(a)
+        a, b = b, a
+    return a
+
+
+def _coprime_mod_test_primes(a: list[int], b: list[int]) -> bool:
+    """True when a and b are coprime modulo one of the test primes.
+
+    A prime that does not divide lead(a) maps a nontrivial common factor
+    over Q to a common factor of the same degree mod p, so a constant gcd
+    there proves coprimality.  False means only that no prime decided.
+    """
+    return any(a[-1] % p and len(_gcd_mod(a, b, p)) == 1 for p in _TEST_PRIMES)
+
+
+def _squarefree_part(u: list[int]) -> list[int]:
+    du = _derivative(u)
+    if _coprime_mod_test_primes(u, du):
+        return u
+    return _exact_quotient(u, _prs_gcd(u, du))
 
 
 def poly_gcd(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
-    """Monic gcd of two rational polynomials (ascending coefficients)."""
+    """Monic gcd of two rational polynomials (ascending coefficients).
 
-    def strip(u: list[Fraction]) -> list[Fraction]:
-        while u and u[-1] == 0:
-            u.pop()
-        return u
-
-    a = strip([Fraction(c) for c in p])
-    b = strip([Fraction(c) for c in q])
-    while b:
-        # remainder of a by b
-        while len(a) >= len(b) and a:
-            factor = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[i + shift] -= factor * c
-            a = strip(a)
-        a, b = b, a
-    if not a:
+    Runs a primitive PRS over the integers; [] when both are zero.
+    """
+    a, b = _integer_poly(p), _integer_poly(q)
+    if not a or not b:
+        g = a or b
+    else:
+        g = _prs_gcd(a, b)
+    if not g:
         return []
-    lead = a[-1]
-    return [c / lead for c in a]
+    return [Fraction(c, g[-1]) for c in g]
 
 
 def is_squarefree_binary(coeffs: Sequence[Fraction], degree: int) -> bool:
     """Whether an exact binary form has d distinct projective roots.
 
     Checks the dehomogenization against its derivative and caps the
-    multiplicity of the root at infinity (degree drop) at one.
+    multiplicity of the root at infinity (degree drop) at one.  The gcd
+    is taken modulo the test primes first; the exact PRS runs only when
+    none of them decides.
     """
     vals = [Fraction(c) for c in coeffs]
     if all(c == 0 for c in vals):
         return False
-    poly = list(vals)
-    drop = 0
-    while poly and poly[-1] == 0:
-        poly.pop()
-        drop += 1
-    if drop >= 2:
+    if exact_degree_drop(vals) >= 2:
         return False
+    poly = _integer_poly(vals)
     if len(poly) <= 1:
         return True  # constant after a single drop: degree <= 1 overall
-    deriv = [i * c for i, c in enumerate(poly)][1:]
-    return len(poly_gcd(poly, deriv)) <= 1
+    deriv = _derivative(poly)
+    return _coprime_mod_test_primes(poly, deriv) or len(_prs_gcd(poly, deriv)) == 1
 
 
 def exact_degree_drop(coeffs: Sequence[Fraction]) -> int:
@@ -222,78 +314,95 @@ def cubic_from_samples(d0, d1, dm1, d2) -> list:
     return [c0, c1, c2, c3]
 
 
-# trial division above this is slower than finding the roots numerically
-_DIVISOR_ENUM_LIMIT = 10**12
+def _primes():
+    """2, 3, 5, 7, ... by trial division."""
+    p = 2
+    while True:
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            yield p
+        p += 1
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
+def _value_mod(u: list[int], x: int, m: int) -> int:
+    value = 0
+    for c in reversed(u):
+        value = (value * x + c) % m
+    return value
+
+
+def _hensel_prime(u: list[int], du: list[int]) -> int:
+    """The least prime not dividing lead(u) modulo which u stays squarefree.
+
+    u must be squarefree over Q: only the finitely many primes dividing
+    lead(u) or its discriminant fail, so the search ends.
+    """
+    return next(p for p in _primes()
+                if u[-1] % p and len(_gcd_mod(u, du, p)) == 1)
+
+
+def _lift_root(u: list[int], du: list[int], r: int, p: int, bound: int) -> tuple[int, int]:
+    """Newton (Hensel) lift of a simple root r of u mod p to a modulus m > bound.
+
+    Each step squares the modulus: r - u(r)/u'(r) is a root mod m^2 when r
+    is one mod m, and u'(r) stays a unit because the root is simple mod p.
+    """
+    m = p
+    while m <= bound:
+        m *= m
+        r = (r - _value_mod(u, r, m) * pow(_value_mod(du, r, m), -1, m)) % m
+    return r, m
+
+
+def _vanishes_at(u: list[int], num: int, den: int) -> bool:
+    """Whether u(num/den) == 0, by homogeneous Horner over the integers."""
+    acc, scale = 0, 1
+    for c in reversed(u):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc == 0
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     """All rational roots of a rational polynomial, without multiplicity.
 
-    Clears denominators and applies the rational root theorem to the
-    primitive integer polynomial; intended for the small cubics and
-    quadratics produced by determinant-locus searches.
+    The polynomial is cleared to a primitive integer u with the zero root
+    divided out and reduced to its squarefree part.  A rational root r
+    makes s = lead(u)*r an integer with |s| <= |lead(u)| + max|u_i| (the
+    Cauchy bound, scaled), and r is a simple root of u over the p-adics
+    for any prime p that keeps u squarefree without dividing its lead.  So
+    every root of u mod p is lifted by Newton iteration past twice that
+    bound, read back as the symmetric residue s, and kept when u(s/lead)
+    is exactly zero: the search is complete at any coefficient size.
+
+    The roots come back as 0 first, then by (|numerator|, denominator,
+    sign), positive first: the order of a divisor enumeration by the
+    rational root theorem.
     """
-    vals = [Fraction(c) for c in coeffs]
-    while vals and vals[-1] == 0:
-        vals.pop()
-    if len(vals) <= 1:
-        return []
-    denom = 1
-    for c in vals:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in vals]
+    u = _integer_poly(coeffs)
     roots: list[Fraction] = []
-    if ints[0] == 0:
+    if len(u) <= 1:
+        return roots
+    if u[0] == 0:
         roots.append(Fraction(0))
-        while ints and ints[0] == 0:
-            ints.pop(0)
-    if len(ints) <= 1:
-        return roots
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    ints = [c // g for c in ints]
-
-    def value(cand: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(ints):
-            acc = acc * cand + c
-        return acc
-
-    lead, trail = ints[-1], ints[0]
-    if abs(lead) <= _DIVISOR_ENUM_LIMIT and abs(trail) <= _DIVISOR_ENUM_LIMIT:
-        for p in _divisors(trail):
-            for q in _divisors(lead):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if cand not in roots and value(cand) == 0:
-                        roots.append(cand)
-        return roots
-    # coefficients too large to factor: snap numeric roots to nearby
-    # rationals and keep only the ones that verify exactly
-    try:
-        numeric = aberth_roots(ints)
-    except RootFindingError:
-        return roots
-    scale = max(abs(complex(z)) for z in numeric) if numeric else 1.0
-    for z in numeric:
-        if abs(z.imag) > 1e-9 * max(1.0, scale):
+        while u[0] == 0:
+            u.pop(0)
+        if len(u) <= 1:
+            return roots
+    u = _squarefree_part(u)
+    lead, du = u[-1], _derivative(u)
+    bound = 2 * (abs(lead) + max(abs(c) for c in u[:-1]))
+    p = _hensel_prime(u, du)
+    found = []
+    for r0 in range(p):
+        if _value_mod(u, r0, p):
             continue
-        for bound in (10**4, 10**9):
-            cand = Fraction(z.real).limit_denominator(bound)
-            if cand not in roots and value(cand) == 0:
-                roots.append(cand)
-                break
-    return roots
+        r, m = _lift_root(u, du, r0, p, bound)
+        s = lead * r % m
+        if s > m // 2:
+            s -= m
+        cand = Fraction(s, lead)
+        if cand and u[0] % cand.numerator == 0 and _vanishes_at(
+                u, cand.numerator, cand.denominator):
+            found.append(cand)
+    found.sort(key=lambda q: (abs(q.numerator), q.denominator, q.numerator < 0))
+    return roots + found

@@ -15,7 +15,7 @@ from waring.binary import (
     open_rank_binary,
     rank_binary,
 )
-from waring.errors import PreconditionError, RetryExhausted
+from waring.errors import PreconditionError, RetryExhausted, WaringError
 from waring.forms import Form, parse_form, power_of_linear, random_form
 
 F = Fraction
@@ -187,6 +187,17 @@ def test_decompose_binary_cusp_takes_long_route():
     f = parse_form("x0^4*x1", 2)
     dec = decompose_binary(f, seed=3)
     check_decomposition(f, dec, size=5)
+
+
+def test_decompose_binary_degree_forty_probe_returns_or_raises_waring_error():
+    # the apolar generator's coefficients are far too large to factor by
+    # trial division; a failure must surface as a WaringError, nothing else
+    f = random_form(2, 40, seed=1)
+    try:
+        dec = decompose_binary(f)
+    except WaringError:
+        return
+    assert (dec.num_vars, dec.degree) == (2, 40)
 
 
 def test_decompose_avoiding_open_rank_length():

@@ -264,3 +264,13 @@ def test_float_replay_is_byte_stable(f, decompose):
     text = to_json(cert)
     assert " " not in text
     assert to_json(replay(from_json(text))) == text
+
+
+@pytest.mark.parametrize("coeff", [1e-05, 2.5e+20, 1j])
+def test_float_input_in_exponent_or_complex_notation_replays_valid(coeff):
+    # the input is written as repr text (1e-05*x0^3, 2.5e+20*x0^3, 1j*x0^3),
+    # which parse_form must read back on replay
+    f = Form(2, 3, (coeff, 0, 0, 2))
+    cert = verify_decomposition(f, decompose_binary(f))
+    assert cert.valid
+    assert replay(from_json(to_json(cert))).valid

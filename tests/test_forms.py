@@ -58,6 +58,24 @@ def test_parse_rejects_garbage():
         parse_form("x0^2 + x1", 2)  # mixed degrees
     with pytest.raises(ParseFormError):
         parse_form("x5^2", 2)
+    # the last one must fail fast, not backtrack over every split of the run
+    for text in ("x0 +- x1", "(1+2j*x0", "x0)", "1e*x0", "2j/3*x0", "x0" * 2000 + "("):
+        with pytest.raises(ParseFormError):
+            parse_form(text, 2)
+
+
+def test_parse_exponent_notation_is_exact():
+    f = parse_form("1e-05*x0^2 - 2.5E+20*x1^2 + .5e1*x0*x1", 2)
+    assert f.is_exact
+    assert f.coeffs == (Fraction(1, 100000), Fraction(5), Fraction(-25 * 10**19))
+
+
+def test_float_form_text_reads_back():
+    # imaginary coefficients put the parsed form on the float backend
+    f = Form(2, 2, (1e-05, -1j, complex(-2.5, 3e20)))
+    again = parse_form(form_to_string(f), 2)
+    assert not again.is_exact
+    assert again.coeffs == f.coeffs
 
 
 def test_addition_needs_matching_shape():

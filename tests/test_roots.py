@@ -160,8 +160,8 @@ def test_rational_roots_mixed_and_zero():
 
 
 def test_rational_roots_huge_coefficients_fall_back_to_snapping():
-    # trailing coefficient beyond the trial-division cutoff; the numeric
-    # path must still certify the modest rational roots exactly
+    # a trailing coefficient far beyond what trial division could factor;
+    # the modest rational roots must still be found and certified exactly
     big = 10 ** 13
     # (3t - 2)(t - 5)(t^2 + big) = (3t^2 - 17t + 10)(t^2 + big)
     quad = [Fraction(10), Fraction(-17), Fraction(3)]
@@ -171,6 +171,20 @@ def test_rational_roots_huge_coefficients_fall_back_to_snapping():
         coeffs[i + 2] += a
     found = rational_roots(coeffs)
     assert sorted(found) == [Fraction(2, 3), Fraction(5)]
+
+
+def test_rational_roots_root_beyond_half_the_lifting_modulus():
+    # t - 200 lifts mod 2, 4, 16, 256: at 256 the symmetric residue of 200
+    # is -56, so the lift must run on past twice the root bound
+    assert rational_roots([Fraction(-200), Fraction(1)]) == [Fraction(200)]
+
+
+def test_is_squarefree_binary_skips_primes_dividing_the_lead():
+    # (p t + 1)^2 (t - 2) with p = 2^61 - 1 reduces to t - 2 mod p, which is
+    # squarefree there although the form has a double root
+    p = 2**61 - 1
+    coeffs = [Fraction(-2), Fraction(1 - 4 * p), Fraction(2 * p - 2 * p * p), Fraction(p * p)]
+    assert not is_squarefree_binary(coeffs, 3)
 
 
 def test_rational_roots_none():
