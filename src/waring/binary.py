@@ -24,23 +24,19 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .apolarity import (apolar_component, apolar_initial_degree, catalecticant,
                         numeric_catalecticant)
 from .avoidance import AvoidanceSet
-from .decomposition import Decomposition, Term, term_from_vector
+from .decomposition import RESIDUAL_TOL, Decomposition, Term, term_from_vector
 from .errors import (PreconditionError, RetryExhausted, RootFindingError,
                      ZeroFormError)
 from .forms import (Form, ProjectivePoint, distinct_points, power_of_linear,
-                    random_form, same_point)
-from .linalg import (exact_rank, exact_solve, lstsq_solve, numeric_nullspace,
-                     numeric_rank)
+                    random_combination, random_form, same_point)
+from .linalg import exact_rank, numeric_nullspace, numeric_rank, solve_columns
 from .monomials import space_dim
 from .roots import (binary_form_roots, exact_degree_drop, is_squarefree_binary,
                     rational_roots)
 
-RESIDUAL_TOL = 1e-8
 SEPARATION_TOL = 1e-6
 SMALL_COEFF_TOL = 1e-10
 
@@ -125,30 +121,15 @@ def form_on_line(f: Form, u, v) -> Form | None:
     from the line through u and v.
     """
     d = f.degree
-    n = f.num_vars
     columns = []
     for j in range(d + 1):
         mono = [0] * (d + 1)
         mono[j] = 1
-        columns.append(embed_binary(Form(2, d, tuple(mono)), u, v))
-    exact = f.is_exact and all(c.is_exact for c in columns)
-    if exact:
-        matrix = [[col.coeffs[i] for col in columns] for i in range(space_dim(n, d))]
-        sol = exact_solve(matrix, list(f.coeffs))
-        if sol is None:
-            return None
-        g = Form(2, d, tuple(sol))
-        check = embed_binary(g, u, v)
-        return g if (check - f).is_zero() else None
-    mat = np.array([[complex(col.coeffs[i]) for col in columns]
-                    for i in range(space_dim(n, d))])
-    rhs = np.array([complex(c) for c in f.coeffs])
-    sol = lstsq_solve(mat, rhs)
-    g = Form(2, d, tuple(complex(z) for z in sol))
-    check = embed_binary(g, u, v)
-    if (check - f.to_float()).max_abs() > 1e-8 * max(1.0, f.max_abs()):
+        columns.append(embed_binary(Form(2, d, tuple(mono)), u, v).coeffs)
+    solved = solve_columns(columns, f.coeffs)
+    if solved is None or solved[1] > 1e-8:
         return None
-    return g
+    return Form(2, d, tuple(solved[0]))
 
 
 @dataclass(frozen=True)
@@ -180,7 +161,12 @@ class BinaryForm:
 # -- kernels for both backends ----------------------------------------------
 
 
-def _initial_degree_any(f: Form) -> int:
+def initial_degree_any(f: Form) -> int:
+    """Initial degree of a binary form's apolar ideal, on either backend.
+
+    Exact input goes through `apolar_initial_degree`; float input takes the
+    first catalecticant whose numeric rank leaves a kernel.
+    """
     if f.is_exact:
         return apolar_initial_degree(f)
     d = f.degree
@@ -234,19 +220,13 @@ def _exact_points_if_rational(g: Form) -> list[ProjectivePoint] | None:
 def _solve_weights(f: Form, points: list[ProjectivePoint]):
     """Weights lambda with f = sum lambda_i point_i^degree, or None.
 
-    Exact solve when everything is rational, least squares otherwise.
+    Exact solve when everything is rational (None when inconsistent),
+    least squares otherwise; callers judge float weights by the residual
+    of the decomposition they build.
     """
-    d = f.degree
-    exact = f.is_exact and all(p.is_exact for p in points)
-    if exact:
-        cols = [power_of_linear(p.coords, d) for p in points]
-        matrix = [[col.coeffs[i] for col in cols] for i in range(d + 1)]
-        sol = exact_solve(matrix, list(f.coeffs))
-        return sol
-    cols = [power_of_linear(p.as_floats(), d) for p in points]
-    mat = np.array([[complex(col.coeffs[i]) for col in cols] for i in range(d + 1)])
-    rhs = np.array([complex(c) for c in f.coeffs])
-    return list(lstsq_solve(mat, rhs))
+    solved = solve_columns([power_of_linear(p.coords, f.degree).coeffs for p in points],
+                           f.coeffs)
+    return None if solved is None else solved[0]
 
 
 def _build(f: Form, points, weights, provenance) -> Decomposition:
@@ -267,7 +247,7 @@ def decompose_binary(f: Form, seed: int = 0, tol: float = RESIDUAL_TOL) -> Decom
     """
     _require_binary(f)
     d = f.degree
-    b = _initial_degree_any(f)
+    b = initial_degree_any(f)
     kernel = _kernel_any(f, b)
     provenance = {"route": "apolar-roots", "initial_degree": b}
     if len(kernel) == 1:
@@ -283,7 +263,7 @@ def decompose_binary(f: Form, seed: int = 0, tol: float = RESIDUAL_TOL) -> Decom
     rng = random.Random(seed)
     for attempt in range(64):
         height = 9 << (attempt // 8)
-        combo = _random_combination(rng, kernel, height)
+        combo = random_combination(rng, kernel, height)
         if combo is None:
             continue
         pts = _try_exact_then_float_points(combo)
@@ -318,21 +298,6 @@ def _finish_root_route(f, points, provenance, tol) -> Decomposition:
     return dec
 
 
-def _random_combination(rng, basis, height) -> Form | None:
-    coeffs = [rng.randint(-height, height) for _ in basis]
-    if all(c == 0 for c in coeffs):
-        return None
-    total = None
-    for c, g in zip(coeffs, basis):
-        if c == 0:
-            continue
-        part = g.scale(c)
-        total = part if total is None else total + part
-    if total is None or total.is_zero():
-        return None
-    return total
-
-
 def _sample_ideal_decomposition(f, size, avoid, seed, tol, retries,
                                 provenance) -> Decomposition:
     """Sample degree-`size` apolar members until one yields good points.
@@ -350,7 +315,7 @@ def _sample_ideal_decomposition(f, size, avoid, seed, tol, retries,
     best_residual = None
     for attempt in range(retries):
         height = 9 << (attempt // 8)
-        combo = _random_combination(rng, basis, height)
+        combo = random_combination(rng, basis, height)
         if combo is None:
             rejects["zero_combo"] += 1
             continue
@@ -371,12 +336,12 @@ def _sample_ideal_decomposition(f, size, avoid, seed, tol, retries,
             continue
         dec = _build(f, pts, weights, {**provenance, "attempt": attempt,
                                        "target_size": size})
-        res = dec.residual(f)
+        ok = dec.meets_tolerance(f, tol)
+        res = dec.provenance["residual"]
         best_residual = res if best_residual is None else min(best_residual, res)
-        if res > max(tol, RESIDUAL_TOL):
+        if not ok:
             rejects["residual"] += 1
             continue
-        dec.provenance["residual"] = res
         return dec
     raise RetryExhausted(
         f"no admissible {size}-point decomposition in {retries} attempts",
@@ -397,7 +362,7 @@ def decompose_binary_avoiding(f: Form, avoid: AvoidanceSet | None = None,
     if avoid is not None and avoid.num_vars != 2:
         raise PreconditionError("avoidance set must be binary")
     d = f.degree
-    b = _initial_degree_any(f)
+    b = initial_degree_any(f)
     if b == 1:
         return _decompose_power_avoiding(f, avoid, seed, tol, retries)
     return _sample_ideal_decomposition(
@@ -447,11 +412,8 @@ def _decompose_power_avoiding(f, avoid, seed, tol, retries) -> Decomposition:
         dec = _build(f, chosen, weights,
                      {"route": "power-respread", "attempt": attempt,
                       "target_size": d + 1})
-        res = dec.residual(f)
-        if res > max(tol, RESIDUAL_TOL):
-            continue
-        dec.provenance["residual"] = res
-        return dec
+        if dec.meets_tolerance(f, tol):
+            return dec
     raise RetryExhausted(
         f"could not place {d + 1} admissible points for a pure power",
         diagnostics={"attempts": retries})
@@ -471,7 +433,7 @@ def decompose_binary_bounded(f: Form, avoid: AvoidanceSet | None,
     """
     _require_binary(f)
     d = f.degree
-    b = _initial_degree_any(f)
+    b = initial_degree_any(f)
     if 2 * b == d + 2:
         if b > max_size:
             raise RetryExhausted(
@@ -481,15 +443,9 @@ def decompose_binary_bounded(f: Form, avoid: AvoidanceSet | None,
             f, b, avoid, seed, tol, retries,
             provenance={"route": "pencil-avoiding", "initial_degree": b})
     gens = _kernel_any(f, b)
-    pts = _roots_of_kernel_form(gens[0]) if gens else None
-    if pts is not None and b <= max_size:
-        if f.is_exact:
-            better = _exact_points_if_rational(gens[0])
-            if better is not None:
-                pts = better
-        if avoid is None or not any(avoid.contains(p) for p in pts):
-            return _finish_root_route(
-                f, pts, {"route": "kernel-roots-avoiding"}, tol)
+    pts = _try_exact_then_float_points(gens[0]) if gens and b <= max_size else None
+    if pts is not None and (avoid is None or not any(avoid.contains(p) for p in pts)):
+        return _finish_root_route(f, pts, {"route": "kernel-roots-avoiding"}, tol)
     size = d + 2 - b
     if size > max_size:
         raise RetryExhausted(
@@ -524,7 +480,7 @@ def generic_rank_in_subspace(degree: int, k: int, trials: int = 100,
             if exact_rank(rows) == k + 1:
                 break
         while True:
-            combo = _random_combination(rng, basis, 9)
+            combo = random_combination(rng, basis, 9)
             if combo is not None:
                 break
         worst = max(worst, rank_binary(combo))

@@ -28,8 +28,8 @@ from fractions import Fraction
 
 from .apolarity import cat_rank_table, rank_lower_bound
 from .avoidance import AvoidanceSet
-from .binary import RESIDUAL_TOL, decompose_binary, rank_binary
-from .decomposition import Decomposition, Term
+from .binary import decompose_binary, rank_binary
+from .decomposition import RESIDUAL_TOL, Decomposition, Term
 from .errors import (
     DimensionMismatch,
     ParseFormError,

@@ -18,7 +18,6 @@ import sys
 from .apolarity import cat_rank_table, essential_variables
 from .avoidance import AvoidanceSet
 from .binary import (
-    RESIDUAL_TOL,
     border_rank_binary,
     decompose_binary,
     decompose_binary_avoiding,
@@ -39,6 +38,7 @@ from .certify import (
     to_json,
     verify_decomposition,
 )
+from .decomposition import RESIDUAL_TOL
 from .errors import (
     DimensionMismatch,
     ParseFormError,
@@ -123,65 +123,63 @@ def _cmd_scalar_rank(args, kind: str) -> int:
     return _print_value(payload, args.text, value)
 
 
-def _dispatch_decompose(f: Form, avoid, args):
-    """Route by variable count and degree; returns (decomposition, bound)."""
+# route -> (decomposer(f, avoid, args), bound value of f, bound tag)
+_ROUTES = {
+    "binary-rank": (lambda f, avoid, a: decompose_binary(f, seed=a.seed, tol=a.tol),
+                    rank_binary, BOUND_BINARY_RANK),
+    "binary-open": (lambda f, avoid, a: decompose_binary_avoiding(
+                        f, avoid, seed=a.seed, tol=a.tol, retries=a.retries),
+                    open_rank_binary, BOUND_BINARY_OPEN),
+    "quartic8": (lambda f, avoid, a: quartic_decompose_open(
+                     f, avoid, seed=a.seed, tol=a.tol, retries=a.retries),
+                 lambda f: 8, BOUND_QUARTIC_EIGHT),
+    "odd-split": (lambda f, avoid, a: decompose_ternary_odd(
+                      f, seed=a.seed, tol=a.tol, retries=a.retries),
+                  lambda f: (f.degree ** 2 - 1) // 2, BOUND_ODD_SPLIT),
+    "brk3": (lambda f, avoid, a: quartic_brk3_decompose(f, avoid, seed=a.seed, tol=a.tol),
+             lambda f: 7, BOUND_CONIC_PULLBACK),
+}
+
+
+def _route_by_shape(f: Form, avoid) -> str:
     if f.num_vars == 2:
-        if avoid is None:
-            return (decompose_binary(f, seed=args.seed, tol=args.tol),
-                    (rank_binary(f), BOUND_BINARY_RANK))
-        dec = decompose_binary_avoiding(f, avoid, seed=args.seed, tol=args.tol,
-                                        retries=args.retries)
-        return dec, (open_rank_binary(f), BOUND_BINARY_OPEN)
+        return "binary-rank" if avoid is None else "binary-open"
     if f.num_vars == 3:
         if f.degree == 4:
-            dec = quartic_decompose_open(f, avoid, seed=args.seed, tol=args.tol,
-                                         retries=args.retries)
-            return dec, (8, BOUND_QUARTIC_EIGHT)
+            return "quartic8"
         if f.degree >= 5 and f.degree % 2 == 1:
             if avoid is not None:
                 raise PreconditionError(
                     "avoidance in three variables is implemented for degree four; "
                     "odd degrees decompose without a forbidden set")
-            dec = decompose_ternary_odd(f, seed=args.seed, tol=args.tol,
-                                        retries=args.retries)
-            return dec, ((f.degree ** 2 - 1) // 2, BOUND_ODD_SPLIT)
+            return "odd-split"
         raise PreconditionError(
             "ternary decomposition covers degree four and odd degrees five and up")
     raise PreconditionError("decomposition handles two or three variables")
 
 
-def _cmd_decompose(args, with_avoid: bool) -> int:
+def _cmd_decompose(args, route: str | None = None) -> int:
+    """Decompose along `route`, or along the route the form's shape picks.
+
+    A named route takes ternary quartics, so its input is read in three
+    variables; otherwise the variable count is inferred from the form and
+    from the avoidance file.
+    """
     text = _read_text(args.input).strip()
-    n = _infer_num_vars(text)
-    avoid = None
-    if with_avoid:
-        # the forbidden set may live in more variables than the form shows
-        with open(args.avoid, encoding="utf-8") as handle:
-            n = max(n, _infer_num_vars(handle.read()))
-        avoid = _load_avoidance(args.avoid, n)
+    if route is not None:
+        n = 3
+    else:
+        n = _infer_num_vars(text)
+        if args.avoid is not None:
+            # the forbidden set may live in more variables than the form shows
+            with open(args.avoid, encoding="utf-8") as handle:
+                n = max(n, _infer_num_vars(handle.read()))
     f = parse_form(text, n)
-    dec, bound = _dispatch_decompose(f, avoid, args)
-    cert = verify_decomposition(f, dec, tol=args.tol, avoid=avoid,
-                                seed=args.seed, bound=bound)
-    return _emit(cert, args.text)
-
-
-def _cmd_quartic8(args) -> int:
-    f = _load_form(args.input, num_vars=3)
-    avoid = _load_avoidance(args.avoid, 3)
-    dec = quartic_decompose_open(f, avoid, seed=args.seed, tol=args.tol,
-                                 retries=args.retries)
-    cert = verify_decomposition(f, dec, tol=args.tol, avoid=avoid,
-                                seed=args.seed, bound=(8, BOUND_QUARTIC_EIGHT))
-    return _emit(cert, args.text)
-
-
-def _cmd_brk3(args) -> int:
-    f = _load_form(args.input, num_vars=3)
-    avoid = _load_avoidance(args.avoid, 3)
-    dec = quartic_brk3_decompose(f, avoid, seed=args.seed, tol=args.tol)
-    cert = verify_decomposition(f, dec, tol=args.tol, avoid=avoid,
-                                seed=args.seed, bound=(7, BOUND_CONIC_PULLBACK))
+    avoid = _load_avoidance(args.avoid, n)
+    decompose, bound_value, bound_tag = _ROUTES[route or _route_by_shape(f, avoid)]
+    dec = decompose(f, avoid, args)
+    cert = verify_decomposition(f, dec, tol=args.tol, avoid=avoid, seed=args.seed,
+                                bound=(bound_value(f), bound_tag))
     return _emit(cert, args.text)
 
 
@@ -261,6 +259,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("decompose", parents=[common],
                        help="minimal-length power sum (binary or ternary)")
     p.add_argument("input", help="form text or file path")
+    p.set_defaults(avoid=None)
 
     p = sub.add_parser("decompose-avoid", parents=[common],
                        help="power sum whose points miss a closed subset")
@@ -305,10 +304,10 @@ _HANDLERS = {
     "rank": lambda a: _cmd_scalar_rank(a, "rank"),
     "border-rank": lambda a: _cmd_scalar_rank(a, "border-rank"),
     "open-rank": lambda a: _cmd_scalar_rank(a, "open-rank"),
-    "decompose": lambda a: _cmd_decompose(a, with_avoid=False),
-    "decompose-avoid": lambda a: _cmd_decompose(a, with_avoid=True),
-    "quartic8": _cmd_quartic8,
-    "brk3": _cmd_brk3,
+    "decompose": _cmd_decompose,
+    "decompose-avoid": _cmd_decompose,
+    "quartic8": lambda a: _cmd_decompose(a, route="quartic8"),
+    "brk3": lambda a: _cmd_decompose(a, route="brk3"),
     "witness": _cmd_witness,
     "bound": _cmd_bound,
     "verify": _cmd_verify,

@@ -16,6 +16,9 @@ from .errors import PreconditionError
 from .forms import (Form, ProjectivePoint, is_exact_scalar, pivot_index,
                     power_of_linear)
 
+#: residual the pipelines accept (a caller's tolerance can only loosen it)
+RESIDUAL_TOL = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class Term:
@@ -88,3 +91,12 @@ class Decomposition:
             raise PreconditionError("decomposition does not match the form's space")
         diff = f.to_float() - self.synthesize()
         return diff.max_abs() / max(1.0, f.max_abs())
+
+    def meets_tolerance(self, f: Form, tol: float = RESIDUAL_TOL) -> bool:
+        """Whether the residual against f is at most max(tol, RESIDUAL_TOL).
+
+        The residual is stored in provenance["residual"] either way.
+        """
+        res = self.residual(f)
+        self.provenance["residual"] = res
+        return res <= max(tol, RESIDUAL_TOL)

@@ -17,6 +17,9 @@ first coordinate of largest magnitude (up to a relative 1e-12) to 1.  The
 pivot becomes exactly 1, so normalizing a normalized point changes no bit.
 Comparisons use a normalization-free chordal distance, so they do not
 depend on which coordinate was scaled.
+
+`random_combination` is the one integer sampler: every randomized search
+draws its generic members of a linear system through it.
 """
 
 from __future__ import annotations
@@ -270,6 +273,25 @@ def random_form(num_vars: int, degree: int, seed: int, height: int = 9) -> Form:
             return Form(num_vars, degree, coeffs)
 
 
+def random_combination(rng: random.Random, basis: Sequence[Form],
+                       height: int) -> Form | None:
+    """sum c_i * basis[i] with integers c_i uniform in [-height, height].
+
+    Draws exactly one `rng.randint` per basis member, in order, and returns
+    None when the combination is zero.  The sum starts from the first
+    nonzero part, never from a zero form: adding to a zero float form would
+    turn -0.0 into 0.0, and roots that depend on a branch cut would move.
+    """
+    coeffs = [rng.randint(-height, height) for _ in basis]
+    total = None
+    for c, g in zip(coeffs, basis):
+        if c:
+            total = g.scale(c) if total is None else total + g.scale(c)
+    if total is None or total.is_zero():
+        return None
+    return total
+
+
 # -- projective points ----------------------------------------------------
 
 
@@ -391,13 +413,13 @@ def parse_form(text: str, num_vars: int, degree: int | None = None) -> Form:
 
     Terms are joined by '+' or '-'; whitespace is insignificant.  Decimals
     may carry an exponent ('2.5e-05') and are read exactly as rationals.
-    An imaginary coefficient is written as Python prints a complex number
-    ('1j', '(1+2.5e-05j)'); it puts the whole form on the float backend,
-    which is how `form_to_string` output of a complex form reads back.
-    Otherwise the result is on the exact backend.  Non-homogeneous input
-    is rejected.  Input that cancels to zero is accepted when its degree
-    can be inferred from the terms (or is supplied via `degree`);
-    otherwise it is an error.
+    A complex coefficient is written as Python prints a complex number
+    ('1j', '(1e-05+0j)', '(1+2.5e-05j)'); it puts the whole form on the
+    float backend, which is how `form_to_string` output of a float form
+    reads back.  Otherwise the result is on the exact backend.
+    Non-homogeneous input is rejected.  Input that cancels to zero is
+    accepted when its degree can be inferred from the terms (or is
+    supplied via `degree`); otherwise it is an error.
     """
     stripped = re.sub(r"\s+", "", text)
     if not stripped:
@@ -440,22 +462,14 @@ def parse_form(text: str, num_vars: int, degree: int | None = None) -> Form:
     return Form.from_dict(num_vars, seen_degree, acc)
 
 
-def _scalar_string(c) -> str:
-    if isinstance(c, Fraction):
-        return str(c)
-    z = complex(c)
-    if abs(z.imag) <= FLOAT_ZERO_TOL * max(1.0, abs(z.real)):
-        return repr(z.real)
-    return repr(z)
-
-
 def form_to_string(f: Form) -> str:
-    """Inverse of parse_form on the exact backend, up to term order.
+    """Inverse of parse_form, up to term order.
 
-    Float forms print with repr coefficients, dropping an imaginary part
-    within FLOAT_ZERO_TOL of zero.  Exact output re-parses to an equal
-    form; float output re-parses to the printed values, as exact
-    rationals when they are all real.
+    Exact coefficients print as integers and fractions.  Every float
+    coefficient prints as the repr of a complex number, real ones too
+    ('(1e-05+0j)'), with signed zeros made positive, so the output
+    re-parses onto the float backend to the same bits; the sign of a zero
+    is the one thing lost, and parse_form's arithmetic would drop it anyway.
     """
     parts: list[str] = []
     for expo, c in f.items():
@@ -470,7 +484,8 @@ def form_to_string(f: Form) -> str:
             else:
                 body = str(mag)
         else:
-            coeff = _scalar_string(c)
+            z = complex(c)
+            coeff = repr(complex(z.real + 0.0, z.imag + 0.0))
             negative = coeff.startswith("-")
             if negative:
                 coeff = coeff[1:]

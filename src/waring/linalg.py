@@ -8,6 +8,10 @@ exact.  These decide all ranks and kernels in the library.
 Numeric routines wrap numpy SVD / least squares and are used only where
 roots have already forced the float backend.  Numeric rank cuts singular
 values at `NUMERIC_RANK_TOL` relative to the largest.
+
+`solve_columns` is the one exact-then-float span solve: it writes a target
+vector in the span of given columns, by exact elimination when every entry
+is exact and by least squares otherwise.
 """
 
 from __future__ import annotations
@@ -159,3 +163,27 @@ def numeric_nullspace(matrix: np.ndarray, tol: float = NUMERIC_RANK_TOL) -> list
 def lstsq_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     sol, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
     return sol
+
+
+# -- both backends ----------------------------------------------------------
+
+
+def solve_columns(columns: Sequence[Sequence], target: Sequence) -> tuple[list, float] | None:
+    """Weights x with sum_j x[j] * columns[j] = target, and the residual.
+
+    When every entry is exact (Fraction or int) this is `exact_solve`: it
+    returns (x, 0.0), or None when the system is inconsistent.  Otherwise
+    it is plain least squares, and the residual max|Mx - b| / max(1, max|b|)
+    comes back for the caller to judge.
+    """
+    matrix = [[col[r] for col in columns] for r in range(len(target))]
+    exact = (all(isinstance(b, (Fraction, int)) for b in target)
+             and all(isinstance(x, (Fraction, int)) for row in matrix for x in row))
+    if exact:
+        x = exact_solve(matrix, list(target))
+        return None if x is None else (x, 0.0)
+    m = np.array([[complex(x) for x in row] for row in matrix])
+    rhs = np.array([complex(b) for b in target])
+    x = lstsq_solve(m, rhs)
+    residual = max(abs(r) for r in m @ x - rhs) / max(1.0, max(abs(b) for b in rhs))
+    return list(x), float(residual)

@@ -23,9 +23,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .forms import Form, evaluate, is_exact_scalar, substitute
-from .linalg import exact_solve, lstsq_solve
+from .forms import Form, ProjectivePoint, evaluate, is_exact_scalar, substitute
+from .linalg import solve_columns
 from .monomials import index_of
+
+#: x0, x1, x2 as linear duals; `random_combination` over them samples a line
+UNIT_DUALS = tuple(Form(3, 1, tuple(Fraction(int(i == j)) for j in range(3)))
+                   for i in range(3))
 
 
 def cross(a: Sequence, b: Sequence) -> tuple:
@@ -35,6 +39,17 @@ def cross(a: Sequence, b: Sequence) -> tuple:
         a[2] * b[0] - a[0] * b[2],
         a[0] * b[1] - a[1] * b[0],
     )
+
+
+def as_dual_point(obj) -> ProjectivePoint:
+    """The point of a line given as a ternary linear dual, a point or coordinates."""
+    if isinstance(obj, ProjectivePoint):
+        return obj
+    if isinstance(obj, Form):
+        if obj.degree != 1 or obj.num_vars != 3:
+            raise PreconditionError("forbidden loci must be ternary linear duals")
+        return ProjectivePoint(obj.coeffs)
+    return ProjectivePoint(tuple(obj))
 
 
 def plane_basis(ell: Sequence) -> tuple[tuple, tuple]:
@@ -166,13 +181,11 @@ def factor_rank_two_quadric(q: Form) -> tuple[Form, Form]:
     # express q in the pencil: q = A*u1^2 + B*u1*u2 + C*u2^2
     f1 = Form(3, 1, u1)
     f2 = Form(3, 1, u2)
-    basis_forms = [f1 * f1, f1 * f2, f2 * f2]
-    if exact and all(g.is_exact for g in basis_forms):
-        matrix = [[g.coeffs[i] for g in basis_forms] for i in range(6)]
-        sol = exact_solve(matrix, list(q.coeffs))
-        if sol is None:
-            raise PreconditionError("quadric is not supported on its singular pencil")
-        a, b, c = sol
+    solved = solve_columns([g.coeffs for g in (f1 * f1, f1 * f2, f2 * f2)], q.coeffs)
+    if solved is None:
+        raise PreconditionError("quadric is not supported on its singular pencil")
+    a, b, c = solved[0]
+    if exact:
         disc = b * b - 4 * a * c
         root = rational_sqrt(disc) if disc >= 0 else None
         if a == 0:
@@ -185,11 +198,7 @@ def factor_rank_two_quadric(q: Form) -> tuple[Form, Form]:
             l1 = Form(3, 1, tuple(x - t1 * y for x, y in zip(u1, u2)))
             l2 = Form(3, 1, tuple(a * (x - t2 * y) for x, y in zip(u1, u2)))
             return l1, l2
-        a, b, c = complex(a), complex(b), complex(c)
-    else:
-        mat = np.array([[complex(g.coeffs[i]) for g in basis_forms] for i in range(6)])
-        rhs = np.array([complex(x) for x in q.coeffs])
-        a, b, c = (complex(z) for z in lstsq_solve(mat, rhs))
+    a, b, c = complex(a), complex(b), complex(c)
     if abs(a) < 1e-14 * max(abs(b), abs(c), 1.0):
         l1 = f2.to_float()
         l2 = Form(3, 1, tuple(b * complex(x) + c * complex(y) for x, y in zip(u1, u2)))

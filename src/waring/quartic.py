@@ -25,20 +25,18 @@ from .apolarity import (
 )
 from .avoidance import AvoidanceSet
 from .binary import (
-    RESIDUAL_TOL,
     BinaryForm,
-    _initial_degree_any,
     decompose_binary_avoiding,
     decompose_binary_bounded,
     form_on_line,
+    initial_degree_any,
 )
-from .decomposition import Decomposition, term_from_vector
+from .decomposition import RESIDUAL_TOL, Decomposition, term_from_vector
 from .errors import (
     DegenerateSystemError,
     NoSmoothConic,
     PreconditionError,
     RetryExhausted,
-    RootFindingError,
     ZeroFormError,
 )
 from .forms import (
@@ -48,12 +46,15 @@ from .forms import (
     distinct_points,
     evaluate,
     power_of_linear,
+    random_combination,
     same_point,
     substitute,
 )
-from .linalg import exact_nullspace, exact_solve, lstsq_solve, numeric_nullspace
+from .linalg import exact_nullspace, numeric_nullspace, solve_columns
 from .monomials import multinomial
 from .plane import (
+    UNIT_DUALS,
+    as_dual_point,
     cross,
     det3,
     float_point_on_conic,
@@ -63,13 +64,11 @@ from .plane import (
     quadric_rank_numeric,
     rational_point_on_conic,
 )
-from .roots import aberth_roots, cubic_from_samples, rational_roots
+from .roots import pencil_roots
 from .ternary import (
     LineSystem,
-    _as_dual_point,
-    _random_dual,
-    _reducible_member,
-    _single_power,
+    reducible_member,
+    single_power,
     split_on_lines,
 )
 
@@ -140,11 +139,7 @@ def witness_quartic(coeffs=(1, 1, 1, 1)) -> Form:
 def _triple_product_matrix(f: Form, l1: Form, l2: Form):
     """Matrix of l -> (l * l1 * l2) contracted into f, basis to basis."""
     base = l1 * l2
-    cols = []
-    for h in range(3):
-        unit = [Fraction(0)] * 3
-        unit[h] = Fraction(1)
-        cols.append(contract(Form(3, 1, tuple(unit)) * base, f))
+    cols = [contract(unit * base, f) for unit in UNIT_DUALS]
     return [[cols[j].coeffs[i] for j in range(3)] for i in range(3)]
 
 
@@ -172,7 +167,7 @@ def quartic_predecomp(f: Form, sigma=(), seed: int = 0,
     if check_gate and rank_lower_bound(f) < 4:
         raise PreconditionError(
             "the split triple needs a certified rank of at least four")
-    sigma_pts = [_as_dual_point(s) for s in sigma]
+    sigma_pts = [as_dual_point(s) for s in sigma]
     rng = random.Random(seed)
     fallback: tuple[Form, Form, Form] | None = None
     stats = {"pencils": 0, "roots": 0, "kernel_dim": 0, "square": 0,
@@ -186,32 +181,20 @@ def quartic_predecomp(f: Form, sigma=(), seed: int = 0,
 
     for attempt in range(budget):
         height = 9 << (attempt // 16)
-        l1 = _random_dual(rng, height)
-        la = _random_dual(rng, height)
-        lb = _random_dual(rng, height)
+        l1 = random_combination(rng, UNIT_DUALS, height)
+        la = random_combination(rng, UNIT_DUALS, height)
+        lb = random_combination(rng, UNIT_DUALS, height)
         if l1 is None or la is None or lb is None:
             continue
         if not admissible(l1, []):
             continue
         stats["pencils"] += 1
 
-        def det_at(t: Fraction) -> Fraction:
-            return det3(_triple_product_matrix(f, l1, la + lb.scale(t)))
-
-        cubic = cubic_from_samples(det_at(Fraction(0)), det_at(Fraction(1)),
-                                   det_at(Fraction(-1)), det_at(Fraction(2)))
-        if all(x == 0 for x in cubic):
-            ts: list = [Fraction(v) for v in (0, 1, -1, 2, -2)]
-            float_ts: list = []
-        else:
-            ts = rational_roots(cubic)
-            try:
-                float_ts = [t for t in aberth_roots(cubic)
-                            if not any(abs(complex(t) - complex(r)) < 1e-9
-                                       for r in ts)]
-            except RootFindingError:
-                float_ts = []
-        for t in list(ts) + float_ts:
+        ts = pencil_roots(
+            lambda t: det3(_triple_product_matrix(f, l1, la + lb.scale(t))))
+        if ts is None:
+            ts = [Fraction(v) for v in (0, 1, -1, 2, -2)]
+        for t in ts:
             stats["roots"] += 1
             l2 = la + lb.scale(t)
             if l2.is_zero() or not admissible(l2, [l1]):
@@ -341,29 +324,18 @@ def quartic_brk3_decompose(f: Form, avoid: AvoidanceSet | None = None,
         # express f in fourth powers of nine conic points; consistency is
         # exactly the statement that f lives on the conic's power span
         images = [tuple(evaluate(p, w) for p in phi) for w in _PULLBACK_PARAMS]
-        cols = [power_of_linear(z, 4) for z in images]
-        exact = f.is_exact and all(c.is_exact for c in cols)
-        if exact:
-            matrix = [[col.coeffs[r] for col in cols] for r in range(15)]
-            mu = exact_solve(matrix, list(f.coeffs))
-            if mu is None:
-                failures["span"] += 1
-                continue
-        else:
-            matrix = np.array(
-                [[complex(col.coeffs[r]) for col in cols] for r in range(15)])
-            rhs = np.array([complex(x) for x in f.coeffs])
-            mu_np = lstsq_solve(matrix, rhs)
-            if max(abs(x) for x in (matrix @ mu_np - rhs)) > 1e-8 * max(1.0, f.max_abs()):
-                failures["span"] += 1
-                continue
-            mu = [complex(x) for x in mu_np]
-        octic = Form.zero(2, 8) if exact else Form.zero(2, 8).to_float()
+        solved = solve_columns([power_of_linear(z, 4).coeffs for z in images], f.coeffs)
+        if solved is None or solved[1] > 1e-8:
+            failures["span"] += 1
+            continue
+        mu = solved[0]
+        exact = all(isinstance(m, Fraction) for m in mu)
+        octic = Form.zero(2, 8, exact=exact)
         for m, w in zip(mu, _PULLBACK_PARAMS):
             if m != 0:
                 octic = octic + power_of_linear(w, 8, coeff=m)
         try:
-            if _initial_degree_any(octic) != 3:
+            if initial_degree_any(octic) != 3:
                 failures["octic_rank"] += 1
                 continue
             dec8 = decompose_binary_avoiding(
@@ -382,14 +354,10 @@ def quartic_brk3_decompose(f: Form, avoid: AvoidanceSet | None = None,
             "octic": [str(c) for c in octic.coeffs],
             "octic_exact": exact,
         })
-        if any(X.contains(t.point) for t in merged.terms):
+        if (any(X.contains(t.point) for t in merged.terms)
+                or not merged.meets_tolerance(f, tol)):
             failures["residual"] += 1
             continue
-        res = merged.residual(f)
-        if res > max(tol, RESIDUAL_TOL):
-            failures["residual"] += 1
-            continue
-        merged.provenance["residual"] = res
         return merged
     if smooth_seen == 0:
         raise NoSmoothConic("every conic annihilating the form is singular")
@@ -424,8 +392,8 @@ def _two_line_split(f: Form, X: AvoidanceSet, seed: int, tol: float,
     if pair is None:
         basis = list(catalecticant(f, 2).kernel)
         forbidden = [ProjectivePoint(t) for t in X.rational_lines]
-        forbidden.extend(_as_dual_point(x) for x in forbid)
-        pair = _reducible_member(basis, forbidden, seed=seed)
+        forbidden.extend(as_dual_point(x) for x in forbid)
+        pair = reducible_member(basis, forbidden, seed=seed)
     system = LineSystem(pair)
     split = split_on_lines(f, system)
     avoids = [_restrict_avoid(X, split.spans[i]) for i in range(2)]
@@ -460,11 +428,9 @@ def _two_line_split(f: Form, X: AvoidanceSet, seed: int, tol: float,
             "piece_sizes": [per_piece[i].size if i in per_piece else 0
                             for i in range(2)],
         })
-        res = merged.residual(f)
-        if res > max(tol, RESIDUAL_TOL):
+        if not merged.meets_tolerance(f, tol):
             rejects["residual"] += 1
             continue
-        merged.provenance["residual"] = res
         return merged
     raise RetryExhausted(
         f"two-line split found no admissible tuple in {retries} tries",
@@ -500,35 +466,14 @@ def _three_line_split(f: Form, X: AvoidanceSet, triple, seed: int,
         def f0_at(c01) -> Form:
             return part0 + pow01.scale(c01) + pow02.scale(c02)
 
-        if exact:
-            def det_at(t: Fraction) -> Fraction:
-                entries = catalecticant(f0_at(t), 2).entries
-                return det3([list(row) for row in entries])
+        def det_at(t: Fraction):
+            if exact:
+                return det3([list(row) for row in catalecticant(f0_at(t), 2).entries])
+            return complex(np.linalg.det(numeric_catalecticant(f0_at(t), 2)))
 
-            cubic = cubic_from_samples(
-                det_at(Fraction(0)), det_at(Fraction(1)),
-                det_at(Fraction(-1)), det_at(Fraction(2)))
-        else:
-            def det_at_f(t) -> complex:
-                return complex(np.linalg.det(numeric_catalecticant(f0_at(t), 2)))
-
-            cubic = cubic_from_samples(
-                det_at_f(0.0), det_at_f(1.0), det_at_f(-1.0), det_at_f(2.0))
-        if all(x == 0 for x in cubic):
-            roots: list = [Fraction(0)]
-        elif exact:
-            roots = rational_roots(cubic)
-            try:
-                roots += [t for t in aberth_roots(cubic)
-                          if not any(abs(complex(t) - complex(r)) < 1e-9
-                                     for r in roots)]
-            except RootFindingError:
-                pass
-        else:
-            try:
-                roots = list(aberth_roots(cubic))
-            except RootFindingError:
-                roots = []
+        roots = pencil_roots(det_at)
+        if roots is None:
+            roots = [Fraction(0)]
         if not roots:
             rejects["det"] += 1
             continue
@@ -570,11 +515,9 @@ def _three_line_split(f: Form, X: AvoidanceSet, triple, seed: int,
                     "piece_sizes": [per_piece[i].size if i in per_piece else 0
                                     for i in range(3)],
                 })
-                res = merged.residual(f)
-                if res > max(tol, RESIDUAL_TOL):
+                if not merged.meets_tolerance(f, tol):
                     rejects["residual"] += 1
                     continue
-                merged.provenance["residual"] = res
                 return merged
     raise RetryExhausted(
         "three-line split found no admissible configuration",
@@ -595,7 +538,7 @@ def _power_route(f: Form, X: AvoidanceSet, seed: int, tol: float,
     w = essential_subspace(f)[0]
     p = ProjectivePoint(tuple(w))
     if not X.contains(p):
-        return _single_power(f)
+        return single_power(f)
     rng = random.Random(seed)
     candidates = list(_DIRECTIONS)
     for _ in range(16):
@@ -660,7 +603,7 @@ def _plane_route(f: Form, X: AvoidanceSet, seed: int, tol: float,
     g = form_on_line(f, u, v)
     if g is None:
         raise DegenerateSystemError("essential plane does not carry the form")
-    if _initial_degree_any(g) >= 3:
+    if initial_degree_any(g) >= 3:
         raise PreconditionError(
             "the forbidden set contains the support line of a binary form "
             "whose middle catalecticant has full rank; no decomposition with "

@@ -14,6 +14,10 @@ the candidates that vanish exactly, at any coefficient size.  `poly_gcd`
 is a primitive PRS over the integers.  `is_squarefree_binary` takes the
 gcd with the derivative modulo a few fixed large primes first and falls
 back to the exact PRS only when none of them proves coprimality.
+
+`pencil_roots` is the one determinant-pencil root finder: it rebuilds the
+cubic det(A + t B) from four samples and returns its rational roots, then
+the remaining complex ones.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import RootFindingError
 
@@ -312,6 +316,26 @@ def cubic_from_samples(d0, d1, dm1, d2) -> list:
     c3 = (d2 - c0 - 2 * odd - 4 * c2) / 6
     c1 = odd - c3
     return [c0, c1, c2, c3]
+
+
+def pencil_roots(det_at: Callable) -> list | None:
+    """Roots t of the cubic det_at(t), or None when it vanishes identically.
+
+    `det_at` is sampled at the Fractions 0, 1, -1 and 2.  When the samples
+    are exact, the rational roots come first; then every Aberth root
+    farther than 1e-9 from all of them.  A stalled Aberth iteration
+    contributes no float roots.
+    """
+    cubic = cubic_from_samples(*(det_at(Fraction(v)) for v in (0, 1, -1, 2)))
+    if all(c == 0 for c in cubic):
+        return None
+    roots = rational_roots(cubic) if all(isinstance(c, Fraction) for c in cubic) else []
+    try:
+        roots += [t for t in aberth_roots(cubic)
+                  if not any(abs(t - complex(r)) < 1e-9 for r in roots)]
+    except RootFindingError:
+        pass
+    return roots
 
 
 def _primes():

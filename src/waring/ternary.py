@@ -24,8 +24,8 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from .apolarity import catalecticant, essential_subspace, essential_variables
-from .binary import RESIDUAL_TOL, BinaryForm, decompose_binary, embed_binary, form_on_line
-from .decomposition import Decomposition, term_from_vector
+from .binary import BinaryForm, decompose_binary, embed_binary, form_on_line
+from .decomposition import RESIDUAL_TOL, Decomposition, term_from_vector
 from .errors import (
     DegenerateSystemError,
     PreconditionError,
@@ -39,11 +39,15 @@ from .forms import (
     distinct_points,
     evaluate,
     power_of_linear,
+    random_combination,
     same_point,
 )
-from .linalg import exact_rank, exact_solve, lstsq_solve, numeric_nullspace, numeric_rank
+from .linalg import (exact_rank, exact_solve, lstsq_solve, numeric_nullspace,
+                     numeric_rank, solve_columns)
 from .monomials import space_dim
 from .plane import (
+    UNIT_DUALS,
+    as_dual_point,
     cross,
     det3,
     factor_rank_two_quadric,
@@ -52,7 +56,7 @@ from .plane import (
     quadric_rank_exact,
     quadric_rank_numeric,
 )
-from .roots import aberth_roots, cubic_from_samples, rational_roots
+from .roots import pencil_roots
 
 TUPLE_BUDGET = 256
 LINE_BUDGET = 64
@@ -62,16 +66,6 @@ CONCURRENCY_TOL = 1e-8
 def _dual_form(point) -> Form:
     coords = point.coords if isinstance(point, ProjectivePoint) else tuple(point)
     return Form(3, 1, tuple(coords))
-
-
-def _as_dual_point(obj) -> ProjectivePoint:
-    if isinstance(obj, ProjectivePoint):
-        return obj
-    if isinstance(obj, Form):
-        if obj.degree != 1 or obj.num_vars != 3:
-            raise PreconditionError("forbidden loci must be ternary linear duals")
-        return ProjectivePoint(obj.coeffs)
-    return ProjectivePoint(tuple(obj))
 
 
 def _contract_is_zero(t: Form, f: Form, tol: float = 1e-8) -> bool:
@@ -177,16 +171,6 @@ def _square_root_line(q: Form) -> Form | None:
     return None
 
 
-def _det_pencil_cubic(qa: Form, qb: Form) -> list[Fraction]:
-    """Coefficients (ascending) of det(qa + t*qb) for exact quadrics."""
-
-    def d_at(t: Fraction) -> Fraction:
-        return det3(quadric_matrix(qa + qb.scale(t)))
-
-    return cubic_from_samples(
-        d_at(Fraction(0)), d_at(Fraction(1)), d_at(Fraction(-1)), d_at(Fraction(2)))
-
-
 def _pair_ok(l1: Form, l2: Form, forbidden: list[ProjectivePoint]) -> bool:
     p1 = ProjectivePoint(l1.coeffs)
     p2 = ProjectivePoint(l2.coeffs)
@@ -233,8 +217,8 @@ def _square_difference_pair(squares: list[Form],
     return None
 
 
-def _reducible_member(basis: list[Form], forbidden: list[ProjectivePoint],
-                      seed: int = 0, budget: int = LINE_BUDGET) -> tuple[Form, Form]:
+def reducible_member(basis: list[Form], forbidden: list[ProjectivePoint],
+                     seed: int = 0, budget: int = LINE_BUDGET) -> tuple[Form, Form]:
     """A reducible quadric in the span of `basis`, split into its lines.
 
     Works down an exactness ladder: single basis members, then rational
@@ -271,8 +255,8 @@ def _reducible_member(basis: list[Form], forbidden: list[ProjectivePoint],
         for i, j in combinations(range(len(basis)), 2):
             yield basis[i], basis[j]
         while True:
-            va = _int_combo(rng, basis, 5)
-            vb = _int_combo(rng, basis, 5)
+            va = random_combination(rng, basis, 5)
+            vb = random_combination(rng, basis, 5)
             if va is not None and vb is not None:
                 yield va, vb
 
@@ -280,25 +264,16 @@ def _reducible_member(basis: list[Form], forbidden: list[ProjectivePoint],
         if stats["pencils"] >= budget:
             break
         stats["pencils"] += 1
-        cubic = _det_pencil_cubic(qa, qb)
-        ts: list = []
-        if any(c != 0 for c in cubic):
-            ts.extend(rational_roots(cubic))
-            float_ts = list(aberth_roots(cubic))
-        else:
+        ts = pencil_roots(lambda t: det3(quadric_matrix(qa + qb.scale(t))))
+        if ts is None:
             # identically singular pencil: every member splits
-            ts.extend(Fraction(v) for v in (0, 1, -1, 2, -2))
-            float_ts = []
+            ts = [Fraction(v) for v in (0, 1, -1, 2, -2)]
         for t in ts:
             stats["members"] += 1
-            hit = record(_split_reducible(qa + qb.scale(t), forbidden, squares))
-            if hit is not None:
-                return hit
-        for t in float_ts:
-            if any(abs(complex(t) - complex(r)) < 1e-9 for r in ts):
-                continue
-            stats["members"] += 1
-            member = qa.to_float() + qb.to_float().scale(complex(t))
+            if isinstance(t, Fraction):
+                member = qa + qb.scale(t)
+            else:
+                member = qa.to_float() + qb.to_float().scale(t)
             hit = record(_split_reducible(member, forbidden, squares))
             if hit is not None:
                 return hit
@@ -321,17 +296,6 @@ def _reducible_member(basis: list[Form], forbidden: list[ProjectivePoint],
         "no admissible reducible member found in the net", diagnostics=stats)
 
 
-def _int_combo(rng, basis, height):
-    coeffs = [rng.randint(-height, height) for _ in basis]
-    if all(c == 0 for c in coeffs):
-        return None
-    total = Form.zero(3, basis[0].degree)
-    for c, q in zip(coeffs, basis):
-        if c:
-            total = total + q.scale(Fraction(c))
-    return None if total.is_zero() else total
-
-
 def reducible_kernel_pair(g: Form, sigma=(), seed: int = 0,
                           budget: int = LINE_BUDGET) -> KernelPair:
     """Two distinct lines, off the forbidden locus, whose product kills g.
@@ -348,12 +312,12 @@ def reducible_kernel_pair(g: Form, sigma=(), seed: int = 0,
         raise PreconditionError("reducible_kernel_pair runs on the exact backend")
     if g.is_zero():
         raise ZeroFormError("the zero cubic is annihilated by everything")
-    sigma_points = [_as_dual_point(s) for s in sigma]
+    sigma_points = [as_dual_point(s) for s in sigma]
     for a, b in combinations_with_replacement(sigma_points, 2):
         if _contract_is_zero(_dual_form(a) * _dual_form(b), g):
             return KernelPair(_dual_form(a), _dual_form(b), from_sigma=True)
     net = list(catalecticant(g, 2).kernel)
-    l1, l2 = _reducible_member(net, sigma_points, seed=seed, budget=budget)
+    l1, l2 = reducible_member(net, sigma_points, seed=seed, budget=budget)
     if not _contract_is_zero(l1 * l2, g):
         raise RetryExhausted("factored member failed the annihilation recheck",
                              diagnostics={"stage": "recheck"})
@@ -363,17 +327,10 @@ def reducible_kernel_pair(g: Form, sigma=(), seed: int = 0,
 # -- building annihilating systems -------------------------------------------
 
 
-def _random_dual(rng, height: int) -> Form | None:
-    coords = tuple(Fraction(rng.randint(-height, height)) for _ in range(3))
-    if all(c == 0 for c in coords):
-        return None
-    return Form(3, 1, coords)
-
-
 def _generic_system(d: int, sigma_points, rng) -> LineSystem:
     lines: list[Form] = []
     while len(lines) < d - 1:
-        ell = _random_dual(rng, 9)
+        ell = random_combination(rng, UNIT_DUALS, 9)
         if ell is None:
             continue
         p = ProjectivePoint(ell.coeffs)
@@ -402,7 +359,7 @@ def annihilating_lines(f: Form, sigma=(), seed: int = 0,
     d = f.degree
     if d < 3:
         raise PreconditionError("need degree at least three to build a system")
-    sigma_points = [_as_dual_point(s) for s in sigma]
+    sigma_points = [as_dual_point(s) for s in sigma]
     rng = random.Random(seed)
     if f.is_zero():
         return _generic_system(d, sigma_points, rng)
@@ -420,7 +377,7 @@ def annihilating_lines(f: Form, sigma=(), seed: int = 0,
         sampled: list[Form] = []
         ok = True
         while len(sampled) < d - 3:
-            ell = _random_dual(rng, height)
+            ell = random_combination(rng, UNIT_DUALS, height)
             if ell is None:
                 continue
             p = ProjectivePoint(ell.coeffs)
@@ -536,21 +493,12 @@ class SplitProblem:
         return total
 
 
-def _line_coordinates(u_ij, span, exact: bool):
+def _line_coordinates(u_ij, span):
     """Coordinates of an intersection point in a line's own basis."""
-    u, v = span
-    if exact and all(not isinstance(x, complex) for x in u_ij):
-        matrix = [[Fraction(u[r]), Fraction(v[r])] for r in range(3)]
-        sol = exact_solve(matrix, [Fraction(x) for x in u_ij])
-        if sol is None:
-            raise DegenerateSystemError("intersection point escaped its line")
-        return tuple(sol)
-    m = np.array([[complex(u[r]), complex(v[r])] for r in range(3)])
-    rhs = np.array([complex(x) for x in u_ij])
-    sol = lstsq_solve(m, rhs)
-    if max(abs(x) for x in (m @ sol - rhs)) > 1e-8 * max(1.0, max(abs(x) for x in rhs)):
+    solved = solve_columns(span, u_ij)
+    if solved is None or solved[1] > 1e-8:
         raise DegenerateSystemError("intersection point escaped its line")
-    return tuple(sol)
+    return tuple(solved[0])
 
 
 def split_on_lines(f: Form, system: LineSystem) -> SplitProblem:
@@ -620,8 +568,13 @@ def split_on_lines(f: Form, system: LineSystem) -> SplitProblem:
     gens = []
     for i, j in combinations(range(k + 1), 2):
         u_ij = system.intersection(i, j)
-        ci = _line_coordinates(u_ij, spans[i], exact)
-        cj = _line_coordinates(u_ij, spans[j], exact)
+        if not exact:
+            # keep the generators on the particular solution's backend even
+            # where two exact lines meet: mixing them would convert every
+            # Fraction again on each sampled tuple
+            u_ij = tuple(complex(x) for x in u_ij)
+        ci = _line_coordinates(u_ij, spans[i])
+        cj = _line_coordinates(u_ij, spans[j])
         pow_i = power_of_linear(ci, d)
         pow_j = power_of_linear(cj, d)
         gnorm = max(pow_i.max_abs(), pow_j.max_abs())
@@ -636,7 +589,8 @@ def split_on_lines(f: Form, system: LineSystem) -> SplitProblem:
 # -- full decompositions in odd degree ---------------------------------------
 
 
-def _single_power(f: Form) -> Decomposition:
+def single_power(f: Form) -> Decomposition:
+    """The one-term decomposition of a form in one essential variable."""
     w = essential_subspace(f)[0]
     p = power_of_linear(w, f.degree)
     idx = next(i for i, c in enumerate(p.coeffs) if c != 0)
@@ -681,7 +635,7 @@ def decompose_ternary_odd(f: Form, seed: int = 0, tol: float = RESIDUAL_TOL,
             "use the quartic pipeline for degree four")
     ess = essential_variables(f)
     if ess == 1:
-        return _single_power(f)
+        return single_power(f)
     if ess == 2:
         return _binary_on_subspace(f, seed, tol)
 
@@ -749,11 +703,9 @@ def decompose_ternary_odd(f: Form, seed: int = 0, tol: float = RESIDUAL_TOL,
                 "k": k, "cap": cap, "tuple_attempt": t,
                 "piece_sizes": sizes, "seed": seed,
             })
-            res = merged.residual(f)
-            if res > max(tol, RESIDUAL_TOL):
+            if not merged.meets_tolerance(f, tol):
                 rejects["residual"] += 1
                 continue
-            merged.provenance["residual"] = res
             return merged
         best = {"stage": "tuples", "rejects": rejects, "k": k, "cap": cap}
     raise RetryExhausted(

@@ -266,11 +266,14 @@ def test_float_replay_is_byte_stable(f, decompose):
     assert to_json(replay(from_json(text))) == text
 
 
-@pytest.mark.parametrize("coeff", [1e-05, 2.5e+20, 1j])
+@pytest.mark.parametrize("coeff", [1e-05, 2.5e+20, 1j, complex(-0.0, -1.0)])
 def test_float_input_in_exponent_or_complex_notation_replays_valid(coeff):
-    # the input is written as repr text (1e-05*x0^3, 2.5e+20*x0^3, 1j*x0^3),
-    # which parse_form must read back on replay
+    # the input is written as complex repr text ((1e-05+0j)*x0^3, 1j*x0^3,
+    # -1j*x0^3 for the signed zero), which parse_form must read back onto
+    # the float backend on replay
     f = Form(2, 3, (coeff, 0, 0, 2))
     cert = verify_decomposition(f, decompose_binary(f))
     assert cert.valid
     assert replay(from_json(to_json(cert))).valid
+    text = to_json(cert)
+    assert to_json(replay(from_json(text))) == text

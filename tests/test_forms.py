@@ -17,6 +17,7 @@ from waring.forms import (
     form_to_string,
     parse_form,
     power_of_linear,
+    random_combination,
     random_form,
     same_point,
     substitute,
@@ -206,3 +207,40 @@ def test_distinct_points_catches_collisions():
 def test_random_form_is_deterministic():
     assert random_form(2, 4, seed=9).coeffs == random_form(2, 4, seed=9).coeffs
     assert random_form(2, 4, seed=9).coeffs != random_form(2, 4, seed=10).coeffs
+
+
+class CountingRng:
+    """random.Random that counts randint calls, or replays fixed draws."""
+
+    def __init__(self, seed=0, draws=None):
+        self.rng = random.Random(seed)
+        self.draws = list(draws) if draws is not None else None
+        self.calls = 0
+
+    def randint(self, a, b):
+        self.calls += 1
+        return self.draws.pop(0) if self.draws is not None else self.rng.randint(a, b)
+
+
+def test_random_combination_draws_one_integer_per_member():
+    basis = [parse_form(t, 2) for t in ("x0^2", "x0*x1", "x1^2", "x0^2 - x1^2")]
+    for height in (0, 1, 9):
+        for seed in range(20):
+            rng = CountingRng(seed)
+            combo = random_combination(rng, basis, height)
+            assert rng.calls == len(basis)
+            if height == 0:
+                assert combo is None
+    # nonzero coefficients that cancel still draw every integer
+    rng = CountingRng(draws=[1, 1, 0])
+    assert random_combination(rng, [Form(2, 1, (1, 0)), Form(2, 1, (-1, 0)),
+                                     Form(2, 1, (0, 1))], 9) is None
+    assert rng.calls == 3
+
+
+def test_random_combination_keeps_a_negative_zero():
+    # starting from a zero float form would turn -0.0 into 0.0
+    g = Form(2, 1, (complex(-0.0, 1.0), 1 + 0j))
+    combo = random_combination(CountingRng(draws=[0, 2]), [g, g], 9)
+    assert combo.coeffs[0] == 2j
+    assert math.copysign(1.0, combo.coeffs[0].real) == -1.0

@@ -11,6 +11,7 @@ from waring.linalg import (
     lstsq_solve,
     numeric_nullspace,
     numeric_rank,
+    solve_columns,
 )
 
 
@@ -151,3 +152,26 @@ def test_lstsq_matches_exact_on_square_systems():
         sol = exact_solve(m, rhs)
         fsol = lstsq_solve(np.array(m, dtype=float), np.array(rhs, dtype=float))
         assert max(abs(float(a) - b) for a, b in zip(sol, fsol)) < 1e-9
+
+
+def test_solve_columns_exact_consistent():
+    columns = [(1, 0, 1), (0, Fraction(1, 2), 1)]
+    x, residual = solve_columns(columns, (Fraction(2), Fraction(3, 2), Fraction(5)))
+    assert x == [Fraction(2), Fraction(3)]
+    assert all(isinstance(v, Fraction) for v in x)
+    assert residual == 0.0
+
+
+def test_solve_columns_exact_inconsistent_is_none():
+    assert solve_columns([(1, 0, 1), (0, 1, 1)], (Fraction(2), Fraction(3), Fraction(6))) is None
+
+
+def test_solve_columns_float_reports_the_residual():
+    columns = [(1.0, 0.0, 0.0), (0.0, 1j, 0.0)]
+    x, residual = solve_columns(columns, (1.0, 2j, 0.0))
+    assert np.allclose(x, [1.0, 2.0]) and residual < 1e-15
+    # off the span: least squares drops the third coordinate, and the
+    # residual is max|Mx - b| / max(1, max|b|) = 0.5 / 2
+    x, residual = solve_columns(columns, (Fraction(1), 2.0, 0.5))
+    assert np.allclose(x, [1.0, -2j])
+    assert abs(residual - 0.25) < 1e-15

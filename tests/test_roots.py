@@ -8,6 +8,7 @@ from waring.roots import (
     cubic_from_samples,
     exact_degree_drop,
     is_squarefree_binary,
+    pencil_roots,
     poly_gcd,
     rational_roots,
 )
@@ -190,3 +191,26 @@ def test_is_squarefree_binary_skips_primes_dividing_the_lead():
 def test_rational_roots_none():
     assert rational_roots([Fraction(1), Fraction(0), Fraction(1)]) == []
     assert rational_roots([Fraction(5)]) == []
+
+
+def test_pencil_roots_identically_zero_is_none():
+    assert pencil_roots(lambda t: Fraction(0)) is None
+
+
+def test_pencil_roots_rational_first_then_complex():
+    roots = pencil_roots(lambda t: (t - Fraction(1, 2)) * (t * t + 1))
+    assert roots[0] == Fraction(1, 2)
+    assert len(roots) == 3
+    assert sorted(round(complex(r).imag, 9) for r in roots[1:]) == [-1.0, 1.0]
+    assert all(abs(complex(r).real) < 1e-9 for r in roots[1:])
+
+
+def test_pencil_roots_float_samples_have_no_rational_part():
+    roots = pencil_roots(lambda t: complex((t - 1) * (t - 2) * (t - 3)))
+    assert not any(isinstance(r, Fraction) for r in roots)
+    assert sorted(round(complex(r).real, 9) for r in roots) == [1.0, 2.0, 3.0]
+
+
+def test_pencil_roots_never_repeats_a_rational_root():
+    # the Aberth roots land on 1, 2 and -3 again and must all be dropped
+    assert pencil_roots(lambda t: (t - 1) * (t - 2) * (t + 3)) == [1, 2, -3]
