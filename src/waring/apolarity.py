@@ -22,16 +22,20 @@ import numpy as np
 
 from .errors import PreconditionError, ZeroFormError
 from .forms import Form, DualForm
-from .linalg import exact_column_space_basis, exact_nullspace
+from .linalg import exact_column_space_basis, exact_nullspace, exact_rank
 from .monomials import exponents, falling_product, index_of
 
 
 def _entry(f: Form, row: tuple[int, ...], col: tuple[int, ...]):
     beta = tuple(a + b for a, b in zip(row, col))
-    fall = falling_product(beta, row)
-    if fall == 0:
-        return Fraction(0) if f.is_exact else 0j
-    return f.coeffs[index_of(beta)] * fall
+    return f.coeffs[index_of(beta)] * falling_product(beta, row)  # never zero: beta >= row
+
+
+def _entries(f: Form, delta: int) -> list[list]:
+    """Rows contract(m, f) of the delta-th catalecticant, m a dual monomial, as lists:
+    freed short tuples would pile up on the interpreter's free lists (resident memory)."""
+    cols = exponents(f.num_vars, f.degree - delta)
+    return [[_entry(f, r, c) for c in cols] for r in exponents(f.num_vars, delta)]
 
 
 @dataclass(frozen=True)
@@ -51,39 +55,40 @@ class CatalecticantMatrix:
                         dtype=complex)
 
 
+def _exact_entries(f: Form, delta: int) -> list[list[Fraction]]:
+    if not f.is_exact:
+        raise PreconditionError("catalecticant ranks require the exact backend")
+    if not 0 <= delta <= f.degree:
+        raise PreconditionError(f"delta must lie in 0..{f.degree}, got {delta}")
+    return _entries(f, delta)
+
+
+def _catalecticant_rank(f: Form, delta: int) -> int:
+    """`catalecticant(f, delta).rank`, without the kernel's back-substitution."""
+    return exact_rank(_exact_entries(f, delta))
+
+
 def catalecticant(f: Form, delta: int) -> CatalecticantMatrix:
     """The delta-th catalecticant of an exact form, with rank and kernel.
 
     The kernel consists of the dual degree-delta forms annihilating f: the
     degree-delta piece of the apolar ideal.
     """
-    if not f.is_exact:
-        raise PreconditionError("catalecticant ranks require the exact backend")
-    if not 0 <= delta <= f.degree:
-        raise PreconditionError(f"delta must lie in 0..{f.degree}, got {delta}")
-    rows = exponents(f.num_vars, delta)
-    cols = exponents(f.num_vars, f.degree - delta)
-    entries = tuple(
-        tuple(_entry(f, r, c) for c in cols) for r in rows
-    )
+    entries = _exact_entries(f, delta)
     # kernel vectors live on the row side: solve M^T v = 0
-    transpose = [[entries[i][j] for i in range(len(rows))] for j in range(len(cols))]
-    kernel_vectors = exact_nullspace(transpose) if rows else []
-    rank = len(rows) - len(kernel_vectors)
+    kernel_vectors = exact_nullspace([list(column) for column in zip(*entries)])
     kernel = tuple(Form(f.num_vars, delta, tuple(v)) for v in kernel_vectors)
     return CatalecticantMatrix(
-        form=f, delta=delta, row_monomials=rows, col_monomials=cols,
-        entries=entries, rank=rank, kernel=kernel,
+        form=f, delta=delta, row_monomials=exponents(f.num_vars, delta),
+        col_monomials=exponents(f.num_vars, f.degree - delta), entries=tuple(map(tuple, entries)),
+        rank=len(entries) - len(kernel_vectors), kernel=kernel,
     )
 
 
 def numeric_catalecticant(f: Form, delta: int) -> np.ndarray:
     """Float catalecticant matrix, same orientation as the exact one."""
-    rows = exponents(f.num_vars, delta)
-    cols = exponents(f.num_vars, f.degree - delta)
-    return np.array(
-        [[complex(_entry(f, r, c)) for c in cols] for r in rows], dtype=complex
-    )
+    return np.array([[complex(x) for x in row] for row in _entries(f, delta)],
+                    dtype=complex)
 
 
 def apolar_component(f: Form, degree: int) -> list[DualForm]:
@@ -121,7 +126,7 @@ def essential_variables(f: Form) -> int:
     """Number of independent linear forms needed to write f."""
     if f.is_zero():
         return 0
-    return catalecticant(f, 1).rank
+    return _catalecticant_rank(f, 1)
 
 
 def essential_subspace(f: Form) -> list[list[Fraction]]:
@@ -130,12 +135,10 @@ def essential_subspace(f: Form) -> list[list[Fraction]]:
     symmetric power contains f."""
     if f.is_zero():
         return []
-    rows = exponents(f.num_vars, f.degree - 1)
-    cols = exponents(f.num_vars, 1)
-    matrix = [[_entry(f, r, c) for c in cols] for r in rows]
-    transpose = [[matrix[i][j] for i in range(len(rows))] for j in range(len(cols))]
+    matrix = _entries(f, f.degree - 1)
+    transpose = [list(column) for column in zip(*matrix)]
     keep = exact_column_space_basis(transpose)
-    return [list(matrix[i]) for i in keep]
+    return [matrix[i] for i in keep]
 
 
 def rank_lower_bound(f: Form) -> int:
@@ -144,11 +147,11 @@ def rank_lower_bound(f: Form) -> int:
         return 0
     if f.degree <= 1:
         return 1
-    return max(catalecticant(f, delta).rank for delta in range(1, f.degree))
+    return max(_catalecticant_rank(f, delta) for delta in range(1, f.degree))
 
 
 def cat_rank_table(f: Form) -> list[tuple[int, int]]:
     """[(delta, rank)] for delta = 1..d-1, as recorded in certificates."""
     if f.degree <= 1:
         return []
-    return [(delta, catalecticant(f, delta).rank) for delta in range(1, f.degree)]
+    return [(delta, _catalecticant_rank(f, delta)) for delta in range(1, f.degree)]

@@ -86,6 +86,18 @@ def open_rank_binary(f: Form) -> int:
 # -- line embeddings --------------------------------------------------------
 
 
+def line_embedding(u, v, d: int) -> list[Form]:
+    """The images U^(d-j) V^j, j = 0..d, of the binary monomials of degree d."""
+    n = len(u)
+    fu, fv = Form(n, 1, tuple(u)), Form(n, 1, tuple(v))
+    u_pows = [Form(n, 0, (Fraction(1),))]
+    v_pows = list(u_pows)
+    for _ in range(d):
+        u_pows.append(u_pows[-1] * fu)
+        v_pows.append(v_pows[-1] * fv)
+    return [u_pows[d - j] * v_pows[j] for j in range(d + 1)]
+
+
 def embed_binary(g: Form, u, v) -> Form:
     """Image of a binary form on the line spanned by u and v.
 
@@ -95,22 +107,12 @@ def embed_binary(g: Form, u, v) -> Form:
     """
     if g.num_vars != 2:
         raise PreconditionError("embed_binary wants a binary form")
-    n = len(u)
-    d = g.degree
-    fu = Form(n, 1, tuple(u))
-    fv = Form(n, 1, tuple(v))
-    total = Form.zero(n, d)
+    total = Form.zero(len(u), g.degree, exact=g.is_exact)
     if not g.is_exact:
-        total = total.to_float()
-        fu, fv = fu.to_float(), fv.to_float()
-    u_pows = [Form(n, 0, (Fraction(1),)) if g.is_exact else Form(n, 0, (1.0 + 0j,))]
-    v_pows = list(u_pows)
-    for _ in range(d):
-        u_pows.append(u_pows[-1] * fu)
-        v_pows.append(v_pows[-1] * fv)
-    for j, c in enumerate(g.coeffs):
+        u, v = [complex(x) for x in u], [complex(x) for x in v]
+    for c, column in zip(g.coeffs, line_embedding(u, v, g.degree)):
         if c != 0:
-            total = total + (u_pows[d - j] * v_pows[j]).scale(c)
+            total = total + column.scale(c)
     return total
 
 
@@ -120,16 +122,10 @@ def form_on_line(f: Form, u, v) -> Form | None:
     Succeeds exactly when f lies in the span of powers of linear forms
     from the line through u and v.
     """
-    d = f.degree
-    columns = []
-    for j in range(d + 1):
-        mono = [0] * (d + 1)
-        mono[j] = 1
-        columns.append(embed_binary(Form(2, d, tuple(mono)), u, v).coeffs)
-    solved = solve_columns(columns, f.coeffs)
+    solved = solve_columns([c.coeffs for c in line_embedding(u, v, f.degree)], f.coeffs)
     if solved is None or solved[1] > 1e-8:
         return None
-    return Form(2, d, tuple(solved[0]))
+    return Form(2, f.degree, tuple(solved[0]))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,10 @@ monomials in x0..x{n-1}) and their duals (the divided-power side, acting by
 differentiation).  Which role a form plays is decided by the operation:
 `contract(t, f)` differentiates f by t, so t is dual and f is primal.
 
+Products and contractions run on the index tables of `monomials` and add
+nonzero products onto the backend's zero in monomial order, left factor
+outer: same order, same bits.  Their results skip re-normalization.
+
 Points of the projective space P(S_1) are `ProjectivePoint`s.  Exact points
 normalize their first nonzero coordinate to 1; float points normalize the
 first coordinate of largest magnitude (up to a relative 1e-12) to 1.  The
@@ -33,13 +37,13 @@ from typing import Iterable, Sequence, Union
 
 from .errors import DimensionMismatch, ParseFormError, ZeroFormError
 from .monomials import (
+    contraction_table,
     exponents,
-    falling_product,
     index_of,
     monomial_string,
     multinomial,
+    product_table,
     space_dim,
-    sub_exponents,
 )
 
 Scalar = Union[Fraction, complex]
@@ -80,8 +84,15 @@ class Form:
                 f"form in {self.num_vars} variables of degree {self.degree} "
                 f"needs {expected} coefficients, got {len(self.coeffs)}"
             )
-        coeffs, _ = _normalize_coeffs(self.coeffs)
+        coeffs, exact = _normalize_coeffs(self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_exact", exact)
+
+    @classmethod
+    def _trusted(cls, num_vars, degree, coeffs: tuple, exact: bool) -> "Form":
+        form = object.__new__(cls)  # coeffs are already all Fraction or all complex
+        form.__dict__.update(num_vars=num_vars, degree=degree, coeffs=coeffs, _exact=exact)
+        return form
 
     # -- construction -----------------------------------------------------
 
@@ -104,7 +115,7 @@ class Form:
 
     @property
     def is_exact(self) -> bool:
-        return all(isinstance(c, Fraction) for c in self.coeffs)
+        return self._exact
 
     def to_float(self) -> "Form":
         return Form(self.num_vars, self.degree, tuple(complex(c) for c in self.coeffs))
@@ -159,17 +170,15 @@ class Form:
             return NotImplemented
         if self.num_vars != other.num_vars:
             raise DimensionMismatch("product needs matching variable counts")
-        out: dict[tuple[int, ...], Scalar] = {}
-        for ea, ca in self.items():
-            for eb, cb in other.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, 0) + ca * cb
-        result = Form.zero(self.num_vars, self.degree + other.degree,
-                           exact=self.is_exact and other.is_exact)
-        coeffs = list(result.coeffs)
-        for expo, value in out.items():
-            coeffs[index_of(expo)] = value
-        return Form(self.num_vars, result.degree, tuple(coeffs))
+        n, degree = self.num_vars, self.degree + other.degree
+        exact = self._exact and other._exact
+        out = [Fraction(0) if exact else 0j] * space_dim(n, degree)
+        right = [(ib, cb) for ib, cb in enumerate(other.coeffs) if cb != 0]
+        for ca, row in zip(self.coeffs, product_table(n, self.degree, other.degree)):
+            if ca != 0:
+                for ib, cb in right:
+                    out[row[ib]] += ca * cb
+        return Form._trusted(n, degree, tuple(out), exact)
 
 
 #: alias used where a form acts by differentiation (the apolarity pairing)
@@ -188,20 +197,17 @@ def contract(t: Form, f: Form) -> Form:
     if t.degree > f.degree:
         raise DimensionMismatch(
             f"cannot contract degree {f.degree} by degree {t.degree}")
-    out_degree = f.degree - t.degree
-    acc: dict[tuple[int, ...], Scalar] = {}
-    for alpha, ta in t.items():
-        for beta, fb in f.items():
-            fall = falling_product(beta, alpha)
-            if fall == 0:
-                continue
-            key = sub_exponents(beta, alpha)
-            acc[key] = acc.get(key, 0) + ta * fb * fall
-    base = Form.zero(f.num_vars, out_degree, exact=t.is_exact and f.is_exact)
-    coeffs = list(base.coeffs)
-    for expo, value in acc.items():
-        coeffs[index_of(expo)] = value
-    return Form(f.num_vars, out_degree, tuple(coeffs))
+    n, out_degree = f.num_vars, f.degree - t.degree
+    exact = t._exact and f._exact
+    out = [Fraction(0) if exact else 0j] * space_dim(n, out_degree)
+    fc = f.coeffs
+    for ta, row in zip(t.coeffs, contraction_table(n, t.degree, f.degree)):
+        if ta != 0:
+            for ib, k, fall in row:
+                fb = fc[ib]
+                if fb != 0:
+                    out[k] += ta * fb * fall
+    return Form._trusted(n, out_degree, tuple(out), exact)
 
 
 def power_of_linear(point: Sequence, degree: int, coeff=1) -> Form:

@@ -116,19 +116,24 @@ def exact_solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -
 
     Free variables are set to zero, so the answer is deterministic.
     """
+    return exact_solve_with_rank(matrix, rhs)[0]
+
+
+def exact_solve_with_rank(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[list | None, int]:
+    """`exact_solve` and the rank of M (pivots left of the constants column)."""
     if not matrix:
-        return None
+        return None, 0
     n = len(matrix[0])
     augmented = [list(row) + [b] for row, b in zip(matrix, rhs)]
     rows, pivots = _echelon(augmented)
-    for r, c in pivots:
-        if c == n:
-            return None  # pivot in the constants column
+    rank = sum(1 for _, c in pivots if c < n)
+    if rank < len(pivots):
+        return None, rank  # pivot in the constants column
     x = [Fraction(0)] * n
     for r, c in reversed(pivots):
         s = sum((Fraction(rows[r][j]) * x[j] for j in range(c + 1, n)), Fraction(0))
         x[c] = (Fraction(rows[r][n]) - s) / Fraction(rows[r][c])
-    return x
+    return x, rank
 
 
 def exact_column_space_basis(matrix: Sequence[Sequence[Fraction]]) -> list[int]:

@@ -7,7 +7,11 @@ n = 3, d = 2 the order is
     x0^2, x0*x1, x0*x2, x1^2, x1*x2, x2^2.
 
 Exponent tuple <-> flat index conversion round-trips exactly; both
-directions are table lookups cached per (n, d).
+directions are table lookups cached per (n, d).  The `Form` kernels run on
+two index tables cached per shape: `product_table` (index of a product) and
+`contraction_table` (index and falling factorial of each nonzero
+derivative).  Both list pairs in monomial order, so a kernel adds its
+products in the order the exponent-tuple loops did: same order, same bits.
 """
 
 from __future__ import annotations
@@ -45,6 +49,31 @@ def index_of(expo: tuple[int, ...]) -> int:
     return _index_table(len(expo), sum(expo))[expo]
 
 
+@lru_cache(maxsize=None)
+def product_table(num_vars: int, da: int, db: int) -> tuple[tuple[int, ...], ...]:
+    """table[ia][ib] is the flat index of x^a * x^b (a of degree da, b of degree db)."""
+    index = _index_table(num_vars, da + db)
+    return tuple(tuple(index[tuple(x + y for x, y in zip(a, b))] for b in exponents(num_vars, db))
+                 for a in exponents(num_vars, da))
+
+
+@lru_cache(maxsize=None)
+def contraction_table(num_vars: int, dt: int, df: int):
+    """table[ia] lists (ib, index of beta - alpha, falling_product(beta, alpha)) in
+    order of ib, for the ib-th beta of degree df with a nonzero falling factorial;
+    alpha is the ia-th exponent of degree dt."""
+    index = _index_table(num_vars, df - dt)
+    table = []
+    for alpha in exponents(num_vars, dt):
+        row = []
+        for ib, beta in enumerate(exponents(num_vars, df)):
+            fall = falling_product(beta, alpha)
+            if fall:
+                row.append((ib, index[tuple(b - a for b, a in zip(beta, alpha))], fall))
+        table.append(tuple(row))
+    return tuple(table)
+
+
 def multinomial(expo: tuple[int, ...]) -> int:
     """d! / prod(e_i!) for d = sum(expo)."""
     out = math.factorial(sum(expo))
@@ -66,10 +95,6 @@ def falling_product(beta: tuple[int, ...], alpha: tuple[int, ...]) -> int:
         for j in range(a):
             out *= b - j
     return out
-
-
-def sub_exponents(beta: tuple[int, ...], alpha: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(b - a for b, a in zip(beta, alpha))
 
 
 def monomial_string(expo: tuple[int, ...]) -> str:

@@ -17,7 +17,7 @@ back to the exact PRS only when none of them proves coprimality.
 
 `pencil_roots` is the one determinant-pencil root finder: it rebuilds the
 cubic det(A + t B) from four samples and returns its rational roots, then
-the remaining complex ones.
+the complex roots of what is left once they are divided out.
 """
 
 from __future__ import annotations
@@ -322,17 +322,20 @@ def pencil_roots(det_at: Callable) -> list | None:
     """Roots t of the cubic det_at(t), or None when it vanishes identically.
 
     `det_at` is sampled at the Fractions 0, 1, -1 and 2.  When the samples
-    are exact, the rational roots come first; then every Aberth root
-    farther than 1e-9 from all of them.  A stalled Aberth iteration
-    contributes no float roots.
+    are exact, the rational roots come first, each once; the Aberth roots
+    of the cubic with them divided out (multiplicities included) follow.
+    A stalled Aberth iteration contributes no float roots.
     """
     cubic = cubic_from_samples(*(det_at(Fraction(v)) for v in (0, 1, -1, 2)))
     if all(c == 0 for c in cubic):
         return None
     roots = rational_roots(cubic) if all(isinstance(c, Fraction) for c in cubic) else []
+    rest = _integer_poly(cubic) if roots else cubic
+    for r in roots:
+        while _vanishes_at(rest, r.numerator, r.denominator):
+            rest = _exact_quotient(rest, [-r.numerator, r.denominator])
     try:
-        roots += [t for t in aberth_roots(cubic)
-                  if not any(abs(t - complex(r)) < 1e-9 for r in roots)]
+        roots += aberth_roots(rest)
     except RootFindingError:
         pass
     return roots

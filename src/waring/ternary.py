@@ -24,7 +24,8 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from .apolarity import catalecticant, essential_subspace, essential_variables
-from .binary import BinaryForm, decompose_binary, embed_binary, form_on_line
+from .binary import (BinaryForm, decompose_binary, embed_binary, form_on_line,
+                     line_embedding)
 from .decomposition import RESIDUAL_TOL, Decomposition, term_from_vector
 from .errors import (
     DegenerateSystemError,
@@ -42,9 +43,8 @@ from .forms import (
     random_combination,
     same_point,
 )
-from .linalg import (exact_rank, exact_solve, lstsq_solve, numeric_nullspace,
+from .linalg import (exact_solve_with_rank, lstsq_solve, numeric_nullspace,
                      numeric_rank, solve_columns)
-from .monomials import space_dim
 from .plane import (
     UNIT_DUALS,
     as_dual_point,
@@ -519,25 +519,16 @@ def split_on_lines(f: Form, system: LineSystem) -> SplitProblem:
         raise PreconditionError("system does not annihilate the form")
     d = f.degree
     k = system.k
-    n_rows = space_dim(3, d)
     spans = tuple(system.span(i) for i in range(k + 1))
     exact = f.is_exact and system.is_exact
 
-    columns: list[Form] = []
-    for u, v in spans:
-        for j in range(d + 1):
-            mono = [Fraction(0)] * (d + 1)
-            mono[j] = Fraction(1)
-            columns.append(embed_binary(Form(2, d, tuple(mono)), u, v))
+    rows = list(zip(*(col.coeffs for u, v in spans for col in line_embedding(u, v, d))))
     if exact:
-        matrix = [[col.coeffs[r] for col in columns] for r in range(n_rows)]
-        sol = exact_solve(matrix, list(f.coeffs))
+        sol, rank = exact_solve_with_rank(rows, list(f.coeffs))
         if sol is None:
             raise DegenerateSystemError("annihilating system failed to split the form")
-        rank = exact_rank(matrix)
     else:
-        matrix = np.array(
-            [[complex(col.coeffs[r]) for col in columns] for r in range(n_rows)])
+        matrix = np.array([[complex(x) for x in row] for row in rows])
         # equilibrate columns so the rank count is not thrown off by the
         # very different magnitudes of high powers of the span vectors
         col_scale = np.abs(matrix).max(axis=0)

@@ -4,7 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from waring.apolarity import cat_rank_table, catalecticant, essential_variables, rank_lower_bound
+from waring.binary import embed_binary, line_embedding
 from waring.decomposition import term_from_vector
 from waring.errors import DimensionMismatch, ParseFormError
 from waring.forms import (
@@ -22,7 +26,7 @@ from waring.forms import (
     same_point,
     substitute,
 )
-from waring.monomials import exponents, space_dim
+from waring.monomials import exponents, falling_product, index_of, space_dim
 
 
 def test_exponent_order_is_descending_lex():
@@ -244,3 +248,165 @@ def test_random_combination_keeps_a_negative_zero():
     combo = random_combination(CountingRng(draws=[0, 2]), [g, g], 9)
     assert combo.coeffs[0] == 2j
     assert math.copysign(1.0, combo.coeffs[0].real) == -1.0
+
+
+# -- table-driven kernels against the exponent-tuple reference ----------------
+#
+# The reference kernels below are the dict-based `Form.__mul__` and
+# `contract` that the index tables replaced.  The kernels must agree with
+# them bit for bit: every coefficient's repr, so a signed zero counts.
+
+KERNEL = settings(max_examples=150, deadline=None)
+
+
+def reference_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    result = Form.zero(a.num_vars, a.degree + b.degree, exact=a.is_exact and b.is_exact)
+    coeffs = list(result.coeffs)
+    for expo, value in out.items():
+        coeffs[index_of(expo)] = value
+    return Form(a.num_vars, result.degree, tuple(coeffs))
+
+
+def reference_contract(t, f):
+    acc = {}
+    for alpha, ta in t.items():
+        for beta, fb in f.items():
+            fall = falling_product(beta, alpha)
+            if fall == 0:
+                continue
+            key = tuple(b - a for b, a in zip(beta, alpha))
+            acc[key] = acc.get(key, 0) + ta * fb * fall
+    base = Form.zero(f.num_vars, f.degree - t.degree, exact=t.is_exact and f.is_exact)
+    coeffs = list(base.coeffs)
+    for expo, value in acc.items():
+        coeffs[index_of(expo)] = value
+    return Form(f.num_vars, base.degree, tuple(coeffs))
+
+
+def reference_embed(g, u, v):
+    """The embedding as it was built before `line_embedding`: per call, from products."""
+    n, d = len(u), g.degree
+    fu, fv = Form(n, 1, tuple(u)), Form(n, 1, tuple(v))
+    total = Form.zero(n, d)
+    if not g.is_exact:
+        total = total.to_float()
+        fu, fv = fu.to_float(), fv.to_float()
+    u_pows = [Form(n, 0, (Fraction(1),)) if g.is_exact else Form(n, 0, (1.0 + 0j,))]
+    v_pows = list(u_pows)
+    for _ in range(d):
+        u_pows.append(reference_mul(u_pows[-1], fu))
+        v_pows.append(reference_mul(v_pows[-1], fv))
+    for j, c in enumerate(g.coeffs):
+        if c != 0:
+            total = total + reference_mul(u_pows[d - j], v_pows[j]).scale(c)
+    return total
+
+
+def bits(form):
+    return form.num_vars, form.degree, form.is_exact, [repr(c) for c in form.coeffs]
+
+
+EXACT = st.one_of(st.just(Fraction(0)),
+                  st.fractions(min_value=-9, max_value=9, max_denominator=12))
+PART = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 1e-200]),
+                 st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+FLOAT = st.one_of(st.just(-0.0 + 0j), st.builds(complex, PART, PART))
+
+
+@st.composite
+def forms(draw, num_vars, degree, exact=None):
+    if exact is None:
+        exact = draw(st.booleans())
+    n = space_dim(num_vars, degree)
+    if draw(st.integers(0, 5)) == 0:  # a zero form, with signed zeros if float
+        coeffs = [Fraction(0)] * n if exact else draw(
+            st.lists(st.sampled_from([0j, complex(-0.0, -0.0), complex(0.0, -0.0)]),
+                     min_size=n, max_size=n))
+    else:
+        coeffs = draw(st.lists(EXACT if exact else FLOAT, min_size=n, max_size=n))
+    return Form(num_vars, degree, tuple(coeffs))
+
+
+@st.composite
+def form_pairs(draw, contraction=False):
+    n = draw(st.integers(1, 3))
+    da, db = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    if contraction and da > db:
+        da, db = db, da
+    return draw(forms(n, da)), draw(forms(n, db))
+
+
+@KERNEL
+@given(form_pairs())
+def test_product_kernel_matches_the_reference_bit_for_bit(pair):
+    a, b = pair
+    assert bits(a * b) == bits(reference_mul(a, b))
+
+
+@KERNEL
+@given(form_pairs(contraction=True))
+def test_contraction_kernel_matches_the_reference_bit_for_bit(pair):
+    t, f = pair
+    assert bits(contract(t, f)) == bits(reference_contract(t, f))
+
+
+def test_kernels_on_degree_zero_and_negative_zero_forms():
+    one = Form(3, 0, (Fraction(1),))
+    neg_zero = Form(3, 1, (complex(-0.0, -0.0), 1 + 0j, complex(2.0, -0.0)))
+    for a, b in ((one, neg_zero), (neg_zero, one), (neg_zero, neg_zero),
+                 (Form(3, 0, (complex(-0.0, 0.0),)), neg_zero)):
+        assert bits(a * b) == bits(reference_mul(a, b))
+    for t, f in ((one, neg_zero), (neg_zero, neg_zero), (Form(3, 0, (-0.0j,)), neg_zero)):
+        assert bits(contract(t, f)) == bits(reference_contract(t, f))
+
+
+SPAN = st.one_of(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)), FLOAT)
+
+
+@KERNEL
+@given(st.lists(SPAN, min_size=6, max_size=6), st.integers(0, 7))
+def test_line_embedding_columns_are_embedded_unit_monomials(vectors, d):
+    u, v = vectors[:3], vectors[3:]
+    columns = line_embedding(u, v, d)
+    assert len(columns) == d + 1
+    for j, column in enumerate(columns):
+        unit = Form(2, d, tuple(Fraction(int(i == j)) for i in range(d + 1)))
+        assert bits(column) == bits(embed_binary(unit, u, v))
+
+
+@KERNEL
+@given(st.lists(SPAN, min_size=6, max_size=6), st.integers(0, 6).flatmap(lambda d: forms(2, d)))
+@example([Fraction(1, 3), Fraction(2, 7), Fraction(-5, 9), Fraction(4, 9), Fraction(1), Fraction(1, 7)],
+         Form(2, 3, (0.3 + 0.1j, 1j, 0.7, 0.2)))
+def test_embed_binary_matches_the_reference_bit_for_bit(vectors, g):
+    u, v = vectors[:3], vectors[3:]
+    assert bits(embed_binary(g, u, v)) == bits(reference_embed(g, u, v))
+
+
+def low_rank_form(num_vars, degree, rng):
+    """A sum of a few random powers, so that the catalecticant ranks vary."""
+    f = Form.zero(num_vars, degree)
+    for _ in range(rng.randint(1, 4)):
+        point = [rng.randint(-3, 3) for _ in range(num_vars)]
+        f = f + power_of_linear(point, degree, coeff=rng.randint(-4, 4))
+    return f
+
+
+def test_rank_only_catalecticants_match_the_full_catalecticant():
+    rng = random.Random(5)
+    for num_vars in (2, 3):
+        for degree in range(2, 8 if num_vars == 2 else 6):
+            for build in (lambda: random_form(num_vars, degree, rng.randint(0, 10**6)),
+                          lambda: low_rank_form(num_vars, degree, rng)):
+                f = build()
+                if f.is_zero():
+                    continue
+                ranks = [(delta, catalecticant(f, delta).rank) for delta in range(1, degree)]
+                assert cat_rank_table(f) == ranks
+                assert rank_lower_bound(f) == max(r for _, r in ranks)
+                assert essential_variables(f) == catalecticant(f, 1).rank

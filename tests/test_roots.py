@@ -214,3 +214,6 @@ def test_pencil_roots_float_samples_have_no_rational_part():
 def test_pencil_roots_never_repeats_a_rational_root():
     # the Aberth roots land on 1, 2 and -3 again and must all be dropped
     assert pencil_roots(lambda t: (t - 1) * (t - 2) * (t + 3)) == [1, 2, -3]
+    # a double root spreads into two Aberth near-copies unless divided out
+    assert pencil_roots(lambda t: (t - 1) ** 2 * (t + 3)) == [1, -3]
+    assert pencil_roots(lambda t: (t - Fraction(2, 3)) ** 3) == [Fraction(2, 3)]
