@@ -110,10 +110,18 @@ def apolar_component(f: Form, degree: int) -> list[DualForm]:
 def apolar_initial_degree(f: Form) -> int:
     """Smallest e >= 1 whose apolar component is nonzero.
 
-    For binary forms this is the border rank.
+    For binary forms this is the border rank b, and it is the rank of the
+    middle catalecticant, so one rank-only elimination finds it.  The
+    apolar ideal of a binary form of degree d is a complete intersection
+    with generators of degrees b <= d + 2 - b, so the Hilbert function of
+    its apolar algebra is rank Cat(delta) = min(delta + 1, b, d + 1 - delta).
+    At delta = d // 2 the two outer terms are at least d // 2 + 1 >= b.
+    Forms in more variables scan e = 1, 2, ... for the first kernel.
     """
     if f.is_zero():
         raise ZeroFormError("zero form has no apolar initial degree")
+    if f.num_vars == 2:
+        return _catalecticant_rank(f, f.degree // 2)
     for e in range(1, f.degree + 2):
         if e > f.degree:
             return e  # everything annihilates beyond the degree

@@ -1,7 +1,12 @@
 """Binary forms: ranks, open rank, and explicit decompositions.
 
 The whole binary story is controlled by the initial degree b of the
-apolar ideal (the smallest catalecticant with a kernel).  Border rank
+apolar ideal (the smallest catalecticant with a kernel).  On exact input
+b is read off one rank: the apolar ideal is generated by two forms of
+degrees b <= d + 2 - b, so the Hilbert function of the apolar algebra is
+rank Cat(delta) = min(delta + 1, b, d + 1 - delta), which is b at the
+middle delta = d // 2.  Each invariant then costs that rank, plus one
+kernel at degree b or d + 2 - b when generators are needed.  Border rank
 equals b; rank is b when the degree-b generator has distinct roots and
 d + 2 - b otherwise; and d + 2 - b points always suffice even when any
 prescribed proper closed subset must be avoided.  Decompositions are
@@ -160,8 +165,10 @@ class BinaryForm:
 def initial_degree_any(f: Form) -> int:
     """Initial degree of a binary form's apolar ideal, on either backend.
 
-    Exact input goes through `apolar_initial_degree`; float input takes the
-    first catalecticant whose numeric rank leaves a kernel.
+    Exact input goes through `apolar_initial_degree` (the middle
+    catalecticant rank); float input takes the first catalecticant whose
+    numeric rank leaves a kernel, since a numeric rank cut at the middle
+    need not agree with that scan.
     """
     if f.is_exact:
         return apolar_initial_degree(f)

@@ -5,7 +5,12 @@ residual, the catalecticant rank table, the claimed length bound with
 its source tag, per-point avoidance evaluations, and the outcome of
 every check.  It is valid exactly when all checks pass; the JSON text is
 byte-stable for a fixed (input, seed, version) triple so replays can be
-compared literally.
+compared literally.  For float certificates that holds only at a fixed
+BLAS thread count: the float paths run numpy least squares and SVD, whose
+last bits follow the number of threads the BLAS splits the work over, so
+the same input can give other bytes under another thread setting.  The
+library and the CLI set no thread count; `perfbench/run.py` pins one
+(`OPENBLAS_NUM_THREADS=1` and its OpenMP and MKL counterparts).
 
 Each check is a record `{name, pass, value, limit}` of JSON numbers:
 the quantity the check measured and the limit it was held to, or null

@@ -22,8 +22,15 @@ RESIDUAL_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class Term:
+    """coeff * point^degree, with coeff a Fraction or a plain complex."""
+
     coeff: object
     point: ProjectivePoint
+
+    def __post_init__(self):
+        # float solvers hand back numpy scalars; keep them out of the value
+        c = self.coeff
+        object.__setattr__(self, "coeff", Fraction(c) if is_exact_scalar(c) else complex(c))
 
     @property
     def is_exact(self) -> bool:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waring.apolarity import (
     apolar_component,
@@ -14,6 +16,7 @@ from waring.apolarity import (
     numeric_catalecticant,
     rank_lower_bound,
 )
+from waring.binary import border_rank_binary, open_rank_binary, rank_binary
 from waring.errors import PreconditionError, ZeroFormError
 from waring.forms import Form, contract, parse_form, power_of_linear, random_form
 
@@ -145,6 +148,73 @@ def test_apolar_initial_degree_matches_kernel_scan():
             assert not catalecticant(f, delta).kernel
         if e <= f.degree:
             assert catalecticant(f, e).kernel
+
+
+def scan_initial_degree(f):
+    """Reference: the first e >= 1 whose catalecticant has a kernel."""
+    for e in range(1, f.degree + 1):
+        if catalecticant(f, e).kernel:
+            return e
+    return f.degree + 1  # everything annihilates beyond the degree
+
+
+def scan_rank(f, b, sympy):
+    """Binary rank from the scanned b: b when the degree-b generator (or a
+    generic pencil member, when 2b = d + 2) is squarefree, else d + 2 - b."""
+    d = f.degree
+    if 2 * b == d + 2:
+        return b
+    (gen,) = catalecticant(f, b).kernel
+    x, y = sympy.symbols("x y")
+    poly = sum(sympy.Rational(c.numerator, c.denominator) * x ** (b - j) * y ** j
+               for j, c in enumerate(gen.coeffs))
+    _, factors = sympy.Poly(poly, x, y).sqf_list()
+    return b if all(m == 1 for _, m in factors) else d + 2 - b
+
+
+def monomial(a, b):
+    return Form.from_dict(2, a + b, {(a, b): 1})
+
+
+@st.composite
+def binary_forms(draw):
+    """Binary forms of degree 0..24: random, planted sums of powers (so the
+    initial degree spreads below the generic value), some with a tangent
+    term x^(d-1) y (whose double root puts the rank at d + 2 - b), and
+    special forms."""
+    d = draw(st.integers(0, 24))
+    kind = draw(st.sampled_from(["random", "planted", "special"]))
+    if kind == "random":
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1))
+        f = Form(2, d, tuple(Fraction(c) for c in coeffs))
+    elif kind == "planted":
+        f = monomial(d - 1, 1).scale(draw(st.integers(0, 2))) if d else Form.zero(2, 0)
+        for _ in range(draw(st.integers(1, d // 2 + 2))):
+            point = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+            f = f + power_of_linear(point, d, coeff=draw(st.integers(-2, 2)))
+    else:
+        a = draw(st.integers(0, d))
+        f = draw(st.sampled_from([
+            monomial(d, 0), monomial(max(d - 1, 0), min(d, 1)), monomial(a, d - a),
+            monomial(d, 0) + monomial(0, d), power_of_linear((1, 1), d)]))
+    if f.is_zero():
+        f = monomial(d, 0)
+    return f
+
+
+@settings(max_examples=120, deadline=None)
+@given(binary_forms())
+def test_binary_initial_degree_is_the_kernel_scan(f):
+    sympy = pytest.importorskip("sympy")
+    b = scan_initial_degree(f)
+    d = f.degree
+    assert apolar_initial_degree(f) == b
+    assert border_rank_binary(f) == b
+    assert open_rank_binary(f) == d + 2 - b
+    assert rank_binary(f) == scan_rank(f, b, sympy)
+    # the Hilbert function of the apolar algebra of a binary form
+    assert cat_rank_table(f) == [(delta, min(delta + 1, b, d + 1 - delta))
+                                 for delta in range(1, d)]
 
 
 def test_essential_variables():

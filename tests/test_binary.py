@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import waring.apolarity as apolarity
 from waring.avoidance import AvoidanceSet
 from waring.binary import (
     border_rank_binary,
@@ -15,6 +16,7 @@ from waring.binary import (
     open_rank_binary,
     rank_binary,
 )
+from waring.certify import verify_decomposition
 from waring.errors import PreconditionError, RetryExhausted, WaringError
 from waring.forms import Form, parse_form, power_of_linear, random_form
 
@@ -113,6 +115,26 @@ def test_exact_backend_required_for_ranks():
         border_rank_binary(f)
 
 
+def test_binary_invariants_take_one_rank_and_at_most_one_kernel_each(monkeypatch):
+    calls = {"exact_nullspace": 0, "exact_rank": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(apolarity, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(apolarity, name, counted)
+    f = random_form(2, 24, 0)
+    rank_binary(f)
+    border_rank_binary(f)
+    open_rank_binary(f)
+    dec = decompose_binary(f)
+    assert calls["exact_nullspace"] <= 2
+    assert calls["exact_rank"] <= 4
+    calls.update(exact_nullspace=0, exact_rank=0)
+    verify_decomposition(f, dec)
+    # the certificate's rank table: one rank-only elimination per delta
+    assert calls == {"exact_nullspace": 0, "exact_rank": f.degree - 1}
+
+
 # -- line embeddings ----------------------------------------------------------
 
 
@@ -198,6 +220,22 @@ def test_decompose_binary_degree_forty_probe_returns_or_raises_waring_error():
     except WaringError:
         return
     assert (dec.num_vars, dec.degree) == (2, 40)
+
+
+def test_float_routes_give_plain_fraction_or_complex_scalars():
+    # numpy scalars from the float solvers must not leak into terms
+    X = AvoidanceSet.from_points([(F(1), F(3))])
+    decs = [decompose_binary(random_form(2, 9, 3)),
+            decompose_binary(random_form(2, 8, 4), seed=1),
+            decompose_binary(parse_form("x0^4*x1", 2), seed=3),
+            decompose_binary_avoiding(random_form(2, 7, 5), X, seed=2),
+            decompose_binary_bounded(random_form(2, 6, 6), X, max_size=6, seed=2),
+            decompose_binary(random_form(2, 7, 5).to_float())]
+    assert all(not dec.is_exact for dec in decs)
+    for dec in decs:
+        for t in dec.terms:
+            assert type(t.coeff) in (Fraction, complex)
+            assert all(type(c) in (Fraction, complex) for c in t.point.coords)
 
 
 def test_decompose_avoiding_open_rank_length():
