@@ -63,7 +63,7 @@ def _exact_entries(f: Form, delta: int) -> list[list[Fraction]]:
     return _entries(f, delta)
 
 
-def _catalecticant_rank(f: Form, delta: int) -> int:
+def catalecticant_rank(f: Form, delta: int) -> int:
     """`catalecticant(f, delta).rank`, without the kernel's back-substitution."""
     return exact_rank(_exact_entries(f, delta))
 
@@ -121,7 +121,7 @@ def apolar_initial_degree(f: Form) -> int:
     if f.is_zero():
         raise ZeroFormError("zero form has no apolar initial degree")
     if f.num_vars == 2:
-        return _catalecticant_rank(f, f.degree // 2)
+        return catalecticant_rank(f, f.degree // 2)
     for e in range(1, f.degree + 2):
         if e > f.degree:
             return e  # everything annihilates beyond the degree
@@ -134,7 +134,7 @@ def essential_variables(f: Form) -> int:
     """Number of independent linear forms needed to write f."""
     if f.is_zero():
         return 0
-    return _catalecticant_rank(f, 1)
+    return catalecticant_rank(f, 1)
 
 
 def essential_subspace(f: Form) -> list[list[Fraction]]:
@@ -155,11 +155,11 @@ def rank_lower_bound(f: Form) -> int:
         return 0
     if f.degree <= 1:
         return 1
-    return max(_catalecticant_rank(f, delta) for delta in range(1, f.degree))
+    return max(catalecticant_rank(f, delta) for delta in range(1, f.degree))
 
 
 def cat_rank_table(f: Form) -> list[tuple[int, int]]:
     """[(delta, rank)] for delta = 1..d-1, as recorded in certificates."""
     if f.degree <= 1:
         return []
-    return [(delta, _catalecticant_rank(f, delta)) for delta in range(1, f.degree)]
+    return [(delta, catalecticant_rank(f, delta)) for delta in range(1, f.degree)]

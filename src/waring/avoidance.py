@@ -9,14 +9,15 @@ callers never need a second representation.
 For ternary X the class can enumerate the rational lines contained in X
 (`rational_lines`).  Lines defined over extensions are invisible to this
 search; pipelines that must stay off such lines rely on their residual
-checks and report retry exhaustion instead of silently failing.
+checks and report retry exhaustion instead of silently failing.  The
+search is memoized per generator tuple and backend in a bounded cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -119,7 +120,7 @@ class AvoidanceSet:
         images = [Form(2, 1, (u[i], v[i])) for i in range(3)]
         return all(substitute(g, images).is_zero() for g in self.generators)
 
-    @cached_property
+    @property
     def rational_lines(self) -> tuple[tuple, ...]:
         """Duals of the rational lines contained in a ternary X.
 
@@ -128,20 +129,24 @@ class AvoidanceSet:
         confirmed by exact divisibility against every generator.  Only
         lines defined over the rationals can be found this way.
         """
-        if self.num_vars != 3:
-            return ()
-        if not all(g.is_exact for g in self.generators):
-            return ()
-        first = next(g for g in self.generators if not g.is_zero())
-        if first.degree == 0:
-            return ()
-        candidates = _line_candidates(first)
-        found = []
-        for dual in candidates:
-            u, v = plane_basis(dual)
-            if self.contains_line(u, v):
-                found.append(dual)
-        return tuple(found)
+        # Form equality ignores the backend (Fraction(1) == 1+0j), so the key carries it
+        return _rational_lines(self, tuple(g.is_exact for g in self.generators))
+
+
+@lru_cache(maxsize=256)
+def _rational_lines(X: AvoidanceSet, backends: tuple[bool, ...]) -> tuple[tuple, ...]:
+    """`X.rational_lines`, memoized on the generators and their backends."""
+    if X.num_vars != 3 or not all(backends):
+        return ()
+    first = next(g for g in X.generators if not g.is_zero())
+    if first.degree == 0:
+        return ()
+    found = []
+    for dual in _line_candidates(first):
+        u, v = plane_basis(dual)
+        if X.contains_line(u, v):
+            found.append(dual)
+    return tuple(found)
 
 
 def _probe_duals(count: int) -> list[tuple]:

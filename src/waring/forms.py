@@ -345,23 +345,28 @@ class ProjectivePoint:
         return tuple(complex(c) for c in self.coords)
 
 
-def chordal_distance(p: ProjectivePoint | Sequence, q: ProjectivePoint | Sequence) -> float:
-    """Normalization-free projective distance: |p wedge q| / (|p| |q|).
-
-    Zero exactly when the points coincide; 1 when orthogonal.  Computed in
-    floats regardless of backend.
-    """
+def _floats_with_norm(p: ProjectivePoint | Sequence) -> tuple[tuple[complex, ...], float]:
     a = p.as_floats() if isinstance(p, ProjectivePoint) else tuple(complex(c) for c in p)
-    b = q.as_floats() if isinstance(q, ProjectivePoint) else tuple(complex(c) for c in q)
+    return a, math.sqrt(sum(abs(x) ** 2 for x in a))
+
+
+def _chordal(a: tuple, na: float, b: tuple, nb: float) -> float:
     if len(a) != len(b):
         raise DimensionMismatch("points live in different spaces")
     wedge = 0.0
     for i in range(len(a)):
         for j in range(i + 1, len(a)):
             wedge += abs(a[i] * b[j] - a[j] * b[i]) ** 2
-    na = math.sqrt(sum(abs(x) ** 2 for x in a))
-    nb = math.sqrt(sum(abs(x) ** 2 for x in b))
     return math.sqrt(wedge) / (na * nb)
+
+
+def chordal_distance(p: ProjectivePoint | Sequence, q: ProjectivePoint | Sequence) -> float:
+    """Normalization-free projective distance: |p wedge q| / (|p| |q|).
+
+    Zero exactly when the points coincide; 1 when orthogonal.  Computed in
+    floats regardless of backend.
+    """
+    return _chordal(*_floats_with_norm(p), *_floats_with_norm(q))
 
 
 def same_point(p, q, tol: float = 1e-8) -> bool:
@@ -369,11 +374,11 @@ def same_point(p, q, tol: float = 1e-8) -> bool:
 
 
 def distinct_points(points: Sequence, tol: float = 1e-6) -> bool:
-    """Pairwise distinctness at the library's separation tolerance."""
-    pts = list(points)
+    """Pairwise distinctness at the library's separation tolerance (floats made once)."""
+    pts = [_floats_with_norm(p) for p in points]
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if chordal_distance(pts[i], pts[j]) <= tol:
+            if _chordal(*pts[i], *pts[j]) <= tol:
                 return False
     return True
 

@@ -2,11 +2,14 @@
 
 Every nonzero quartic in three variables admits a decomposition into at
 most eight fourth powers whose points miss any prescribed proper closed
-subset.  The route depends on the middle catalecticant rank: small ranks
-reduce to one or two lines, rank three pulls the problem back to a binary
-octic along a smooth apolar conic, and rank four or more splits the form
-across three lines found by a determinant search, with piece lengths
-2 + 3 + 3.
+subset.  The route depends on the middle catalecticant rank (rank only,
+no kernel): small ranks reduce to one or two lines, rank three pulls the
+problem back to a binary octic along a smooth apolar conic, and rank four
+or more splits the form across three lines found by a determinant search,
+with piece lengths 2 + 3 + 3.  Cat_1 and Cat_3 have three rows or columns,
+so a rank bound of four is rank Cat_2 >= 4.  The search's matrix, l ->
+(l l1 l2) contracted into f, is the Hessian of contract(l2, contract(l1,
+f)), linear in l2: det(M_a + t M_b) samples the pencil l2 = la + t lb.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ import numpy as np
 
 from .apolarity import (
     catalecticant,
+    catalecticant_rank,
     essential_subspace,
     essential_variables,
     numeric_catalecticant,
-    rank_lower_bound,
 )
 from .avoidance import AvoidanceSet
 from .binary import (
@@ -51,7 +54,7 @@ from .forms import (
     substitute,
 )
 from .linalg import exact_nullspace, numeric_nullspace, solve_columns
-from .monomials import multinomial
+from .monomials import exponents, multinomial
 from .plane import (
     UNIT_DUALS,
     as_dual_point,
@@ -128,7 +131,7 @@ def witness_quartic(coeffs=(1, 1, 1, 1)) -> Form:
         raise PreconditionError("witness construction failed its jet recheck")
     if essential_variables(f) != 3:
         raise PreconditionError("witness weights must keep all three variables")
-    if rank_lower_bound(f) < 4:
+    if catalecticant_rank(f, 2) < 4:
         raise PreconditionError("witness weights must certify rank at least four")
     return f
 
@@ -143,12 +146,28 @@ def _triple_product_matrix(f: Form, l1: Form, l2: Form):
     return [[cols[j].coeffs[i] for j in range(3)] for i in range(3)]
 
 
+def _hessian(q: Form):
+    """Entry (i, j) is d_i d_j q, for a ternary quadric q."""
+    cols = [contract(unit, q) for unit in UNIT_DUALS]
+    return [[cols[j].coeffs[i] for j in range(3)] for i in range(3)]
+
+
 def _is_nonsquare_quadric(q: Form) -> bool:
     if q.is_zero():
         return False
     if q.is_exact:
         return quadric_rank_exact(q) >= 2
     return quadric_rank_numeric(q, tol=1e-6) >= 2
+
+
+def _zero_pair(f: Form, triple) -> tuple[Form, Form] | None:
+    """(l0, l1) or (l0, l2), the first whose product annihilates f, else None."""
+    l0 = triple[0]
+    g0 = contract(l0, f)
+    for other in triple[1:]:
+        if contract(other, g0).is_zero():
+            return l0, other
+    return None
 
 
 def quartic_predecomp(f: Form, sigma=(), seed: int = 0,
@@ -164,7 +183,7 @@ def quartic_predecomp(f: Form, sigma=(), seed: int = 0,
     last resort; callers should then split on that pair instead.
     """
     _require_quartic(f)
-    if check_gate and rank_lower_bound(f) < 4:
+    if check_gate and catalecticant_rank(f, 2) < 4:
         raise PreconditionError(
             "the split triple needs a certified rank of at least four")
     sigma_pts = [as_dual_point(s) for s in sigma]
@@ -190,8 +209,13 @@ def quartic_predecomp(f: Form, sigma=(), seed: int = 0,
             continue
         stats["pencils"] += 1
 
-        ts = pencil_roots(
-            lambda t: det3(_triple_product_matrix(f, l1, la + lb.scale(t))))
+        g1 = contract(l1, f)
+        m_a, m_b = _hessian(contract(la, g1)), _hessian(contract(lb, g1))
+
+        def pencil(t: Fraction):
+            return [[a + t * b for a, b in zip(ra, rb)] for ra, rb in zip(m_a, m_b)]
+
+        ts = pencil_roots(lambda t: det3(pencil(t)))
         if ts is None:
             ts = [Fraction(v) for v in (0, 1, -1, 2, -2)]
         for t in ts:
@@ -199,10 +223,11 @@ def quartic_predecomp(f: Form, sigma=(), seed: int = 0,
             l2 = la + lb.scale(t)
             if l2.is_zero() or not admissible(l2, [l1]):
                 continue
-            matrix = _triple_product_matrix(f, l1, l2)
             if l2.is_exact:
-                kernel = exact_nullspace(matrix)
+                kernel = exact_nullspace(pencil(t))
             else:
+                # float roots keep the product path, whose bits certificates hold
+                matrix = _triple_product_matrix(f, l1, l2)
                 kernel = numeric_nullspace(
                     np.array([[complex(x) for x in row] for row in matrix]))
             if len(kernel) != 1:
@@ -220,13 +245,11 @@ def quartic_predecomp(f: Form, sigma=(), seed: int = 0,
             if abs(complex(deter)) <= 1e-10 * max(scale, 1e-30):
                 stats["concurrent"] += 1
                 continue
-            if not _is_nonsquare_quadric(contract(l1 * l2, f)):
+            if not _is_nonsquare_quadric(contract(l2, g1)):
                 stats["square"] += 1
                 continue
             triple = (l0, l1, l2)
-            pair01 = contract(l0 * l1, f)
-            pair02 = contract(l0 * l2, f)
-            if pair01.is_zero() or pair02.is_zero():
+            if _zero_pair(f, triple) is not None:
                 fallback = fallback or triple
                 continue
             return triple
@@ -437,6 +460,9 @@ def _two_line_split(f: Form, X: AvoidanceSet, seed: int, tol: float,
         diagnostics=rejects)
 
 
+_BINARY_QUADRIC_DUALS = tuple(Form.from_dict(2, 2, {e: 1}) for e in exponents(2, 2))
+
+
 def _three_line_split(f: Form, X: AvoidanceSet, triple, seed: int,
                       tol: float, retries: int) -> Decomposition:
     """2 + 3 + 3 strategy on a split triple from the determinant search.
@@ -467,8 +493,9 @@ def _three_line_split(f: Form, X: AvoidanceSet, triple, seed: int,
             return part0 + pow01.scale(c01) + pow02.scale(c02)
 
         def det_at(t: Fraction):
-            if exact:
-                return det3([list(row) for row in catalecticant(f0_at(t), 2).entries])
+            if exact:  # rows of the middle catalecticant: contract(m, f0), m a dual monomial
+                f0 = f0_at(t)
+                return det3([list(contract(m, f0).coeffs) for m in _BINARY_QUADRIC_DUALS])
             return complex(np.linalg.det(numeric_catalecticant(f0_at(t), 2)))
 
         roots = pencil_roots(det_at)
@@ -565,17 +592,16 @@ def _power_route(f: Form, X: AvoidanceSet, seed: int, tol: float,
 
 
 def _triple_route(f: Form, X: AvoidanceSet, seed: int, tol: float,
-                  retries: int, check_gate: bool = True,
-                  triple=None) -> Decomposition:
-    """Split on a triple, rerouting pairs that already annihilate."""
-    if triple is None:
-        sigma = [ProjectivePoint(t) for t in X.rational_lines]
-        triple = quartic_predecomp(f, sigma=sigma, seed=seed,
-                                   check_gate=check_gate)
-    l0, l1, l2 = triple
-    for a, b in ((l0, l1), (l0, l2), (l1, l2)):
-        if contract(a * b, f).is_zero():
-            return _two_line_split(f, X, seed, tol, retries, pair=(a, b))
+                  retries: int) -> Decomposition:
+    """Split on a triple, rerouting (l0, l1) or (l0, l2) if it annihilates f.
+
+    The search has certified that (l1 l2) does not, and the router has
+    settled the rank gate."""
+    sigma = [ProjectivePoint(t) for t in X.rational_lines]
+    triple = quartic_predecomp(f, sigma=sigma, seed=seed, check_gate=False)
+    pair = _zero_pair(f, triple)
+    if pair is not None:
+        return _two_line_split(f, X, seed, tol, retries, pair=pair)
     return _three_line_split(f, X, triple, seed, tol, retries)
 
 
@@ -635,7 +661,7 @@ def quartic_decompose_open(f: Form, avoid: AvoidanceSet | None = None,
         return _power_route(f, X, seed, tol, retries)
     if ess == 2:
         return _plane_route(f, X, seed, tol, retries)
-    c2 = catalecticant(f, 2).rank
+    c2 = catalecticant_rank(f, 2)
     if c2 <= 2:
         # cannot happen with three essential variables, but the split
         # strategy would still be the right answer if it did
@@ -645,4 +671,4 @@ def quartic_decompose_open(f: Form, avoid: AvoidanceSet | None = None,
             return quartic_brk3_decompose(f, X, seed, tol)
         except (NoSmoothConic, RetryExhausted):
             pass  # the triple search below remains available
-    return _triple_route(f, X, seed, tol, retries, check_gate=(c2 >= 4))
+    return _triple_route(f, X, seed, tol, retries)

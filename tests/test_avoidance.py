@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from waring import avoidance
 from waring.avoidance import AvoidanceSet, binary_point_dual
 from waring.errors import PreconditionError, ZeroFormError
 from waring.forms import Form, ProjectivePoint, evaluate, parse_form
@@ -163,3 +164,15 @@ def test_rational_lines_recovers_random_line_products():
             nz = next(c for c in d if c != 0)
             found.add(tuple(F(c) / nz for c in d))
         assert found == duals
+
+
+@pytest.mark.parametrize("exact_first", [True, False])
+def test_rational_lines_cache_keeps_the_backends_apart(exact_first):
+    g = parse_form("x0*x1", 3)
+    exact, floating = AvoidanceSet(3, (g,)), AvoidanceSet(3, (g.to_float(),))
+    assert exact == floating and hash(exact) == hash(floating)  # Fraction(1) == 1+0j
+    avoidance._rational_lines.cache_clear()
+    first, second = (exact, floating) if exact_first else (floating, exact)
+    lines = {id(first): first.rational_lines, id(second): second.rational_lines}
+    assert lines[id(exact)] == ((1, 0, 0), (0, 1, 0))
+    assert lines[id(floating)] == ()

@@ -410,3 +410,16 @@ def test_rank_only_catalecticants_match_the_full_catalecticant():
                 assert cat_rank_table(f) == ranks
                 assert rank_lower_bound(f) == max(r for _, r in ranks)
                 assert essential_variables(f) == catalecticant(f, 1).rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(SPAN, min_size=3, max_size=3), min_size=0, max_size=6),
+       st.sampled_from([1e-6, 1e-1, 0.5]))
+def test_distinct_points_is_pairwise_chordal_distance(rows, tol):
+    # raw float coordinates whose squares underflow have no norm
+    points = [row for row in rows if max(abs(complex(c)) for c in row) > 1e-100]
+    points += points[:1]  # a repeat, so both answers occur
+    expected = all(chordal_distance(p, q) > tol
+                   for i, p in enumerate(points) for q in points[i + 1:])
+    assert distinct_points(points, tol) == expected
+    assert distinct_points([ProjectivePoint(tuple(p)) for p in points], tol) == expected

@@ -2,14 +2,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from waring import apolarity, avoidance
 from waring.apolarity import catalecticant, essential_variables, rank_lower_bound
 from waring.avoidance import AvoidanceSet
 from waring.binary import border_rank_binary
-from waring.errors import PreconditionError, ZeroFormError
+from waring.certify import BOUND_QUARTIC_EIGHT, verify_decomposition
+from waring.errors import PreconditionError, WaringError, ZeroFormError
 from waring.forms import Form, contract, parse_form, power_of_linear, random_form
+from waring.monomials import exponents
 from waring.plane import det3
 from waring.quartic import (
+    _BINARY_QUADRIC_DUALS,
+    _hessian,
+    _triple_product_matrix,
     quartic_brk3_decompose,
     quartic_decompose_open,
     quartic_predecomp,
@@ -229,3 +237,83 @@ def test_input_validation():
         quartic_decompose_open(random_form(3, 5, seed=2))
     with pytest.raises(PreconditionError):
         quartic_decompose_open(random_form(2, 4, seed=2))
+
+
+# -- the derivative pencil and single computation of each invariant ---------------
+
+
+def integer_forms(degree, height):
+    n = len(exponents(3, degree))
+    return st.lists(st.integers(-height, height), min_size=n, max_size=n).map(
+        lambda cs: Form(3, degree, tuple(F(c) for c in cs)))
+
+
+LINES = integer_forms(1, 9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(integer_forms(4, 9), LINES, LINES, LINES)
+def test_pencil_hessians_equal_the_product_matrices(f, l1, la, lb):
+    g1 = contract(l1, f)
+    m_a, m_b = _hessian(contract(la, g1)), _hessian(contract(lb, g1))
+    assert m_a == _triple_product_matrix(f, l1, la)
+    assert m_b == _triple_product_matrix(f, l1, lb)
+    for v in (0, 1, -1, 2):  # the samples `pencil_roots` takes
+        t = F(v)
+        combined = [[a + t * b for a, b in zip(ra, rb)] for ra, rb in zip(m_a, m_b)]
+        old = _triple_product_matrix(f, l1, la + lb.scale(t))
+        assert combined == old
+        assert all(type(x) is Fraction for row in combined for x in row)
+        assert det3(combined) == det3(old)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(-9, 9, max_denominator=5), min_size=5, max_size=5))
+def test_binary_dual_rows_are_the_middle_catalecticant(coeffs):
+    f0 = Form(2, 4, tuple(coeffs))
+    rows = [list(contract(m, f0).coeffs) for m in _BINARY_QUADRIC_DUALS]
+    assert rows == [list(row) for row in catalecticant(f0, 2).entries]
+
+
+def test_rank_four_quartic_takes_two_ranks_no_kernel_and_one_line_search(monkeypatch):
+    f = random_form(3, 4, seed=0, height=3)
+    assert catalecticant(f, 2).rank >= 4
+    counts = {"rank": 0, "kernel": 0, "lines": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(apolarity, "exact_rank", counted("rank", apolarity.exact_rank))
+    monkeypatch.setattr(apolarity, "exact_nullspace",
+                        counted("kernel", apolarity.exact_nullspace))
+    monkeypatch.setattr(avoidance, "_line_candidates",
+                        counted("lines", avoidance._line_candidates))
+    avoidance._rational_lines.cache_clear()
+    for _ in range(2):  # two separately built, equal avoided sets
+        X = AvoidanceSet(3, (parse_form("x0*x1", 3),))
+        dec = quartic_decompose_open(f, X, seed=0)
+        assert dec.provenance["route"] == "three-line-split"
+    # per call: essential_variables and the router's middle rank, no kernel
+    assert counts == {"rank": 4, "kernel": 0, "lines": 1}
+
+
+QUARTIC_AVOIDED = (None, "x2", "x0*x2 - x1^2", "x0^3 + x1^3 + x2^3", "x0*x1", "x0 - x1")
+SPARSE_QUARTICS = st.dictionaries(
+    st.sampled_from(exponents(3, 4)), st.sampled_from((-2, -1, 1, 2)),
+    min_size=1, max_size=4).map(lambda d: Form.from_dict(3, 4, d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(integer_forms(4, 2), SPARSE_QUARTICS),
+       st.sampled_from(QUARTIC_AVOIDED), st.integers(0, 3))
+def test_quartic_open_certifies_valid_or_raises_a_waring_error(f, avoided, seed):
+    X = None if avoided is None else AvoidanceSet(3, (parse_form(avoided, 3),))
+    try:
+        dec = quartic_decompose_open(f, X, seed=seed)
+    except WaringError:
+        return
+    cert = verify_decomposition(f, dec, avoid=X, bound=(8, BOUND_QUARTIC_EIGHT))
+    assert cert.valid, cert
