@@ -20,7 +20,6 @@ from .apolarity import (
 )
 from .avoidance import AvoidanceSet, binary_point_dual
 from .binary import (
-    BinaryForm,
     border_rank_binary,
     decompose_binary,
     decompose_binary_avoiding,
@@ -29,6 +28,7 @@ from .binary import (
     form_on_line,
     generic_rank_in_subspace,
     open_rank_binary,
+    push_decomposition,
     rank_binary,
 )
 from .certify import (
@@ -93,7 +93,6 @@ __version__ = VERSION
 
 __all__ = [
     "AvoidanceSet",
-    "BinaryForm",
     "CatalecticantMatrix",
     "Certificate",
     "Decomposition",
@@ -143,6 +142,7 @@ __all__ = [
     "parse_form",
     "plane_basis",
     "power_of_linear",
+    "push_decomposition",
     "quadric_rank_exact",
     "quartic_brk3_decompose",
     "quartic_decompose_open",

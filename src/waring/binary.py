@@ -19,14 +19,13 @@ Binary data often lives on a line inside a bigger projective space.  The
 embedding sending the monomial s^(d-j) t^j to U^(d-j) V^j (U, V the
 linear forms of the line's spanning vectors) identifies binary forms
 with the forms supported on that line; `embed_binary` and `form_on_line`
-convert in the two directions and `BinaryForm` carries the line data so
-decompositions can be pushed forward.
+convert in the two directions and `push_decomposition` carries a
+decomposition forward onto the line.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .apolarity import (apolar_component, apolar_initial_degree, catalecticant,
@@ -133,30 +132,18 @@ def form_on_line(f: Form, u, v) -> Form | None:
     return Form(2, f.degree, tuple(solved[0]))
 
 
-@dataclass(frozen=True)
-class BinaryForm:
-    """A binary form together with the ambient line it came from."""
+def push_decomposition(dec: Decomposition, span) -> Decomposition:
+    """Transport a binary decomposition onto the line spanned by span = (u, v).
 
-    form: Form
-    span: tuple | None = None  # pair of ambient coordinate vectors, or None
-
-    def push_vector(self, a, b) -> tuple:
-        if self.span is None:
-            return (a, b)
-        u, v = self.span
-        return tuple(a * u[i] + b * v[i] for i in range(len(u)))
-
-    def push_decomposition(self, dec: Decomposition) -> Decomposition:
-        """Transport a binary decomposition to the ambient space."""
-        if self.span is None:
-            return dec
-        u, v = self.span
-        n = len(u)
-        terms = []
-        for t in dec.terms:
-            a, b = t.point.coords
-            terms.append(term_from_vector(t.coeff, self.push_vector(a, b), dec.degree))
-        return Decomposition(n, dec.degree, tuple(terms), dict(dec.provenance))
+    The point (a, b) goes to a u + b v; the provenance is copied.
+    """
+    u, v = span
+    terms = []
+    for t in dec.terms:
+        a, b = t.point.coords
+        vector = tuple(a * x + b * y for x, y in zip(u, v))
+        terms.append(term_from_vector(t.coeff, vector, dec.degree))
+    return Decomposition(len(u), dec.degree, tuple(terms), dict(dec.provenance))
 
 
 # -- kernels for both backends ----------------------------------------------

@@ -347,7 +347,13 @@ class ProjectivePoint:
 
 def _floats_with_norm(p: ProjectivePoint | Sequence) -> tuple[tuple[complex, ...], float]:
     a = p.as_floats() if isinstance(p, ProjectivePoint) else tuple(complex(c) for c in p)
-    return a, math.sqrt(sum(abs(x) ** 2 for x in a))
+    norm = math.sqrt(sum(abs(x) ** 2 for x in a))
+    if norm == 0:  # a zero vector, or squares that underflow: rescale by the top entry
+        top = max((abs(x) for x in a), default=0.0)
+        if top == 0:
+            raise ZeroFormError("the zero vector is not a projective point")
+        return _floats_with_norm([x / top for x in a])
+    return a, norm
 
 
 def _chordal(a: tuple, na: float, b: tuple, nb: float) -> float:

@@ -28,11 +28,11 @@ from .apolarity import (
 )
 from .avoidance import AvoidanceSet
 from .binary import (
-    BinaryForm,
     decompose_binary_avoiding,
     decompose_binary_bounded,
     form_on_line,
     initial_degree_any,
+    push_decomposition,
 )
 from .decomposition import RESIDUAL_TOL, Decomposition, term_from_vector
 from .errors import (
@@ -46,7 +46,6 @@ from .forms import (
     Form,
     ProjectivePoint,
     contract,
-    distinct_points,
     evaluate,
     power_of_linear,
     random_combination,
@@ -400,14 +399,6 @@ def _restrict_avoid(X: AvoidanceSet, span) -> AvoidanceSet:
         raise DegenerateSystemError(str(err)) from err
 
 
-def _push_all(split, per_piece: dict[int, Decomposition]) -> list:
-    terms = []
-    for i, dec in per_piece.items():
-        pushed = BinaryForm(split.particular[i], split.spans[i]).push_decomposition(dec)
-        terms.extend(pushed.terms)
-    return terms
-
-
 def _two_line_split(f: Form, X: AvoidanceSet, seed: int, tol: float,
                     retries: int, pair: tuple[Form, Form] | None = None,
                     forbid=()) -> Decomposition:
@@ -417,18 +408,16 @@ def _two_line_split(f: Form, X: AvoidanceSet, seed: int, tol: float,
         forbidden = [ProjectivePoint(t) for t in X.rational_lines]
         forbidden.extend(as_dual_point(x) for x in forbid)
         pair = reducible_member(basis, forbidden, seed=seed)
-    system = LineSystem(pair)
-    split = split_on_lines(f, system)
+    split = split_on_lines(f, LineSystem(pair))
     avoids = [_restrict_avoid(X, split.spans[i]) for i in range(2)]
     rng = random.Random(seed + 5)
     rejects = {"piece": 0, "clash": 0, "residual": 0}
     for t in range(retries):
         height = 9 << (t // 16)
         c = Fraction(0) if t == 0 else Fraction(rng.randint(-height, height))
-        pieces = split.pieces([c])
         per_piece: dict[int, Decomposition] = {}
         ok = True
-        for i, piece in enumerate(pieces):
+        for i, piece in enumerate(split.pieces([c])):
             if piece.is_zero():
                 continue
             try:
@@ -440,21 +429,10 @@ def _two_line_split(f: Form, X: AvoidanceSet, seed: int, tol: float,
                 break
         if not ok or not per_piece:
             continue
-        terms = _push_all(split, per_piece)
-        if not distinct_points([x.point for x in terms]):
-            rejects["clash"] += 1
-            continue
-        merged = Decomposition(3, 4, tuple(terms), {
-            "route": "two-line-split",
-            "lines": [tuple(map(str, ell.coeffs)) for ell in system.lines],
-            "tuple_attempt": t,
-            "piece_sizes": [per_piece[i].size if i in per_piece else 0
-                            for i in range(2)],
-        })
-        if not merged.meets_tolerance(f, tol):
-            rejects["residual"] += 1
-            continue
-        return merged
+        merged = split.merge(per_piece, {"route": "two-line-split", "tuple_attempt": t},
+                             tol, rejects)
+        if merged is not None:
+            return merged
     raise RetryExhausted(
         f"two-line split found no admissible tuple in {retries} tries",
         diagnostics=rejects)
@@ -473,8 +451,7 @@ def _three_line_split(f: Form, X: AvoidanceSet, triple, seed: int,
     stay free and are sampled until both remaining pieces admit length
     three with all points off X.
     """
-    system = LineSystem(tuple(triple))
-    split = split_on_lines(f, system)
+    split = split_on_lines(f, LineSystem(tuple(triple)))
     avoids = [_restrict_avoid(X, split.spans[i]) for i in range(3)]
     # generators arrive ordered (0,1), (0,2), (1,2)
     pow01 = split.kernel[0][2]
@@ -532,20 +509,9 @@ def _three_line_split(f: Form, X: AvoidanceSet, triple, seed: int,
                         break
                 if not ok:
                     continue
-                terms = _push_all(split, per_piece)
-                if not distinct_points([x.point for x in terms]):
-                    rejects["clash"] += 1
-                    continue
-                merged = Decomposition(3, 4, tuple(terms), {
-                    "route": "three-line-split",
-                    "lines": [tuple(map(str, ell.coeffs)) for ell in system.lines],
-                    "piece_sizes": [per_piece[i].size if i in per_piece else 0
-                                    for i in range(3)],
-                })
-                if not merged.meets_tolerance(f, tol):
-                    rejects["residual"] += 1
-                    continue
-                return merged
+                merged = split.merge(per_piece, {"route": "three-line-split"}, tol, rejects)
+                if merged is not None:
+                    return merged
     raise RetryExhausted(
         "three-line split found no admissible configuration",
         diagnostics=rejects)
@@ -558,6 +524,19 @@ _DIRECTIONS = (
     (1, 0, 0), (0, 1, 0), (0, 0, 1),
     (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (1, -1, 0), (1, 0, -1),
 )
+
+
+def _line_open(f: Form, X: AvoidanceSet, u, v, seed: int, tol: float,
+               retries: int, route: str) -> Decomposition | None:
+    """f decomposed off X on the line through u and v; None if f is off it."""
+    g = form_on_line(f, u, v)
+    if g is None:
+        return None
+    dec = decompose_binary_avoiding(g, X.restrict_to_line(u, v), seed=seed, tol=tol,
+                                    retries=retries)
+    pushed = push_decomposition(dec, (u, v))
+    pushed.provenance["route"] = route
+    return pushed
 
 
 def _power_route(f: Form, X: AvoidanceSet, seed: int, tol: float,
@@ -578,14 +557,9 @@ def _power_route(f: Form, X: AvoidanceSet, seed: int, tol: float,
             continue
         if X.contains_line(tuple(w), vec):
             continue
-        g = form_on_line(f, tuple(w), vec)
-        if g is None:
-            continue
-        restricted = X.restrict_to_line(tuple(w), vec)
-        dec = decompose_binary_avoiding(g, restricted, seed=seed, tol=tol)
-        pushed = BinaryForm(g, (tuple(w), vec)).push_decomposition(dec)
-        pushed.provenance.update({"route": "power-respread-line"})
-        return pushed
+        pushed = _line_open(f, X, tuple(w), vec, seed, tol, retries, "power-respread-line")
+        if pushed is not None:
+            return pushed
     raise RetryExhausted(
         "no line through the power point escapes the avoidance set",
         diagnostics={"directions": len(candidates)})
@@ -609,13 +583,9 @@ def _plane_route(f: Form, X: AvoidanceSet, seed: int, tol: float,
                  retries: int) -> Decomposition:
     u, v = (tuple(x) for x in essential_subspace(f))
     if not X.contains_line(u, v):
-        g = form_on_line(f, u, v)
-        if g is None:
+        pushed = _line_open(f, X, u, v, seed, tol, retries, "line-open")
+        if pushed is None:
             raise DegenerateSystemError("essential plane does not carry the form")
-        dec = decompose_binary_avoiding(
-            g, X.restrict_to_line(u, v), seed=seed, tol=tol)
-        pushed = BinaryForm(g, (u, v)).push_decomposition(dec)
-        pushed.provenance.update({"route": "line-open"})
         return pushed
     # the supporting line sits inside X, so the decomposition must leave it
     # entirely.  A quadric annihilator without the support dual as a factor

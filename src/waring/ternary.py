@@ -9,8 +9,9 @@ see-saw tuples supported on pairs of lines; sampling that space gives the
 genericity the per-piece rank bounds need.
 
 Full decompositions are provided for odd degree at least five.  The
-splitting layer itself (`split_on_lines`, `annihilating_lines`) works in
-any degree and is reused by the quartic pipeline.
+splitting layer itself (`annihilates`, `annihilating_lines`,
+`split_on_lines`, `SplitProblem.merge`) works in any degree and is reused
+by the quartic pipeline.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from .apolarity import catalecticant, essential_subspace, essential_variables
-from .binary import (BinaryForm, decompose_binary, embed_binary, form_on_line,
-                     line_embedding)
+from .binary import (decompose_binary, embed_binary, form_on_line, line_embedding,
+                     push_decomposition)
 from .decomposition import RESIDUAL_TOL, Decomposition, term_from_vector
 from .errors import (
     DegenerateSystemError,
@@ -63,16 +64,24 @@ LINE_BUDGET = 64
 CONCURRENCY_TOL = 1e-8
 
 
-def _dual_form(point) -> Form:
-    coords = point.coords if isinstance(point, ProjectivePoint) else tuple(point)
-    return Form(3, 1, tuple(coords))
+def _dual_form(point: ProjectivePoint) -> Form:
+    return Form(3, 1, point.coords)
 
 
-def _contract_is_zero(t: Form, f: Form, tol: float = 1e-8) -> bool:
-    h = contract(t, f)
-    if t.is_exact and f.is_exact:
+def annihilates(duals, f: Form, tol: float = 1e-8) -> bool:
+    """Whether the product of the linear duals, contracted into f, is zero.
+
+    Exact on exact data; floats against tol * max(|product|, 1) * max(|f|, 1).
+    """
+    if not duals:
+        return f.is_zero()
+    product = duals[0]
+    for ell in duals[1:]:
+        product = product * ell
+    h = contract(product, f)
+    if product.is_exact and f.is_exact:
         return h.is_zero()
-    scale = max(t.max_abs(), 1.0) * max(f.max_abs(), 1.0)
+    scale = max(product.max_abs(), 1.0) * max(f.max_abs(), 1.0)
     return h.max_abs() <= tol * scale
 
 
@@ -120,16 +129,8 @@ class LineSystem:
     def intersection(self, i: int, j: int) -> tuple:
         return cross(self.lines[i].coeffs, self.lines[j].coeffs)
 
-    def product(self) -> Form:
-        total = Form(3, 0, (Fraction(1),))
-        for ell in self.lines:
-            total = total * ell
-        return total
-
     def annihilates(self, f: Form, tol: float = 1e-8) -> bool:
-        if len(self.lines) == 0:
-            return f.is_zero()
-        return _contract_is_zero(self.product(), f, tol)
+        return annihilates(self.lines, f, tol)
 
     def in_general_position(self) -> bool:
         """No three of the lines meet in a common point."""
@@ -314,11 +315,11 @@ def reducible_kernel_pair(g: Form, sigma=(), seed: int = 0,
         raise ZeroFormError("the zero cubic is annihilated by everything")
     sigma_points = [as_dual_point(s) for s in sigma]
     for a, b in combinations_with_replacement(sigma_points, 2):
-        if _contract_is_zero(_dual_form(a) * _dual_form(b), g):
+        if annihilates((_dual_form(a), _dual_form(b)), g):
             return KernelPair(_dual_form(a), _dual_form(b), from_sigma=True)
     net = list(catalecticant(g, 2).kernel)
     l1, l2 = reducible_member(net, sigma_points, seed=seed, budget=budget)
-    if not _contract_is_zero(l1 * l2, g):
+    if not annihilates((l1, l2), g):
         raise RetryExhausted("factored member failed the annihilation recheck",
                              diagnostics={"stage": "recheck"})
     return KernelPair(l1, l2, from_sigma=False)
@@ -327,10 +328,12 @@ def reducible_kernel_pair(g: Form, sigma=(), seed: int = 0,
 # -- building annihilating systems -------------------------------------------
 
 
-def _generic_system(d: int, sigma_points, rng) -> LineSystem:
+def _sample_lines(rng, count: int, height: int, sigma_points,
+                  general: bool = False) -> list[Form]:
+    """`count` distinct random lines off sigma; `general`: no three concurrent."""
     lines: list[Form] = []
-    while len(lines) < d - 1:
-        ell = random_combination(rng, UNIT_DUALS, 9)
+    while len(lines) < count:
+        ell = random_combination(rng, UNIT_DUALS, height)
         if ell is None:
             continue
         p = ProjectivePoint(ell.coeffs)
@@ -338,11 +341,11 @@ def _generic_system(d: int, sigma_points, rng) -> LineSystem:
             continue
         if any(same_point(p, ProjectivePoint(x.coeffs)) for x in lines):
             continue
-        trial = lines + [ell]
-        if len(trial) >= 3 and not LineSystem(tuple(trial)).in_general_position():
+        if general and len(lines) >= 2 and \
+                not LineSystem(tuple(lines + [ell])).in_general_position():
             continue
         lines.append(ell)
-    return LineSystem(tuple(lines))
+    return lines
 
 
 def annihilating_lines(f: Form, sigma=(), seed: int = 0,
@@ -362,55 +365,36 @@ def annihilating_lines(f: Form, sigma=(), seed: int = 0,
     sigma_points = [as_dual_point(s) for s in sigma]
     rng = random.Random(seed)
     if f.is_zero():
-        return _generic_system(d, sigma_points, rng)
+        return LineSystem(tuple(_sample_lines(rng, d - 1, 9, sigma_points, general=True)))
     if not f.is_exact:
         raise PreconditionError("annihilating_lines runs on the exact backend")
     for a, b in combinations_with_replacement(sigma_points, 2):
-        if _contract_is_zero(_dual_form(a) * _dual_form(b), f):
+        if annihilates((_dual_form(a), _dual_form(b)), f):
             raise PreconditionError(
                 "a pair from the forbidden locus already annihilates the form")
 
     rejects = {"zero_residual": 0, "pair_condition": 0, "kernel_pair": 0,
                "position": 0, "duplicate": 0}
     for attempt in range(retries):
-        height = 9 << (attempt // 16)
-        sampled: list[Form] = []
-        ok = True
-        while len(sampled) < d - 3:
-            ell = random_combination(rng, UNIT_DUALS, height)
-            if ell is None:
-                continue
-            p = ProjectivePoint(ell.coeffs)
-            if any(same_point(p, s) for s in sigma_points):
-                continue
-            if any(same_point(p, ProjectivePoint(x.coeffs)) for x in sampled):
-                continue
-            sampled.append(ell)
+        sampled = _sample_lines(rng, d - 3, 9 << (attempt // 16), sigma_points)
         if len(sampled) >= 3 and not LineSystem(tuple(sampled)).in_general_position():
             rejects["position"] += 1
             continue
         g = f
         for ell in sampled:
-            g = contract(ell, g)
-            if g.is_zero():
-                ok = False
-                break
-        if not ok:
+            g = contract(ell, g)  # a zero residual stays zero
+        if g.is_zero():
             rejects["zero_residual"] += 1
             continue
-        prime = sampled + [_dual_form(s) for s in sigma_points]
-        if any(
-            _contract_is_zero(la * lb, g)
-            for la, lb in combinations_with_replacement(prime, 2)
-        ):
-            rejects["pair_condition"] += 1
-            continue
+        # a sampled or sigma pair that already kills g comes back flagged
         try:
-            pair = reducible_kernel_pair(
-                g, sigma=[ProjectivePoint(x.coeffs) for x in prime],
-                seed=seed + 7919 * attempt)
+            pair = reducible_kernel_pair(g, sigma=sampled + sigma_points,
+                                         seed=seed + 7919 * attempt)
         except RetryExhausted:
             rejects["kernel_pair"] += 1
+            continue
+        if pair.from_sigma:
+            rejects["pair_condition"] += 1
             continue
         try:
             system = LineSystem(tuple(sampled) + (pair.first, pair.second))
@@ -443,7 +427,7 @@ def minimize_annihilating(f: Form, system: LineSystem) -> LineSystem:
     i = 0
     while i < len(kept):
         trial = kept[:i] + kept[i + 1:]
-        if trial and LineSystem(tuple(trial)).annihilates(f):
+        if trial and annihilates(trial, f):
             kept = trial
         else:
             i += 1
@@ -491,6 +475,29 @@ class SplitProblem:
             if not piece.is_zero():
                 total = total + embed_binary(piece, u, v)
         return total
+
+    def merge(self, decs: dict, provenance: dict, tol: float,
+              rejects: dict) -> Decomposition | None:
+        """The piece decompositions `decs` (by line index), pushed to the plane.
+
+        None on clashing points or on a sum that misses f, each counted in
+        `rejects`; the provenance gains `lines` and `piece_sizes`.
+        """
+        terms = [t for i, dec in decs.items()
+                 for t in push_decomposition(dec, self.spans[i]).terms]
+        if not distinct_points([t.point for t in terms]):
+            rejects["clash"] += 1
+            return None
+        merged = Decomposition(3, self.form.degree, tuple(terms), {
+            **provenance,
+            "lines": [tuple(map(str, ell.coeffs)) for ell in self.system.lines],
+            "piece_sizes": [decs[i].size if i in decs else 0
+                            for i in range(len(self.spans))],
+        })
+        if not merged.meets_tolerance(self.form, tol):
+            rejects["residual"] += 1
+            return None
+        return merged
 
 
 def _line_coordinates(u_ij, span):
@@ -598,7 +605,7 @@ def _binary_on_subspace(f: Form, seed: int, tol: float) -> Decomposition:
     if g is None:
         raise DegenerateSystemError("essential plane does not carry the form")
     dec = decompose_binary(g, seed=seed, tol=tol)
-    pushed = BinaryForm(g, (tuple(u), tuple(v))).push_decomposition(dec)
+    pushed = push_decomposition(dec, (tuple(u), tuple(v)))
     pushed.provenance.update({"route": "binary-subspace"})
     return pushed
 
@@ -659,13 +666,10 @@ def decompose_ternary_odd(f: Form, seed: int = 0, tol: float = RESIDUAL_TOL,
             else:
                 coeffs = [Fraction(rng.randint(-height, height))
                           for _ in split.kernel]
-            pieces = split.pieces(coeffs)
-            terms = []
-            sizes = []
+            decs: dict[int, Decomposition] = {}
             good = True
-            for i, piece in enumerate(pieces):
+            for i, piece in enumerate(split.pieces(coeffs)):
                 if piece.is_zero():
-                    sizes.append(0)
                     continue
                 try:
                     dec = decompose_binary(piece, seed=seed + 31 * t + i, tol=tol)
@@ -677,27 +681,18 @@ def decompose_ternary_odd(f: Form, seed: int = 0, tol: float = RESIDUAL_TOL,
                     rejects["piece_rank"] += 1
                     good = False
                     break
-                pushed = BinaryForm(piece, split.spans[i]).push_decomposition(dec)
-                terms.extend(pushed.terms)
-                sizes.append(dec.size)
+                decs[i] = dec
             if not good:
                 continue
-            if not distinct_points([t_.point for t_ in terms]):
-                rejects["clash"] += 1
-                continue
-            if len(terms) > total_cap:
+            if sum(dec.size for dec in decs.values()) > total_cap:
                 rejects["piece_rank"] += 1
                 continue
-            merged = Decomposition(3, d, tuple(terms), {
-                "route": "odd-line-split",
-                "lines": [tuple(map(str, ell.coeffs)) for ell in system.lines],
-                "k": k, "cap": cap, "tuple_attempt": t,
-                "piece_sizes": sizes, "seed": seed,
-            })
-            if not merged.meets_tolerance(f, tol):
-                rejects["residual"] += 1
-                continue
-            return merged
+            merged = split.merge(decs, {
+                "route": "odd-line-split", "k": k, "cap": cap,
+                "tuple_attempt": t, "seed": seed,
+            }, tol, rejects)
+            if merged is not None:
+                return merged
         best = {"stage": "tuples", "rejects": rejects, "k": k, "cap": cap}
     raise RetryExhausted(
         f"no admissible split decomposition after {outer_budget} line systems",

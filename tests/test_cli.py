@@ -59,6 +59,13 @@ def test_quartic8_with_avoid_file(capsys, tmp_path):
     assert payload["avoidance"]["generators"] == ["x0+x1+x2"]
 
 
+def test_quartic8_power_route_spends_the_retry_budget(capsys, tmp_path):
+    path = avoid_file(tmp_path, "x1")
+    code, out, _ = run(capsys, "quartic8", "x0^4", "--avoid", path, "--retries", "0")
+    assert code == EXIT_RETRY
+    assert out == ""
+
+
 def test_quartic8_reads_its_input_in_three_variables(capsys):
     code, out, _ = run(capsys, "quartic8", "x0^4")
     assert code == EXIT_OK

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from waring.apolarity import cat_rank_table, catalecticant, essential_variables, rank_lower_bound
 from waring.binary import embed_binary, line_embedding
 from waring.decomposition import term_from_vector
-from waring.errors import DimensionMismatch, ParseFormError
+from waring.errors import DimensionMismatch, ParseFormError, ZeroFormError
 from waring.forms import (
     Form,
     ProjectivePoint,
@@ -206,6 +206,19 @@ def test_distinct_points_catches_collisions():
            ProjectivePoint((2, 0))]
     assert not distinct_points(pts)
     assert distinct_points(pts[:2])
+
+
+def test_chordal_distance_rescales_coordinates_whose_squares_underflow():
+    assert chordal_distance((0j, 0j, 1e-200j), (1, 0, 0)) == 1.0
+
+
+def test_distinct_points_rescales_coordinates_whose_squares_underflow():
+    assert distinct_points([(0j, 0j, 1e-200j), (1, 0, 0)])
+
+
+def test_chordal_distance_of_the_zero_vector_raises():
+    with pytest.raises(ZeroFormError):
+        chordal_distance((0, 0, 0), (1, 0, 0))
 
 
 def test_random_form_is_deterministic():

@@ -10,7 +10,7 @@ from waring.apolarity import catalecticant, essential_variables, rank_lower_boun
 from waring.avoidance import AvoidanceSet
 from waring.binary import border_rank_binary
 from waring.certify import BOUND_QUARTIC_EIGHT, verify_decomposition
-from waring.errors import PreconditionError, WaringError, ZeroFormError
+from waring.errors import PreconditionError, RetryExhausted, WaringError, ZeroFormError
 from waring.forms import Form, contract, parse_form, power_of_linear, random_form
 from waring.monomials import exponents
 from waring.plane import det3
@@ -172,6 +172,16 @@ def test_route_line_open_for_plane_forms():
     assert dec.provenance["route"] == "line-open"
     check_open(f, dec, X, max_size=3)
     assert dec.size == 3
+
+
+@pytest.mark.parametrize("text, avoided", [
+    ("x0^4", "x1"),                      # power route
+    ("x0^4 + x0^3*x1 + x1^4", "x0 - x2"),  # plane route, line open
+])
+def test_line_routes_spend_the_callers_retry_budget(text, avoided):
+    X = AvoidanceSet(3, (parse_form(avoided, 3),))
+    with pytest.raises(RetryExhausted):
+        quartic_decompose_open(parse_form(text, 3), X, seed=0, retries=0)
 
 
 def test_route_two_line_escape_for_small_initial_degree():

@@ -4,6 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from waring import ternary
+from waring.binary import decompose_binary
+from waring.certify import verify_decomposition
+from waring.decomposition import Decomposition, Term
 from waring.errors import (
     DegenerateSystemError,
     PreconditionError,
@@ -17,8 +21,10 @@ from waring.forms import (
     power_of_linear,
     random_form,
 )
+from waring.plane import cross
 from waring.ternary import (
     LineSystem,
+    annihilates,
     annihilating_lines,
     bound_B1,
     decompose_ternary_odd,
@@ -60,7 +66,6 @@ def test_line_system_geometry():
     p = sys.intersection(0, 1)
     nz = next(c for c in p if c != 0)
     assert tuple(F(c) / nz for c in p) == (F(0), F(0), F(1))
-    assert sys.product().degree == 3
     assert sys.in_general_position()
 
 
@@ -74,6 +79,15 @@ def test_line_system_annihilates():
     f = parse_form("x0^5 + x1^5", 3)
     assert LineSystem((lin(1, 0, 0), lin(0, 1, 0))).annihilates(f)
     assert not LineSystem((lin(1, 0, 0), lin(1, 1, 0))).annihilates(f)
+
+
+def test_annihilates_float_duals_within_tolerance():
+    # a power of a point on a line is killed by that line's dual
+    l1, l2 = (1 + 2j, -0.5j, 0.3), (0.7, 1.1 - 0.4j, -2j)
+    f = power_of_linear(cross(l1, (1, 1, 1)), 5) + power_of_linear(cross(l2, (1, -1, 2)), 5)
+    assert annihilates((Form(3, 1, l1), Form(3, 1, l2)), f)
+    nudged = (l1[0] * (1 + 1e-6),) + l1[1:]
+    assert not annihilates((Form(3, 1, nudged), Form(3, 1, l2)), f)
 
 
 # -- reducible members of apolar nets ------------------------------------------
@@ -141,6 +155,15 @@ def test_annihilating_lines_validates_input():
         annihilating_lines(parse_form("x0^2 + x1^2", 2))
 
 
+def test_annihilating_lines_tests_each_pair_once(monkeypatch):
+    # the pairs of sampled lines are tested inside reducible_kernel_pair only
+    calls = []
+    real = ternary.contract
+    monkeypatch.setattr(ternary, "contract", lambda t, g: calls.append(t) or real(t, g))
+    annihilating_lines(random_form(3, 9, 0))
+    assert len(calls) == 29
+
+
 def test_minimize_annihilating_drops_redundant_line():
     f = parse_form("x0^5 + x1^5", 3)
     fat = LineSystem((lin(1, 0, 0), lin(0, 1, 0), lin(1, 1, 0)))
@@ -200,6 +223,28 @@ def test_split_on_lines_two_planted_lines():
     assert split.solution_dim == 1
     zero = [F(0)]
     assert (split.assemble(split.pieces(zero)) - fsum).is_zero()
+
+
+def test_split_merge_counts_clash_and_residual():
+    # pieces on x2 = 0 and x0 = 0 whose roots miss the point (0, 1, 0)
+    f = parse_form("x0^5 + 2*x0^3*x1^2 - x0*x1^4 + 3*x1^5 + x1^3*x2^2 - 2*x2^5", 3)
+    sys = LineSystem((lin(0, 0, 1), lin(1, 0, 0)))
+    split = split_on_lines(f, sys)
+    decs = {i: decompose_binary(p) for i, p in enumerate(split.pieces([F(0)]))
+            if not p.is_zero()}
+    rejects = {"clash": 0, "residual": 0}
+    merged = split.merge(decs, {"route": "test"}, 1e-8, rejects)
+    assert verify_decomposition(f, merged).valid
+    assert merged.provenance["lines"] == [tuple(map(str, ell.coeffs)) for ell in sys.lines]
+    assert merged.provenance["route"] == "test"
+    assert rejects == {"clash": 0, "residual": 0}
+    first = min(decs)
+    doubled = Decomposition(2, 5, decs[first].terms * 2)
+    assert split.merge({first: doubled}, {}, 1e-8, rejects) is None
+    assert rejects == {"clash": 1, "residual": 0}
+    halved = Decomposition(2, 5, tuple(Term(t.coeff / 2, t.point) for t in decs[first].terms))
+    assert split.merge({**decs, first: halved}, {}, 1e-8, rejects) is None
+    assert rejects == {"clash": 1, "residual": 1}
 
 
 # -- full odd-degree decompositions ---------------------------------------------
