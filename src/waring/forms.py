@@ -11,9 +11,18 @@ monomials in x0..x{n-1}) and their duals (the divided-power side, acting by
 differentiation).  Which role a form plays is decided by the operation:
 `contract(t, f)` differentiates f by t, so t is dual and f is primal.
 
-Products and contractions run on the index tables of `monomials` and add
-nonzero products onto the backend's zero in monomial order, left factor
-outer: same order, same bits.  Their results skip re-normalization.
+Products and contractions run on the index tables of `monomials`.  Exact
+kernels (products, contractions, sums, differences and powers of linear
+forms) scale each operand by the lcm of its coefficient denominators and
+accumulate the integer numerators, so an output coefficient costs one
+`Fraction` instead of a `Fraction` multiply and add per term; the result
+is the same canonical `Fraction` in any summation order.  A kernel that
+mixes backends converts each exact coefficient to `complex` once, which
+is what `Fraction * complex` does on every product anyway; the float loops
+keep the order of terms (nonzero products onto the backend's zero in
+monomial order, left factor outer) and of each multiplication, so the bits
+are those of the coefficient-wise expressions.  Kernel results skip
+re-normalization.
 
 Points of the projective space P(S_1) are `ProjectivePoint`s.  Exact points
 normalize their first nonzero coordinate to 1; float points normalize the
@@ -29,6 +38,7 @@ draws its generic members of a linear system through it.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import re
 from dataclasses import dataclass
@@ -41,7 +51,7 @@ from .monomials import (
     exponents,
     index_of,
     monomial_string,
-    multinomial,
+    multinomials,
     product_table,
     space_dim,
 )
@@ -148,21 +158,36 @@ class Form:
                 f"with (n={other.num_vars}, d={other.degree})"
             )
 
-    def __add__(self, other: "Form") -> "Form":
+    def _combine(self, other: "Form", op) -> "Form":
         self._check_same_space(other)
-        return Form(self.num_vars, self.degree,
-                    tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        exact = self._exact and other._exact
+        if exact:
+            a, da = _numerators(self.coeffs)
+            b, db = _numerators(other.coeffs)
+            den = math.lcm(da, db)
+            sa, sb = den // da, den // db
+            out = _over((op(x * sa, y * sb) for x, y in zip(a, b)), den)
+        else:
+            out = tuple(op(x, y) for x, y in zip(_floats(self), _floats(other)))
+        return Form._trusted(self.num_vars, self.degree, out, exact)
+
+    def __add__(self, other: "Form") -> "Form":
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "Form") -> "Form":
-        self._check_same_space(other)
-        return Form(self.num_vars, self.degree,
-                    tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> "Form":
-        return Form(self.num_vars, self.degree, tuple(-a for a in self.coeffs))
+        return Form._trusted(self.num_vars, self.degree, tuple(-a for a in self.coeffs),
+                             self._exact)
 
     def scale(self, scalar) -> "Form":
-        return Form(self.num_vars, self.degree, tuple(c * scalar for c in self.coeffs))
+        products = tuple(c * scalar for c in self.coeffs)
+        if self._exact and isinstance(scalar, (Fraction, int)):
+            return Form._trusted(self.num_vars, self.degree, products, True)
+        if not self._exact or isinstance(scalar, (float, complex)):
+            return Form._trusted(self.num_vars, self.degree, tuple(map(complex, products)), False)
+        return Form(self.num_vars, self.degree, products)
 
     def __mul__(self, other: "Form") -> "Form":
         """Polynomial product within the same variable set."""
@@ -172,13 +197,38 @@ class Form:
             raise DimensionMismatch("product needs matching variable counts")
         n, degree = self.num_vars, self.degree + other.degree
         exact = self._exact and other._exact
-        out = [Fraction(0) if exact else 0j] * space_dim(n, degree)
-        right = [(ib, cb) for ib, cb in enumerate(other.coeffs) if cb != 0]
-        for ca, row in zip(self.coeffs, product_table(n, self.degree, other.degree)):
+        if exact:
+            (a, da), (b, db) = _numerators(self.coeffs), _numerators(other.coeffs)
+        else:
+            a, b = _floats(self), _floats(other)
+        out = [0 if exact else 0j] * space_dim(n, degree)
+        right = [(ib, cb) for ib, cb in enumerate(b) if cb != 0]
+        for ca, row in zip(a, product_table(n, self.degree, other.degree)):
             if ca != 0:
                 for ib, cb in right:
                     out[row[ib]] += ca * cb
-        return Form._trusted(n, degree, tuple(out), exact)
+        coeffs = _over(out, da * db) if exact else tuple(out)
+        return Form._trusted(n, degree, coeffs, exact)
+
+
+def _numerators(coeffs: tuple) -> tuple[list[int], int]:
+    """Exact coefficients as integer numerators over the lcm of their denominators."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _over(numerators: Iterable[int], den: int) -> tuple:
+    """The canonical Fractions numerator / den."""
+    if den == 1:
+        return tuple(map(Fraction, numerators))
+    return tuple(Fraction(v, den) for v in numerators)
+
+
+def _floats(form: Form) -> tuple:
+    """The coefficients as complex numbers, exact ones converted once."""
+    return tuple(map(complex, form.coeffs)) if form._exact else form.coeffs
 
 
 #: alias used where a form acts by differentiation (the apolarity pairing)
@@ -199,28 +249,42 @@ def contract(t: Form, f: Form) -> Form:
             f"cannot contract degree {f.degree} by degree {t.degree}")
     n, out_degree = f.num_vars, f.degree - t.degree
     exact = t._exact and f._exact
-    out = [Fraction(0) if exact else 0j] * space_dim(n, out_degree)
-    fc = f.coeffs
-    for ta, row in zip(t.coeffs, contraction_table(n, t.degree, f.degree)):
+    if exact:
+        (tc, dt), (fc, df) = _numerators(t.coeffs), _numerators(f.coeffs)
+    else:
+        tc, fc = _floats(t), _floats(f)
+    out = [0 if exact else 0j] * space_dim(n, out_degree)
+    for ta, row in zip(tc, contraction_table(n, t.degree, f.degree)):
         if ta != 0:
             for ib, k, fall in row:
                 fb = fc[ib]
                 if fb != 0:
                     out[k] += ta * fb * fall
-    return Form._trusted(n, out_degree, tuple(out), exact)
+    coeffs = _over(out, dt * df) if exact else tuple(out)
+    return Form._trusted(n, out_degree, coeffs, exact)
 
 
 def power_of_linear(point: Sequence, degree: int, coeff=1) -> Form:
     """coeff * (p0*x0 + ... + p_{n-1}*x_{n-1})^degree, expanded densely."""
     n = len(point)
+    exact = is_exact_scalar(coeff) and all(is_exact_scalar(p) for p in point)
+    if exact:  # integer numerators over den ** degree
+        bases, den = _numerators(tuple(map(Fraction, point)))
+        coeff = Fraction(coeff)
+        start = coeff.numerator
+    else:
+        bases, start = point, coeff
+    powers = [[p ** e for e in range(degree + 1)] for p in bases]
     coeffs = []
-    for expo in exponents(n, degree):
-        term = coeff * multinomial(expo)
-        for p, e in zip(point, expo):
+    for expo, multi in zip(exponents(n, degree), multinomials(n, degree)):
+        term = start * multi
+        for pw, e in zip(powers, expo):
             if e:
-                term = term * (p ** e)
+                term = term * pw[e]
         coeffs.append(term)
-    return Form(n, degree, tuple(coeffs))
+    if exact:
+        return Form._trusted(n, degree, _over(coeffs, coeff.denominator * den ** degree), True)
+    return Form._trusted(n, degree, *_normalize_coeffs(coeffs))
 
 
 def evaluate(f: Form, point: Sequence) -> Scalar:
@@ -343,6 +407,13 @@ class ProjectivePoint:
 
     def as_floats(self) -> tuple[complex, ...]:
         return tuple(complex(c) for c in self.coords)
+
+
+def _norm(a: tuple[complex, ...]) -> float:
+    try:
+        return math.sqrt(sum(abs(x) ** 2 for x in a))
+    except OverflowError:  # a square beyond the float range
+        return math.inf
 
 
 def _floats_with_norm(p: ProjectivePoint | Sequence) -> tuple[tuple[complex, ...], float]:

@@ -82,6 +82,12 @@ def multinomial(expo: tuple[int, ...]) -> int:
     return out
 
 
+@lru_cache(maxsize=None)
+def multinomials(num_vars: int, degree: int) -> tuple[int, ...]:
+    """multinomial(expo) for every exponent tuple of degree `degree`, in monomial order."""
+    return tuple(multinomial(e) for e in exponents(num_vars, degree))
+
+
 def falling_product(beta: tuple[int, ...], alpha: tuple[int, ...]) -> int:
     """prod_i beta_i * (beta_i - 1) * ... * (beta_i - alpha_i + 1).
 

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,7 @@ from waring.forms import (
     same_point,
     substitute,
 )
-from waring.monomials import exponents, falling_product, index_of, space_dim
+from waring.monomials import exponents, falling_product, index_of, multinomial, space_dim
 
 
 def test_exponent_order_is_descending_lex():
@@ -379,6 +380,117 @@ def test_kernels_on_degree_zero_and_negative_zero_forms():
 
 
 SPAN = st.one_of(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)), FLOAT)
+
+
+# The references below are the coefficient-wise expressions that the
+# integer-numerator kernels replaced, each normalized by the `Form`
+# constructor.  The kernels must agree with them bit for bit.
+
+def reference_add(a, b):
+    return Form(a.num_vars, a.degree, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+
+
+def reference_sub(a, b):
+    return Form(a.num_vars, a.degree, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+
+
+def reference_neg(a):
+    return Form(a.num_vars, a.degree, tuple(-x for x in a.coeffs))
+
+
+def reference_scale(a, scalar):
+    return Form(a.num_vars, a.degree, tuple(c * scalar for c in a.coeffs))
+
+
+def reference_power_of_linear(point, degree, coeff=1):
+    coeffs = []
+    for expo in exponents(len(point), degree):
+        term = coeff * multinomial(expo)
+        for p, e in zip(point, expo):
+            if e:
+                term = term * (p ** e)
+        coeffs.append(term)
+    return Form(len(point), degree, tuple(coeffs))
+
+
+@st.composite
+def same_space_pairs(draw):
+    n, d = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    return draw(forms(n, d)), draw(forms(n, d))
+
+
+SIGNED_ZEROS = st.sampled_from([0, Fraction(0), 0.0, -0.0, 0j, complex(-0.0, -0.0),
+                                complex(0.0, -0.0), np.complex128(complex(-0.0, 0.0))])
+SCALARS = st.one_of(
+    SIGNED_ZEROS,
+    st.integers(-9, 9),
+    EXACT,
+    st.builds(float, PART),
+    FLOAT,
+    st.builds(np.complex128, FLOAT),
+)
+
+
+@KERNEL
+@given(same_space_pairs())
+def test_sums_and_negation_match_the_reference_bit_for_bit(pair):
+    a, b = pair
+    assert bits(a + b) == bits(reference_add(a, b))
+    assert bits(a - b) == bits(reference_sub(a, b))
+    assert bits(-a) == bits(reference_neg(a))
+
+
+@KERNEL
+@given(st.integers(1, 3).flatmap(lambda n: forms(n, 2)), SCALARS)
+def test_scale_matches_the_reference_bit_for_bit(form, scalar):
+    assert bits(form.scale(scalar)) == bits(reference_scale(form, scalar))
+
+
+@KERNEL
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(SPAN, min_size=n, max_size=n)),
+       st.integers(0, 6), st.one_of(st.just(1), st.integers(-9, 9), EXACT, FLOAT))
+@example([Fraction(1, 3), Fraction(-2, 9), Fraction(5, 4)], 5, Fraction(7, 6))
+@example([Fraction(1), 0.5 - 0.25j, Fraction(0)], 0, 1)
+@example([complex(-0.0, 1.0), Fraction(2, 3)], 3, -0.0 + 0j)
+def test_power_of_linear_matches_the_reference_bit_for_bit(point, degree, coeff):
+    got = power_of_linear(point, degree, coeff)
+    assert bits(got) == bits(reference_power_of_linear(point, degree, coeff))
+
+
+def counting(monkeypatch, *names):
+    """Count the calls of the named Fraction methods."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(Fraction, name)
+
+        def wrapper(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(Fraction, name, wrapper)
+    return calls
+
+
+def test_exact_kernels_add_integer_numerators(monkeypatch):
+    a = Form(3, 2, tuple(Fraction(i - 2, i + 2) for i in range(6)))
+    b = Form(3, 3, tuple(Fraction(3 - i, 2 * i + 3) for i in range(10)))
+    product_ref, contraction_ref = reference_mul(a, b), reference_contract(a, b)
+    calls = counting(monkeypatch, "__mul__", "__rmul__", "__add__", "__radd__")
+    product, contraction = a * b, contract(a, b)
+    assert calls == dict.fromkeys(calls, 0)
+    monkeypatch.undo()
+    assert bits(product) == bits(product_ref)
+    assert bits(contraction) == bits(contraction_ref)
+
+
+def test_mixed_kernels_convert_each_exact_coefficient_once(monkeypatch):
+    exact = Form(3, 2, tuple(Fraction(i - 2, i + 2) for i in range(6)))
+    floats = Form(3, 3, tuple(complex(i, 1 - i) for i in range(10)))
+    expected = [bits(reference_mul(exact, floats)), bits(reference_mul(floats, exact)),
+                bits(reference_contract(exact, floats))]
+    calls = counting(monkeypatch, "__complex__")
+    got = [bits(exact * floats), bits(floats * exact), bits(contract(exact, floats))]
+    assert calls["__complex__"] == 3 * len(exact.coeffs)
+    assert got == expected
 
 
 @KERNEL
