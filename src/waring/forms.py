@@ -64,6 +64,10 @@ FLOAT_ZERO_TOL = 1e-9
 #: relative slack within which float coordinates count as the largest
 _PIVOT_SLACK = 1e-12
 
+#: norms within which neither a vector's squares nor the wedge of two such
+#: vectors under- or overflow; `chordal_distance` rescales a vector outside
+_NORM_RANGE = (2.0 ** -200, 2.0 ** 200)
+
 
 def is_exact_scalar(value) -> bool:
     return isinstance(value, (Fraction, int))
@@ -418,12 +422,16 @@ def _norm(a: tuple[complex, ...]) -> float:
 
 def _floats_with_norm(p: ProjectivePoint | Sequence) -> tuple[tuple[complex, ...], float]:
     a = p.as_floats() if isinstance(p, ProjectivePoint) else tuple(complex(c) for c in p)
-    norm = math.sqrt(sum(abs(x) ** 2 for x in a))
-    if norm == 0:  # a zero vector, or squares that underflow: rescale by the top entry
+    norm = _norm(a)
+    if not _NORM_RANGE[0] <= norm <= _NORM_RANGE[1]:
+        # squares, here or in a wedge, may have under- or overflowed: scale by
+        # the power of two of the top entry, which is exact for normal floats
         top = max((abs(x) for x in a), default=0.0)
         if top == 0:
             raise ZeroFormError("the zero vector is not a projective point")
-        return _floats_with_norm([x / top for x in a])
+        shift = -math.frexp(top)[1]
+        a = tuple(complex(math.ldexp(x.real, shift), math.ldexp(x.imag, shift)) for x in a)
+        norm = _norm(a)
     return a, norm
 
 

@@ -3,9 +3,10 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from waring.apolarity import cat_rank_table, catalecticant, essential_variables, rank_lower_bound
@@ -215,6 +216,44 @@ def test_chordal_distance_rescales_coordinates_whose_squares_underflow():
 
 def test_distinct_points_rescales_coordinates_whose_squares_underflow():
     assert distinct_points([(0j, 0j, 1e-200j), (1, 0, 0)])
+
+
+def test_chordal_distance_rescales_a_wedge_whose_squares_underflow():
+    # the norm survives but the wedge's squares do not
+    p = (3e-162, 1e-162, 0)
+    assert chordal_distance(p, (1, 0, 0)) == pytest.approx(math.sqrt(0.1), rel=1e-15)
+    assert distinct_points([p, (1, 0, 0)])
+
+
+def reference_chordal(p, q):
+    """The chordal distance of two float vectors, in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        a = [mpmath.mpc(complex(c)) for c in p]
+        b = [mpmath.mpc(complex(c)) for c in q]
+        wedge = sum(abs(a[i] * b[j] - a[j] * b[i]) ** 2
+                    for i in range(len(a)) for j in range(i + 1, len(a)))
+        norms = mpmath.sqrt(sum(abs(x) ** 2 for x in a) * sum(abs(x) ** 2 for x in b))
+        return float(mpmath.sqrt(wedge) / norms)
+
+
+UNIT = st.one_of(st.just(0.0), st.floats(min_value=-1, max_value=1))
+
+
+@st.composite
+def scaled_vectors(draw):
+    """Three complex coordinates of at most 1 in magnitude, times 10**k for |k| <= 300."""
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    coords = tuple(complex(draw(UNIT) * scale, draw(UNIT) * scale) for _ in range(3))
+    assume(any(coords))
+    return coords
+
+
+@settings(max_examples=200, deadline=None)
+@given(scaled_vectors(), scaled_vectors())
+@example((3e-162, 1e-162, 0j), (1 + 0j, 0j, 0j))
+@example((1e300, 1e300j, 0j), (1e-300, 0j, 1e-300))
+def test_chordal_distance_matches_a_high_precision_reference(p, q):
+    assert chordal_distance(p, q) == pytest.approx(reference_chordal(p, q), abs=1e-12)
 
 
 def test_chordal_distance_of_the_zero_vector_raises():
