@@ -11,7 +11,7 @@ values at `NUMERIC_RANK_TOL` relative to the largest.
 
 `solve_columns` is the one exact-then-float span solve: it writes a target
 vector in the span of given columns, by exact elimination when every entry
-is exact and by least squares otherwise.
+is exact and by column-equilibrated least squares otherwise.
 """
 
 from __future__ import annotations
@@ -178,8 +178,11 @@ def solve_columns(columns: Sequence[Sequence], target: Sequence) -> tuple[list, 
 
     When every entry is exact (Fraction or int) this is `exact_solve`: it
     returns (x, 0.0), or None when the system is inconsistent.  Otherwise
-    it is plain least squares, and the residual max|Mx - b| / max(1, max|b|)
-    comes back for the caller to judge.
+    it is an equilibrated least-squares solve: each column is divided by
+    its largest magnitude (1 for a zero column), the scaled system is
+    solved, and the solution is divided back, so columns of very different
+    size (high powers of points) keep their digits.  The residual
+    max|Mx - b| / max(1, max|b|) comes back for the caller to judge.
     """
     matrix = [[col[r] for col in columns] for r in range(len(target))]
     exact = (all(isinstance(b, (Fraction, int)) for b in target)
@@ -189,6 +192,8 @@ def solve_columns(columns: Sequence[Sequence], target: Sequence) -> tuple[list, 
         return None if x is None else (x, 0.0)
     m = np.array([[complex(x) for x in row] for row in matrix])
     rhs = np.array([complex(b) for b in target])
-    x = lstsq_solve(m, rhs)
+    scale = np.abs(m).max(axis=0)
+    scale[scale == 0] = 1.0
+    x = lstsq_solve(m / scale, rhs) / scale
     residual = max(abs(r) for r in m @ x - rhs) / max(1.0, max(abs(b) for b in rhs))
     return list(x), float(residual)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import waring.apolarity as apolarity
 from waring.avoidance import AvoidanceSet
@@ -16,7 +18,7 @@ from waring.binary import (
     open_rank_binary,
     rank_binary,
 )
-from waring.certify import verify_decomposition
+from waring.certify import BOUND_BINARY_RANK, verify_decomposition
 from waring.errors import PreconditionError, RetryExhausted, WaringError
 from waring.forms import Form, parse_form, power_of_linear, random_form
 
@@ -220,6 +222,30 @@ def test_decompose_binary_degree_forty_probe_returns_or_raises_waring_error():
     except WaringError:
         return
     assert (dec.num_vars, dec.degree) == (2, 40)
+
+
+def binary_certificate(f):
+    return verify_decomposition(f, decompose_binary(f), bound=(rank_binary(f), BOUND_BINARY_RANK))
+
+
+@pytest.mark.parametrize("degree,seed", [(36, 0), (40, 0), (40, 1), (40, 2), (44, 0), (48, 0)])
+def test_high_degree_weight_solves_certify_valid(degree, seed):
+    # the root route's weight solve meets columns from 1 to |root|^d in size;
+    # unequilibrated least squares left residuals of 2e-8 to 5e-5 here
+    assert binary_certificate(random_form(2, degree, seed)).valid
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 40), st.integers(0, 10**6))
+@example(36, 0)
+@example(40, 1)
+def test_decompose_binary_certifies_valid_or_raises_a_waring_error(degree, seed):
+    f = random_form(2, degree, seed)
+    try:
+        certificate = binary_certificate(f)
+    except WaringError:
+        return
+    assert certificate.valid
 
 
 def test_float_routes_give_plain_fraction_or_complex_scalars():

@@ -27,7 +27,7 @@ from waring import (
 )
 from waring.certify import BOUND_BINARY_RANK, BOUND_ODD_SPLIT, BOUND_QUARTIC_EIGHT
 
-PINNED_SHA256 = "86410b92a24c02d504ada7167a451911e76fe3d075961dfbd9ed80032ada9574"
+PINNED_SHA256 = "40bcb211317e8529d5770f5bffabd9ca22f304d6c416e56f9e880d98245d6246"
 
 QUARTIC_AVOID = (None, "x2", "x0*x2 - x1^2", "x0^3 + x1^3 + x2^3")
 
