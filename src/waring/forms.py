@@ -189,9 +189,7 @@ class Form:
         products = tuple(c * scalar for c in self.coeffs)
         if self._exact and isinstance(scalar, (Fraction, int)):
             return Form._trusted(self.num_vars, self.degree, products, True)
-        if not self._exact or isinstance(scalar, (float, complex)):
-            return Form._trusted(self.num_vars, self.degree, tuple(map(complex, products)), False)
-        return Form(self.num_vars, self.degree, products)
+        return Form._trusted(self.num_vars, self.degree, *_normalize_coeffs(products))
 
     def __mul__(self, other: "Form") -> "Form":
         """Polynomial product within the same variable set."""
