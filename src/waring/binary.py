@@ -9,11 +9,18 @@ middle delta = d // 2.  Each invariant then costs that rank, plus one
 kernel at degree b or d + 2 - b when generators are needed.  Border rank
 equals b; rank is b when the degree-b generator has distinct roots and
 d + 2 - b otherwise; and d + 2 - b points always suffice even when any
-prescribed proper closed subset must be avoided.  Decompositions are
-found by sampling the degree-(d + 2 - b) part of the apolar ideal until
-a squarefree member with admissible roots appears; the theory guarantees
-this happens generically, so failures surface as RetryExhausted with
-sampling diagnostics instead of a wrong answer.
+prescribed proper closed subset must be avoided.
+
+One decomposer, `decompose_binary_bounded`, gives every rank-length
+decomposition; `decompose_binary` is it with nothing avoided and the cap
+d + 1.  It takes the distinct roots of the degree-b generator, samples
+the pencil of degree-b members when 2b = d + 2, and otherwise samples
+the degree-(d + 2 - b) part of the ideal, as `decompose_binary_avoiding`
+does for the open-rank length.  Every failure raises RetryExhausted.
+Sampled weights below SMALL_COEFF_TOL of the largest are rejected as
+near-degenerate, except at the pencil length b: no weight can vanish
+there (a shorter sum would undercut the border rank b), so a tiny weight
+is genuine; `random_form(2, 40, 1)` certifies with a ratio of 9e-11.
 
 Binary data often lives on a line inside a bigger projective space.  The
 embedding sending the monomial s^(d-j) t^j to U^(d-j) V^j (U, V the
@@ -45,11 +52,13 @@ SEPARATION_TOL = 1e-6
 SMALL_COEFF_TOL = 1e-10
 
 
-def _require_binary(f: Form):
+def _require_binary(f: Form, avoid: AvoidanceSet | None = None):
     if f.num_vars != 2:
         raise PreconditionError("expected a binary form")
     if f.is_zero():
         raise ZeroFormError("the zero form has no rank")
+    if avoid is not None and avoid.num_vars != 2:
+        raise PreconditionError("avoidance set must be binary")
 
 
 def _require_exact(f: Form):
@@ -221,8 +230,7 @@ def _solve_weights(f: Form, points: list[ProjectivePoint]):
 
 def _build(f: Form, points, weights, provenance) -> Decomposition:
     terms = tuple(Term(w, p) for w, p in zip(weights, points))
-    dec = Decomposition(2, f.degree, terms, provenance)
-    return dec
+    return Decomposition(2, f.degree, terms, provenance)
 
 
 # -- decompositions ---------------------------------------------------------
@@ -231,61 +239,25 @@ def _build(f: Form, points, weights, provenance) -> Decomposition:
 def decompose_binary(f: Form, seed: int = 0, tol: float = RESIDUAL_TOL) -> Decomposition:
     """A power sum for f of minimal length (the Waring rank).
 
-    Exact input gives exact scalars whenever the relevant apolar roots
-    are rational; otherwise points and weights are floats verified
-    against `tol`.  Float input is accepted for internal pipelines.
+    This is `decompose_binary_bounded` with nothing avoided and the cap
+    d + 1, which no binary rank exceeds.  Exact input gives exact scalars
+    whenever the relevant apolar roots are rational; otherwise points and
+    weights are floats verified against `tol`.  Float input is accepted
+    for internal pipelines.
     """
-    _require_binary(f)
-    d = f.degree
-    b = initial_degree_any(f)
-    kernel = _kernel_any(f, b)
-    provenance = {"route": "apolar-roots", "initial_degree": b}
-    if len(kernel) == 1:
-        pts = _try_exact_then_float_points(kernel[0])
-        if pts is not None:
-            return _finish_root_route(f, pts, provenance, tol)
-        # repeated roots: rank jumps to d + 2 - b
-        return _sample_ideal_decomposition(f, d + 2 - b, None, seed, tol,
-                                           retries=64,
-                                           provenance={"route": "kernel-sampling",
-                                                       "initial_degree": b})
-    # a pencil (2b = d + 2): generic members are squarefree
-    rng = random.Random(seed)
-    for attempt in range(64):
-        height = 9 << (attempt // 8)
-        combo = random_combination(rng, kernel, height)
-        if combo is None:
-            continue
-        pts = _try_exact_then_float_points(combo)
-        if pts is None:
-            continue
-        try:
-            return _finish_root_route(f, pts, {**provenance,
-                                               "route": "apolar-pencil",
-                                               "attempt": attempt}, tol)
-        except RootFindingError:
-            continue
-    raise RetryExhausted("no squarefree member found in the apolar pencil",
-                         diagnostics={"attempts": 64, "initial_degree": b})
+    return decompose_binary_bounded(f, None, f.degree + 1, seed, tol)
 
 
 def _try_exact_then_float_points(g: Form):
+    """Distinct roots of g, exact when rational; None on repeated roots or
+    when the root iteration fails to converge."""
     pts = _exact_points_if_rational(g)
     if pts is not None:
         return pts
-    return _roots_of_kernel_form(g)
-
-
-def _finish_root_route(f, points, provenance, tol) -> Decomposition:
-    weights = _solve_weights(f, points)
-    if weights is None:
-        raise RootFindingError("apolar root system was inconsistent")
-    dec = _build(f, points, weights, provenance)
-    res = dec.residual(f)
-    if res > max(tol, RESIDUAL_TOL) * 1e4:
-        raise RootFindingError(f"root-route decomposition residual {res:.2e}")
-    dec.provenance["residual"] = res
-    return dec
+    try:
+        return _roots_of_kernel_form(g)
+    except RootFindingError:
+        return None
 
 
 def _sample_ideal_decomposition(f, size, avoid, seed, tol, retries,
@@ -293,12 +265,14 @@ def _sample_ideal_decomposition(f, size, avoid, seed, tol, retries,
     """Sample degree-`size` apolar members until one yields good points.
 
     Good means: squarefree with separated roots, all roots off the
-    avoidance set, all weights comfortably nonzero, small residual.
+    avoidance set, all weights comfortably nonzero (not asked at the pencil
+    length, see the module docstring), small residual.
     """
     d = f.degree
     basis = _kernel_any(f, size)
     if not basis:
-        raise PreconditionError("apolar ideal is empty in the target degree")
+        raise RetryExhausted("apolar ideal is empty in the target degree",
+                             diagnostics={"target_size": size})
     rng = random.Random(seed)
     rejects = {"zero_combo": 0, "repeated_roots": 0, "avoided": 0,
                "tiny_weight": 0, "residual": 0}
@@ -320,10 +294,11 @@ def _sample_ideal_decomposition(f, size, avoid, seed, tol, retries,
         if weights is None:
             rejects["residual"] += 1
             continue
-        scale = max(abs(complex(w)) for w in weights)
-        if scale == 0 or min(abs(complex(w)) for w in weights) <= SMALL_COEFF_TOL * scale:
-            rejects["tiny_weight"] += 1
-            continue
+        if 2 * size != d + 2:
+            scale = max(abs(complex(w)) for w in weights)
+            if scale == 0 or min(abs(complex(w)) for w in weights) <= SMALL_COEFF_TOL * scale:
+                rejects["tiny_weight"] += 1
+                continue
         dec = _build(f, pts, weights, {**provenance, "attempt": attempt,
                                        "target_size": size})
         ok = dec.meets_tolerance(f, tol)
@@ -348,9 +323,7 @@ def decompose_binary_avoiding(f: Form, avoid: AvoidanceSet | None = None,
     Powers of a single linear form get the special treatment their apolar
     ideal demands (d + 1 points, none equal to the power point itself).
     """
-    _require_binary(f)
-    if avoid is not None and avoid.num_vars != 2:
-        raise PreconditionError("avoidance set must be binary")
+    _require_binary(f, avoid)
     d = f.degree
     b = initial_degree_any(f)
     if b == 1:
@@ -418,32 +391,37 @@ def decompose_binary_bounded(f: Form, avoid: AvoidanceSet | None,
     Prefers the rank-length route: pencil members are sampled with the
     avoidance filter built in, fixed kernel roots are used when they all
     clear the avoidance set, and otherwise the length grows to d + 2 - b.
-    Raises RetryExhausted when no admissible length fits under the cap,
-    which callers treat as a resampling signal.
+    Every failure, a length over the cap included, raises RetryExhausted,
+    which callers treat as a resampling signal; PreconditionError is left
+    for a zero or non-binary form and a non-binary avoidance set.
     """
-    _require_binary(f)
+    _require_binary(f, avoid)
     d = f.degree
     b = initial_degree_any(f)
     if 2 * b == d + 2:
-        if b > max_size:
-            raise RetryExhausted(
-                f"rank {b} exceeds the per-piece cap {max_size}",
-                diagnostics={"needed": b, "cap": max_size})
-        return _sample_ideal_decomposition(
-            f, b, avoid, seed, tol, retries,
-            provenance={"route": "pencil-avoiding", "initial_degree": b})
-    gens = _kernel_any(f, b)
-    pts = _try_exact_then_float_points(gens[0]) if gens and b <= max_size else None
-    if pts is not None and (avoid is None or not any(avoid.contains(p) for p in pts)):
-        return _finish_root_route(f, pts, {"route": "kernel-roots-avoiding"}, tol)
-    size = d + 2 - b
+        size, route = b, "pencil-avoiding"
+    else:
+        gens = _kernel_any(f, b)
+        pts = _try_exact_then_float_points(gens[0]) if gens and b <= max_size else None
+        if pts is not None and (avoid is None or not any(avoid.contains(p) for p in pts)):
+            weights = _solve_weights(f, pts)
+            if weights is None:
+                raise RetryExhausted("apolar root system was inconsistent")
+            dec = _build(f, pts, weights, {"route": "kernel-roots-avoiding",
+                                           "initial_degree": b})
+            if not dec.meets_tolerance(f, tol):
+                res = dec.provenance["residual"]
+                raise RetryExhausted(f"root-route decomposition residual {res:.2e}",
+                                     diagnostics={"best_residual": res, "target_size": b})
+            return dec
+        size, route = d + 2 - b, "kernel-sampling-avoiding"
     if size > max_size:
         raise RetryExhausted(
             f"needs {size} points, cap is {max_size}",
             diagnostics={"needed": size, "cap": max_size})
     return _sample_ideal_decomposition(
         f, size, avoid, seed, tol, retries,
-        provenance={"route": "kernel-sampling-avoiding", "initial_degree": b})
+        provenance={"route": route, "initial_degree": b})
 
 
 # -- generic ranks inside subspaces ------------------------------------------

@@ -11,7 +11,8 @@ values at `NUMERIC_RANK_TOL` relative to the largest.
 
 `solve_columns` is the one exact-then-float span solve: it writes a target
 vector in the span of given columns, by exact elimination when every entry
-is exact and by column-equilibrated least squares otherwise.
+is exact and by column-equilibrated least squares otherwise, and reports
+the rank of the columns from that same elimination or solve.
 """
 
 from __future__ import annotations
@@ -165,35 +166,41 @@ def numeric_nullspace(matrix: np.ndarray, tol: float = NUMERIC_RANK_TOL) -> list
     return null
 
 
-def lstsq_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    sol, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
-    return sol
+def lstsq_solve(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+    """Least-squares solution of M x = b and the numeric rank of M, read
+    off the solve's own singular values as `numeric_rank` does."""
+    sol, _, _, s = np.linalg.lstsq(matrix, rhs, rcond=None)
+    rank = int(np.sum(s > NUMERIC_RANK_TOL * s[0])) if s.size and s[0] != 0.0 else 0
+    return sol, rank
 
 
 # -- both backends ----------------------------------------------------------
 
 
-def solve_columns(columns: Sequence[Sequence], target: Sequence) -> tuple[list, float] | None:
-    """Weights x with sum_j x[j] * columns[j] = target, and the residual.
+def solve_columns(columns: Sequence[Sequence],
+                  target: Sequence) -> tuple[list, float, int] | None:
+    """Weights x with sum_j x[j] * columns[j] = target, the residual, the rank.
 
     When every entry is exact (Fraction or int) this is `exact_solve`: it
-    returns (x, 0.0), or None when the system is inconsistent.  Otherwise
-    it is an equilibrated least-squares solve: each column is divided by
-    its largest magnitude (1 for a zero column), the scaled system is
-    solved, and the solution is divided back, so columns of very different
-    size (high powers of points) keep their digits.  The residual
-    max|Mx - b| / max(1, max|b|) comes back for the caller to judge.
+    returns (x, 0.0, rank), or None when the system is inconsistent.
+    Otherwise it is an equilibrated least-squares solve: each column is
+    divided by its largest magnitude (1 for a zero column), the scaled
+    system is solved, and the solution is divided back, so columns of very
+    different size (high powers of points) keep their digits.  The residual
+    max|Mx - b| / max(1, max|b|) comes back for the caller to judge, with
+    the numeric rank of the scaled matrix.
     """
     matrix = [[col[r] for col in columns] for r in range(len(target))]
     exact = (all(isinstance(b, (Fraction, int)) for b in target)
              and all(isinstance(x, (Fraction, int)) for row in matrix for x in row))
     if exact:
-        x = exact_solve(matrix, list(target))
-        return None if x is None else (x, 0.0)
+        x, rank = exact_solve_with_rank(matrix, list(target))
+        return None if x is None else (x, 0.0, rank)
     m = np.array([[complex(x) for x in row] for row in matrix])
     rhs = np.array([complex(b) for b in target])
     scale = np.abs(m).max(axis=0)
     scale[scale == 0] = 1.0
-    x = lstsq_solve(m / scale, rhs) / scale
+    x, rank = lstsq_solve(m / scale, rhs)
+    x = x / scale
     residual = max(abs(r) for r in m @ x - rhs) / max(1.0, max(abs(b) for b in rhs))
-    return list(x), float(residual)
+    return list(x), float(residual), rank

@@ -423,7 +423,7 @@ def _two_line_split(f: Form, X: AvoidanceSet, seed: int, tol: float,
             try:
                 per_piece[i] = decompose_binary_bounded(
                     piece, avoids[i], max_size=4, seed=seed + 31 * t + i, tol=tol)
-            except (RetryExhausted, PreconditionError):
+            except RetryExhausted:
                 rejects["piece"] += 1
                 ok = False
                 break
@@ -449,7 +449,8 @@ def _three_line_split(f: Form, X: AvoidanceSet, triple, seed: int,
     middle catalecticant (a cubic condition in the first see-saw
     coefficient) so its two points are forced; the other coefficients
     stay free and are sampled until both remaining pieces admit length
-    three with all points off X.
+    three with all points off X.  The caller's `retries` buys
+    ceil(retries / 8) draws of the second coefficient.
     """
     split = split_on_lines(f, LineSystem(tuple(triple)))
     avoids = [_restrict_avoid(X, split.spans[i]) for i in range(3)]
@@ -461,8 +462,7 @@ def _three_line_split(f: Form, X: AvoidanceSet, triple, seed: int,
     rng = random.Random(seed + 23)
     rejects = {"det": 0, "piece0": 0, "piece12": 0, "clash": 0, "residual": 0}
 
-    outer = max(8, retries // 8)
-    for round_ in range(outer):
+    for round_ in range(-(-retries // 8)):
         height = 9 << (round_ // 4)
         c02 = Fraction(rng.randint(-height, height))
 
@@ -488,7 +488,7 @@ def _three_line_split(f: Form, X: AvoidanceSet, triple, seed: int,
             try:
                 dec0 = decompose_binary_bounded(
                     f0, avoids[0], max_size=2, seed=seed + round_, tol=tol)
-            except (RetryExhausted, PreconditionError):
+            except RetryExhausted:
                 rejects["piece0"] += 1
                 continue
             for inner in range(8):
@@ -503,7 +503,7 @@ def _three_line_split(f: Form, X: AvoidanceSet, triple, seed: int,
                         per_piece[i] = decompose_binary_bounded(
                             pieces[i], avoids[i], max_size=3,
                             seed=seed + 7 * round_ + inner + i, tol=tol)
-                    except (RetryExhausted, PreconditionError):
+                    except RetryExhausted:
                         rejects["piece12"] += 1
                         ok = False
                         break
@@ -570,9 +570,10 @@ def _triple_route(f: Form, X: AvoidanceSet, seed: int, tol: float,
     """Split on a triple, rerouting (l0, l1) or (l0, l2) if it annihilates f.
 
     The search has certified that (l1 l2) does not, and the router has
-    settled the rank gate."""
+    settled the rank gate.  `retries` is the search's budget of
+    determinant pencils and the split's budget of tuples."""
     sigma = [ProjectivePoint(t) for t in X.rational_lines]
-    triple = quartic_predecomp(f, sigma=sigma, seed=seed, check_gate=False)
+    triple = quartic_predecomp(f, sigma=sigma, seed=seed, budget=retries, check_gate=False)
     pair = _zero_pair(f, triple)
     if pair is not None:
         return _two_line_split(f, X, seed, tol, retries, pair=pair)

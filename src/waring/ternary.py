@@ -25,8 +25,8 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from .apolarity import catalecticant, essential_subspace, essential_variables
-from .binary import (decompose_binary, embed_binary, form_on_line, line_embedding,
-                     push_decomposition)
+from .binary import (decompose_binary, decompose_binary_bounded, form_on_line,
+                     line_embedding, push_decomposition)
 from .decomposition import RESIDUAL_TOL, Decomposition, term_from_vector
 from .errors import (
     DegenerateSystemError,
@@ -44,8 +44,7 @@ from .forms import (
     random_combination,
     same_point,
 )
-from .linalg import (exact_solve_with_rank, lstsq_solve, numeric_nullspace,
-                     numeric_rank, solve_columns)
+from .linalg import numeric_nullspace, solve_columns
 from .plane import (
     UNIT_DUALS,
     as_dual_point,
@@ -466,16 +465,6 @@ class SplitProblem:
                 out[j] = out[j] - pow_j.scale(c)
         return out
 
-    def assemble(self, pieces) -> Form:
-        """Push the summands back to the plane and add them up."""
-        d = self.form.degree
-        total = Form.zero(3, d) if all(p.is_exact for p in pieces) else \
-            Form.zero(3, d).to_float()
-        for piece, (u, v) in zip(pieces, self.spans):
-            if not piece.is_zero():
-                total = total + embed_binary(piece, u, v)
-        return total
-
     def merge(self, decs: dict, provenance: dict, tol: float,
               rejects: dict) -> Decomposition | None:
         """The piece decompositions `decs` (by line index), pushed to the plane.
@@ -529,25 +518,13 @@ def split_on_lines(f: Form, system: LineSystem) -> SplitProblem:
     spans = tuple(system.span(i) for i in range(k + 1))
     exact = f.is_exact and system.is_exact
 
-    rows = list(zip(*(col.coeffs for u, v in spans for col in line_embedding(u, v, d))))
-    if exact:
-        sol, rank = exact_solve_with_rank(rows, list(f.coeffs))
-        if sol is None:
-            raise DegenerateSystemError("annihilating system failed to split the form")
-    else:
-        matrix = np.array([[complex(x) for x in row] for row in rows])
-        # equilibrate columns so the rank count is not thrown off by the
-        # very different magnitudes of high powers of the span vectors
-        col_scale = np.abs(matrix).max(axis=0)
-        col_scale[col_scale == 0] = 1.0
-        scaled = matrix / col_scale
-        rhs = np.array([complex(c) for c in f.coeffs])
-        sol_np = lstsq_solve(scaled, rhs) / col_scale
-        res = max(abs(x) for x in (matrix @ sol_np - rhs))
-        if res > 1e-8 * max(1.0, f.max_abs()):
-            raise DegenerateSystemError("annihilating system failed to split the form")
-        sol = list(sol_np)
-        rank = numeric_rank(scaled)
+    # the equilibrated solve keeps the rank count from being thrown off by
+    # the very different magnitudes of high powers of the span vectors
+    solved = solve_columns([col.coeffs for u, v in spans for col in line_embedding(u, v, d)],
+                           f.coeffs)
+    if solved is None or solved[1] > 1e-8:
+        raise DegenerateSystemError("annihilating system failed to split the form")
+    sol, _, rank = solved
 
     expected = math.comb(k + 1, 2)
     got = (k + 1) * (d + 1) - rank
@@ -672,16 +649,12 @@ def decompose_ternary_odd(f: Form, seed: int = 0, tol: float = RESIDUAL_TOL,
                 if piece.is_zero():
                     continue
                 try:
-                    dec = decompose_binary(piece, seed=seed + 31 * t + i, tol=tol)
-                except (RetryExhausted, PreconditionError):
+                    decs[i] = decompose_binary_bounded(piece, None, cap,
+                                                       seed=seed + 31 * t + i, tol=tol)
+                except RetryExhausted:
                     rejects["piece_fail"] += 1
                     good = False
                     break
-                if dec.size > cap:
-                    rejects["piece_rank"] += 1
-                    good = False
-                    break
-                decs[i] = dec
             if not good:
                 continue
             if sum(dec.size for dec in decs.values()) > total_cap:

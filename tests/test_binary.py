@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import waring.apolarity as apolarity
+import waring.binary as binary
 from waring.avoidance import AvoidanceSet
 from waring.binary import (
     border_rank_binary,
@@ -19,7 +20,7 @@ from waring.binary import (
     rank_binary,
 )
 from waring.certify import BOUND_BINARY_RANK, verify_decomposition
-from waring.errors import PreconditionError, RetryExhausted, WaringError
+from waring.errors import PreconditionError, RetryExhausted, RootFindingError, WaringError
 from waring.forms import Form, parse_form, power_of_linear, random_form
 
 F = Fraction
@@ -328,6 +329,36 @@ def test_decompose_bounded_pencil_case():
     check_decomposition(f, dec, size=3, avoid=X)
     assert dec.provenance["route"] == "pencil-avoiding"
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 24).flatmap(lambda d: st.tuples(
+    st.just(d), st.integers(1, d + 1),
+    st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 9)), max_size=3),
+    st.integers(0, 10**6))))
+def test_decompose_bounded_meets_tol_cap_and_avoidance_or_raises_retry_exhausted(case):
+    degree, cap, avoided, seed = case
+    f = random_form(2, degree, seed)
+    X = AvoidanceSet.from_points([(F(a), F(b)) for a, b in avoided]) if avoided else None
+    try:
+        dec = decompose_binary_bounded(f, X, cap, seed=seed % 97)
+    except RetryExhausted:
+        return
+    assert dec.size <= cap
+    assert dec.meets_tolerance(f)
+    assert X is None or not any(X.contains(p) for p in dec.points())
+
+
+def test_root_finding_failure_is_a_retry_signal(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise RootFindingError("simultaneous iteration did not converge")
+
+    monkeypatch.setattr(binary, "binary_form_roots", no_convergence)
+    f = random_form(2, 9, 3)  # irrational kernel roots: the float root finder runs
+    with pytest.raises(RetryExhausted):
+        decompose_binary_bounded(f, None, 10)
+    with pytest.raises(RetryExhausted):
+        decompose_binary(f)
 
 # -- generic ranks in subspaces ----------------------------------------------
 

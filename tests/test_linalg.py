@@ -150,16 +150,28 @@ def test_lstsq_matches_exact_on_square_systems():
             continue
         rhs = [Fraction(rng.randint(-5, 5)) for _ in range(3)]
         sol = exact_solve(m, rhs)
-        fsol = lstsq_solve(np.array(m, dtype=float), np.array(rhs, dtype=float))
+        fsol, rank = lstsq_solve(np.array(m, dtype=float), np.array(rhs, dtype=float))
         assert max(abs(float(a) - b) for a, b in zip(sol, fsol)) < 1e-9
+        assert rank == 3
+
+
+def test_lstsq_rank_is_the_numeric_rank():
+    rng = np.random.default_rng(11)
+    full = rng.normal(size=(7, 4)) + 1j * rng.normal(size=(7, 4))
+    deficient = rng.normal(size=(7, 2)) @ rng.normal(size=(2, 5))
+    near = deficient + 1e-13 * rng.normal(size=deficient.shape)
+    for m in (full, deficient, near, np.zeros((3, 2))):
+        _, rank = lstsq_solve(m, np.ones(m.shape[0]))
+        assert rank == numeric_rank(m)
+    assert [lstsq_solve(m, np.ones(7))[1] for m in (full, deficient, near)] == [4, 2, 2]
 
 
 def test_solve_columns_exact_consistent():
     columns = [(1, 0, 1), (0, Fraction(1, 2), 1)]
-    x, residual = solve_columns(columns, (Fraction(2), Fraction(3, 2), Fraction(5)))
+    x, residual, rank = solve_columns(columns, (Fraction(2), Fraction(3, 2), Fraction(5)))
     assert x == [Fraction(2), Fraction(3)]
     assert all(isinstance(v, Fraction) for v in x)
-    assert residual == 0.0
+    assert residual == 0.0 and rank == 2
 
 
 def test_solve_columns_exact_inconsistent_is_none():
@@ -168,10 +180,10 @@ def test_solve_columns_exact_inconsistent_is_none():
 
 def test_solve_columns_float_reports_the_residual():
     columns = [(1.0, 0.0, 0.0), (0.0, 1j, 0.0)]
-    x, residual = solve_columns(columns, (1.0, 2j, 0.0))
-    assert np.allclose(x, [1.0, 2.0]) and residual < 1e-15
+    x, residual, rank = solve_columns(columns, (1.0, 2j, 0.0))
+    assert np.allclose(x, [1.0, 2.0]) and residual < 1e-15 and rank == 2
     # off the span: least squares drops the third coordinate, and the
     # residual is max|Mx - b| / max(1, max|b|) = 0.5 / 2
-    x, residual = solve_columns(columns, (Fraction(1), 2.0, 0.5))
-    assert np.allclose(x, [1.0, -2j])
+    x, residual, rank = solve_columns(columns, (Fraction(1), 2.0, 0.5))
+    assert np.allclose(x, [1.0, -2j]) and rank == 2
     assert abs(residual - 0.25) < 1e-15

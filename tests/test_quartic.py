@@ -184,6 +184,12 @@ def test_line_routes_spend_the_callers_retry_budget(text, avoided):
         quartic_decompose_open(parse_form(text, 3), X, seed=0, retries=0)
 
 
+
+def test_triple_route_spends_the_callers_retry_budget():
+    # middle rank at least four: the determinant search and the 2 + 3 + 3 split
+    with pytest.raises(RetryExhausted):
+        quartic_decompose_open(random_form(3, 4, seed=5), LINE_X2, seed=0, retries=0)
+
 def test_route_two_line_escape_for_small_initial_degree():
     # x0^3 x1 has initial degree two; its support line x2 = 0 sits inside X
     f = parse_form("x0^3*x1", 3)

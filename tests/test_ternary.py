@@ -3,14 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waring import ternary
-from waring.binary import decompose_binary
-from waring.certify import verify_decomposition
+from waring.binary import decompose_binary, embed_binary
+from waring.certify import BOUND_ODD_SPLIT, verify_decomposition
 from waring.decomposition import Decomposition, Term
 from waring.errors import (
     DegenerateSystemError,
     PreconditionError,
+    WaringError,
     ZeroFormError,
 )
 from waring.forms import (
@@ -184,6 +187,12 @@ def test_minimize_requires_annihilation():
 # -- the splitting system -------------------------------------------------------
 
 
+def _assemble(split, pieces) -> Form:
+    """The pieces pushed back to the plane from their lines and summed."""
+    return sum((embed_binary(piece, u, v) for piece, (u, v) in zip(pieces, split.spans)),
+               Form.zero(3, split.form.degree))
+
+
 def test_split_on_lines_solution_space():
     f = random_form(3, 5, seed=41)
     sys = minimize_annihilating(f, annihilating_lines(f, seed=5))
@@ -193,13 +202,13 @@ def test_split_on_lines_solution_space():
     assert len(split.kernel) == split.solution_dim
     # the particular solution assembles back to f
     zero = [F(0)] * len(split.kernel)
-    assert (split.assemble(split.pieces(zero)) - f).is_zero()
+    assert (_assemble(split, split.pieces(zero)) - f).is_zero()
     # and so does every kernel perturbation
     rng = random.Random(42)
     for _ in range(3):
         coeffs = [F(rng.randint(-5, 5)) for _ in split.kernel]
         pieces = split.pieces(coeffs)
-        assert (split.assemble(pieces) - f).is_zero()
+        assert (_assemble(split, pieces) - f).is_zero()
 
 
 def test_split_on_lines_rejects_non_annihilating():
@@ -222,7 +231,7 @@ def test_split_on_lines_two_planted_lines():
     split = split_on_lines(fsum, sys)
     assert split.solution_dim == 1
     zero = [F(0)]
-    assert (split.assemble(split.pieces(zero)) - fsum).is_zero()
+    assert (_assemble(split, split.pieces(zero)) - fsum).is_zero()
 
 
 def test_split_merge_counts_clash_and_residual():
@@ -279,6 +288,17 @@ def test_decompose_septic_respects_global_cap():
     assert dec.size <= 24  # (7^2 - 1) / 2
     check_ternary(f, dec)
 
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([5, 7]), st.integers(0, 10**6))
+def test_decompose_ternary_odd_certifies_valid_or_raises_a_waring_error(degree, seed):
+    f = random_form(3, degree, seed)
+    try:
+        dec = decompose_ternary_odd(f, seed=seed % 97)
+    except WaringError:
+        return
+    assert verify_decomposition(f, dec, bound=((degree**2 - 1) // 2, BOUND_ODD_SPLIT)).valid
 
 def test_decompose_single_power():
     f = power_of_linear((2, -1, 3), 5, F(7))
