@@ -5,6 +5,12 @@ forms, splits ternary forms of odd degree across systems of annihilating
 lines, decomposes every ternary quartic into at most eight fourth powers
 avoiding a prescribed closed subset, and wraps each output in a
 verifiable JSON certificate.
+
+Float paths go through numpy least squares and SVD, whose last bits follow
+the BLAS thread count, so float certificate bytes reproduce only at a fixed
+thread count.  The library does not pin it; `tests/conftest.py` and
+`perfbench/run.py` pin one thread through OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS, set before numpy is imported.
 """
 
 from .apolarity import (

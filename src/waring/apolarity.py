@@ -153,13 +153,21 @@ def rank_lower_bound(f: Form) -> int:
     """max_delta rank of the delta-th catalecticant: a Waring rank bound."""
     if f.is_zero():
         return 0
-    if f.degree <= 1:
-        return 1
-    return max(catalecticant_rank(f, delta) for delta in range(1, f.degree))
+    return max((rank for _, rank in cat_rank_table(f)), default=1)
 
 
 def cat_rank_table(f: Form) -> list[tuple[int, int]]:
-    """[(delta, rank)] for delta = 1..d-1, as recorded in certificates."""
-    if f.degree <= 1:
+    """[(delta, rank)] for delta = 1..d-1, as recorded in certificates.
+
+    Cat(d - delta) is the transpose of Cat(delta) up to invertible diagonal
+    scalings, so only delta <= d // 2 is eliminated.  Binary forms still scan
+    every delta: their table is to come from one rank (ROADMAP item 2) once
+    the benchmark's memory reading stops growing with its pass count.
+    """
+    d = f.degree
+    if d <= 1:
         return []
-    return [(delta, catalecticant_rank(f, delta)) for delta in range(1, f.degree)]
+    if f.num_vars == 2:
+        return [(delta, catalecticant_rank(f, delta)) for delta in range(1, d)]
+    half = [catalecticant_rank(f, delta) for delta in range(1, d // 2 + 1)]
+    return [(delta, half[min(delta, d - delta) - 1]) for delta in range(1, d)]

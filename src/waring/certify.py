@@ -255,7 +255,9 @@ def to_json(cert: Certificate) -> str:
     """Canonical JSON: sorted keys, repr floats, and no whitespace anywhere.
 
     The no-whitespace rule covers string values too: forms are written without
-    spaces and checks carry numbers, not prose.
+    spaces and checks carry numbers, not prose.  The bytes of a float
+    certificate hold only at a fixed BLAS thread count (see the package
+    docstring).
     """
     payload = {
         "input": _compact(cert.input_text),

@@ -116,6 +116,11 @@ def det3(m: list[list]):
     )
 
 
+def pencil_at(m_a: list[list], m_b: list[list], t) -> list[list]:
+    """The member m_a + t * m_b of a pencil of matrices."""
+    return [[a + t * b for a, b in zip(ra, rb)] for ra, rb in zip(m_a, m_b)]
+
+
 def quadric_rank_exact(q: Form) -> int:
     m = quadric_matrix(q)
     if det3(m) != 0:

@@ -61,6 +61,7 @@ from .plane import (
     det3,
     float_point_on_conic,
     conic_parametrization,
+    pencil_at,
     quadric_matrix,
     quadric_rank_exact,
     quadric_rank_numeric,
@@ -211,10 +212,7 @@ def quartic_predecomp(f: Form, sigma=(), seed: int = 0,
         g1 = contract(l1, f)
         m_a, m_b = _hessian(contract(la, g1)), _hessian(contract(lb, g1))
 
-        def pencil(t: Fraction):
-            return [[a + t * b for a, b in zip(ra, rb)] for ra, rb in zip(m_a, m_b)]
-
-        ts = pencil_roots(lambda t: det3(pencil(t)))
+        ts = pencil_roots(lambda t: det3(pencil_at(m_a, m_b, t)))
         if ts is None:
             ts = [Fraction(v) for v in (0, 1, -1, 2, -2)]
         for t in ts:
@@ -223,7 +221,7 @@ def quartic_predecomp(f: Form, sigma=(), seed: int = 0,
             if l2.is_zero() or not admissible(l2, [l1]):
                 continue
             if l2.is_exact:
-                kernel = exact_nullspace(pencil(t))
+                kernel = exact_nullspace(pencil_at(m_a, m_b, t))
             else:
                 # float roots keep the product path, whose bits certificates hold
                 matrix = _triple_product_matrix(f, l1, l2)
@@ -303,15 +301,18 @@ _PULLBACK_PARAMS = (
 
 
 def quartic_brk3_decompose(f: Form, avoid: AvoidanceSet | None = None,
-                           seed: int = 0, tol: float = RESIDUAL_TOL) -> Decomposition:
+                           seed: int = 0, tol: float = RESIDUAL_TOL,
+                           retries: int = CONIC_BUDGET) -> Decomposition:
     """Seven points off `avoid` for a quartic of middle rank three.
 
     Picks a smooth conic in the quadratic annihilator net, moves the
     problem to a binary octic through the conic's parametrization (an
     exact linear identification on the span of fourth powers of conic
     points), decomposes the octic at length 10 - 3 = 7 avoiding the
-    pulled-back subset, and pushes the points forward.  Raises
-    NoSmoothConic when the net has no smooth member.
+    pulled-back subset, and pushes the points forward.  `retries` is the
+    number of smooth conics tried.  Raises NoSmoothConic when the net
+    has no smooth member, and RetryExhausted when the budget runs out
+    (at once for a budget of zero).
     """
     _require_quartic(f)
     X = avoid if avoid is not None else AvoidanceSet.none(3)
@@ -324,7 +325,7 @@ def quartic_brk3_decompose(f: Form, avoid: AvoidanceSet | None = None,
     smooth_seen = 0
     failures = {"point": 0, "inside": 0, "span": 0, "octic_rank": 0,
                 "binary": 0, "residual": 0}
-    for q in _smooth_members(net, rng, CONIC_BUDGET):
+    for q in _smooth_members(net, rng, retries):
         smooth_seen += 1
         point = rational_point_on_conic(q, height=12)
         if point is None:
@@ -381,7 +382,7 @@ def quartic_brk3_decompose(f: Form, avoid: AvoidanceSet | None = None,
             failures["residual"] += 1
             continue
         return merged
-    if smooth_seen == 0:
+    if smooth_seen == 0 and retries > 0:
         raise NoSmoothConic("every conic annihilating the form is singular")
     raise RetryExhausted(
         f"no smooth conic produced an admissible pullback "
@@ -639,7 +640,7 @@ def quartic_decompose_open(f: Form, avoid: AvoidanceSet | None = None,
         return _two_line_split(f, X, seed, tol, retries)
     if c2 == 3:
         try:
-            return quartic_brk3_decompose(f, X, seed, tol)
+            return quartic_brk3_decompose(f, X, seed, tol, retries)
         except (NoSmoothConic, RetryExhausted):
             pass  # the triple search below remains available
     return _triple_route(f, X, seed, tol, retries)

@@ -51,6 +51,7 @@ from .plane import (
     cross,
     det3,
     factor_rank_two_quadric,
+    pencil_at,
     plane_basis,
     quadric_matrix,
     quadric_rank_exact,
@@ -183,8 +184,9 @@ def _pair_ok(l1: Form, l2: Form, forbidden: list[ProjectivePoint]) -> bool:
 
 
 def _split_reducible(q: Form, forbidden: list[ProjectivePoint],
-                     squares: list[Form]) -> tuple[Form, Form] | None:
-    """Factor a singular quadric, stashing rank-one members for later."""
+                     squares: list[Form], factor: bool = True) -> tuple[Form, Form] | None:
+    """Factor a singular quadric, stashing rank-one members for later;
+    with `factor` false a rank-two member is only rank-checked."""
     rank = quadric_rank_exact(q) if q.is_exact else quadric_rank_numeric(q)
     if rank == 1:
         root = _square_root_line(q)
@@ -194,7 +196,7 @@ def _split_reducible(q: Form, forbidden: list[ProjectivePoint],
         ):
             squares.append(root)
         return None
-    if rank != 2:
+    if rank != 2 or not factor:
         return None
     try:
         l1, l2 = factor_rank_two_quadric(q)
@@ -224,7 +226,10 @@ def reducible_member(basis: list[Form], forbidden: list[ProjectivePoint],
     Works down an exactness ladder: single basis members, then rational
     roots of determinant cubics along pencils, then float roots, and
     finally differences of squares built from rank-one members (which
-    always factor rationally).
+    always factor rationally).  Only the first float pair is ever
+    returned, so once one is held later float members are only
+    rank-checked (a rank-one member still feeds the squares); exact
+    members are always factored, so a later exact pair still wins.
     """
     if not basis:
         raise PreconditionError("empty net has no reducible member")
@@ -264,17 +269,20 @@ def reducible_member(basis: list[Form], forbidden: list[ProjectivePoint],
         if stats["pencils"] >= budget:
             break
         stats["pencils"] += 1
-        ts = pencil_roots(lambda t: det3(quadric_matrix(qa + qb.scale(t))))
+        m_a, m_b = quadric_matrix(qa), quadric_matrix(qb)
+        ts = pencil_roots(lambda t: det3(pencil_at(m_a, m_b, t)))
         if ts is None:
             # identically singular pencil: every member splits
             ts = [Fraction(v) for v in (0, 1, -1, 2, -2)]
         for t in ts:
             stats["members"] += 1
-            if isinstance(t, Fraction):
+            exact = isinstance(t, Fraction)
+            if exact:
                 member = qa + qb.scale(t)
             else:
                 member = qa.to_float() + qb.to_float().scale(t)
-            hit = record(_split_reducible(member, forbidden, squares))
+            hit = record(_split_reducible(member, forbidden, squares,
+                                          factor=exact or float_hit is None))
             if hit is not None:
                 return hit
         # two rank-one members factor rationally without more pencil work

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waring import apolarity
 from waring.apolarity import (
     apolar_component,
     apolar_initial_degree,
     cat_rank_table,
     catalecticant,
+    catalecticant_rank,
     essential_subspace,
     essential_variables,
     numeric_catalecticant,
@@ -19,6 +21,7 @@ from waring.apolarity import (
 from waring.binary import border_rank_binary, open_rank_binary, rank_binary
 from waring.errors import PreconditionError, ZeroFormError
 from waring.forms import Form, contract, parse_form, power_of_linear, random_form
+from waring.quartic import witness_quartic
 
 
 def test_catalecticant_frozen_binary_example():
@@ -247,6 +250,49 @@ def test_rank_lower_bound_and_table():
     g = parse_form("x0^2", 2)
     assert rank_lower_bound(g) == 1
     assert cat_rank_table(g) == [(1, 1)]
+
+
+@st.composite
+def exact_forms_in_three_or_four(draw):
+    """Exact forms in 3 or 4 variables of degree 2..9: random, planted sums
+    of powers (low ranks), x0^d, forms in two essential variables, and the
+    witness quartic."""
+    n, d = draw(st.sampled_from([3, 4])), draw(st.integers(2, 9))
+    kind = draw(st.sampled_from(["random", "planted", "power", "binary", "witness"]))
+    if kind == "random":
+        return random_form(n, d, seed=draw(st.integers(0, 10**6)), height=3)
+    if kind == "power":
+        return Form.from_dict(n, d, {(d,) + (0,) * (n - 1): 1})
+    if kind == "witness":
+        return witness_quartic()
+    f = Form.zero(n, d)
+    if kind == "planted":
+        for _ in range(draw(st.integers(1, 6))):
+            point = tuple(draw(st.integers(-2, 2)) for _ in range(n))
+            f = f + power_of_linear(point, d, coeff=draw(st.integers(-2, 2)))
+    else:
+        for a in range(d + 1):
+            c = draw(st.integers(-3, 3))
+            if c:
+                f = f + Form.from_dict(n, d, {(a, d - a) + (0,) * (n - 2): c})
+    return f if not f.is_zero() else Form.from_dict(n, d, {(0, d) + (0,) * (n - 2): 1})
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_forms_in_three_or_four())
+def test_cat_rank_table_is_the_full_scan(f):
+    assert cat_rank_table(f) == [
+        (delta, catalecticant_rank(f, delta)) for delta in range(1, f.degree)]
+
+
+@pytest.mark.parametrize("d", range(4, 10))
+def test_cat_rank_table_eliminates_half_the_deltas(monkeypatch, d):
+    # rank Cat(d - delta) = rank Cat(delta): only delta <= d // 2 is eliminated
+    calls = []
+    real = apolarity.exact_rank
+    monkeypatch.setattr(apolarity, "exact_rank", lambda m: calls.append(m) or real(m))
+    cat_rank_table(random_form(3, d, 0))
+    assert len(calls) == d // 2
 
 
 def test_rank_lower_bound_is_a_lower_bound_on_points():

@@ -190,6 +190,16 @@ def test_triple_route_spends_the_callers_retry_budget():
     with pytest.raises(RetryExhausted):
         quartic_decompose_open(random_form(3, 4, seed=5), LINE_X2, seed=0, retries=0)
 
+def test_conic_route_spends_the_callers_retry_budget():
+    # middle rank three: the conic pullback, then the triple route, both at zero
+    f = parse_form("x0^4 + x1^4", 3) + power_of_linear((1, 1, 1), 4)
+    assert quartic_decompose_open(f, LINE_X2, seed=0).provenance["route"] == "conic-pullback"
+    with pytest.raises(RetryExhausted):
+        quartic_brk3_decompose(f, LINE_X2, seed=0, retries=0)
+    with pytest.raises(RetryExhausted):
+        quartic_decompose_open(f, LINE_X2, seed=0, retries=0)
+
+
 def test_route_two_line_escape_for_small_initial_degree():
     # x0^3 x1 has initial degree two; its support line x2 = 0 sits inside X
     f = parse_form("x0^3*x1", 3)

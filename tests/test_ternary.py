@@ -104,6 +104,43 @@ def test_reducible_kernel_pair_fermat_cubic():
     assert contract(prod, f).is_zero()
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_line_search_factors_one_float_pair(monkeypatch, seed):
+    # only the first float pair can be returned: later float members are only
+    # rank-checked, so one factorization is made where 24 used to be
+    calls = []
+    real = ternary.factor_rank_two_quadric
+    monkeypatch.setattr(ternary, "factor_rank_two_quadric",
+                        lambda q: calls.append(q) or real(q))
+    g = random_form(3, 3, seed)
+    pair = reducible_kernel_pair(g, seed=seed)
+    assert len(calls) == 1
+    assert annihilates((pair.first, pair.second), g)
+
+
+@pytest.mark.parametrize("text", ["x0^3 + x1^3 + x2^3", "x0*x1*x2",
+                                  "x0^3 + x0*x1*x2 + x2^3"])
+def test_exact_nets_give_exact_pairs(text):
+    g = parse_form(text, 3)
+    pair = reducible_kernel_pair(g)
+    assert pair.first.is_exact and pair.second.is_exact
+    assert annihilates((pair.first, pair.second), g)
+
+
+def test_exact_pair_found_after_a_float_pair_wins(monkeypatch):
+    # a sum of cubes whose search holds a float pair before an exact member
+    # splits: the float pair is factored once, the exact member in full
+    calls = []
+    real = ternary.factor_rank_two_quadric
+    monkeypatch.setattr(ternary, "factor_rank_two_quadric",
+                        lambda q: calls.append(q.is_exact) or real(q))
+    g = Form(3, 3, tuple(F(c) for c in (80, 15, 192, 75, -6, 174, 9, 93, -93, 44)))
+    pair = reducible_kernel_pair(g, seed=56)
+    assert calls == [False, True]
+    assert pair.first.coeffs == (F(92), F(-46, 3), F(92, 3))
+    assert pair.second.coeffs == (F(5, 46), F(-3, 46), F(-3, 23))
+
+
 def test_reducible_kernel_pair_respects_sigma():
     f = parse_form("x0^3 + x1^3 + x2^3", 3)
     # (y0+y1+y2)^2 does not kill f, so the search must run and stay off it
