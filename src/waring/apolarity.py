@@ -50,10 +50,6 @@ class CatalecticantMatrix:
     rank: int
     kernel: tuple[DualForm, ...]
 
-    def as_numpy(self) -> np.ndarray:
-        return np.array([[complex(x) for x in row] for row in self.entries],
-                        dtype=complex)
-
 
 def _exact_entries(f: Form, delta: int) -> list[list[Fraction]]:
     if not f.is_exact:

@@ -89,13 +89,6 @@ class AvoidanceSet:
                     return False
         return True
 
-    def with_extra_points(self, points: Iterable) -> "AvoidanceSet":
-        """Binary only: enlarge X by a finite point set (union)."""
-        if self.num_vars != 2:
-            raise PreconditionError("point unions are only supported for binary sets")
-        extra = AvoidanceSet.from_points(points).generators[0]
-        return AvoidanceSet(2, tuple(g * extra for g in self.generators))
-
     def restrict_to_line(self, u: Sequence, v: Sequence) -> "AvoidanceSet":
         """Pull X back to the line spanned by u and v, as a binary set.
 
@@ -181,13 +174,14 @@ def _primitive_integer(vec: Sequence[Fraction]) -> tuple[int, ...] | None:
     return tuple(ints)
 
 
-def _rational_points_on_restriction(g: Form, span) -> list[tuple]:
-    """Rational projective zeros of g restricted to a coordinate line."""
+def _rational_points_on_restriction(g: Form, span) -> list[tuple] | None:
+    """Rational projective zeros of g restricted to a coordinate line;
+    None when g vanishes on the whole line."""
     a, b = span
     images = [Form(2, 1, (Fraction(a[i]), Fraction(b[i]))) for i in range(3)]
     h = substitute(g, images)
     if h.is_zero():
-        return []
+        return None
     points = []
     # coeffs of h are indexed by the exponent of the second parameter
     for r in rational_roots(h.coeffs):
@@ -209,14 +203,11 @@ def _line_candidates(g: Form) -> list[tuple]:
     per_line = []
     whole_line_duals = []
     for dual in _probe_duals(g.degree + 3):
-        span = plane_basis(dual)
-        a, b = span
-        images = [Form(2, 1, (Fraction(a[i]), Fraction(b[i]))) for i in range(3)]
-        if substitute(g, images).is_zero():
+        points = _rational_points_on_restriction(g, plane_basis(dual))
+        if points is None:
             whole_line_duals.append(tuple(Fraction(x) for x in dual))
-            per_line.append([])
-        else:
-            per_line.append(_rational_points_on_restriction(g, span))
+            points = []
+        per_line.append(points)
     seen = set()
     out = []
     for dual in whole_line_duals:

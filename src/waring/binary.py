@@ -43,7 +43,8 @@ from .errors import (PreconditionError, RetryExhausted, RootFindingError,
                      ZeroFormError)
 from .forms import (Form, ProjectivePoint, distinct_points, power_of_linear,
                     random_combination, random_form, same_point)
-from .linalg import exact_rank, numeric_nullspace, numeric_rank, solve_columns
+from .linalg import (SPAN_TOL, exact_rank, numeric_nullspace, numeric_rank,
+                     solve_columns)
 from .monomials import space_dim
 from .roots import (binary_form_roots, exact_degree_drop, is_squarefree_binary,
                     rational_roots)
@@ -135,10 +136,9 @@ def form_on_line(f: Form, u, v) -> Form | None:
     Succeeds exactly when f lies in the span of powers of linear forms
     from the line through u and v.
     """
-    solved = solve_columns([c.coeffs for c in line_embedding(u, v, f.degree)], f.coeffs)
-    if solved is None or solved[1] > 1e-8:
-        return None
-    return Form(2, f.degree, tuple(solved[0]))
+    solved = solve_columns([c.coeffs for c in line_embedding(u, v, f.degree)], f.coeffs,
+                           tol=SPAN_TOL)
+    return None if solved is None else Form(2, f.degree, tuple(solved[0]))
 
 
 def push_decomposition(dec: Decomposition, span) -> Decomposition:
@@ -185,37 +185,6 @@ def _kernel_any(f: Form, e: int) -> list[Form]:
     return [Form(2, e, tuple(complex(x) for x in v)) for v in vecs]
 
 
-def _roots_of_kernel_form(g: Form) -> list[ProjectivePoint] | None:
-    """Projective roots of a kernel member, or None on repeated roots."""
-    if g.is_exact:
-        drop = exact_degree_drop(g.coeffs)
-        if not is_squarefree_binary(g.coeffs, g.degree):
-            return None
-        pairs = binary_form_roots(g.coeffs, exact_degree_drop=drop)
-    else:
-        pairs = binary_form_roots(g.coeffs)
-    pts = [ProjectivePoint(p) for p in pairs]
-    if len(pts) != g.degree or not distinct_points(pts, SEPARATION_TOL):
-        return None
-    return pts
-
-
-def _exact_points_if_rational(g: Form) -> list[ProjectivePoint] | None:
-    """All roots as exact points when g splits over the rationals."""
-    if not g.is_exact:
-        return None
-    drop = exact_degree_drop(g.coeffs)
-    if drop > 1:
-        return None
-    roots = rational_roots(g.coeffs)
-    if len(roots) + drop != g.degree:
-        return None
-    pts = [ProjectivePoint((Fraction(1), r)) for r in roots]
-    if drop:
-        pts.append(ProjectivePoint((Fraction(0), Fraction(1))))
-    return pts
-
-
 def _solve_weights(f: Form, points: list[ProjectivePoint]):
     """Weights lambda with f = sum lambda_i point_i^degree, or None.
 
@@ -248,16 +217,25 @@ def decompose_binary(f: Form, seed: int = 0, tol: float = RESIDUAL_TOL) -> Decom
     return decompose_binary_bounded(f, None, f.degree + 1, seed, tol)
 
 
-def _try_exact_then_float_points(g: Form):
-    """Distinct roots of g, exact when rational; None on repeated roots or
-    when the root iteration fails to converge."""
-    pts = _exact_points_if_rational(g)
-    if pts is not None:
-        return pts
+def _try_exact_then_float_points(g: Form) -> list[ProjectivePoint] | None:
+    """Distinct roots of g, exact when g splits over the rationals; None on
+    repeated roots or when the root iteration fails to converge."""
+    drop = exact_degree_drop(g.coeffs) if g.is_exact else None
+    if g.is_exact and drop <= 1:
+        roots = rational_roots(g.coeffs)
+        if len(roots) + drop == g.degree:
+            pts = [ProjectivePoint((Fraction(1), r)) for r in roots]
+            return pts + [ProjectivePoint((Fraction(0), Fraction(1)))] * drop
+    if g.is_exact and not is_squarefree_binary(g.coeffs, g.degree):
+        return None
     try:
-        return _roots_of_kernel_form(g)
+        pairs = binary_form_roots(g.coeffs, exact_degree_drop=drop)
     except RootFindingError:
         return None
+    pts = [ProjectivePoint(p) for p in pairs]
+    if len(pts) != g.degree or not distinct_points(pts, SEPARATION_TOL):
+        return None
+    return pts
 
 
 def _sample_ideal_decomposition(f, size, avoid, seed, tol, retries,

@@ -16,7 +16,7 @@ from .errors import PreconditionError
 from .forms import (Form, ProjectivePoint, is_exact_scalar, pivot_index,
                     power_of_linear)
 
-#: residual the pipelines accept (a caller's tolerance can only loosen it)
+#: residual the pipelines accept unless a caller passes its own tolerance
 RESIDUAL_TOL = 1e-8
 
 
@@ -84,15 +84,6 @@ class Decomposition:
                                             complex(t.coeff))
         return total
 
-    def synthesize_exact(self) -> Form | None:
-        """Exact sum when every term is exact, else None."""
-        if not self.is_exact:
-            return None
-        total = Form.zero(self.num_vars, self.degree)
-        for t in self.terms:
-            total = total + power_of_linear(t.point.coords, self.degree, t.coeff)
-        return total
-
     def residual(self, f: Form) -> float:
         if f.num_vars != self.num_vars or f.degree != self.degree:
             raise PreconditionError("decomposition does not match the form's space")
@@ -100,10 +91,11 @@ class Decomposition:
         return diff.max_abs() / max(1.0, f.max_abs())
 
     def meets_tolerance(self, f: Form, tol: float = RESIDUAL_TOL) -> bool:
-        """Whether the residual against f is at most max(tol, RESIDUAL_TOL).
+        """Whether the residual against f is at most `tol`, the tolerance
+        `verify_decomposition` checks at.
 
         The residual is stored in provenance["residual"] either way.
         """
         res = self.residual(f)
         self.provenance["residual"] = res
-        return res <= max(tol, RESIDUAL_TOL)
+        return res <= tol

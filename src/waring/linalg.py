@@ -12,7 +12,9 @@ values at `NUMERIC_RANK_TOL` relative to the largest.
 `solve_columns` is the one exact-then-float span solve: it writes a target
 vector in the span of given columns, by exact elimination when every entry
 is exact and by column-equilibrated least squares otherwise, and reports
-the rank of the columns from that same elimination or solve.
+the rank of the columns from that same elimination or solve.  Span tests
+pass `tol=SPAN_TOL`, which turns a larger float residual into a miss
+(None); `_solve_weights` and `factor_rank_two_quadric` judge theirs.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from typing import Sequence
 import numpy as np
 
 NUMERIC_RANK_TOL = 1e-8
+#: relative residual up to which a float target counts as in the span
+SPAN_TOL = 1e-8
 
 Row = list[Fraction]
 
@@ -177,8 +181,8 @@ def lstsq_solve(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
 # -- both backends ----------------------------------------------------------
 
 
-def solve_columns(columns: Sequence[Sequence],
-                  target: Sequence) -> tuple[list, float, int] | None:
+def solve_columns(columns: Sequence[Sequence], target: Sequence,
+                  tol: float | None = None) -> tuple[list, float, int] | None:
     """Weights x with sum_j x[j] * columns[j] = target, the residual, the rank.
 
     When every entry is exact (Fraction or int) this is `exact_solve`: it
@@ -187,8 +191,8 @@ def solve_columns(columns: Sequence[Sequence],
     divided by its largest magnitude (1 for a zero column), the scaled
     system is solved, and the solution is divided back, so columns of very
     different size (high powers of points) keep their digits.  The residual
-    max|Mx - b| / max(1, max|b|) comes back for the caller to judge, with
-    the numeric rank of the scaled matrix.
+    max|Mx - b| / max(1, max|b|) comes back with the numeric rank of the
+    scaled matrix; with `tol` set, a residual above it gives None.
     """
     matrix = [[col[r] for col in columns] for r in range(len(target))]
     exact = (all(isinstance(b, (Fraction, int)) for b in target)
@@ -203,4 +207,6 @@ def solve_columns(columns: Sequence[Sequence],
     x, rank = lstsq_solve(m / scale, rhs)
     x = x / scale
     residual = max(abs(r) for r in m @ x - rhs) / max(1.0, max(abs(b) for b in rhs))
+    if tol is not None and residual > tol:
+        return None
     return list(x), float(residual), rank

@@ -26,6 +26,7 @@ from .errors import PreconditionError
 from .forms import Form, ProjectivePoint, evaluate, is_exact_scalar, substitute
 from .linalg import solve_columns
 from .monomials import index_of
+from .roots import pencil_roots
 
 #: x0, x1, x2 as linear duals; `random_combination` over them samples a line
 UNIT_DUALS = tuple(Form(3, 1, tuple(Fraction(int(i == j)) for j in range(3)))
@@ -119,6 +120,16 @@ def det3(m: list[list]):
 def pencil_at(m_a: list[list], m_b: list[list], t) -> list[list]:
     """The member m_a + t * m_b of a pencil of matrices."""
     return [[a + t * b for a, b in zip(ra, rb)] for ra, rb in zip(m_a, m_b)]
+
+
+def singular_members(m_a: list[list], m_b: list[list]) -> list:
+    """Parameters t where det(m_a + t * m_b) vanishes, by `pencil_roots`.
+
+    An identically singular pencil has every member singular; it gives
+    the five samples 0, 1, -1, 2, -2.
+    """
+    ts = pencil_roots(lambda t: det3(pencil_at(m_a, m_b, t)))
+    return [Fraction(v) for v in (0, 1, -1, 2, -2)] if ts is None else ts
 
 
 def quadric_rank_exact(q: Form) -> int:

@@ -52,7 +52,7 @@ from .forms import (
     same_point,
     substitute,
 )
-from .linalg import exact_nullspace, numeric_nullspace, solve_columns
+from .linalg import SPAN_TOL, exact_nullspace, numeric_nullspace, solve_columns
 from .monomials import exponents, multinomial
 from .plane import (
     UNIT_DUALS,
@@ -66,6 +66,7 @@ from .plane import (
     quadric_rank_exact,
     quadric_rank_numeric,
     rational_point_on_conic,
+    singular_members,
 )
 from .roots import pencil_roots
 from .ternary import (
@@ -212,10 +213,7 @@ def quartic_predecomp(f: Form, sigma=(), seed: int = 0,
         g1 = contract(l1, f)
         m_a, m_b = _hessian(contract(la, g1)), _hessian(contract(lb, g1))
 
-        ts = pencil_roots(lambda t: det3(pencil_at(m_a, m_b, t)))
-        if ts is None:
-            ts = [Fraction(v) for v in (0, 1, -1, 2, -2)]
-        for t in ts:
+        for t in singular_members(m_a, m_b):
             stats["roots"] += 1
             l2 = la + lb.scale(t)
             if l2.is_zero() or not admissible(l2, [l1]):
@@ -347,8 +345,9 @@ def quartic_brk3_decompose(f: Form, avoid: AvoidanceSet | None = None,
         # express f in fourth powers of nine conic points; consistency is
         # exactly the statement that f lives on the conic's power span
         images = [tuple(evaluate(p, w) for p in phi) for w in _PULLBACK_PARAMS]
-        solved = solve_columns([power_of_linear(z, 4).coeffs for z in images], f.coeffs)
-        if solved is None or solved[1] > 1e-8:
+        solved = solve_columns([power_of_linear(z, 4).coeffs for z in images], f.coeffs,
+                               tol=SPAN_TOL)
+        if solved is None:
             failures["span"] += 1
             continue
         mu = solved[0]
@@ -412,26 +411,12 @@ def _two_line_split(f: Form, X: AvoidanceSet, seed: int, tol: float,
     split = split_on_lines(f, LineSystem(pair))
     avoids = [_restrict_avoid(X, split.spans[i]) for i in range(2)]
     rng = random.Random(seed + 5)
-    rejects = {"piece": 0, "clash": 0, "residual": 0}
+    rejects = {"piece_fail": 0, "clash": 0, "residual": 0}
     for t in range(retries):
         height = 9 << (t // 16)
         c = Fraction(0) if t == 0 else Fraction(rng.randint(-height, height))
-        per_piece: dict[int, Decomposition] = {}
-        ok = True
-        for i, piece in enumerate(split.pieces([c])):
-            if piece.is_zero():
-                continue
-            try:
-                per_piece[i] = decompose_binary_bounded(
-                    piece, avoids[i], max_size=4, seed=seed + 31 * t + i, tol=tol)
-            except RetryExhausted:
-                rejects["piece"] += 1
-                ok = False
-                break
-        if not ok or not per_piece:
-            continue
-        merged = split.merge(per_piece, {"route": "two-line-split", "tuple_attempt": t},
-                             tol, rejects)
+        merged = split.decompose_tuple([c], (4, 4), avoids, seed + 31 * t, tol, rejects,
+                                       {"route": "two-line-split", "tuple_attempt": t})
         if merged is not None:
             return merged
     raise RetryExhausted(
@@ -461,7 +446,7 @@ def _three_line_split(f: Form, X: AvoidanceSet, triple, seed: int,
     part0 = split.particular[0]
     exact = part0.is_exact and pow01.is_exact and pow02.is_exact
     rng = random.Random(seed + 23)
-    rejects = {"det": 0, "piece0": 0, "piece12": 0, "clash": 0, "residual": 0}
+    rejects = {"det": 0, "piece_fail": 0, "clash": 0, "residual": 0}
 
     for round_ in range(-(-retries // 8)):
         height = 9 << (round_ // 4)
@@ -490,27 +475,13 @@ def _three_line_split(f: Form, X: AvoidanceSet, triple, seed: int,
                 dec0 = decompose_binary_bounded(
                     f0, avoids[0], max_size=2, seed=seed + round_, tol=tol)
             except RetryExhausted:
-                rejects["piece0"] += 1
+                rejects["piece_fail"] += 1
                 continue
             for inner in range(8):
                 c12 = Fraction(rng.randint(-height, height))
-                pieces = split.pieces([c01, c02, c12])
-                per_piece = {0: dec0}
-                ok = True
-                for i in (1, 2):
-                    if pieces[i].is_zero():
-                        continue
-                    try:
-                        per_piece[i] = decompose_binary_bounded(
-                            pieces[i], avoids[i], max_size=3,
-                            seed=seed + 7 * round_ + inner + i, tol=tol)
-                    except RetryExhausted:
-                        rejects["piece12"] += 1
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                merged = split.merge(per_piece, {"route": "three-line-split"}, tol, rejects)
+                merged = split.decompose_tuple(
+                    [c01, c02, c12], (2, 3, 3), avoids, seed + 7 * round_ + inner, tol,
+                    rejects, {"route": "three-line-split"}, done={0: dec0})
                 if merged is not None:
                     return merged
     raise RetryExhausted(
@@ -529,7 +500,10 @@ _DIRECTIONS = (
 
 def _line_open(f: Form, X: AvoidanceSet, u, v, seed: int, tol: float,
                retries: int, route: str) -> Decomposition | None:
-    """f decomposed off X on the line through u and v; None if f is off it."""
+    """f decomposed off X on the line through u and v; None if f is off it.
+
+    The push onto the line rounds float points, so the pushed sum is judged
+    against f again."""
     g = form_on_line(f, u, v)
     if g is None:
         return None
@@ -537,6 +511,9 @@ def _line_open(f: Form, X: AvoidanceSet, u, v, seed: int, tol: float,
                                     retries=retries)
     pushed = push_decomposition(dec, (u, v))
     pushed.provenance["route"] = route
+    if not pushed.meets_tolerance(f, tol):
+        raise RetryExhausted("the decomposition pushed onto the line misses tol",
+                             diagnostics={"best_residual": pushed.provenance["residual"]})
     return pushed
 
 

@@ -10,8 +10,10 @@ genericity the per-piece rank bounds need.
 
 Full decompositions are provided for odd degree at least five.  The
 splitting layer itself (`annihilates`, `annihilating_lines`,
-`split_on_lines`, `SplitProblem.merge`) works in any degree and is reused
-by the quartic pipeline.
+`split_on_lines`) works in any degree and is reused by the quartic
+pipeline; its entry is `SplitProblem.decompose_tuple`, the one tuple step
+of every split route: decompose each piece on its line within a cap and
+merge the pieces back into the plane.
 """
 
 from __future__ import annotations
@@ -44,20 +46,18 @@ from .forms import (
     random_combination,
     same_point,
 )
-from .linalg import numeric_nullspace, solve_columns
+from .linalg import SPAN_TOL, numeric_nullspace, solve_columns
 from .plane import (
     UNIT_DUALS,
     as_dual_point,
     cross,
-    det3,
     factor_rank_two_quadric,
-    pencil_at,
     plane_basis,
     quadric_matrix,
     quadric_rank_exact,
     quadric_rank_numeric,
+    singular_members,
 )
-from .roots import pencil_roots
 
 TUPLE_BUDGET = 256
 LINE_BUDGET = 64
@@ -269,12 +269,7 @@ def reducible_member(basis: list[Form], forbidden: list[ProjectivePoint],
         if stats["pencils"] >= budget:
             break
         stats["pencils"] += 1
-        m_a, m_b = quadric_matrix(qa), quadric_matrix(qb)
-        ts = pencil_roots(lambda t: det3(pencil_at(m_a, m_b, t)))
-        if ts is None:
-            # identically singular pencil: every member splits
-            ts = [Fraction(v) for v in (0, 1, -1, 2, -2)]
-        for t in ts:
+        for t in singular_members(quadric_matrix(qa), quadric_matrix(qb)):
             stats["members"] += 1
             exact = isinstance(t, Fraction)
             if exact:
@@ -496,11 +491,34 @@ class SplitProblem:
             return None
         return merged
 
+    def decompose_tuple(self, coeffs, caps, avoids, seed: int, tol: float,
+                        rejects: dict, provenance: dict,
+                        done: dict | None = None) -> Decomposition | None:
+        """The tuple step: the pieces at `coeffs`, decomposed and merged.
+
+        Piece i gets at most `caps[i]` points off `avoids[i]` (None avoids
+        nothing) from `decompose_binary_bounded` at seed `seed + i`; zero
+        pieces and those already decomposed in `done` (by line index) are
+        skipped.  None when a piece fails (counted as `piece_fail`) or the
+        merge rejects the sum (`clash`, `residual`).
+        """
+        decs = dict(done or {})
+        for i, piece in enumerate(self.pieces(coeffs)):
+            if i in decs or piece.is_zero():
+                continue
+            try:
+                decs[i] = decompose_binary_bounded(piece, avoids[i], caps[i],
+                                                   seed=seed + i, tol=tol)
+            except RetryExhausted:
+                rejects["piece_fail"] += 1
+                return None
+        return self.merge(decs, provenance, tol, rejects)
+
 
 def _line_coordinates(u_ij, span):
     """Coordinates of an intersection point in a line's own basis."""
-    solved = solve_columns(span, u_ij)
-    if solved is None or solved[1] > 1e-8:
+    solved = solve_columns(span, u_ij, tol=SPAN_TOL)
+    if solved is None:
         raise DegenerateSystemError("intersection point escaped its line")
     return tuple(solved[0])
 
@@ -529,8 +547,8 @@ def split_on_lines(f: Form, system: LineSystem) -> SplitProblem:
     # the equilibrated solve keeps the rank count from being thrown off by
     # the very different magnitudes of high powers of the span vectors
     solved = solve_columns([col.coeffs for u, v in spans for col in line_embedding(u, v, d)],
-                           f.coeffs)
-    if solved is None or solved[1] > 1e-8:
+                           f.coeffs, tol=SPAN_TOL)
+    if solved is None:
         raise DegenerateSystemError("annihilating system failed to split the form")
     sol, _, rank = solved
 
@@ -592,6 +610,10 @@ def _binary_on_subspace(f: Form, seed: int, tol: float) -> Decomposition:
     dec = decompose_binary(g, seed=seed, tol=tol)
     pushed = push_decomposition(dec, (tuple(u), tuple(v)))
     pushed.provenance.update({"route": "binary-subspace"})
+    # the push rounds float points, so the pushed sum is judged against f again
+    if not pushed.meets_tolerance(f, tol):
+        raise RetryExhausted("the decomposition pushed onto the plane misses tol",
+                             diagnostics={"best_residual": pushed.provenance["residual"]})
     return pushed
 
 
@@ -602,8 +624,9 @@ def decompose_ternary_odd(f: Form, seed: int = 0, tol: float = RESIDUAL_TOL,
     Splits f along d - 1 annihilating lines (fewer after minimization),
     then samples the solution space until every nonzero piece decomposes
     within the per-line cap max(d + 1 - k, (d + 1) / 2).  The total never
-    exceeds (d^2 - 1) / 2.  Forms in fewer essential variables take the
-    direct single-power or binary route instead.
+    exceeds (d^2 - 1) / 2, because (k + 1) times the cap does not for any
+    1 <= k <= d - 2.  Forms in fewer essential variables take the direct
+    single-power or binary route instead.
     """
     if f.num_vars != 3:
         raise PreconditionError("decompose_ternary_odd expects a ternary form")
@@ -622,7 +645,6 @@ def decompose_ternary_odd(f: Form, seed: int = 0, tol: float = RESIDUAL_TOL,
     if ess == 2:
         return _binary_on_subspace(f, seed, tol)
 
-    total_cap = (d * d - 1) // 2
     best: dict | None = None
     outer_budget = 4
     for sys_attempt in range(outer_budget):
@@ -642,8 +664,9 @@ def decompose_ternary_odd(f: Form, seed: int = 0, tol: float = RESIDUAL_TOL,
             best = best or {"stage": "split", "detail": str(err)}
             continue
         cap = max(d + 1 - k, (d + 1) // 2)
+        caps, avoids = (cap,) * (k + 1), (None,) * (k + 1)
         rng = random.Random(seed + 977 * sys_attempt + 13)
-        rejects = {"piece_rank": 0, "piece_fail": 0, "clash": 0, "residual": 0}
+        rejects = {"piece_fail": 0, "clash": 0, "residual": 0}
         for t in range(retries):
             height = 9 << (t // 32)
             if t == 0:
@@ -651,27 +674,10 @@ def decompose_ternary_odd(f: Form, seed: int = 0, tol: float = RESIDUAL_TOL,
             else:
                 coeffs = [Fraction(rng.randint(-height, height))
                           for _ in split.kernel]
-            decs: dict[int, Decomposition] = {}
-            good = True
-            for i, piece in enumerate(split.pieces(coeffs)):
-                if piece.is_zero():
-                    continue
-                try:
-                    decs[i] = decompose_binary_bounded(piece, None, cap,
-                                                       seed=seed + 31 * t + i, tol=tol)
-                except RetryExhausted:
-                    rejects["piece_fail"] += 1
-                    good = False
-                    break
-            if not good:
-                continue
-            if sum(dec.size for dec in decs.values()) > total_cap:
-                rejects["piece_rank"] += 1
-                continue
-            merged = split.merge(decs, {
-                "route": "odd-line-split", "k": k, "cap": cap,
-                "tuple_attempt": t, "seed": seed,
-            }, tol, rejects)
+            provenance = {"route": "odd-line-split", "k": k, "cap": cap,
+                          "tuple_attempt": t, "seed": seed}
+            merged = split.decompose_tuple(coeffs, caps, avoids, seed + 31 * t, tol,
+                                           rejects, provenance)
             if merged is not None:
                 return merged
         best = {"stage": "tuples", "rejects": rejects, "k": k, "cap": cap}

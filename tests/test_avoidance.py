@@ -56,22 +56,12 @@ def test_membership_multiple_generators_is_intersection():
     assert not X.contains((F(0), F(1), F(1)))
 
 
-def test_from_points_and_union():
+def test_from_points():
     pts = [(F(1), F(2)), (F(1), F(-1)), (F(0), F(1))]
     X = AvoidanceSet.from_points(pts)
     for p in pts:
         assert X.contains(p)
     assert not X.contains((F(1), F(0)))
-    bigger = X.with_extra_points([(F(1), F(0))])
-    assert bigger.contains((F(1), F(0)))
-    for p in pts:
-        assert bigger.contains(p)
-
-
-def test_with_extra_points_rejects_ternary():
-    X = AvoidanceSet(3, (parse_form("x2", 3),))
-    with pytest.raises(PreconditionError):
-        X.with_extra_points([(F(1), F(0), F(0))])
 
 
 def test_restrict_to_line():

@@ -26,6 +26,14 @@ from waring.forms import Form, parse_form, power_of_linear, random_form
 F = Fraction
 
 
+def exact_sum(dec):
+    """The exact sum of an exact decomposition's powered terms."""
+    total = Form.zero(dec.num_vars, dec.degree)
+    for t in dec.terms:
+        total = total + power_of_linear(t.point.coords, dec.degree, t.coeff)
+    return total
+
+
 def sum_of_powers(points, degree, weights=None):
     total = None
     for i, p in enumerate(points):
@@ -204,7 +212,7 @@ def test_decompose_binary_exact_when_roots_rational():
     f = sum_of_powers([(F(1), F(0)), (F(1), F(1))], 3, [F(2), F(3)])
     dec = decompose_binary(f)
     assert dec.is_exact
-    assert dec.synthesize_exact().coeffs == f.coeffs
+    assert exact_sum(dec).coeffs == f.coeffs
     assert dec.size == 2
 
 
@@ -225,8 +233,9 @@ def test_decompose_binary_degree_forty_probe_returns_or_raises_waring_error():
     assert (dec.num_vars, dec.degree) == (2, 40)
 
 
-def binary_certificate(f):
-    return verify_decomposition(f, decompose_binary(f), bound=(rank_binary(f), BOUND_BINARY_RANK))
+def binary_certificate(f, tol=1e-8):
+    return verify_decomposition(f, decompose_binary(f, tol=tol), tol=tol,
+                                bound=(rank_binary(f), BOUND_BINARY_RANK))
 
 
 @pytest.mark.parametrize("degree,seed", [(36, 0), (40, 0), (40, 1), (40, 2), (44, 0), (48, 0)])
@@ -237,16 +246,22 @@ def test_high_degree_weight_solves_certify_valid(degree, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(2, 40), st.integers(0, 10**6))
-@example(36, 0)
-@example(40, 1)
-def test_decompose_binary_certifies_valid_or_raises_a_waring_error(degree, seed):
+@given(st.integers(2, 40), st.integers(0, 10**6), st.sampled_from([1e-8, 1e-15]))
+@example(36, 0, 1e-8)
+@example(40, 1, 1e-8)
+def test_decompose_binary_certifies_valid_or_raises_a_waring_error(degree, seed, tol):
     f = random_form(2, degree, seed)
     try:
-        certificate = binary_certificate(f)
+        certificate = binary_certificate(f, tol)
     except WaringError:
         return
     assert certificate.valid
+
+
+def test_a_tolerance_below_the_default_is_met():
+    # judged against max(tol, 1e-8), the first sample's residual of 1.2e-15
+    # passed and the certificate at 1e-15 came out INVALID
+    assert binary_certificate(random_form(2, 28, 0), tol=1e-15).valid
 
 
 def test_float_routes_give_plain_fraction_or_complex_scalars():

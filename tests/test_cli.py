@@ -9,6 +9,7 @@ from waring.certify import (
     BOUND_QUARTIC_EIGHT,
 )
 from waring.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_RETRY, EXIT_USAGE, main
+from waring.forms import form_to_string, random_form
 
 
 def run(capsys, *argv):
@@ -37,6 +38,13 @@ def test_decompose_binary_prints_a_valid_certificate(capsys):
     assert payload["bound"] == {"value": 2, "source_tag": BOUND_BINARY_RANK}
     assert len(payload["terms"]) == 2
     assert payload["avoidance"] is None
+
+
+def test_decompose_meets_a_tolerance_below_the_default(capsys):
+    form = form_to_string(random_form(2, 28, 0))
+    code, out, _ = run(capsys, "decompose", form, "--tol", "1e-15")
+    assert code == EXIT_OK
+    certificate(out)
 
 
 def test_decompose_avoid_binary(capsys, tmp_path):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from waring import apolarity, avoidance
@@ -190,6 +190,20 @@ def test_triple_route_spends_the_callers_retry_budget():
     with pytest.raises(RetryExhausted):
         quartic_decompose_open(random_form(3, 4, seed=5), LINE_X2, seed=0, retries=0)
 
+
+@pytest.mark.parametrize("f, route_key", [
+    (parse_form("x0^3*x1", 3), None),   # plane route: the 4 + 4 split
+    (random_form(3, 4, seed=5), "det"),  # triple route: the 2 + 3 + 3 split
+])
+def test_split_rejects_use_one_vocabulary(f, route_key):
+    # no tuple meets 1e-30, so the split runs out and names its rejects
+    with pytest.raises(RetryExhausted) as err:
+        quartic_decompose_open(f, LINE_X2, seed=0, tol=1e-30, retries=8)
+    expected = {"piece_fail", "clash", "residual"} | ({route_key} if route_key else set())
+    assert set(err.value.diagnostics) == expected
+    assert err.value.diagnostics["piece_fail"] > 0
+
+
 def test_conic_route_spends_the_callers_retry_budget():
     # middle rank three: the conic pullback, then the triple route, both at zero
     f = parse_form("x0^4 + x1^4", 3) + power_of_linear((1, 1, 1), 4)
@@ -334,12 +348,16 @@ SPARSE_QUARTICS = st.dictionaries(
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(integer_forms(4, 2), SPARSE_QUARTICS),
-       st.sampled_from(QUARTIC_AVOIDED), st.integers(0, 3))
-def test_quartic_open_certifies_valid_or_raises_a_waring_error(f, avoided, seed):
+       st.sampled_from(QUARTIC_AVOIDED), st.integers(0, 3), st.sampled_from([1e-8, 1e-15]))
+# the power route's binary residual met 1e-15, the sum pushed onto its line did not
+@example(parse_form("-2*x0^4", 3), "x2", 3, 1e-15)
+def test_quartic_open_certifies_valid_or_raises_a_waring_error(f, avoided, seed, tol):
     X = None if avoided is None else AvoidanceSet(3, (parse_form(avoided, 3),))
+    # at 1e-15 most samples miss, so a short retry budget keeps the example quick
+    retries = 64 if tol == 1e-8 else 8
     try:
-        dec = quartic_decompose_open(f, X, seed=seed)
+        dec = quartic_decompose_open(f, X, seed=seed, tol=tol, retries=retries)
     except WaringError:
         return
-    cert = verify_decomposition(f, dec, avoid=X, bound=(8, BOUND_QUARTIC_EIGHT))
+    cert = verify_decomposition(f, dec, tol=tol, avoid=X, bound=(8, BOUND_QUARTIC_EIGHT))
     assert cert.valid, cert

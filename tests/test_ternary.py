@@ -13,6 +13,7 @@ from waring.decomposition import Decomposition, Term
 from waring.errors import (
     DegenerateSystemError,
     PreconditionError,
+    RetryExhausted,
     WaringError,
     ZeroFormError,
 )
@@ -23,6 +24,7 @@ from waring.forms import (
     parse_form,
     power_of_linear,
     random_form,
+    substitute,
 )
 from waring.plane import cross
 from waring.ternary import (
@@ -328,21 +330,62 @@ def test_decompose_septic_respects_global_cap():
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.sampled_from([5, 7]), st.integers(0, 10**6))
-def test_decompose_ternary_odd_certifies_valid_or_raises_a_waring_error(degree, seed):
+@given(st.sampled_from([5, 7]), st.integers(0, 10**6), st.sampled_from([1e-8, 1e-15]))
+def test_decompose_ternary_odd_certifies_valid_or_raises_a_waring_error(degree, seed, tol):
     f = random_form(3, degree, seed)
+    # at 1e-15 most tuples miss, so a short tuple budget keeps the example quick
+    retries = ternary.TUPLE_BUDGET if tol == 1e-8 else 16
     try:
-        dec = decompose_ternary_odd(f, seed=seed % 97)
+        dec = decompose_ternary_odd(f, seed=seed % 97, tol=tol, retries=retries)
     except WaringError:
         return
-    assert verify_decomposition(f, dec, bound=((degree**2 - 1) // 2, BOUND_ODD_SPLIT)).valid
+    cert = verify_decomposition(f, dec, tol=tol, bound=((degree**2 - 1) // 2, BOUND_ODD_SPLIT))
+    assert cert.valid
+
+
+@pytest.mark.parametrize("d", range(5, 42, 2))
+def test_per_line_caps_bound_the_total(d):
+    # decompose_ternary_odd caps each of its k + 1 pieces at
+    # max(d + 1 - k, (d + 1) // 2) points, so (d^2 - 1) / 2 needs no own check
+    for k in range(1, d - 1):
+        assert (k + 1) * max(d + 1 - k, (d + 1) // 2) <= (d * d - 1) // 2
+
+
+def test_tuple_rejects_use_one_vocabulary():
+    # no tuple meets 1e-30, so the budget runs out and names its rejects
+    with pytest.raises(RetryExhausted) as err:
+        decompose_ternary_odd(random_form(3, 5, 0), tol=1e-30, retries=8)
+    rejects = err.value.diagnostics["rejects"]
+    assert set(rejects) == {"piece_fail", "clash", "residual"}
+    assert sum(rejects.values()) == 8
+
+
+def test_binary_subspace_route_certifies_valid_or_raises_a_waring_error():
+    # the essential plane's basis vectors are nearly parallel, so pushing the
+    # binary decomposition back loses digits: 4e-8 against f here
+    f = substitute(random_form(2, 5, 1), [parse_form("x0 + x2", 3),
+                                          parse_form("x1 - 2*x2", 3)])
+    try:
+        dec = decompose_ternary_odd(f, seed=0)
+    except WaringError:
+        return
+    assert verify_decomposition(f, dec).valid
+
+
+def exact_sum(dec):
+    """The exact sum of an exact decomposition's powered terms."""
+    total = Form.zero(dec.num_vars, dec.degree)
+    for t in dec.terms:
+        total = total + power_of_linear(t.point.coords, dec.degree, t.coeff)
+    return total
+
 
 def test_decompose_single_power():
     f = power_of_linear((2, -1, 3), 5, F(7))
     dec = decompose_ternary_odd(f)
     assert dec.size == 1
     assert dec.is_exact
-    assert dec.synthesize_exact().coeffs == f.coeffs
+    assert exact_sum(dec).coeffs == f.coeffs
 
 
 def test_decompose_essentially_binary():
