@@ -18,13 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError, ZeroFormError
 from .forms import Form, ProjectivePoint, evaluate, substitute
 from .plane import cross, plane_basis
-from .roots import exact_degree_drop, rational_roots
+from .roots import exact_degree_drop, primitive_integer, rational_roots
 
 MEMBER_TOL = 1e-8
 
@@ -157,21 +156,11 @@ def _probe_duals(count: int) -> list[tuple]:
 
 
 def _primitive_integer(vec: Sequence[Fraction]) -> tuple[int, ...] | None:
-    denom = 1
-    for c in vec:
-        f = Fraction(c)
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(Fraction(c) * denom) for c in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
+    if all(c == 0 for c in vec):
         return None
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    ints = primitive_integer(vec)
+    sign = 1 if next(x for x in ints if x != 0) > 0 else -1
+    return tuple(sign * x for x in ints)
 
 
 def _rational_points_on_restriction(g: Form, span) -> list[tuple] | None:

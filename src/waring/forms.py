@@ -11,18 +11,18 @@ monomials in x0..x{n-1}) and their duals (the divided-power side, acting by
 differentiation).  Which role a form plays is decided by the operation:
 `contract(t, f)` differentiates f by t, so t is dual and f is primal.
 
-Products and contractions run on the index tables of `monomials`.  Exact
-kernels (products, contractions, sums, differences and powers of linear
-forms) scale each operand by the lcm of its coefficient denominators and
-accumulate the integer numerators, so an output coefficient costs one
-`Fraction` instead of a `Fraction` multiply and add per term; the result
-is the same canonical `Fraction` in any summation order.  A kernel that
-mixes backends converts each exact coefficient to `complex` once, which
-is what `Fraction * complex` does on every product anyway; the float loops
-keep the order of terms (nonzero products onto the backend's zero in
-monomial order, left factor outer) and of each multiplication, so the bits
-are those of the coefficient-wise expressions.  Kernel results skip
-re-normalization.
+Products and contractions run on the index tables of `monomials`.  An
+exact form that a kernel makes stores integer numerators over one positive
+denominator, with gcd 1; the exact kernels (sums, differences, negation,
+exact scaling, products, contractions and powers of linear forms) read and
+write those integers.  Its `coeffs`, the canonical `Fraction`s, are built
+on first read and kept.  Each exact form also keeps one complex view,
+numerator / denominator by int division, which rounds correctly and so has
+the bits of `complex(Fraction)`; kernels that mix backends read it.  Their
+float loops keep the order of terms (nonzero products onto the backend's
+zero in monomial order, left factor outer) and of each multiplication, so
+the bits are those of the coefficient-wise expressions.  Kernel results
+skip re-normalization.
 
 Points of the projective space P(S_1) are `ProjectivePoint`s.  Exact points
 normalize their first nonzero coordinate to 1; float points normalize the
@@ -108,6 +108,27 @@ class Form:
         form.__dict__.update(num_vars=num_vars, degree=degree, coeffs=coeffs, _exact=exact)
         return form
 
+    @classmethod
+    def _exact_over(cls, num_vars, degree, num: list[int], den: int) -> "Form":
+        g = math.gcd(den, *num)  # stored reduced: num[i] / den with gcd 1
+        num, den = ([v // g for v in num], den // g) if g > 1 else (num, den)
+        form = object.__new__(cls)
+        form.__dict__.update(num_vars=num_vars, degree=degree, _exact=True, _num=num, _den=den)
+        return form
+
+    def __getattr__(self, name):  # a missing view of an exact form: built on first read, kept
+        state = self.__dict__
+        if not state.get("_exact") or name not in ("coeffs", "_num", "_den", "_cplx"):
+            raise AttributeError(name)
+        if name == "coeffs":  # the canonical Fractions
+            d = state["_den"]
+            state[name] = tuple(Fraction(v, d) if d > 1 else Fraction(v) for v in state["_num"])
+        elif name == "_cplx":
+            state[name] = tuple(complex(v / self._den) for v in self._num)
+        else:
+            state["_num"], state["_den"] = _numerators(state["coeffs"])
+        return state[name]
+
     # -- construction -----------------------------------------------------
 
     @classmethod
@@ -132,7 +153,7 @@ class Form:
         return self._exact
 
     def to_float(self) -> "Form":
-        return Form(self.num_vars, self.degree, tuple(complex(c) for c in self.coeffs))
+        return Form._trusted(self.num_vars, self.degree, _floats(self), False)
 
     # -- inspection -------------------------------------------------------
 
@@ -147,11 +168,11 @@ class Form:
 
     def is_zero(self, tol: float = FLOAT_ZERO_TOL) -> bool:
         if self.is_exact:
-            return all(c == 0 for c in self.coeffs)
+            return not any(self._num)
         return all(abs(c) <= tol for c in self.coeffs)
 
     def max_abs(self) -> float:
-        return max((abs(complex(c)) for c in self.coeffs), default=0.0)
+        return max(map(abs, _floats(self)), default=0.0)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -166,14 +187,12 @@ class Form:
         self._check_same_space(other)
         exact = self._exact and other._exact
         if exact:
-            a, da = _numerators(self.coeffs)
-            b, db = _numerators(other.coeffs)
-            den = math.lcm(da, db)
-            sa, sb = den // da, den // db
-            out = _over((op(x * sa, y * sb) for x, y in zip(a, b)), den)
-        else:
-            out = tuple(op(x, y) for x, y in zip(_floats(self), _floats(other)))
-        return Form._trusted(self.num_vars, self.degree, out, exact)
+            den = math.lcm(self._den, other._den)
+            sa, sb = den // self._den, den // other._den
+            out = [op(x * sa, y * sb) for x, y in zip(self._num, other._num)]
+            return Form._exact_over(self.num_vars, self.degree, out, den)
+        out = tuple(op(x, y) for x, y in zip(_floats(self), _floats(other)))
+        return Form._trusted(self.num_vars, self.degree, out, False)
 
     def __add__(self, other: "Form") -> "Form":
         return self._combine(other, operator.add)
@@ -182,13 +201,15 @@ class Form:
         return self._combine(other, operator.sub)
 
     def __neg__(self) -> "Form":
-        return Form._trusted(self.num_vars, self.degree, tuple(-a for a in self.coeffs),
-                             self._exact)
+        if self._exact:
+            return Form._exact_over(self.num_vars, self.degree, [-a for a in self._num], self._den)
+        return Form._trusted(self.num_vars, self.degree, tuple(-a for a in self.coeffs), False)
 
     def scale(self, scalar) -> "Form":
-        products = tuple(c * scalar for c in self.coeffs)
         if self._exact and isinstance(scalar, (Fraction, int)):
-            return Form._trusted(self.num_vars, self.degree, products, True)
+            num, den = scalar.numerator, self._den * scalar.denominator
+            return Form._exact_over(self.num_vars, self.degree, [v * num for v in self._num], den)
+        products = tuple(c * scalar for c in self.coeffs)
         return Form._trusted(self.num_vars, self.degree, *_normalize_coeffs(products))
 
     def __mul__(self, other: "Form") -> "Form":
@@ -200,7 +221,7 @@ class Form:
         n, degree = self.num_vars, self.degree + other.degree
         exact = self._exact and other._exact
         if exact:
-            (a, da), (b, db) = _numerators(self.coeffs), _numerators(other.coeffs)
+            a, b = self._num, other._num
         else:
             a, b = _floats(self), _floats(other)
         out = [0 if exact else 0j] * space_dim(n, degree)
@@ -209,8 +230,9 @@ class Form:
             if ca != 0:
                 for ib, cb in right:
                     out[row[ib]] += ca * cb
-        coeffs = _over(out, da * db) if exact else tuple(out)
-        return Form._trusted(n, degree, coeffs, exact)
+        if exact:
+            return Form._exact_over(n, degree, out, self._den * other._den)
+        return Form._trusted(n, degree, tuple(out), False)
 
 
 def _numerators(coeffs: tuple) -> tuple[list[int], int]:
@@ -221,16 +243,9 @@ def _numerators(coeffs: tuple) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _over(numerators: Iterable[int], den: int) -> tuple:
-    """The canonical Fractions numerator / den."""
-    if den == 1:
-        return tuple(map(Fraction, numerators))
-    return tuple(Fraction(v, den) for v in numerators)
-
-
 def _floats(form: Form) -> tuple:
-    """The coefficients as complex numbers, exact ones converted once."""
-    return tuple(map(complex, form.coeffs)) if form._exact else form.coeffs
+    """The coefficients as complex numbers: the kept view of an exact form."""
+    return form._cplx if form._exact else form.coeffs
 
 
 #: alias used where a form acts by differentiation (the apolarity pairing)
@@ -252,7 +267,7 @@ def contract(t: Form, f: Form) -> Form:
     n, out_degree = f.num_vars, f.degree - t.degree
     exact = t._exact and f._exact
     if exact:
-        (tc, dt), (fc, df) = _numerators(t.coeffs), _numerators(f.coeffs)
+        tc, fc = t._num, f._num
     else:
         tc, fc = _floats(t), _floats(f)
     out = [0 if exact else 0j] * space_dim(n, out_degree)
@@ -262,8 +277,9 @@ def contract(t: Form, f: Form) -> Form:
                 fb = fc[ib]
                 if fb != 0:
                     out[k] += ta * fb * fall
-    coeffs = _over(out, dt * df) if exact else tuple(out)
-    return Form._trusted(n, out_degree, coeffs, exact)
+    if exact:
+        return Form._exact_over(n, out_degree, out, t._den * f._den)
+    return Form._trusted(n, out_degree, tuple(out), False)
 
 
 def power_of_linear(point: Sequence, degree: int, coeff=1) -> Form:
@@ -285,7 +301,7 @@ def power_of_linear(point: Sequence, degree: int, coeff=1) -> Form:
                 term = term * pw[e]
         coeffs.append(term)
     if exact:
-        return Form._trusted(n, degree, _over(coeffs, coeff.denominator * den ** degree), True)
+        return Form._exact_over(n, degree, coeffs, coeff.denominator * den ** degree)
     return Form._trusted(n, degree, *_normalize_coeffs(coeffs))
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +26,7 @@ from .errors import PreconditionError
 from .forms import Form, ProjectivePoint, evaluate, is_exact_scalar, substitute
 from .linalg import solve_columns
 from .monomials import index_of
-from .roots import pencil_roots
+from .roots import pencil_roots, primitive_integer
 
 #: x0, x1, x2 as linear duals; `random_combination` over them samples a line
 UNIT_DUALS = tuple(Form(3, 1, tuple(Fraction(int(i == j)) for j in range(3)))
@@ -125,10 +125,18 @@ def pencil_at(m_a: list[list], m_b: list[list], t) -> list[list]:
 def singular_members(m_a: list[list], m_b: list[list]) -> list:
     """Parameters t where det(m_a + t * m_b) vanishes, by `pencil_roots`.
 
+    Exact matrices are scaled once by the lcm D of their denominators and
+    sampled over the integers: det(D m_a + t D m_b) / D^3 is the same cubic.
     An identically singular pencil has every member singular; it gives
     the five samples 0, 1, -1, 2, -2.
     """
-    ts = pencil_roots(lambda t: det3(pencil_at(m_a, m_b, t)))
+    entries = [x for m in (m_a, m_b) for row in m for x in row]
+    if all(is_exact_scalar(x) for x in entries):
+        den = lcm(*(x.denominator for x in entries))
+        a, b = ([[x.numerator * (den // x.denominator) for x in r] for r in m] for m in (m_a, m_b))
+        ts = pencil_roots(lambda t: Fraction(det3(pencil_at(a, b, int(t))), den ** 3))
+    else:
+        ts = pencil_roots(lambda t: det3(pencil_at(m_a, m_b, t)))
     return [Fraction(v) for v in (0, 1, -1, 2, -2)] if ts is None else ts
 
 
@@ -150,6 +158,21 @@ def quadric_rank_numeric(q: Form, tol: float = 1e-6) -> int:
     if s.size == 0 or s[0] == 0:
         return 0
     return int(np.sum(s > tol * s[0]))
+
+
+def reduced_plane_basis(u: Sequence, v: Sequence) -> tuple[list[int], list[int]]:
+    """A Lagrange-reduced primitive integer basis of span(u, v): its vectors
+    meet at 60 to 90 degrees, so no digits go to a nearly parallel pair."""
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    u, v = primitive_integer(u), primitive_integer(v)
+    while True:
+        u, v = sorted((u, v), key=lambda w: dot(w, w))
+        m = round(Fraction(dot(u, v), dot(u, u)))
+        if m == 0:
+            return u, v
+        v = [y - m * x for x, y in zip(u, v)]
 
 
 def rational_sqrt(value: Fraction) -> Fraction | None:
@@ -249,10 +272,7 @@ def rational_point_on_conic(q: Form, height: int = 16) -> tuple | None:
     if not q.is_exact:
         return None
     m = quadric_matrix(q)
-    denom = 1
-    for row in m:
-        for x in row:
-            denom = denom * Fraction(x).denominator
+    denom = lcm(*(x.denominator for row in m for x in row))
     mi = [[int(x * denom) for x in row] for row in m]
 
     def value(v):

@@ -180,13 +180,17 @@ def _primitive(u: list[int]) -> list[int]:
     return u if g == 1 else [c // g for c in u]
 
 
-def _integer_poly(coeffs: Sequence) -> list[int]:
-    """The primitive integer multiple of a rational polynomial, degree-trimmed."""
-    vals = _strip([Fraction(c) for c in coeffs])
-    if not vals:
-        return []
+def primitive_integer(vec: Sequence) -> list[int]:
+    """The primitive integer multiple of a nonzero rational vector."""
+    vals = [Fraction(c) for c in vec]
     denom = math.lcm(*(c.denominator for c in vals))
     return _primitive([c.numerator * (denom // c.denominator) for c in vals])
+
+
+def _integer_poly(coeffs: Sequence) -> list[int]:
+    """The primitive integer multiple of a rational polynomial, degree-trimmed."""
+    vals = _strip(list(coeffs))
+    return primitive_integer(vals) if vals else []
 
 
 def _derivative(u: list[int]) -> list[int]:

@@ -56,6 +56,7 @@ from .plane import (
     quadric_matrix,
     quadric_rank_exact,
     quadric_rank_numeric,
+    reduced_plane_basis,
     singular_members,
 )
 
@@ -603,7 +604,7 @@ def single_power(f: Form) -> Decomposition:
 
 
 def _binary_on_subspace(f: Form, seed: int, tol: float) -> Decomposition:
-    u, v = essential_subspace(f)
+    u, v = reduced_plane_basis(*essential_subspace(f))
     g = form_on_line(f, u, v)
     if g is None:
         raise DegenerateSystemError("essential plane does not carry the form")

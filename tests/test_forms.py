@@ -522,14 +522,105 @@ def test_exact_kernels_add_integer_numerators(monkeypatch):
 
 
 def test_mixed_kernels_convert_each_exact_coefficient_once(monkeypatch):
+    # an exact form keeps one complex view, numerator / denominator by int
+    # division: no Fraction is converted, and later kernels reuse the view
     exact = Form(3, 2, tuple(Fraction(i - 2, i + 2) for i in range(6)))
     floats = Form(3, 3, tuple(complex(i, 1 - i) for i in range(10)))
     expected = [bits(reference_mul(exact, floats)), bits(reference_mul(floats, exact)),
                 bits(reference_contract(exact, floats))]
-    calls = counting(monkeypatch, "__complex__")
-    got = [bits(exact * floats), bits(floats * exact), bits(contract(exact, floats))]
-    assert calls["__complex__"] == 3 * len(exact.coeffs)
+    calls = counting(monkeypatch, "__complex__", "__float__")
+    views = []
+    build = Form.__getattr__
+    monkeypatch.setattr(Form, "__getattr__",
+                        lambda form, name: views.append(name) or build(form, name))
+    got = [bits(exact * floats)]
+    assert views.count("_cplx") == 1
+    got += [bits(floats * exact), bits(contract(exact, floats))]
+    assert views.count("_cplx") == 1
+    assert calls == dict.fromkeys(calls, 0)
+    monkeypatch.undo()
     assert got == expected
+
+
+# -- numerator storage ---------------------------------------------------------
+#
+# A kernel result holds integer numerators over one denominator; its
+# Fraction `coeffs` and its complex view are built on first read.  Drawn
+# numerators and denominators reach 2^80; a drawn shift of 2^1100 puts
+# values beyond the float range, where the view raises as complex(Fraction)
+# does.
+
+BIG = 2 ** 80
+
+
+@st.composite
+def stored_forms(draw, num_vars, degree):
+    """(numerators, denominator) of an exact form, not reduced."""
+    n = space_dim(num_vars, degree)
+    shift = draw(st.sampled_from([1, 1, 1, 2 ** 1100]))
+    nums = draw(st.lists(st.integers(-BIG, BIG).map(lambda v: v * shift),
+                         min_size=n, max_size=n))
+    return nums, draw(st.integers(1, BIG))
+
+
+def outcome(kernel, *args):
+    """The bits of a kernel's result, or the type of what it raised."""
+    try:
+        return bits(kernel(*args))
+    except OverflowError as err:
+        return type(err)
+
+
+@st.composite
+def stored_cases(draw):
+    """Stored forms a, b of degree d and c of degree e <= d, and a float form."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    e = draw(st.integers(0, d))
+    stored = [draw(stored_forms(n, deg)) for deg in (d, d, e)]
+    return n, (d, d, e), stored, draw(forms(n, d, exact=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(stored_cases(), st.one_of(st.integers(-BIG, BIG), st.fractions(max_denominator=BIG),
+                                 FLOAT))
+def test_numerator_storage_matches_canonical_fractions(case, scalar):
+    n, degrees, stored, floats = case
+    eager = [Form(n, deg, tuple(Fraction(v, den) for v in nums))
+             for deg, (nums, den) in zip(degrees, stored)]
+
+    def lazy():
+        return [Form._exact_over(n, deg, list(nums), den)
+                for deg, (nums, den) in zip(degrees, stored)]
+
+    # == and hash build the coeffs, which are then those of the eager forms
+    for form, ref in zip(lazy(), eager):
+        assert form == ref and hash(form) == hash(ref)
+        assert [repr(x) for x in form.coeffs] == [repr(x) for x in ref.coeffs]
+        assert all(type(x) is Fraction for x in form.coeffs)
+    # the complex view has the bits of complex(Fraction), or raises as it does
+    views = [outcome(Form.to_float, form) for form in lazy()]
+    assert views == [outcome(lambda f: Form(n, f.degree, tuple(map(complex, f.coeffs))), ref)
+                     for ref in eager]
+    (a, b, c), (ea, eb, ec) = lazy(), eager
+    assert bits(a + b) == bits(reference_add(ea, eb))
+    assert bits(a - b) == bits(reference_sub(ea, eb))
+    assert bits(-a) == bits(reference_neg(ea))
+    assert bits(a * c) == bits(reference_mul(ea, ec))
+    assert bits(contract(c, a)) == bits(reference_contract(ec, ea))
+    assert outcome(a.scale, scalar) == outcome(reference_scale, ea, scalar)
+    point, coeff = (ea.coeffs + ec.coeffs)[:3], eb.coeffs[0]
+    assert bits(power_of_linear(point, 3, coeff)) == bits(
+        reference_power_of_linear(point, 3, coeff))
+    # kernel results keep numerators and denominator with gcd 1
+    for got in (a + b, a * c, contract(c, a), a.scale(Fraction(6, BIG))):
+        assert got._den > 0 and math.gcd(got._den, *got._num) == 1
+    # mixed kernels read the view; beyond the float range the references,
+    # which convert only the terms they multiply, need not raise
+    if OverflowError in views:
+        return
+    assert bits(a + floats) == bits(reference_add(ea, floats))
+    assert bits(c * floats) == bits(reference_mul(ec, floats))
+    assert bits(contract(c, floats)) == bits(reference_contract(ec, floats))
 
 
 @KERNEL

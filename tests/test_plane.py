@@ -13,13 +13,16 @@ from waring.plane import (
     det3,
     factor_rank_two_quadric,
     float_point_on_conic,
+    pencil_at,
     plane_basis,
     quadric_matrix,
     quadric_rank_exact,
     quadric_rank_numeric,
     rational_point_on_conic,
     rational_sqrt,
+    singular_members,
 )
+from waring.roots import pencil_roots
 
 F = Fraction
 
@@ -55,6 +58,38 @@ def test_adjugate_and_det():
             for j in range(3):
                 got = sum(m[i][k] * adj[k][j] for k in range(3))
                 assert got == (d if i == j else 0)
+
+
+def fraction_pencil_members(m_a, m_b):
+    """`singular_members` as it sampled before: det3 over Fractions."""
+    ts = pencil_roots(lambda t: det3(pencil_at(m_a, m_b, t)))
+    return [F(v) for v in (0, 1, -1, 2, -2)] if ts is None else ts
+
+
+def test_singular_members_sample_the_integer_pencil_to_the_same_roots():
+    rng = random.Random(18)
+
+    def entry():
+        return F(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 7, 12]))
+
+    def quadric():
+        if rng.random() < 0.5:  # a line pair, so that the cubic has a rational root
+            l1, l2 = (Form(3, 1, tuple(entry() for _ in range(3))) for _ in range(2))
+            return quadric_matrix(l1 * l2)
+        return quadric_matrix(Form(3, 2, tuple(entry() for _ in range(6))))
+
+    kinds = set()
+    for _ in range(40):
+        m_a, m_b = quadric(), quadric()
+        got, expected = singular_members(m_a, m_b), fraction_pencil_members(m_a, m_b)
+        assert [repr(t) for t in got] == [repr(t) for t in expected]
+        kinds.update(type(t) for t in got)
+    assert kinds == {F, complex}
+    # an identically singular pencil: both members vanish on e2
+    m_a = [[F(1, 3), F(2, 5), 0], [F(2, 5), F(-1, 7), 0], [0, 0, 0]]
+    m_b = [[F(5, 2), F(1, 6), 0], [F(1, 6), F(3), 0], [0, 0, 0]]
+    assert singular_members(m_a, m_b) == [F(v) for v in (0, 1, -1, 2, -2)]
+    assert fraction_pencil_members(m_a, m_b) == singular_members(m_a, m_b)
 
 
 def test_quadric_matrix_splits_cross_terms():
