@@ -230,9 +230,8 @@ class Form:
             if ca != 0:
                 for ib, cb in right:
                     out[row[ib]] += ca * cb
-        if exact:
-            return Form._exact_over(n, degree, out, self._den * other._den)
-        return Form._trusted(n, degree, tuple(out), False)
+        return (Form._exact_over(n, degree, out, self._den * other._den) if exact
+                else Form._trusted(n, degree, tuple(out), False))
 
 
 def _numerators(coeffs: tuple) -> tuple[list[int], int]:
@@ -277,9 +276,8 @@ def contract(t: Form, f: Form) -> Form:
                 fb = fc[ib]
                 if fb != 0:
                     out[k] += ta * fb * fall
-    if exact:
-        return Form._exact_over(n, out_degree, out, t._den * f._den)
-    return Form._trusted(n, out_degree, tuple(out), False)
+    return (Form._exact_over(n, out_degree, out, t._den * f._den) if exact
+            else Form._trusted(n, out_degree, tuple(out), False))
 
 
 def power_of_linear(point: Sequence, degree: int, coeff=1) -> Form:

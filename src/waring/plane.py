@@ -125,18 +125,20 @@ def pencil_at(m_a: list[list], m_b: list[list], t) -> list[list]:
 def singular_members(m_a: list[list], m_b: list[list]) -> list:
     """Parameters t where det(m_a + t * m_b) vanishes, by `pencil_roots`.
 
-    Exact matrices are scaled once by the lcm D of their denominators and
-    sampled over the integers: det(D m_a + t D m_b) / D^3 is the same cubic.
+    The matrices are exact, cleared once by the lcm D of their denominators:
+    each sample t = p / q is det(q D m_a + p D m_b) / (q D)^3, over the integers.
     An identically singular pencil has every member singular; it gives
     the five samples 0, 1, -1, 2, -2.
     """
-    entries = [x for m in (m_a, m_b) for row in m for x in row]
-    if all(is_exact_scalar(x) for x in entries):
-        den = lcm(*(x.denominator for x in entries))
-        a, b = ([[x.numerator * (den // x.denominator) for x in r] for r in m] for m in (m_a, m_b))
-        ts = pencil_roots(lambda t: Fraction(det3(pencil_at(a, b, int(t))), den ** 3))
-    else:
-        ts = pencil_roots(lambda t: det3(pencil_at(m_a, m_b, t)))
+    den = lcm(*(x.denominator for m in (m_a, m_b) for row in m for x in row))
+    a, b = ([[x.numerator * (den // x.denominator) for x in r] for r in m] for m in (m_a, m_b))
+
+    def det_at(t: Fraction) -> Fraction:
+        p, q = t.numerator, t.denominator
+        member = [[q * x + p * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+        return Fraction(det3(member), (q * den) ** 3)
+
+    ts = pencil_roots(det_at)
     return [Fraction(v) for v in (0, 1, -1, 2, -2)] if ts is None else ts
 
 
@@ -163,13 +165,10 @@ def quadric_rank_numeric(q: Form, tol: float = 1e-6) -> int:
 def reduced_plane_basis(u: Sequence, v: Sequence) -> tuple[list[int], list[int]]:
     """A Lagrange-reduced primitive integer basis of span(u, v): its vectors
     meet at 60 to 90 degrees, so no digits go to a nearly parallel pair."""
-    def dot(a, b):
-        return sum(x * y for x, y in zip(a, b))
-
     u, v = primitive_integer(u), primitive_integer(v)
     while True:
-        u, v = sorted((u, v), key=lambda w: dot(w, w))
-        m = round(Fraction(dot(u, v), dot(u, u)))
+        u, v = sorted((u, v), key=lambda w: sum(x * x for x in w))
+        m = round(Fraction(sum(x * y for x, y in zip(u, v)), sum(x * x for x in u)))
         if m == 0:
             return u, v
         v = [y - m * x for x, y in zip(u, v)]
@@ -272,7 +271,10 @@ def rational_point_on_conic(q: Form, height: int = 16) -> tuple | None:
     if not q.is_exact:
         return None
     m = quadric_matrix(q)
-    denom = lcm(*(x.denominator for row in m for x in row))
+    denom = 1
+    for row in m:
+        for x in row:
+            denom = denom * Fraction(x).denominator
     mi = [[int(x * denom) for x in row] for row in m]
 
     def value(v):

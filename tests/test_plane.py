@@ -92,6 +92,24 @@ def test_singular_members_sample_the_integer_pencil_to_the_same_roots():
     assert fraction_pencil_members(m_a, m_b) == singular_members(m_a, m_b)
 
 
+def test_singular_members_sample_a_fractional_parameter_exactly(monkeypatch):
+    import waring.plane as plane
+
+    m_a = [[F(1, 3), F(2, 5), F(1)], [F(2, 5), F(-1, 7), F(3, 4)], [F(1), F(3, 4), F(2)]]
+    m_b = [[F(5, 2), F(1, 6), F(-2)], [F(1, 6), F(3), F(0)], [F(-2), F(0), F(1, 9)]]
+    ts = [F(1, 3), F(-5, 2), F(7, 11), F(4)]
+    seen = []
+
+    def probe(det_at):
+        seen.extend(det_at(t) for t in ts)
+        return []
+
+    monkeypatch.setattr(plane, "pencil_roots", probe)
+    singular_members(m_a, m_b)
+    assert seen == [det3(pencil_at(m_a, m_b, t)) for t in ts]
+    assert all(isinstance(d, F) for d in seen)
+
+
 def test_quadric_matrix_splits_cross_terms():
     q = parse_form("x0^2 + 4*x0*x1 + 2*x1*x2 + 5*x2^2", 3)
     m = quadric_matrix(q)
