@@ -10,13 +10,17 @@ The row orientation is fixed so certificates reproduce byte for byte.
 Ranks and kernels of these matrices decide border rank (binary), essential
 variables, and the catalecticant lower bound for Waring rank; all of that
 runs on the exact backend.  Float pipelines use `numeric_catalecticant`
-and make their own tolerance calls.
+and make their own tolerance calls.  It is one gather: the form's complex
+view (`to_float().coeffs`, kept by exact forms) indexed at m + m', times
+the falling products as floats, both tables cached per (n, d, delta).  On
+a float form each entry has the bits of complex(c * falling product).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,10 +85,27 @@ def catalecticant(f: Form, delta: int) -> CatalecticantMatrix:
     )
 
 
+@lru_cache(maxsize=None)
+def _gather_table(num_vars: int, degree: int, delta: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient index of m + m' and its falling product over m, as a float,
+    at every entry (m, m') of the delta-th catalecticant."""
+    rows, cols = exponents(num_vars, delta), exponents(num_vars, degree - delta)
+    betas = [[tuple(a + b for a, b in zip(r, c)) for c in cols] for r in rows]
+    index = np.array([[index_of(beta) for beta in row] for row in betas], dtype=np.intp)
+    falls = np.array([[float(falling_product(beta, r)) for beta in row]
+                      for r, row in zip(rows, betas)])
+    return index, falls
+
+
 def numeric_catalecticant(f: Form, delta: int) -> np.ndarray:
-    """Float catalecticant matrix, same orientation as the exact one."""
-    return np.array([[complex(x) for x in row] for row in _entries(f, delta)],
-                    dtype=complex)
+    """Float catalecticant matrix, same orientation as the exact one.
+
+    One gather from the form's complex view, times the falling products
+    as floats: on a float form each entry has the bits of
+    `complex(c * falling_product(...))`.
+    """
+    index, falls = _gather_table(f.num_vars, f.degree, delta)
+    return np.array(f.to_float().coeffs, dtype=complex)[index] * falls
 
 
 def apolar_component(f: Form, degree: int) -> list[DualForm]:

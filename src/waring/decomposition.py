@@ -78,7 +78,7 @@ class Decomposition:
 
     def synthesize(self) -> Form:
         """Float sum of the powered terms."""
-        total = Form.zero(self.num_vars, self.degree).to_float()
+        total = Form.zero(self.num_vars, self.degree, exact=False)
         for t in self.terms:
             total = total + power_of_linear(t.point.as_floats(), self.degree,
                                             complex(t.coeff))

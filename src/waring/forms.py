@@ -22,14 +22,20 @@ the bits of `complex(Fraction)`; kernels that mix backends read it.  Their
 float loops keep the order of terms (nonzero products onto the backend's
 zero in monomial order, left factor outer) and of each multiplication, so
 the bits are those of the coefficient-wise expressions.  Kernel results
-skip re-normalization.
+skip re-normalization; so does `scale` on a float form, whose products
+`complex(c * s)` are complex already.
 
 Points of the projective space P(S_1) are `ProjectivePoint`s.  Exact points
 normalize their first nonzero coordinate to 1; float points normalize the
 first coordinate of largest magnitude (up to a relative 1e-12) to 1.  The
 pivot becomes exactly 1, so normalizing a normalized point changes no bit.
-Comparisons use a normalization-free chordal distance, so they do not
-depend on which coordinate was scaled.
+`complex_coords` turns exact coordinates into floats by the same int
+division as the view of an exact form.  Comparisons use a
+normalization-free chordal distance, so they do not depend on which
+coordinate was scaled.  `distinct_points` takes all the pairwise
+distances in one vectorised pass, which only prefilters: every pair it
+puts within 2 * tol (plus a rounding slack) is confirmed by the scalar
+distance, so its answer is that of the pairwise definition.
 
 `random_combination` is the one integer sampler: every randomized search
 draws its generic members of a linear system through it.
@@ -43,7 +49,10 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 from .errors import DimensionMismatch, ParseFormError, ZeroFormError
 from .monomials import (
@@ -67,6 +76,11 @@ _PIVOT_SLACK = 1e-12
 #: norms within which neither a vector's squares nor the wedge of two such
 #: vectors under- or overflow; `chordal_distance` rescales a vector outside
 _NORM_RANGE = (2.0 ** -200, 2.0 ** 200)
+
+#: bound on how far a chordal distance taken in another rounding order (the
+#: vectorised pass of `distinct_points`) can stray: both are within a few
+#: ulps of 1 of the true value, since the distance is at most 1
+_WEDGE_SLACK = 1e-12
 
 
 def is_exact_scalar(value) -> bool:
@@ -206,7 +220,10 @@ class Form:
         return Form._trusted(self.num_vars, self.degree, tuple(-a for a in self.coeffs), False)
 
     def scale(self, scalar) -> "Form":
-        if self._exact and isinstance(scalar, (Fraction, int)):
+        if not self._exact:  # every product is complex already: no backend scan
+            return Form._trusted(self.num_vars, self.degree,
+                                 tuple(complex(c * scalar) for c in self.coeffs), False)
+        if isinstance(scalar, (Fraction, int)):
             num, den = scalar.numerator, self._den * scalar.denominator
             return Form._exact_over(self.num_vars, self.degree, [v * num for v in self._num], den)
         products = tuple(c * scalar for c in self.coeffs)
@@ -422,7 +439,15 @@ class ProjectivePoint:
         return len(self.coords)
 
     def as_floats(self) -> tuple[complex, ...]:
-        return tuple(complex(c) for c in self.coords)
+        return complex_coords(self.coords)
+
+
+def complex_coords(values: Sequence) -> tuple[complex, ...]:
+    """Coordinates as complex floats.  An exact one is numerator / denominator
+    by int division: the bits of complex(Fraction), without its detour
+    through the abstract base classes."""
+    return tuple(complex(v.numerator / v.denominator) if isinstance(v, Fraction) else complex(v)
+                 for v in values)
 
 
 def _norm(a: tuple[complex, ...]) -> float:
@@ -433,7 +458,7 @@ def _norm(a: tuple[complex, ...]) -> float:
 
 
 def _floats_with_norm(p: ProjectivePoint | Sequence) -> tuple[tuple[complex, ...], float]:
-    a = p.as_floats() if isinstance(p, ProjectivePoint) else tuple(complex(c) for c in p)
+    a = p.as_floats() if isinstance(p, ProjectivePoint) else complex_coords(p)
     norm = _norm(a)
     if not _NORM_RANGE[0] <= norm <= _NORM_RANGE[1]:
         # squares, here or in a wedge, may have under- or overflowed: scale by
@@ -471,13 +496,28 @@ def same_point(p, q, tol: float = 1e-8) -> bool:
 
 
 def distinct_points(points: Sequence, tol: float = 1e-6) -> bool:
-    """Pairwise distinctness at the library's separation tolerance (floats made once)."""
+    """Pairwise distinctness at the library's separation tolerance.
+
+    The floats are made once, and one vectorised pass takes every pairwise
+    chordal distance.  That pass only rules pairs out: a pair it does not
+    put above 2 * tol + _WEDGE_SLACK is confirmed by the scalar `_chordal`,
+    so the answer is the one of the pairwise definition.
+    """
     pts = [_floats_with_norm(p) for p in points]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if _chordal(*pts[i], *pts[j]) <= tol:
-                return False
-    return True
+    if len(pts) < 2:
+        return True
+    if len({len(a) for a, _ in pts}) > 1:
+        raise DimensionMismatch("points live in different spaces")
+    coords = np.array([a for a, _ in pts])
+    norms = np.array([na for _, na in pts])
+    wedge = np.zeros((len(pts), len(pts)))
+    for i, j in combinations(range(coords.shape[1]), 2):
+        # entry (p, q) is a[i] * b[j] - a[j] * b[i] for a, b = points p, q
+        prod = np.multiply.outer(coords[:, i], coords[:, j])
+        wedge += np.abs(prod - prod.T) ** 2
+    far = np.sqrt(wedge) / np.multiply.outer(norms, norms) > 2 * tol + _WEDGE_SLACK
+    return not any(_chordal(*pts[p], *pts[q]) <= tol
+                   for p, q in zip(*np.nonzero(~far)) if p < q)
 
 
 # -- parsing and printing -------------------------------------------------

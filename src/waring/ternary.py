@@ -39,6 +39,7 @@ from .errors import (
 from .forms import (
     Form,
     ProjectivePoint,
+    complex_coords,
     contract,
     distinct_points,
     evaluate,
@@ -128,22 +129,32 @@ class LineSystem:
         return tuple(basis[0]), tuple(basis[1])
 
     def intersection(self, i: int, j: int) -> tuple:
-        return cross(self.lines[i].coeffs, self.lines[j].coeffs)
+        """The common point of lines i and j: exact when both lines are,
+        else from their complex views (the bits mixed arithmetic gives)."""
+        a, b = self.lines[i], self.lines[j]
+        if not (a.is_exact and b.is_exact):
+            a, b = a.to_float(), b.to_float()
+        return cross(a.coeffs, b.coeffs)
 
     def annihilates(self, f: Form, tol: float = 1e-8) -> bool:
         return annihilates(self.lines, f, tol)
 
     def in_general_position(self) -> bool:
-        """No three of the lines meet in a common point."""
-        for a, b, c in combinations(range(len(self.lines)), 3):
-            u = self.intersection(a, b)
-            val = evaluate(self.lines[c], u)
-            if self.is_exact and all(not isinstance(x, complex) for x in u):
-                if val == 0:
-                    return False
-            else:
-                scale = max(abs(complex(x)) for x in u) * max(1.0, self.lines[c].max_abs())
-                if abs(complex(val)) <= CONCURRENCY_TOL * scale:
+        """No three of the lines meet in a common point.
+
+        The triples a < b < c run in `combinations` order, and the point of
+        lines a and b is taken once, before line c runs over the rest.
+        """
+        exact, m = self.is_exact, len(self.lines)
+        for a, b in combinations(range(m - 1), 2):
+            u = self.intersection(a, b)  # exact when the system is
+            top = None if exact else max(abs(complex(x)) for x in u)
+            for ell in self.lines[b + 1:]:
+                val = evaluate(ell, u)
+                if exact:
+                    if val == 0:
+                        return False
+                elif abs(complex(val)) <= CONCURRENCY_TOL * (top * max(1.0, ell.max_abs())):
                     return False
         return True
 
@@ -546,9 +557,11 @@ def split_on_lines(f: Form, system: LineSystem) -> SplitProblem:
     exact = f.is_exact and system.is_exact
 
     # the equilibrated solve keeps the rank count from being thrown off by
-    # the very different magnitudes of high powers of the span vectors
-    solved = solve_columns([col.coeffs for u, v in spans for col in line_embedding(u, v, d)],
-                           f.coeffs, tol=SPAN_TOL)
+    # the very different magnitudes of high powers of the span vectors; the
+    # float solves read the complex views that exact forms keep
+    columns = [col.coeffs if exact else col.to_float().coeffs
+               for u, v in spans for col in line_embedding(u, v, d)]
+    solved = solve_columns(columns, f.coeffs if exact else f.to_float().coeffs, tol=SPAN_TOL)
     if solved is None:
         raise DegenerateSystemError("annihilating system failed to split the form")
     sol, _, rank = solved
@@ -567,21 +580,24 @@ def split_on_lines(f: Form, system: LineSystem) -> SplitProblem:
     # via an exact dyadic factor, so integer kernel coefficients perturb
     # the pieces instead of drowning them
     ref = max(max(p.max_abs() for p in particular), 1e-30)
+    # keep the generators on the particular solution's backend even where
+    # two exact lines meet: mixing them would convert every Fraction again
+    # on each sampled tuple; exact spans and points are converted once here
+    bases = spans if exact else [tuple(map(complex_coords, span)) for span in spans]
     gens = []
     for i, j in combinations(range(k + 1), 2):
         u_ij = system.intersection(i, j)
         if not exact:
-            # keep the generators on the particular solution's backend even
-            # where two exact lines meet: mixing them would convert every
-            # Fraction again on each sampled tuple
-            u_ij = tuple(complex(x) for x in u_ij)
-        ci = _line_coordinates(u_ij, spans[i])
-        cj = _line_coordinates(u_ij, spans[j])
+            u_ij = complex_coords(u_ij)
+        ci = _line_coordinates(u_ij, bases[i])
+        cj = _line_coordinates(u_ij, bases[j])
         pow_i = power_of_linear(ci, d)
         pow_j = power_of_linear(cj, d)
         gnorm = max(pow_i.max_abs(), pow_j.max_abs())
         shift = round(math.log2(gnorm / ref)) if gnorm > 0 else 0
         gamma = Fraction(1, 1 << shift) if shift >= 0 else Fraction(1 << -shift)
+        if not exact:  # a power of two: float(gamma) has the bits of complex(gamma)
+            gamma = float(gamma)
         gens.append((i, j, pow_i.scale(gamma), pow_j.scale(gamma)))
     return SplitProblem(
         form=f, system=system, particular=particular, kernel=tuple(gens),

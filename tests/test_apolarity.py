@@ -21,6 +21,7 @@ from waring.apolarity import (
 from waring.binary import border_rank_binary, open_rank_binary, rank_binary
 from waring.errors import PreconditionError, ZeroFormError
 from waring.forms import Form, contract, parse_form, power_of_linear, random_form
+from waring.monomials import exponents, falling_product, index_of
 from waring.quartic import witness_quartic
 
 
@@ -105,6 +106,44 @@ def test_numeric_catalecticant_matches_exact():
         exact = np.array(catalecticant(f, delta).entries, dtype=complex)
         approx = numeric_catalecticant(f, delta)
         assert np.max(np.abs(exact - approx)) < 1e-12
+
+
+def reference_numeric_catalecticant(f, delta):
+    """The entrywise float catalecticant: complex(c * falling product), one entry at a time."""
+    rows = exponents(f.num_vars, delta)
+    cols = exponents(f.num_vars, f.degree - delta)
+    out = []
+    for r in rows:
+        row = []
+        for c in cols:
+            beta = tuple(a + b for a, b in zip(r, c))
+            row.append(complex(f.coeffs[index_of(beta)] * falling_product(beta, r)))
+        out.append(row)
+    return np.array(out, dtype=complex)
+
+
+def float_form(num_vars, degree, seed):
+    """A float form with signed zeros, tiny, huge and complex coefficients."""
+    rng = random.Random(seed)
+    parts = [0.0, -0.0, 1.0, -2.5, 1e-300, -3e300, 0.1]
+    coeffs = [complex(rng.choice(parts + [rng.uniform(-9, 9)]),
+                      rng.choice(parts + [rng.uniform(-9, 9)]))
+              for _ in exponents(num_vars, degree)]
+    return Form(num_vars, degree, tuple(coeffs))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # -3e300 on purpose
+@pytest.mark.parametrize("num_vars, degree", [(2, 40), (3, 9), (3, 4)])
+def test_numeric_catalecticant_has_the_bits_of_the_entrywise_products(num_vars, degree):
+    # binary degree 40 has falling products beyond 2^53, which round to float
+    assert falling_product((40, 0), (20, 0)) > 2 ** 53
+    for seed in range(3):
+        f = float_form(num_vars, degree, seed)
+        for delta in range(degree + 1):
+            got = numeric_catalecticant(f, delta)
+            want = reference_numeric_catalecticant(f, delta)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_catalecticant_rejects_float_backend_and_bad_delta():

@@ -7,9 +7,13 @@ none) and two ternary quintics.  Together they go through the binary
 root route, the quartic pencils and line splits, and the odd-degree line
 split, on both scalar backends.
 
+A second pin covers a ternary septic and a ternary nonic, whose line
+splits run the large float solve (55 x 80 at degree 9) that the quintics
+never reach.
+
 A change that alters certificate bytes on purpose (a fix that moves a
-float result, say) updates PINNED_SHA256 here and records the old and the
-new hash in CHANGES.md.
+float result, say) updates the pins here and records the old and the
+new hashes in CHANGES.md.
 """
 
 import hashlib
@@ -28,6 +32,8 @@ from waring import (
 from waring.certify import BOUND_BINARY_RANK, BOUND_ODD_SPLIT, BOUND_QUARTIC_EIGHT
 
 PINNED_SHA256 = "40bcb211317e8529d5770f5bffabd9ca22f304d6c416e56f9e880d98245d6246"
+
+ODD_SPLIT_PINNED_SHA256 = "107d4577feb94e73259257b803b188baf029a1a73f0c1a740ee2bc68cb124cb0"
 
 QUARTIC_AVOID = (None, "x2", "x0*x2 - x1^2", "x0^3 + x1^3 + x2^3")
 
@@ -54,3 +60,17 @@ def test_corpus_certificate_bytes_are_pinned():
     assert all(c.valid for c in certificates)
     texts = "\n".join(to_json(c) for c in certificates)
     assert hashlib.sha256(texts.encode()).hexdigest() == PINNED_SHA256
+
+
+def odd_split_certificates():
+    for d in (7, 9):
+        f = random_form(3, d, seed=0)
+        yield verify_decomposition(f, decompose_ternary_odd(f),
+                                   bound=((d * d - 1) // 2, BOUND_ODD_SPLIT))
+
+
+def test_septic_and_nonic_certificate_bytes_are_pinned():
+    certificates = list(odd_split_certificates())
+    assert all(c.valid for c in certificates)
+    texts = "\n".join(to_json(c) for c in certificates)
+    assert hashlib.sha256(texts.encode()).hexdigest() == ODD_SPLIT_PINNED_SHA256

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,14 +10,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from waring import ternary
 from waring.apolarity import cat_rank_table, catalecticant, essential_variables, rank_lower_bound
 from waring.binary import embed_binary, line_embedding
 from waring.decomposition import term_from_vector
-from waring.errors import DimensionMismatch, ParseFormError, ZeroFormError
+from waring.errors import DimensionMismatch, ParseFormError, PreconditionError, ZeroFormError
 from waring.forms import (
     Form,
     ProjectivePoint,
     chordal_distance,
+    complex_coords,
     contract,
     distinct_points,
     evaluate,
@@ -29,6 +32,7 @@ from waring.forms import (
     substitute,
 )
 from waring.monomials import exponents, falling_product, index_of, multinomial, space_dim
+from waring.plane import cross
 
 
 def test_exponent_order_is_descending_lex():
@@ -542,6 +546,80 @@ def test_mixed_kernels_convert_each_exact_coefficient_once(monkeypatch):
     assert got == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.fractions(), st.integers(-2 ** 80, 2 ** 80), FLOAT,
+                          st.builds(Fraction, st.integers(-2 ** 1100, 2 ** 1100),
+                                    st.integers(1, 2 ** 1100))), max_size=4))
+def test_complex_coords_have_the_bits_of_complex(values):
+    try:
+        expected = [repr(complex(v)) for v in values]
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            complex_coords(values)
+        return
+    assert [repr(c) for c in complex_coords(values)] == expected
+
+
+def concurrent_triple_brute_force(system):
+    """Some three lines meet: each triple on its own, the determinant of its duals."""
+    for a, b, c in itertools.combinations(system.lines, 3):
+        u = cross(a.coeffs, b.coeffs)
+        if a.is_exact and b.is_exact and c.is_exact:
+            if sum(x * y for x, y in zip(c.coeffs, u)) == 0:
+                return True
+            continue
+        val = sum(complex(x) * complex(y) for x, y in zip(c.coeffs, u))
+        scale = max(abs(complex(x)) for x in u) * max(1.0, c.max_abs())
+        if abs(val) <= ternary.CONCURRENCY_TOL * scale:
+            return True
+    return False
+
+
+def sampled_line_systems(count):
+    """Line systems of 3 to 6 lines, some mixed exact/float, some with a line
+    through the meeting point of two others (exactly, or off it by 1e-12)."""
+    rng = random.Random(5)
+    while count:
+        lines = [Form(3, 1, tuple(Fraction(rng.randint(-4, 4)) for _ in range(3)))
+                 for _ in range(rng.randint(3, 6))]
+        if rng.random() < 0.5:  # a third line through the point of the first two
+            a, b = rng.sample(range(len(lines)), 2)
+            lines[-1] = lines[a].scale(rng.randint(1, 3)) + lines[b].scale(rng.randint(-3, -1))
+        if rng.random() < 0.5:
+            lines[-1] = lines[-1].to_float()
+            if rng.random() < 0.5:
+                lines[-1] = lines[-1] + Form(3, 1, (1e-12j, 0j, 0j))
+        try:
+            yield ternary.LineSystem(tuple(lines))
+        except (PreconditionError, ZeroFormError):
+            continue
+        count -= 1
+
+
+def test_in_general_position_is_the_brute_force_triple_check():
+    seen = set()
+    for system in sampled_line_systems(300):
+        concurrent = concurrent_triple_brute_force(system)
+        assert system.in_general_position() is not concurrent
+        seen.add((system.is_exact, concurrent))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("degree, seed", [(5, 0), (7, 1), (9, 0)])
+def test_split_on_lines_converts_no_fraction_on_a_mixed_system(monkeypatch, degree, seed):
+    # the float solves read the complex views exact forms keep: the
+    # embedding columns, f, the exact spans and the exact intersection points
+    f = random_form(3, degree, seed)
+    system = ternary.minimize_annihilating(f, ternary.annihilating_lines(f, seed=seed))
+    assert any(ell.is_exact for ell in system.lines)
+    assert not system.is_exact
+    calls = counting(monkeypatch, "__complex__")
+    split = ternary.split_on_lines(f, system)
+    assert calls == {"__complex__": 0}
+    monkeypatch.undo()
+    assert split.solution_dim == math.comb(len(system.lines), 2)
+
+
 # -- numerator storage ---------------------------------------------------------
 #
 # A kernel result holds integer numerators over one denominator; its
@@ -678,3 +756,37 @@ def test_distinct_points_is_pairwise_chordal_distance(rows, tol):
                    for i, p in enumerate(points) for q in points[i + 1:])
     assert distinct_points(points, tol) == expected
     assert distinct_points([ProjectivePoint(tuple(p)) for p in points], tol) == expected
+
+
+UNIT = st.floats(min_value=-1, max_value=1, allow_nan=False)
+VECTOR = st.lists(st.builds(complex, UNIT, UNIT), min_size=3, max_size=3).filter(
+    lambda v: max(map(abs, v)) > 1e-3)
+
+
+def at_chordal_distance(p, r, dist):
+    """A point at chordal distance `dist` from p, towards the part of r orthogonal to p."""
+    pp = sum(abs(x) ** 2 for x in p)
+    w = [y - sum(x.conjugate() * z for x, z in zip(p, r)) / pp * x for x, y in zip(p, r)]
+    ww = sum(abs(x) ** 2 for x in w)
+    assume(ww > 1e-6 * pp)
+    t = dist / math.sqrt(1 - dist * dist) * math.sqrt(pp / ww)
+    return [x + t * y for x, y in zip(p, w)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(VECTOR, VECTOR), min_size=1, max_size=4),
+       st.sampled_from([1e-8, 1e-6, 1e-3, 0.5]),
+       st.lists(st.sampled_from([1 - 1e-9, 1.0, 1 + 1e-9]), min_size=1, max_size=4),
+       st.lists(st.sampled_from([-1074 + 60, -300, -201, 0, 201, 300, 900]),
+                min_size=1, max_size=8))
+def test_distinct_points_is_pairwise_chordal_at_the_tolerance(pairs, tol, factors, shifts):
+    # pairs at chordal distance tol * (1 +- 1e-9), and vectors scaled by 2^s
+    # outside the 2^(+-200) range that chordal_distance rescales
+    points = []
+    for (p, r), factor in zip(pairs, itertools.cycle(factors)):
+        points += [p, at_chordal_distance(p, r, tol * factor)]
+    points = [[complex(math.ldexp(x.real, s), math.ldexp(x.imag, s)) for x in v]
+              for v, s in zip(points, itertools.cycle(shifts))]
+    expected = all(chordal_distance(p, q) > tol
+                   for i, p in enumerate(points) for q in points[i + 1:])
+    assert distinct_points(points, tol) == expected
