@@ -8,9 +8,10 @@ verifiable JSON certificate.
 
 Float paths go through numpy least squares and SVD, whose last bits follow
 the BLAS thread count, so float certificate bytes reproduce only at a fixed
-thread count.  The library does not pin it; `tests/conftest.py` and
-`perfbench/run.py` pin one thread through OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS and MKL_NUM_THREADS, set before numpy is imported.
+thread count.  The library does not pin it.  The `waring` console command
+(`waring_launcher`), `tests/conftest.py` and `perfbench/run.py` pin one
+thread through OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS,
+set before numpy is imported; the command keeps a value the caller set.
 """
 
 from .apolarity import (

@@ -41,8 +41,8 @@ from .avoidance import AvoidanceSet
 from .decomposition import RESIDUAL_TOL, Decomposition, Term, term_from_vector
 from .errors import (PreconditionError, RetryExhausted, RootFindingError,
                      ZeroFormError)
-from .forms import (Form, ProjectivePoint, distinct_points, power_of_linear,
-                    random_combination, random_form, same_point)
+from .forms import (Form, ProjectivePoint, complex_coords, distinct_points, is_exact_scalar,
+                    power_of_linear, random_combination, random_form, same_point)
 from .linalg import (SPAN_TOL, exact_rank, numeric_nullspace, numeric_rank,
                      solve_columns)
 from .monomials import space_dim
@@ -144,13 +144,18 @@ def form_on_line(f: Form, u, v) -> Form | None:
 def push_decomposition(dec: Decomposition, span) -> Decomposition:
     """Transport a binary decomposition onto the line spanned by span = (u, v).
 
-    The point (a, b) goes to a u + b v; the provenance is copied.
+    The point (a, b) goes to a u + b v; the provenance is copied.  Float
+    points meet an exact span through its complex coordinates, converted
+    once: the bits of complex(Fraction) in every product.
     """
     u, v = span
+    floats = span
+    if all(map(is_exact_scalar, (*u, *v))):
+        floats = complex_coords(u), complex_coords(v)
     terms = []
     for t in dec.terms:
         a, b = t.point.coords
-        vector = tuple(a * x + b * y for x, y in zip(u, v))
+        vector = tuple(a * x + b * y for x, y in zip(*(span if t.point.is_exact else floats)))
         terms.append(term_from_vector(t.coeff, vector, dec.degree))
     return Decomposition(len(u), dec.degree, tuple(terms), dict(dec.provenance))
 

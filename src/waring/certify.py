@@ -9,8 +9,9 @@ compared literally.  For float certificates that holds only at a fixed
 BLAS thread count: the float paths run numpy least squares and SVD, whose
 last bits follow the number of threads the BLAS splits the work over, so
 the same input can give other bytes under another thread setting.  The
-library and the CLI set no thread count; `perfbench/run.py` pins one
-(`OPENBLAS_NUM_THREADS=1` and its OpenMP and MKL counterparts).
+library sets no thread count; the `waring` console command and
+`perfbench/run.py` pin one (`OPENBLAS_NUM_THREADS=1` and its OpenMP and
+MKL counterparts) unless the caller has set them.
 
 Each check is a record `{name, pass, value, limit}` of JSON numbers:
 the quantity the check measured and the limit it was held to, or null

@@ -5,6 +5,10 @@ human summary with --text) and exits 0 when the certificate is valid.
 Budget exhaustion exits 2, an unmet mathematical hypothesis exits 3, and
 malformed input exits 1.  Polynomials are given inline or as a path to a
 file containing the same text; `verify` also accepts '-' for stdin.
+
+The installed `waring` command enters through `waring_launcher`, which
+pins the BLAS under numpy to one thread before this module loads (see
+the package docstring); running this module directly pins nothing.
 """
 
 from __future__ import annotations

@@ -317,6 +317,8 @@ def power_of_linear(point: Sequence, degree: int, coeff=1) -> Form:
         coeffs.append(term)
     if exact:
         return Form._exact_over(n, degree, coeffs, coeff.denominator * den ** degree)
+    if type(coeff) is complex and all(type(p) is complex for p in point):
+        return Form._trusted(n, degree, tuple(coeffs), False)  # every term is complex already
     return Form._trusted(n, degree, *_normalize_coeffs(coeffs))
 
 

@@ -1,9 +1,12 @@
 """Linear algebra on the two scalar backends.
 
-Exact routines take matrices as lists of Fraction rows, clear denominators
-row by row, and run fraction-free (Bareiss) elimination with partial
-pivoting on the resulting integers, so every intermediate division is
-exact.  These decide all ranks and kernels in the library.
+Exact routines take matrices as rows of `int` and `Fraction` entries; any
+other entry (a float, a complex, a numpy scalar) raises PreconditionError.
+They clear denominators row by row, reading each entry's numerator and
+denominator in place (no Fraction is built), and run fraction-free
+(Bareiss) elimination with partial pivoting on the resulting integers, so
+every intermediate division is exact.  These decide all ranks and kernels
+in the library.
 
 Numeric routines wrap numpy SVD / least squares and are used only where
 roots have already forced the float backend.  Numeric rank cuts singular
@@ -25,6 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import PreconditionError
+
 NUMERIC_RANK_TOL = 1e-8
 #: relative residual up to which a float target counts as in the span
 SPAN_TOL = 1e-8
@@ -33,18 +38,37 @@ Row = list[Fraction]
 
 
 def _integer_rows(matrix: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    """Each row as primitive integers: times the lcm of its denominators,
+    then divided by the gcd of the result.
+
+    An int entry is used as it is and a Fraction through its numerator and
+    denominator, read in place, so no Fraction is built.  Any other entry
+    raises PreconditionError: a float has no exact value here, and a numpy
+    integer would carry its fixed width into the elimination.
+    """
     rows = []
     for row in matrix:
         denom = 1
         for x in row:
-            f = Fraction(x)
-            denom = denom * f.denominator // gcd(denom, f.denominator)
-        scaled = [int(Fraction(x) * denom) for x in row]
+            if type(x) is Fraction:
+                d = x.denominator
+                if denom % d:
+                    denom = denom // gcd(denom, d) * d
+            elif type(x) is not int:
+                raise PreconditionError(
+                    f"exact linear algebra takes int and Fraction entries, not {type(x).__name__}")
+        if denom == 1:
+            scaled = [x if type(x) is int else x.numerator for x in row]
+        else:
+            scaled = [x * denom if type(x) is int else x.numerator * (denom // x.denominator)
+                      for x in row]
         g = 0
-        for x in scaled:
-            g = gcd(g, abs(x))
+        for v in scaled:
+            g = gcd(g, v)
+            if g == 1:
+                break
         if g > 1:
-            scaled = [x // g for x in scaled]
+            scaled = [v // g for v in scaled]
         rows.append(scaled)
     return rows
 

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import waring_launcher
 
 from waring.certify import (
     BOUND_BINARY_OPEN,
@@ -144,3 +149,49 @@ def test_unmet_hypothesis_exits_3(capsys, argv):
     assert code == EXIT_PRECONDITION
     assert out == ""
     assert "precondition failed" in err
+
+
+# In a fresh interpreter, record the BLAS thread variables at the moment
+# numpy is first imported, then run the console command (or import the
+# library alone).
+WATCH_NUMPY = """
+import importlib.abc, json, os, sys
+seen = {}
+
+class Watch(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update((var, os.environ.get(var)) for var in %r)
+
+sys.meta_path.insert(0, Watch())
+if sys.argv[1] == "command":
+    import waring_launcher
+    code = waring_launcher.main(["decompose", "x0^3 + x1^3"])
+else:
+    import waring
+    code = 0
+print(json.dumps({"code": code, "seen": seen}))
+""" % (waring_launcher.BLAS_THREAD_VARS,)
+
+
+def numpy_sees(entry, preset):
+    env = {k: v for k, v in os.environ.items() if k not in waring_launcher.BLAS_THREAD_VARS}
+    env.update(preset)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(waring_launcher.__file__).parent), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", WATCH_NUMPY, entry], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["code"] == EXIT_OK
+    return report["seen"]
+
+
+@pytest.mark.parametrize("preset", [{}, {"OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "4"}])
+def test_console_command_loads_numpy_on_one_blas_thread(preset):
+    # unset variables read 1 when numpy loads; values the caller set are kept
+    assert numpy_sees("command", preset) == {
+        var: preset.get(var, "1") for var in waring_launcher.BLAS_THREAD_VARS}
+
+
+def test_library_sets_no_blas_thread_count():
+    assert numpy_sees("library", {}) == dict.fromkeys(waring_launcher.BLAS_THREAD_VARS)

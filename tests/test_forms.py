@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 
 from waring import ternary
 from waring.apolarity import cat_rank_table, catalecticant, essential_variables, rank_lower_bound
-from waring.binary import embed_binary, line_embedding
-from waring.decomposition import term_from_vector
+from waring.binary import embed_binary, line_embedding, push_decomposition
+from waring.decomposition import Decomposition, term_from_vector
 from waring.errors import DimensionMismatch, ParseFormError, PreconditionError, ZeroFormError
 from waring.forms import (
     Form,
     ProjectivePoint,
+    _normalize_coeffs,
     chordal_distance,
     complex_coords,
     contract,
@@ -495,9 +496,26 @@ def test_scale_matches_the_reference_bit_for_bit(form, scalar):
 @example([Fraction(1, 3), Fraction(-2, 9), Fraction(5, 4)], 5, Fraction(7, 6))
 @example([Fraction(1), 0.5 - 0.25j, Fraction(0)], 0, 1)
 @example([complex(-0.0, 1.0), Fraction(2, 3)], 3, -0.0 + 0j)
+@example([complex(-0.0, 1.0), 0.5 - 0.25j, 1e-200 + 0j], 4, complex(2.5, -0.0))
 def test_power_of_linear_matches_the_reference_bit_for_bit(point, degree, coeff):
     got = power_of_linear(point, degree, coeff)
     assert bits(got) == bits(reference_power_of_linear(point, degree, coeff))
+
+
+def test_power_of_linear_takes_complex_terms_as_they_are(monkeypatch):
+    # a complex point and coefficient give complex terms, kept without the
+    # normalizing scan; a numpy scalar or a float still goes through it
+    cases = [((complex(-0.0, 1.0), 0.5 - 0.25j, 1e-200 + 0j), complex(2.5, -0.0)),
+             ((np.complex128(1 - 2j), 0.5 + 0j), 3j),
+             ((1.5 + 0j, 0.5 + 0j), 2.0)]
+    expected = [bits(reference_power_of_linear(point, 5, coeff)) for point, coeff in cases]
+    scans = []
+    monkeypatch.setattr("waring.forms._normalize_coeffs",
+                        lambda values: scans.append(1) or _normalize_coeffs(values))
+    got = [bits(power_of_linear(point, 5, coeff)) for point, coeff in cases]
+    assert len(scans) == 2
+    monkeypatch.undo()
+    assert got == expected
 
 
 def counting(monkeypatch, *names):
@@ -608,16 +626,27 @@ def test_in_general_position_is_the_brute_force_triple_check():
 @pytest.mark.parametrize("degree, seed", [(5, 0), (7, 1), (9, 0)])
 def test_split_on_lines_converts_no_fraction_on_a_mixed_system(monkeypatch, degree, seed):
     # the float solves read the complex views exact forms keep: the
-    # embedding columns, f, the exact spans and the exact intersection points
+    # embedding columns, f, the exact spans and the exact intersection
+    # points; pushing float piece points onto the spans converts each
+    # exact span once, with the bits of the term-by-term products
     f = random_form(3, degree, seed)
     system = ternary.minimize_annihilating(f, ternary.annihilating_lines(f, seed=seed))
     assert any(ell.is_exact for ell in system.lines)
     assert not system.is_exact
+    piece = Decomposition(2, degree, tuple(
+        term_from_vector(complex(1.5, -k), (complex(k, 0.25), complex(-0.0, 1 / (k + 3))), degree)
+        for k in range(3)))
     calls = counting(monkeypatch, "__complex__")
     split = ternary.split_on_lines(f, system)
+    pushed = [push_decomposition(piece, span) for span in split.spans]
     assert calls == {"__complex__": 0}
     monkeypatch.undo()
     assert split.solution_dim == math.comb(len(system.lines), 2)
+    for (u, v), got in zip(split.spans, pushed):
+        expected = [term_from_vector(t.coeff, [a * x + b * y for x, y in zip(u, v)], degree)
+                    for t in piece.terms for a, b in [t.point.coords]]
+        assert [repr((t.coeff, t.point.coords)) for t in got.terms] == [
+            repr((t.coeff, t.point.coords)) for t in expected]
 
 
 # -- numerator storage ---------------------------------------------------------

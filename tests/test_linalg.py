@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
+from waring.errors import PreconditionError
 from waring.linalg import (
     exact_column_space_basis,
     exact_nullspace,
@@ -114,6 +116,32 @@ def test_column_space_basis_indices():
          [Fraction(2), Fraction(4), Fraction(7)]]
     picks = exact_column_space_basis(m)
     assert picks == [0, 2]  # column 1 is twice column 0
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, 2j, np.float64(0.5), np.int64(2), "1"])
+def test_exact_routines_take_only_int_and_fraction_entries(bad):
+    m = [[Fraction(1, 3), 2, Fraction(0)], [1, bad, Fraction(5, 7)]]
+    for call in (lambda: exact_rank(m), lambda: exact_nullspace(m),
+                 lambda: exact_column_space_basis(m), lambda: exact_solve(m, [1, 2]),
+                 lambda: exact_solve([[1, 2, 3]], [bad])):  # in the right-hand side
+        with pytest.raises(PreconditionError):
+            call()
+
+
+def test_exact_rank_builds_no_fraction(monkeypatch):
+    # rows are cleared by reading numerators and denominators in place
+    rng = random.Random(12)
+    m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 2 ** 64)) for _ in range(5)]
+         for _ in range(4)]
+    m += [[Fraction(rng.randint(-9, 9)) for _ in range(5)], [3, Fraction(1, 2), 0, -1, 7]]
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        staticmethod(lambda *args, **kw: built.append(1) or new(*args, **kw)))
+    rank = exact_rank(m)
+    monkeypatch.undo()
+    assert built == []
+    assert rank == naive_rank(m) == 5
 
 
 def test_numeric_rank_detects_near_dependence():
