@@ -9,11 +9,30 @@ The row orientation is fixed so certificates reproduce byte for byte.
 
 Ranks and kernels of these matrices decide border rank (binary), essential
 variables, and the catalecticant lower bound for Waring rank; all of that
-runs on the exact backend.  Float pipelines use `numeric_catalecticant`
-and make their own tolerance calls.  It is one gather: the form's complex
-view (`to_float().coeffs`, kept by exact forms) indexed at m + m', times
-the falling products as floats, both tables cached per (n, d, delta).  On
-a float form each entry has the bits of complex(c * falling product).
+runs on the exact backend.
+
+With f_beta = num_beta / den and the falling product beta! / m'!, the
+entry at (m, m') is g_(m+m') / (den * m'!) for the integers
+g_beta = num_beta * beta!, so Cat(delta) = G(delta) * diag(1 / (den * m'!))
+with G(delta) = [g_(m+m')], and G(delta) transposed is G(d - delta).  A
+positive column scaling keeps the rank and the left kernel, and it scales
+each row of Cat(delta) transposed by a positive constant, so the exact
+elimination clears it to the same primitive integer row: same pivots,
+same kernel Fractions.  `catalecticant_rank` (the middle binary rank of
+`apolar_initial_degree`, `essential_variables`, the quartic router) and the
+kernel of `catalecticant` (`rank_binary`, `apolar_component`, the conic and
+net kernels of the quartic and ternary routes) eliminate these integer
+rows, built without a Fraction: binary rows are slices of g (G is Hankel),
+other shapes gather g through the index of `_gather_table`.
+`cat_rank_table`, the certificate's table that replay recomputes, keeps
+the falling-product entries of `_entries`, and the tests hold the integer
+rows to it.
+
+Float pipelines use `numeric_catalecticant` and make their own tolerance
+calls.  It is one gather: the form's complex view (`to_float().coeffs`,
+kept by exact forms) indexed at m + m', times the falling products as
+floats, both tables cached per (n, d, delta).  On a float form each entry
+has the bits of complex(c * falling product).
 """
 
 from __future__ import annotations
@@ -27,7 +46,7 @@ import numpy as np
 from .errors import PreconditionError, ZeroFormError
 from .forms import Form, DualForm
 from .linalg import exact_column_space_basis, exact_nullspace, exact_rank
-from .monomials import exponents, falling_product, index_of
+from .monomials import exponents, factorial_weights, falling_product, index_of, space_dim
 
 
 def _entry(f: Form, row: tuple[int, ...], col: tuple[int, ...]):
@@ -50,38 +69,60 @@ class CatalecticantMatrix:
     delta: int
     row_monomials: tuple[tuple[int, ...], ...]
     col_monomials: tuple[tuple[int, ...], ...]
-    entries: tuple[tuple[Fraction, ...], ...]
     rank: int
     kernel: tuple[DualForm, ...]
 
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The Fraction entries contract(m, f), built on each read."""
+        return tuple(map(tuple, _entries(self.form, self.delta)))
 
-def _exact_entries(f: Form, delta: int) -> list[list[Fraction]]:
+
+def _require_exact(f: Form, delta: int) -> None:
     if not f.is_exact:
         raise PreconditionError("catalecticant ranks require the exact backend")
     if not 0 <= delta <= f.degree:
         raise PreconditionError(f"delta must lie in 0..{f.degree}, got {delta}")
+
+
+def _exact_entries(f: Form, delta: int) -> list[list[Fraction]]:
+    _require_exact(f, delta)
     return _entries(f, delta)
+
+
+def _weighted_rows(f: Form, delta: int) -> list[list[int]]:
+    """G(delta) = [g_(m+m')], g_beta = num_beta * beta!: Cat(delta) with
+    column m' scaled by den * m'! (see the module docstring)."""
+    num, _ = f.numerators()
+    g = [v * w for v, w in zip(num, factorial_weights(f.num_vars, f.degree))]
+    if f.num_vars == 2:  # Hankel: row i is g[i : i + d - delta + 1]
+        width = f.degree - delta + 1
+        return [g[i:i + width] for i in range(delta + 1)]
+    index, _ = _gather_table(f.num_vars, f.degree, delta)
+    return np.array(g, dtype=object)[index].tolist()
 
 
 def catalecticant_rank(f: Form, delta: int) -> int:
     """`catalecticant(f, delta).rank`, without the kernel's back-substitution."""
-    return exact_rank(_exact_entries(f, delta))
+    _require_exact(f, delta)
+    return exact_rank(_weighted_rows(f, delta))
 
 
 def catalecticant(f: Form, delta: int) -> CatalecticantMatrix:
     """The delta-th catalecticant of an exact form, with rank and kernel.
 
     The kernel consists of the dual degree-delta forms annihilating f: the
-    degree-delta piece of the apolar ideal.
+    degree-delta piece of the apolar ideal.  It is the null space of
+    Cat(delta) transposed, eliminated on G(d - delta).
     """
-    entries = _exact_entries(f, delta)
-    # kernel vectors live on the row side: solve M^T v = 0
-    kernel_vectors = exact_nullspace([list(column) for column in zip(*entries)])
+    _require_exact(f, delta)
+    kernel_vectors = exact_nullspace(_weighted_rows(f, f.degree - delta))
     kernel = tuple(Form(f.num_vars, delta, tuple(v)) for v in kernel_vectors)
+    rows = exponents(f.num_vars, delta)
     return CatalecticantMatrix(
-        form=f, delta=delta, row_monomials=exponents(f.num_vars, delta),
-        col_monomials=exponents(f.num_vars, f.degree - delta), entries=tuple(map(tuple, entries)),
-        rank=len(entries) - len(kernel_vectors), kernel=kernel,
+        form=f, delta=delta, row_monomials=rows,
+        col_monomials=exponents(f.num_vars, f.degree - delta),
+        rank=len(rows) - len(kernel_vectors), kernel=kernel,
     )
 
 
@@ -133,18 +174,17 @@ def apolar_initial_degree(f: Form) -> int:
     with generators of degrees b <= d + 2 - b, so the Hilbert function of
     its apolar algebra is rank Cat(delta) = min(delta + 1, b, d + 1 - delta).
     At delta = d // 2 the two outer terms are at least d // 2 + 1 >= b.
-    Forms in more variables scan e = 1, 2, ... for the first kernel.
+    Forms in more variables scan e = 1, 2, ... for the first catalecticant
+    of rank below its row count, which is the first with a kernel.
     """
     if f.is_zero():
         raise ZeroFormError("zero form has no apolar initial degree")
     if f.num_vars == 2:
         return catalecticant_rank(f, f.degree // 2)
-    for e in range(1, f.degree + 2):
-        if e > f.degree:
-            return e  # everything annihilates beyond the degree
-        if catalecticant(f, e).kernel:
+    for e in range(1, f.degree + 1):
+        if catalecticant_rank(f, e) < space_dim(f.num_vars, e):  # a kernel
             return e
-    raise AssertionError("unreachable: top degree always has a kernel")
+    return f.degree + 1  # everything annihilates beyond the degree
 
 
 def essential_variables(f: Form) -> int:
@@ -180,11 +220,20 @@ def cat_rank_table(f: Form) -> list[tuple[int, int]]:
     scalings, so only delta <= d // 2 is eliminated.  Binary forms still scan
     every delta: their table is to come from one rank (ROADMAP item 2) once
     the benchmark's memory reading stops growing with its pass count.
+
+    This is the reference route: each rank is `exact_rank` of the
+    falling-product entries `_entries`, where `catalecticant_rank` takes
+    the integer rows G(delta) of Cat(delta) = G(delta) * diag(1 / (den * m'!)).
+    Replaying a certificate recomputes this table, and on the replay
+    workload the faster integer rows raised the benchmark's peak memory
+    reading past its 10% bound (49.0 -> 57.7 MB, +18%, with every table on
+    them; +8% to +12% with only the binary half table) through that same
+    growth, so the table moves with ROADMAP item 2.
     """
     d = f.degree
     if d <= 1:
         return []
     if f.num_vars == 2:
-        return [(delta, catalecticant_rank(f, delta)) for delta in range(1, d)]
-    half = [catalecticant_rank(f, delta) for delta in range(1, d // 2 + 1)]
+        return [(delta, exact_rank(_exact_entries(f, delta))) for delta in range(1, d)]
+    half = [exact_rank(_exact_entries(f, delta)) for delta in range(1, d // 2 + 1)]
     return [(delta, half[min(delta, d - delta) - 1]) for delta in range(1, d)]

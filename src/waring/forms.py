@@ -174,6 +174,11 @@ class Form:
     def coeff(self, expo: tuple[int, ...]) -> Scalar:
         return self.coeffs[index_of(tuple(expo))]
 
+    def numerators(self) -> tuple[list[int], int]:
+        """(num, den) with coefficient i equal to num[i] / den, den > 0: the
+        integers an exact form keeps (read only; exact forms only)."""
+        return self._num, self._den
+
     def items(self):
         """Yield (exponent, coefficient) pairs for nonzero coefficients."""
         for expo, c in zip(exponents(self.num_vars, self.degree), self.coeffs):

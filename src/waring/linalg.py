@@ -5,8 +5,10 @@ other entry (a float, a complex, a numpy scalar) raises PreconditionError.
 They clear denominators row by row, reading each entry's numerator and
 denominator in place (no Fraction is built), and run fraction-free
 (Bareiss) elimination with partial pivoting on the resulting integers, so
-every intermediate division is exact.  These decide all ranks and kernels
-in the library.
+every intermediate division is exact.  Kernels and solutions
+back-substitute over one integer vector and a common denominator, so the
+returned vector holds the only Fractions built.  These decide all ranks
+and kernels in the library.
 
 Numeric routines wrap numpy SVD / least squares and are used only where
 roots have already forced the float backend.  Numeric rank cuts singular
@@ -116,6 +118,34 @@ def exact_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
     return len(_echelon(matrix)[1])
 
 
+def _back_substitute(rows: list[list[int]], pivots: list[tuple[int, int]],
+                     w: list[int], n: int, rhs: bool) -> list[Fraction]:
+    """Fill in the pivot entries of w from the echelon rows, last pivot
+    first; w holds the free entries, and with `rhs` column n of the rows
+    is the right-hand side.
+
+    The vector stays integer over one common denominator: each pivot entry
+    s / p is reduced by gcd(s, p) before the denominator takes p, so no
+    Fraction is built until the returned vector.
+    """
+    den = 1
+    for r, c in reversed(pivots):
+        row = rows[r]
+        s = row[n] * den if rhs else 0
+        for j in range(c + 1, n):
+            if w[j]:
+                s -= row[j] * w[j]
+        p = row[c]
+        g = gcd(s, p)
+        s //= g
+        p //= g
+        if p != 1:
+            den *= p
+            w = [v * p for v in w]
+        w[c] = s
+    return [Fraction(v, den) for v in w]
+
+
 def exact_nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Basis of {v : M v = 0}, one vector per free column.
 
@@ -127,16 +157,13 @@ def exact_nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]
         return []
     n = len(matrix[0])
     rows, pivots = _echelon(matrix)
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(n) if c not in pivot_cols]
+    pivot_cols = {c for _, c in pivots}
     basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, c in reversed(pivots):
-            s = sum((Fraction(rows[r][j]) * v[j] for j in range(c + 1, n)), Fraction(0))
-            v[c] = -s / Fraction(rows[r][c])
-        basis.append(v)
+    for fc in range(n):
+        if fc not in pivot_cols:
+            w = [0] * n
+            w[fc] = 1
+            basis.append(_back_substitute(rows, pivots, w, n, rhs=False))
     return basis
 
 
@@ -158,11 +185,7 @@ def exact_solve_with_rank(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[li
     rank = sum(1 for _, c in pivots if c < n)
     if rank < len(pivots):
         return None, rank  # pivot in the constants column
-    x = [Fraction(0)] * n
-    for r, c in reversed(pivots):
-        s = sum((Fraction(rows[r][j]) * x[j] for j in range(c + 1, n)), Fraction(0))
-        x[c] = (Fraction(rows[r][n]) - s) / Fraction(rows[r][c])
-    return x, rank
+    return _back_substitute(rows, pivots, [0] * n, n, rhs=True), rank
 
 
 def exact_column_space_basis(matrix: Sequence[Sequence[Fraction]]) -> list[int]:

@@ -88,6 +88,12 @@ def multinomials(num_vars: int, degree: int) -> tuple[int, ...]:
     return tuple(multinomial(e) for e in exponents(num_vars, degree))
 
 
+@lru_cache(maxsize=None)
+def factorial_weights(num_vars: int, degree: int) -> tuple[int, ...]:
+    """beta! = prod_i beta_i! for every exponent tuple beta of degree `degree`, in monomial order."""
+    return tuple(math.prod(map(math.factorial, e)) for e in exponents(num_vars, degree))
+
+
 def falling_product(beta: tuple[int, ...], alpha: tuple[int, ...]) -> int:
     """prod_i beta_i * (beta_i - 1) * ... * (beta_i - alpha_i + 1).
 

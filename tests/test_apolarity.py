@@ -21,7 +21,8 @@ from waring.apolarity import (
 from waring.binary import border_rank_binary, open_rank_binary, rank_binary
 from waring.errors import PreconditionError, ZeroFormError
 from waring.forms import Form, contract, parse_form, power_of_linear, random_form
-from waring.monomials import exponents, falling_product, index_of
+from waring.linalg import _integer_rows, exact_nullspace, exact_rank
+from waring.monomials import exponents, falling_product, index_of, space_dim
 from waring.quartic import witness_quartic
 
 
@@ -257,6 +258,51 @@ def test_binary_initial_degree_is_the_kernel_scan(f):
     # the Hilbert function of the apolar algebra of a binary form
     assert cat_rank_table(f) == [(delta, min(delta + 1, b, d + 1 - delta))
                                  for delta in range(1, d)]
+
+
+@st.composite
+def weighted_row_forms(draw):
+    """Binary forms up to degree 24 and ternary up to degree 9: dense with
+    zero coefficients and denominators up to 2^64, pure powers, and forms
+    divisible by a power of x1 (binary roots at infinity)."""
+    n = draw(st.sampled_from([2, 3]))
+    d = draw(st.integers(1, 24 if n == 2 else 9))
+    scalar = st.one_of(st.just(0), st.builds(Fraction, st.integers(-10**6, 10**6),
+                                             st.integers(1, 2 ** 64)))
+    kind = draw(st.sampled_from(["dense", "power", "x1"]))
+    if kind == "power":
+        point = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        return power_of_linear(point, d, coeff=draw(scalar))
+    k = draw(st.integers(1, d)) if kind == "x1" else 0
+    rest = Form(n, d - k, tuple(draw(st.lists(scalar, min_size=space_dim(n, d - k),
+                                              max_size=space_dim(n, d - k)))))
+    return Form.from_dict(n, k, {(0, k) + (0,) * (n - 2): 1}) * rest
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_row_forms(), st.data())
+def test_integer_rows_agree_with_the_reference_entries(f, data):
+    # Cat(delta) = G(delta) * diag(1 / (den * m'!)): same rank, and the same
+    # primitive rows of Cat(delta) transposed, hence the same kernel Fractions
+    delta = data.draw(st.integers(0, f.degree))
+    reference = apolarity._exact_entries(f, delta)
+    transposed = [list(column) for column in zip(*reference)]
+    assert catalecticant_rank(f, delta) == exact_rank(reference)
+    assert (_integer_rows(apolarity._weighted_rows(f, f.degree - delta))
+            == _integer_rows(transposed))
+    cat = catalecticant(f, delta)
+    assert [list(t.coeffs) for t in cat.kernel] == exact_nullspace(transposed)
+    assert cat.rank == exact_rank(reference)
+
+
+def test_catalecticant_builds_entries_only_on_read(monkeypatch):
+    f = random_form(3, 5, seed=4)
+    want = catalecticant(f, 2).entries
+    monkeypatch.setattr(apolarity, "_entries", None)  # rank and kernel never call it
+    cat = catalecticant(f, 2)
+    assert (cat.rank, len(cat.kernel)) == (6, 0)
+    monkeypatch.undo()
+    assert cat.entries == want
 
 
 def test_essential_variables():

@@ -4,7 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from waring.apolarity import _exact_entries, catalecticant_rank
 from waring.errors import PreconditionError
+from waring.forms import Form, random_form
 from waring.linalg import (
     exact_column_space_basis,
     exact_nullspace,
@@ -134,14 +136,21 @@ def test_exact_rank_builds_no_fraction(monkeypatch):
     m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 2 ** 64)) for _ in range(5)]
          for _ in range(4)]
     m += [[Fraction(rng.randint(-9, 9)) for _ in range(5)], [3, Fraction(1, 2), 0, -1, 7]]
+    # catalecticant ranks eliminate integer rows built from the numerators
+    binary = Form(2, 24, tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 2 ** 64))
+                               for _ in range(25)))
+    nonic = random_form(3, 9, seed=12)
     built = []
     new = Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__",
                         staticmethod(lambda *args, **kw: built.append(1) or new(*args, **kw)))
     rank = exact_rank(m)
+    cat_ranks = [catalecticant_rank(binary, 12), catalecticant_rank(nonic, 4)]
     monkeypatch.undo()
     assert built == []
     assert rank == naive_rank(m) == 5
+    assert cat_ranks == [naive_rank(_exact_entries(binary, 12)),
+                         naive_rank(_exact_entries(nonic, 4))] == [13, 15]
 
 
 def test_numeric_rank_detects_near_dependence():
