@@ -27,7 +27,8 @@ embedding sending the monomial s^(d-j) t^j to U^(d-j) V^j (U, V the
 linear forms of the line's spanning vectors) identifies binary forms
 with the forms supported on that line; `embed_binary` and `form_on_line`
 convert in the two directions and `push_decomposition` carries a
-decomposition forward onto the line.
+decomposition forward onto the line; `decompose_on_line` runs the round
+trip for a form the line carries and judges the pushed sum against it.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .apolarity import (apolar_component, apolar_initial_degree, catalecticant,
                         numeric_catalecticant)
 from .avoidance import AvoidanceSet
 from .decomposition import RESIDUAL_TOL, Decomposition, Term, term_from_vector
-from .errors import (PreconditionError, RetryExhausted, RootFindingError,
-                     ZeroFormError)
+from .errors import (DegenerateSystemError, PreconditionError, RetryExhausted,
+                     RootFindingError, ZeroFormError)
 from .forms import (Form, ProjectivePoint, complex_coords, distinct_points, is_exact_scalar,
                     power_of_linear, random_combination, random_form, same_point)
 from .linalg import (SPAN_TOL, exact_rank, numeric_nullspace, numeric_rank,
@@ -158,6 +159,25 @@ def push_decomposition(dec: Decomposition, span) -> Decomposition:
         vector = tuple(a * x + b * y for x, y in zip(*(span if t.point.is_exact else floats)))
         terms.append(term_from_vector(t.coeff, vector, dec.degree))
     return Decomposition(len(u), dec.degree, tuple(terms), dict(dec.provenance))
+
+
+def decompose_on_line(f: Form, span, decompose, route: str, tol: float) -> Decomposition:
+    """f decomposed on the line spanned by span = (u, v), pushed back by route.
+
+    `decompose` takes f's binary preimage on the line to a decomposition.
+    The push rounds float points, so the pushed sum is judged against f
+    again.  Raises DegenerateSystemError when the line does not carry f and
+    RetryExhausted when the pushed sum misses `tol`.
+    """
+    g = form_on_line(f, *span)
+    if g is None:
+        raise DegenerateSystemError("the line does not carry the form")
+    pushed = push_decomposition(decompose(g), span)
+    pushed.provenance["route"] = route
+    if not pushed.meets_tolerance(f, tol):
+        raise RetryExhausted("the decomposition pushed onto the line misses tol",
+                             diagnostics={"best_residual": pushed.provenance["residual"]})
+    return pushed
 
 
 # -- kernels for both backends ----------------------------------------------

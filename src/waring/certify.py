@@ -24,6 +24,9 @@ string values included.
 The residual is always `max-norm(f - sum) / max(1, max-norm(f))`,
 computed in floating point even for exact data, so one number means the
 same thing across backends.
+`route_by_shape` names the `ROUTES` entry (decomposer, bound, bound tag)
+for a form's shape; the command line and `rank_bracket` both decompose
+through it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from fractions import Fraction
 
 from .apolarity import cat_rank_table, rank_lower_bound
 from .avoidance import AvoidanceSet
-from .binary import decompose_binary, rank_binary
+from .binary import decompose_binary, decompose_binary_avoiding, open_rank_binary, rank_binary
 from .decomposition import RESIDUAL_TOL, Decomposition, Term
 from .errors import (
     DimensionMismatch,
@@ -50,6 +53,8 @@ from .forms import (
     form_to_string,
     parse_form,
 )
+from .quartic import quartic_brk3_decompose, quartic_decompose_open
+from .ternary import decompose_ternary_odd
 
 VERSION = "0.1.0"
 
@@ -215,12 +220,55 @@ def verify_decomposition(f: Form, dec: Decomposition,
     )
 
 
+# route -> (decomposer(f, avoid, **options), bound value of f, bound tag).
+# The options are seed, tol and retries; a decomposer keeps its own default
+# for an option it is not given.  binary-rank has no retry budget and brk3
+# keeps its own budget of conics, so both drop retries.
+ROUTES = {
+    "binary-rank": (lambda f, avoid, retries=None, **options:
+                    decompose_binary(f, **options),
+                    rank_binary, BOUND_BINARY_RANK),
+    "binary-open": (decompose_binary_avoiding, open_rank_binary, BOUND_BINARY_OPEN),
+    "quartic8": (quartic_decompose_open, lambda f: 8, BOUND_QUARTIC_EIGHT),
+    "odd-split": (lambda f, avoid, **options: decompose_ternary_odd(f, **options),
+                  lambda f: (f.degree ** 2 - 1) // 2, BOUND_ODD_SPLIT),
+    "brk3": (lambda f, avoid, retries=None, **options:
+             quartic_brk3_decompose(f, avoid, **options),
+             lambda f: 7, BOUND_CONIC_PULLBACK),
+}
+
+
+def route_by_shape(f: Form, avoid: AvoidanceSet | None = None) -> str:
+    """The `ROUTES` key that decomposes a form of f's shape.
+
+    Binary forms take the rank route, or the open-rank route when a set is
+    avoided; ternary quartics take the eight-power route and ternary forms
+    of odd degree at least five the line split, which avoids nothing.
+    Raises PreconditionError on every other shape.
+    """
+    if f.num_vars == 2:
+        return "binary-rank" if avoid is None else "binary-open"
+    if f.num_vars == 3:
+        if f.degree == 4:
+            return "quartic8"
+        if f.degree >= 5 and f.degree % 2 == 1:
+            if avoid is not None:
+                raise PreconditionError(
+                    "avoidance in three variables is implemented for degree four; "
+                    "odd degrees decompose without a forbidden set")
+            return "odd-split"
+        raise PreconditionError(
+            "ternary decomposition covers degree four and odd degrees five and up")
+    raise PreconditionError("decomposition handles two or three variables")
+
+
 def rank_bracket(f: Form) -> tuple[int, int, Decomposition]:
     """Catalecticant lower bound and a witnessed upper bound for the rank.
 
-    Binary forms get the exact rank on both sides of the witness; ternary
-    forms go through the quartic route (degree four) or the odd-degree
-    line split.  Other shapes are not covered.
+    A form in one variable is a single power.  Otherwise the decomposition
+    is that of `route_by_shape(f)` at its defaults, and the upper bound is
+    the smaller of its size and the route's bound: the exact rank for a
+    binary form.  Other shapes raise PreconditionError.
     """
     if f.is_zero():
         raise ZeroFormError("the zero form has no rank bracket")
@@ -230,23 +278,10 @@ def rank_bracket(f: Form) -> tuple[int, int, Decomposition]:
                             (Term(f.coeffs[idx], ProjectivePoint((Fraction(1),))),),
                             {"route": "single-variable"})
         return 1, 1, dec
+    decompose, bound_value, _ = ROUTES[route_by_shape(f)]
     lower = rank_lower_bound(f)
-    if f.num_vars == 2:
-        upper = rank_binary(f)
-        dec = decompose_binary(f)
-        return lower, upper, dec
-    if f.num_vars == 3:
-        if f.degree == 4:
-            from .quartic import quartic_decompose_open
-            dec = quartic_decompose_open(f)
-        elif f.degree >= 5 and f.degree % 2 == 1:
-            from .ternary import decompose_ternary_odd
-            dec = decompose_ternary_odd(f)
-        else:
-            raise PreconditionError(
-                "ternary brackets cover degree four and odd degrees five and up")
-        return lower, dec.size, dec
-    raise PreconditionError("rank brackets cover at most three variables")
+    dec = decompose(f, None)
+    return lower, min(bound_value(f), dec.size), dec
 
 
 # -- serialization -------------------------------------------------------------
@@ -302,22 +337,27 @@ def replay(payload: dict, tol: float = RESIDUAL_TOL) -> Certificate:
 
     The input form is re-parsed, the terms are rebuilt, the avoidance
     generators are re-parsed, and verify_decomposition runs afresh; the
-    recorded bound rides along unchanged.  The caller compares validity
-    (and, if it wants, the serialized bytes).
+    recorded bound rides along unchanged.  A field that cannot be rebuilt
+    (missing, of the wrong type, or a zero denominator) raises
+    ParseFormError.  The caller compares validity (and, if it wants, the
+    serialized bytes).
     """
-    n = int(payload["n"])
-    d = int(payload["d"])
-    f = parse_form(payload["input"], n, d)
-    terms = []
-    for entry in payload["terms"]:
-        coeff = _decode_scalar(entry["coeff"])
-        coords = tuple(_decode_scalar(c) for c in entry["point"])
-        terms.append(Term(coeff, ProjectivePoint(coords)))
-    dec = Decomposition(n, d, tuple(terms), {"route": "replayed"})
-    avoid = None
-    if payload["avoidance"] is not None:
-        gens = tuple(parse_form(g, n) for g in payload["avoidance"]["generators"])
-        avoid = AvoidanceSet(n, gens)
-    bound = (int(payload["bound"]["value"]), str(payload["bound"]["source_tag"]))
-    return verify_decomposition(f, dec, tol=tol, avoid=avoid,
-                                seed=int(payload["seed"]), bound=bound)
+    try:
+        n = int(payload["n"])
+        d = int(payload["d"])
+        f = parse_form(payload["input"], n, d)
+        terms = []
+        for entry in payload["terms"]:
+            coeff = _decode_scalar(entry["coeff"])
+            coords = tuple(_decode_scalar(c) for c in entry["point"])
+            terms.append(Term(coeff, ProjectivePoint(coords)))
+        dec = Decomposition(n, d, tuple(terms), {"route": "replayed"})
+        avoid = None
+        if payload["avoidance"] is not None:
+            gens = tuple(parse_form(g, n) for g in payload["avoidance"]["generators"])
+            avoid = AvoidanceSet(n, gens)
+        bound = (int(payload["bound"]["value"]), str(payload["bound"]["source_tag"]))
+        seed = int(payload["seed"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
+        raise ParseFormError(f"malformed certificate field: {err!r}") from err
+    return verify_decomposition(f, dec, tol=tol, avoid=avoid, seed=seed, bound=bound)

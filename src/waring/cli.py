@@ -18,27 +18,19 @@ import json
 import os
 import re
 import sys
+from fractions import Fraction
+from functools import partial
 
 from .apolarity import cat_rank_table, essential_variables
 from .avoidance import AvoidanceSet
-from .binary import (
-    border_rank_binary,
-    decompose_binary,
-    decompose_binary_avoiding,
-    generic_rank_in_subspace,
-    open_rank_binary,
-    rank_binary,
-)
+from .binary import border_rank_binary, generic_rank_in_subspace, open_rank_binary, rank_binary
 from .certify import (
-    BOUND_BINARY_OPEN,
-    BOUND_BINARY_RANK,
-    BOUND_CONIC_PULLBACK,
-    BOUND_ODD_SPLIT,
-    BOUND_QUARTIC_EIGHT,
     BOUND_WITNESS_CLAIM,
+    ROUTES,
     VERSION,
     from_json,
     replay,
+    route_by_shape,
     to_json,
     verify_decomposition,
 )
@@ -51,8 +43,8 @@ from .errors import (
     WaringError,
 )
 from .forms import Form, form_to_string, parse_form
-from .quartic import quartic_brk3_decompose, quartic_decompose_open, witness_quartic
-from .ternary import bound_B1, decompose_ternary_odd
+from .quartic import witness_quartic
+from .ternary import bound_B1
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -127,41 +119,6 @@ def _cmd_scalar_rank(args, kind: str) -> int:
     return _print_value(payload, args.text, value)
 
 
-# route -> (decomposer(f, avoid, args), bound value of f, bound tag)
-_ROUTES = {
-    "binary-rank": (lambda f, avoid, a: decompose_binary(f, seed=a.seed, tol=a.tol),
-                    rank_binary, BOUND_BINARY_RANK),
-    "binary-open": (lambda f, avoid, a: decompose_binary_avoiding(
-                        f, avoid, seed=a.seed, tol=a.tol, retries=a.retries),
-                    open_rank_binary, BOUND_BINARY_OPEN),
-    "quartic8": (lambda f, avoid, a: quartic_decompose_open(
-                     f, avoid, seed=a.seed, tol=a.tol, retries=a.retries),
-                 lambda f: 8, BOUND_QUARTIC_EIGHT),
-    "odd-split": (lambda f, avoid, a: decompose_ternary_odd(
-                      f, seed=a.seed, tol=a.tol, retries=a.retries),
-                  lambda f: (f.degree ** 2 - 1) // 2, BOUND_ODD_SPLIT),
-    "brk3": (lambda f, avoid, a: quartic_brk3_decompose(f, avoid, seed=a.seed, tol=a.tol),
-             lambda f: 7, BOUND_CONIC_PULLBACK),
-}
-
-
-def _route_by_shape(f: Form, avoid) -> str:
-    if f.num_vars == 2:
-        return "binary-rank" if avoid is None else "binary-open"
-    if f.num_vars == 3:
-        if f.degree == 4:
-            return "quartic8"
-        if f.degree >= 5 and f.degree % 2 == 1:
-            if avoid is not None:
-                raise PreconditionError(
-                    "avoidance in three variables is implemented for degree four; "
-                    "odd degrees decompose without a forbidden set")
-            return "odd-split"
-        raise PreconditionError(
-            "ternary decomposition covers degree four and odd degrees five and up")
-    raise PreconditionError("decomposition handles two or three variables")
-
-
 def _cmd_decompose(args, route: str | None = None) -> int:
     """Decompose along `route`, or along the route the form's shape picks.
 
@@ -180,8 +137,8 @@ def _cmd_decompose(args, route: str | None = None) -> int:
                 n = max(n, _infer_num_vars(handle.read()))
     f = parse_form(text, n)
     avoid = _load_avoidance(args.avoid, n)
-    decompose, bound_value, bound_tag = _ROUTES[route or _route_by_shape(f, avoid)]
-    dec = decompose(f, avoid, args)
+    decompose, bound_value, bound_tag = ROUTES[route or route_by_shape(f, avoid)]
+    dec = decompose(f, avoid, seed=args.seed, tol=args.tol, retries=args.retries)
     cert = verify_decomposition(f, dec, tol=args.tol, avoid=avoid, seed=args.seed,
                                 bound=(bound_value(f), bound_tag))
     return _emit(cert, args.text)
@@ -191,7 +148,10 @@ def _cmd_witness(args) -> int:
     weights = (1, 1, 1, 1)
     if args.weights:
         parts = [p for p in re.split(r"[,\s]+", args.weights.strip()) if p]
-        weights = tuple(parts)
+        try:
+            weights = tuple(Fraction(p) for p in parts)
+        except (ValueError, ZeroDivisionError) as err:
+            raise ParseFormError(f"witness weights must be rationals: {err}") from err
     f = witness_quartic(weights)
     payload = {
         "command": "witness",
@@ -259,71 +219,64 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(kind, parents=[common],
                            help=f"exact binary {kind.replace('-', ' ')}")
         p.add_argument("input", help="binary form, inline or a file path")
+        p.set_defaults(handler=partial(_cmd_scalar_rank, kind=kind))
 
     p = sub.add_parser("decompose", parents=[common],
                        help="minimal-length power sum (binary or ternary)")
     p.add_argument("input", help="form text or file path")
-    p.set_defaults(avoid=None)
+    p.set_defaults(avoid=None, handler=_cmd_decompose)
 
     p = sub.add_parser("decompose-avoid", parents=[common],
                        help="power sum whose points miss a closed subset")
     p.add_argument("input", help="form text or file path")
     p.add_argument("--avoid", required=True,
                    help="file of avoided-set generators, one per line")
+    p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser("quartic8", parents=[common],
                        help="at most eight avoiding powers for a ternary quartic")
     p.add_argument("input", help="ternary quartic, inline or a file path")
     p.add_argument("--avoid", help="file of avoided-set generators")
+    p.set_defaults(handler=partial(_cmd_decompose, route="quartic8"))
 
     p = sub.add_parser("brk3", parents=[common],
                        help="seven avoiding powers via the conic pullback")
     p.add_argument("input", help="ternary quartic of middle rank three")
     p.add_argument("--avoid", help="file of avoided-set generators")
+    p.set_defaults(handler=partial(_cmd_decompose, route="brk3"))
 
     p = sub.add_parser("witness", parents=[common],
                        help="a quartic that needs all eight summands")
     p.add_argument("weights", nargs="?", default="",
                    help="optional comma-separated weights (default 1,1,1,1)")
+    p.set_defaults(handler=_cmd_witness)
 
     p = sub.add_parser("bound", parents=[common],
                        help="general avoiding-length upper bound")
     p.add_argument("n", type=int, help="number of variables (>= 3)")
     p.add_argument("d", type=int, help="degree (>= 4)")
+    p.set_defaults(handler=_cmd_bound)
 
     p = sub.add_parser("verify", parents=[common],
                        help="replay a JSON certificate ('-' reads stdin)")
     p.add_argument("input", help="certificate JSON text, file path, or '-'")
+    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("crn-sample", parents=[common],
                        help="probe the generic rank cap on binary pencils")
     p.add_argument("d", type=int, help="degree of the sampled forms")
     p.add_argument("k", type=int, help="projective dimension of the subspace")
     p.add_argument("trials", type=int, nargs="?", default=100)
+    p.set_defaults(handler=_cmd_crn_sample)
 
     return parser
-
-
-_HANDLERS = {
-    "rank": lambda a: _cmd_scalar_rank(a, "rank"),
-    "border-rank": lambda a: _cmd_scalar_rank(a, "border-rank"),
-    "open-rank": lambda a: _cmd_scalar_rank(a, "open-rank"),
-    "decompose": _cmd_decompose,
-    "decompose-avoid": _cmd_decompose,
-    "quartic8": lambda a: _cmd_decompose(a, route="quartic8"),
-    "brk3": lambda a: _cmd_decompose(a, route="brk3"),
-    "witness": _cmd_witness,
-    "bound": _cmd_bound,
-    "verify": _cmd_verify,
-    "crn-sample": _cmd_crn_sample,
-}
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -37,8 +37,11 @@ distances in one vectorised pass, which only prefilters: every pair it
 puts within 2 * tol (plus a rounding slack) is confirmed by the scalar
 distance, so its answer is that of the pairwise definition.
 
-`random_combination` is the one integer sampler: every randomized search
-draws its generic members of a linear system through it.
+`random_combination` draws the random members of a span of forms: lines
+as combinations of the unit duals, pencils in nets of conics, generic
+apolar generators and smooth conics of an apolar net.  Random points,
+directions and split coefficients are drawn by `rng.randint` where they
+are used.
 """
 
 from __future__ import annotations

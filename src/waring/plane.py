@@ -23,8 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .forms import Form, ProjectivePoint, evaluate, is_exact_scalar, substitute
-from .linalg import solve_columns
+from .forms import (Form, ProjectivePoint, complex_coords, evaluate, is_exact_scalar,
+                    substitute)
+from .linalg import numeric_rank, solve_columns
 from .monomials import index_of
 from .roots import pencil_roots, primitive_integer
 
@@ -154,12 +155,13 @@ def quadric_rank_exact(q: Form) -> int:
     return 0
 
 
-def quadric_rank_numeric(q: Form, tol: float = 1e-6) -> int:
-    m = np.array([[complex(x) for x in row] for row in quadric_matrix(q)])
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+def quadric_rank(q: Form) -> int:
+    """Rank of a ternary quadric: exact through det and adjugate, float
+    through `numeric_rank` cut at 1e-6 of the largest singular value."""
+    if q.is_exact:
+        return quadric_rank_exact(q)
+    return numeric_rank(np.array([[complex(x) for x in row] for row in quadric_matrix(q)]),
+                        tol=1e-6)
 
 
 def reduced_plane_basis(u: Sequence, v: Sequence) -> tuple[list[int], list[int]]:
@@ -206,15 +208,9 @@ def factor_rank_two_quadric(q: Form) -> tuple[Form, Form]:
         )
     if degenerate:
         raise PreconditionError("quadric has rank <= 1; no distinct line pair")
-    # singular point: any nonzero column of the adjugate
-    col = None
-    best = 0.0
-    for j in range(3):
-        candidate = tuple(adj[i][j] for i in range(3))
-        size = max(abs(complex(c)) for c in candidate)
-        if size > best:
-            best = size
-            col = candidate
+    # singular point: the first column of the adjugate of largest entry
+    col = max((tuple(adj[i][j] for i in range(3)) for j in range(3)),
+              key=lambda c: max(abs(complex(x)) for x in c))
     u1, u2 = plane_basis(col)  # the pencil of lines through the singular point
     # express q in the pencil: q = A*u1^2 + B*u1*u2 + C*u2^2
     f1 = Form(3, 1, u1)
@@ -223,30 +219,19 @@ def factor_rank_two_quadric(q: Form) -> tuple[Form, Form]:
     if solved is None:
         raise PreconditionError("quadric is not supported on its singular pencil")
     a, b, c = solved[0]
-    if exact:
-        disc = b * b - 4 * a * c
-        root = rational_sqrt(disc) if disc >= 0 else None
-        if a == 0:
-            l1 = f2
-            l2 = Form(3, 1, tuple(b * x + c * y for x, y in zip(u1, u2)))
-            return l1, l2
-        if root is not None:
-            t1 = (-b + root) / (2 * a)
-            t2 = (-b - root) / (2 * a)
-            l1 = Form(3, 1, tuple(x - t1 * y for x, y in zip(u1, u2)))
-            l2 = Form(3, 1, tuple(a * (x - t2 * y) for x, y in zip(u1, u2)))
-            return l1, l2
-    a, b, c = complex(a), complex(b), complex(c)
-    if abs(a) < 1e-14 * max(abs(b), abs(c), 1.0):
-        l1 = f2.to_float()
-        l2 = Form(3, 1, tuple(b * complex(x) + c * complex(y) for x, y in zip(u1, u2)))
-        return l1, l2
-    disc_c = complex(b * b - 4 * a * c) ** 0.5
-    t1 = (-b + disc_c) / (2 * a)
-    t2 = (-b - disc_c) / (2 * a)
-    l1 = Form(3, 1, tuple(complex(x) - t1 * complex(y) for x, y in zip(u1, u2)))
-    l2 = Form(3, 1, tuple(a * (complex(x) - t2 * complex(y)) for x, y in zip(u1, u2)))
-    return l1, l2
+    if exact and a != 0:
+        root = rational_sqrt(b * b - 4 * a * c)
+        exact = root is not None
+    if not exact:  # the same formulas on the complex coordinates of the pencil
+        u1, u2 = complex_coords(u1), complex_coords(u2)
+        a, b, c = complex(a), complex(b), complex(c)
+        root = complex(b * b - 4 * a * c) ** 0.5
+    if (a == 0) if exact else abs(a) < 1e-14 * max(abs(b), abs(c), 1.0):
+        return Form(3, 1, u2), Form(3, 1, tuple(b * x + c * y for x, y in zip(u1, u2)))
+    t1 = (-b + root) / (2 * a)
+    t2 = (-b - root) / (2 * a)
+    return (Form(3, 1, tuple(x - t1 * y for x, y in zip(u1, u2))),
+            Form(3, 1, tuple(a * (x - t2 * y) for x, y in zip(u1, u2))))
 
 
 # -- smooth conics ----------------------------------------------------------
@@ -334,24 +319,10 @@ def conic_parametrization(q: Form, point: Sequence) -> tuple[Form, Form, Form]:
     if not conic_contains(q, point):
         raise PreconditionError("base point does not lie on the conic")
     m = quadric_matrix(q)
-    # complete the point to a basis with two standard vectors
-    candidates = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    chosen = []
-    for e in candidates:
-        trial = chosen + [e]
-        vecs = [list(point)] + [list(v) for v in trial]
-        if len(vecs) == 2:
-            ok = any(
-                vecs[0][i] * vecs[1][j] - vecs[0][j] * vecs[1][i] != 0
-                for i in range(3) for j in range(3)
-            )
-        else:
-            ok = det3(vecs) != 0
-        if ok:
-            chosen = trial
-        if len(chosen) == 2:
-            break
-    u, w = chosen
+    # complete the point to a basis with the standard vectors other than
+    # e_k, k the last nonzero coordinate of the point
+    k = max(i for i in range(3) if point[i] != 0)
+    u, w = (tuple(int(i == j) for j in range(3)) for i in range(3) if i != k)
     # v(s,t) coordinates as binary linear forms
     v_forms = [Form(2, 1, (u[i], w[i])) for i in range(3)]
     qv = substitute(q, v_forms)  # q(v): binary quadratic
@@ -360,11 +331,7 @@ def conic_parametrization(q: Form, point: Sequence) -> tuple[Form, Form, Form]:
         sum(mp[i] * u[i] for i in range(3)),
         sum(mp[i] * w[i] for i in range(3)),
     ))  # polar form B(p, v) as a binary linear form
-    two = 2
-    phi = []
-    for i in range(3):
-        term = qv.scale(point[i]) - (bp * v_forms[i]).scale(two)
-        phi.append(term)
+    phi = [qv.scale(point[i]) - (bp * v_forms[i]).scale(2) for i in range(3)]
     if all(p.is_zero() for p in phi):
         raise PreconditionError("degenerate parametrization; conic is singular?")
     return phi[0], phi[1], phi[2]

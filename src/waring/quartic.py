@@ -2,20 +2,24 @@
 
 Every nonzero quartic in three variables admits a decomposition into at
 most eight fourth powers whose points miss any prescribed proper closed
-subset.  The route depends on the middle catalecticant rank (rank only,
-no kernel): small ranks reduce to one or two lines, rank three pulls the
-problem back to a binary octic along a smooth apolar conic, and rank four
-or more splits the form across three lines found by a determinant search,
-with piece lengths 2 + 3 + 3.  Cat_1 and Cat_3 have three rows or columns,
-so a rank bound of four is rank Cat_2 >= 4.  The search's matrix, l ->
-(l l1 l2) contracted into f, is the Hessian of contract(l2, contract(l1,
-f)), linear in l2: det(M_a + t M_b) samples the pencil l2 = la + t lb.
+subset.  The route depends first on the number of essential variables:
+one gives a single power (respread along a line through its point when
+that point is avoided), two give a binary quartic on the essential line
+(or a 4 + 4 split across two fresh lines when that line is avoided).
+With three, rank Cat_1 = rank Cat_3 = 3 and Macaulay's bound makes the
+middle rank at least three.  Rank three pulls the problem back to a
+binary octic along a smooth apolar conic; rank four or more splits the
+form across three lines found by a determinant search, with piece
+lengths 2 + 3 + 3.  The search's matrix, l -> (l l1 l2) contracted into
+f, is the Hessian of contract(l2, contract(l1, f)), linear in l2:
+det(M_a + t M_b) samples the pencil l2 = la + t lb.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import islice, product
 
 import numpy as np
 
@@ -30,9 +34,9 @@ from .avoidance import AvoidanceSet
 from .binary import (
     decompose_binary_avoiding,
     decompose_binary_bounded,
+    decompose_on_line,
     form_on_line,
     initial_degree_any,
-    push_decomposition,
 )
 from .decomposition import RESIDUAL_TOL, Decomposition, term_from_vector
 from .errors import (
@@ -63,8 +67,7 @@ from .plane import (
     conic_parametrization,
     pencil_at,
     quadric_matrix,
-    quadric_rank_exact,
-    quadric_rank_numeric,
+    quadric_rank,
     rational_point_on_conic,
     singular_members,
 )
@@ -153,14 +156,6 @@ def _hessian(q: Form):
     return [[cols[j].coeffs[i] for j in range(3)] for i in range(3)]
 
 
-def _is_nonsquare_quadric(q: Form) -> bool:
-    if q.is_zero():
-        return False
-    if q.is_exact:
-        return quadric_rank_exact(q) >= 2
-    return quadric_rank_numeric(q, tol=1e-6) >= 2
-
-
 def _zero_pair(f: Form, triple) -> tuple[Form, Form] | None:
     """(l0, l1) or (l0, l2), the first whose product annihilates f, else None."""
     l0 = triple[0]
@@ -240,7 +235,7 @@ def quartic_predecomp(f: Form, sigma=(), seed: int = 0,
             if abs(complex(deter)) <= 1e-10 * max(scale, 1e-30):
                 stats["concurrent"] += 1
                 continue
-            if not _is_nonsquare_quadric(contract(l2, g1)):
+            if quadric_rank(contract(l2, g1)) < 2:
                 stats["square"] += 1
                 continue
             triple = (l0, l1, l2)
@@ -259,33 +254,20 @@ def quartic_predecomp(f: Form, sigma=(), seed: int = 0,
 
 
 def _smooth_members(net: list[Form], rng, budget: int):
-    """Smooth quadrics in the span of `net`, exactly certified."""
-    seen = 0
-    height = 1
-    while seen < budget:
-        if height <= 2:
-            trips = [
-                (a, b, c)
-                for a in range(-height, height + 1)
-                for b in range(-height, height + 1)
-                for c in range(-height, height + 1)
-            ]
-            height += 1
-        else:
-            trips = [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(16)]
-        for trip in trips:
-            if all(x == 0 for x in trip):
-                continue
-            q = Form.zero(3, 2)
-            for x, base in zip(trip, net):
-                if x:
-                    q = q + base.scale(Fraction(x))
-            if q.is_zero() or det3(quadric_matrix(q)) == 0:
-                continue
-            seen += 1
-            yield q
-            if seen >= budget:
-                return
+    """Smooth quadrics in the span of `net`, exactly certified.
+
+    The combinations with coefficients in [-1, 1], then in [-2, 2], come
+    first in order; after them `random_combination` draws at height 9.
+    """
+    def members():
+        for height in (1, 2):
+            for trip in product(range(-height, height + 1), repeat=3):
+                yield sum((base.scale(x) for x, base in zip(trip, net) if x), Form.zero(3, 2))
+        while True:
+            yield random_combination(rng, net, 9)
+
+    smooth = (q for q in members() if q is not None and det3(quadric_matrix(q)) != 0)
+    return islice(smooth, max(budget, 0))
 
 
 # nine rational parameter values: enough to pin down a binary octic
@@ -499,22 +481,11 @@ _DIRECTIONS = (
 
 
 def _line_open(f: Form, X: AvoidanceSet, u, v, seed: int, tol: float,
-               retries: int, route: str) -> Decomposition | None:
-    """f decomposed off X on the line through u and v; None if f is off it.
-
-    The push onto the line rounds float points, so the pushed sum is judged
-    against f again."""
-    g = form_on_line(f, u, v)
-    if g is None:
-        return None
-    dec = decompose_binary_avoiding(g, X.restrict_to_line(u, v), seed=seed, tol=tol,
-                                    retries=retries)
-    pushed = push_decomposition(dec, (u, v))
-    pushed.provenance["route"] = route
-    if not pushed.meets_tolerance(f, tol):
-        raise RetryExhausted("the decomposition pushed onto the line misses tol",
-                             diagnostics={"best_residual": pushed.provenance["residual"]})
-    return pushed
+               retries: int, route: str) -> Decomposition:
+    """f decomposed off X on the line through u and v, which carries f."""
+    return decompose_on_line(
+        f, (u, v), lambda g: decompose_binary_avoiding(
+            g, X.restrict_to_line(u, v), seed=seed, tol=tol, retries=retries), route, tol)
 
 
 def _power_route(f: Form, X: AvoidanceSet, seed: int, tol: float,
@@ -535,9 +506,7 @@ def _power_route(f: Form, X: AvoidanceSet, seed: int, tol: float,
             continue
         if X.contains_line(tuple(w), vec):
             continue
-        pushed = _line_open(f, X, tuple(w), vec, seed, tol, retries, "power-respread-line")
-        if pushed is not None:
-            return pushed
+        return _line_open(f, X, tuple(w), vec, seed, tol, retries, "power-respread-line")
     raise RetryExhausted(
         "no line through the power point escapes the avoidance set",
         diagnostics={"directions": len(candidates)})
@@ -562,10 +531,7 @@ def _plane_route(f: Form, X: AvoidanceSet, seed: int, tol: float,
                  retries: int) -> Decomposition:
     u, v = (tuple(x) for x in essential_subspace(f))
     if not X.contains_line(u, v):
-        pushed = _line_open(f, X, u, v, seed, tol, retries, "line-open")
-        if pushed is None:
-            raise DegenerateSystemError("essential plane does not carry the form")
-        return pushed
+        return _line_open(f, X, u, v, seed, tol, retries, "line-open")
     # the supporting line sits inside X, so the decomposition must leave it
     # entirely.  A quadric annihilator without the support dual as a factor
     # exists exactly when the restriction is degenerate (middle catalecticant
@@ -595,11 +561,12 @@ def quartic_decompose_open(f: Form, avoid: AvoidanceSet | None = None,
                            retries: int = 64) -> Decomposition:
     """At most eight fourth powers for f, all points off `avoid`.
 
-    Routing is by the middle catalecticant rank once degenerate variable
-    counts are peeled off: rank at most two splits across two lines
-    (4 + 4), rank three goes through a conic pullback (7 points, falling
-    back to the split routes if the net is too singular), and rank four
-    or more uses the determinant-search triple (2 + 3 + 3).
+    A form in one or two essential variables is decomposed on its power
+    point or its essential line (see the module docstring).  With three,
+    middle catalecticant rank three goes through a conic pullback (7
+    points), falling back to the determinant-search triple when no smooth
+    conic yields one; rank four or more uses the triple (2 + 3 + 3, or
+    4 + 4 when two of its lines already annihilate f).
     """
     _require_quartic(f)
     X = avoid if avoid is not None else AvoidanceSet.none(3)
@@ -610,12 +577,7 @@ def quartic_decompose_open(f: Form, avoid: AvoidanceSet | None = None,
         return _power_route(f, X, seed, tol, retries)
     if ess == 2:
         return _plane_route(f, X, seed, tol, retries)
-    c2 = catalecticant_rank(f, 2)
-    if c2 <= 2:
-        # cannot happen with three essential variables, but the split
-        # strategy would still be the right answer if it did
-        return _two_line_split(f, X, seed, tol, retries)
-    if c2 == 3:
+    if catalecticant_rank(f, 2) == 3:
         try:
             return quartic_brk3_decompose(f, X, seed, tol, retries)
         except (NoSmoothConic, RetryExhausted):

@@ -27,7 +27,7 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from .apolarity import catalecticant, essential_subspace, essential_variables
-from .binary import (decompose_binary, decompose_binary_bounded, form_on_line,
+from .binary import (decompose_binary, decompose_binary_bounded, decompose_on_line,
                      line_embedding, push_decomposition)
 from .decomposition import RESIDUAL_TOL, Decomposition, term_from_vector
 from .errors import (
@@ -55,8 +55,7 @@ from .plane import (
     factor_rank_two_quadric,
     plane_basis,
     quadric_matrix,
-    quadric_rank_exact,
-    quadric_rank_numeric,
+    quadric_rank,
     reduced_plane_basis,
     singular_members,
 )
@@ -199,7 +198,7 @@ def _split_reducible(q: Form, forbidden: list[ProjectivePoint],
                      squares: list[Form], factor: bool = True) -> tuple[Form, Form] | None:
     """Factor a singular quadric, stashing rank-one members for later;
     with `factor` false a rank-two member is only rank-checked."""
-    rank = quadric_rank_exact(q) if q.is_exact else quadric_rank_numeric(q)
+    rank = quadric_rank(q)
     if rank == 1:
         root = _square_root_line(q)
         if root is not None and all(
@@ -342,9 +341,8 @@ def reducible_kernel_pair(g: Form, sigma=(), seed: int = 0,
 # -- building annihilating systems -------------------------------------------
 
 
-def _sample_lines(rng, count: int, height: int, sigma_points,
-                  general: bool = False) -> list[Form]:
-    """`count` distinct random lines off sigma; `general`: no three concurrent."""
+def _sample_lines(rng, count: int, height: int, sigma_points) -> list[Form]:
+    """`count` distinct random lines off sigma."""
     lines: list[Form] = []
     while len(lines) < count:
         ell = random_combination(rng, UNIT_DUALS, height)
@@ -354,9 +352,6 @@ def _sample_lines(rng, count: int, height: int, sigma_points,
         if any(same_point(p, s) for s in sigma_points):
             continue
         if any(same_point(p, ProjectivePoint(x.coeffs)) for x in lines):
-            continue
-        if general and len(lines) >= 2 and \
-                not LineSystem(tuple(lines + [ell])).in_general_position():
             continue
         lines.append(ell)
     return lines
@@ -370,16 +365,17 @@ def annihilating_lines(f: Form, sigma=(), seed: int = 0,
     openness conditions (no residual contraction may die early); the last
     two come from factoring a singular member of the quadratic annihilator
     net of what remains.  Points of `sigma` are kept out of the system.
+    The zero form, which every line annihilates, raises ZeroFormError.
     """
     if f.num_vars != 3:
         raise PreconditionError("annihilating_lines expects a ternary form")
     d = f.degree
     if d < 3:
         raise PreconditionError("need degree at least three to build a system")
+    if f.is_zero():
+        raise ZeroFormError("every line annihilates the zero form")
     sigma_points = [as_dual_point(s) for s in sigma]
     rng = random.Random(seed)
-    if f.is_zero():
-        return LineSystem(tuple(_sample_lines(rng, d - 1, 9, sigma_points, general=True)))
     if not f.is_exact:
         raise PreconditionError("annihilating_lines runs on the exact backend")
     for a, b in combinations_with_replacement(sigma_points, 2):
@@ -621,17 +617,9 @@ def single_power(f: Form) -> Decomposition:
 
 def _binary_on_subspace(f: Form, seed: int, tol: float) -> Decomposition:
     u, v = reduced_plane_basis(*essential_subspace(f))
-    g = form_on_line(f, u, v)
-    if g is None:
-        raise DegenerateSystemError("essential plane does not carry the form")
-    dec = decompose_binary(g, seed=seed, tol=tol)
-    pushed = push_decomposition(dec, (tuple(u), tuple(v)))
-    pushed.provenance.update({"route": "binary-subspace"})
-    # the push rounds float points, so the pushed sum is judged against f again
-    if not pushed.meets_tolerance(f, tol):
-        raise RetryExhausted("the decomposition pushed onto the plane misses tol",
-                             diagnostics={"best_residual": pushed.provenance["residual"]})
-    return pushed
+    return decompose_on_line(f, (tuple(u), tuple(v)),
+                             lambda g: decompose_binary(g, seed=seed, tol=tol),
+                             "binary-subspace", tol)
 
 
 def decompose_ternary_odd(f: Form, seed: int = 0, tol: float = RESIDUAL_TOL,

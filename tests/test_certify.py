@@ -12,11 +12,14 @@ from waring.binary import (
 )
 from waring.certify import (
     BOUND_BINARY_OPEN,
+    BOUND_ODD_SPLIT,
     BOUND_WITNESS_CLAIM,
+    ROUTES,
     Certificate,
     from_json,
     rank_bracket,
     replay,
+    route_by_shape,
     to_json,
     verify_decomposition,
 )
@@ -155,6 +158,37 @@ def test_rank_bracket_ternary_quartic():
     lower, upper, dec = rank_bracket(f)
     assert lower <= upper == dec.size <= 8
     assert dec.residual(f) <= 1e-7
+
+
+def test_rank_bracket_ternary_odd_degree():
+    f = parse_form("x0^5 + x1^5 + x2^5 + x0*x1*x2^3", 3)
+    lower, upper, dec = rank_bracket(f)
+    assert lower <= upper == dec.size <= 12
+    assert dec.provenance["route"] == "odd-line-split"
+    assert verify_decomposition(f, dec, bound=(upper, BOUND_ODD_SPLIT)).valid
+
+
+@pytest.mark.parametrize("text, n, avoided, route", [
+    ("x0^3 + x1^3", 2, False, "binary-rank"),
+    ("x0^3 + x1^3", 2, True, "binary-open"),
+    ("x0^4 + x1*x2^3", 3, False, "quartic8"),
+    ("x0^4 + x1*x2^3", 3, True, "quartic8"),
+    ("x0^5 + x1*x2^4", 3, False, "odd-split"),
+])
+def test_route_by_shape(text, n, avoided, route):
+    avoid = AvoidanceSet(n, (parse_form("x0 - x1", n),)) if avoided else None
+    assert route_by_shape(parse_form(text, n), avoid) == route
+    assert route in ROUTES
+
+
+@pytest.mark.parametrize("text, n, avoided", [
+    ("x0^5 + x1*x2^4", 3, True),     # odd degrees avoid nothing
+    ("x0^3 + x1^3", 4, False),       # four variables
+])
+def test_route_by_shape_rejects_uncovered_shapes(text, n, avoided):
+    avoid = AvoidanceSet(n, (parse_form("x0 - x1", n),)) if avoided else None
+    with pytest.raises(PreconditionError):
+        route_by_shape(parse_form(text, n), avoid)
 
 
 def test_rank_bracket_rejects_even_ternary_degrees():

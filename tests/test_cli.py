@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -11,7 +12,9 @@ from waring.certify import (
     BOUND_BINARY_OPEN,
     BOUND_BINARY_RANK,
     BOUND_CONIC_PULLBACK,
+    BOUND_ODD_SPLIT,
     BOUND_QUARTIC_EIGHT,
+    BOUND_WITNESS_CLAIM,
 )
 from waring.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_RETRY, EXIT_USAGE, main
 from waring.forms import form_to_string, random_form
@@ -116,6 +119,75 @@ def test_verify_of_a_tampered_certificate_exits_2(capsys, tmp_path):
     code, again, _ = run(capsys, "verify", str(path))
     assert code == EXIT_RETRY
     assert not all(c["pass"] for c in json.loads(again)["checks"])
+
+
+@pytest.mark.parametrize("term, field, value", [
+    (0, None, {}),                 # a term without its coefficient and point
+    (0, "coeff", [1, 0]),          # a zero denominator
+    (None, "n", "two"),            # a variable count that is no integer
+])
+def test_verify_of_a_malformed_certificate_exits_1(capsys, monkeypatch, term, field, value):
+    _, out, _ = run(capsys, "decompose", "x0^3 + x1^3")
+    payload = json.loads(out)
+    if term is None:
+        payload[field] = value
+    elif field is None:
+        payload["terms"][term] = value
+    else:
+        payload["terms"][term][field] = value
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code, again, err = run(capsys, "verify", "-")
+    assert code == EXIT_USAGE
+    assert again == ""
+    assert err.startswith("input error:")
+
+
+def test_scalar_rank_prints_the_rank(capsys):
+    code, out, _ = run(capsys, "rank", "x0^3 + x1^3")
+    assert code == EXIT_OK
+    assert json.loads(out)["value"] == 2
+
+
+def test_bound_prints_the_general_bound(capsys):
+    code, out, _ = run(capsys, "bound", "3", "4")
+    assert code == EXIT_OK
+    assert json.loads(out)["value"] == 8
+
+
+def test_witness_prints_its_catalecticant_ranks(capsys):
+    code, out, _ = run(capsys, "witness")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["cat_ranks"] == [[1, 3], [2, 4], [3, 3]]
+    assert payload["essential_variables"] == 3
+    assert payload["bound"] == {"value": 8, "source_tag": BOUND_WITNESS_CLAIM}
+
+
+def test_witness_with_non_numeric_weights_exits_1(capsys):
+    code, out, err = run(capsys, "witness", "a,b,c,d")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("input error:")
+
+
+def test_crn_sample_stays_within_the_bound(capsys):
+    code, out, _ = run(capsys, "crn-sample", "6", "2", "5")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert (payload["max_observed"], payload["bound"]) == (4, 5)
+    assert payload["within_bound"]
+
+
+@pytest.mark.parametrize("form, bound", [
+    ("x0^4 + x1^4 + x2^4 + x0*x1*x2^2", {"value": 8, "source_tag": BOUND_QUARTIC_EIGHT}),
+    ("x0^5+x1^5+x2^5+x0*x1*x2^3", {"value": 12, "source_tag": BOUND_ODD_SPLIT}),
+])
+def test_decompose_routes_ternary_forms_by_shape(capsys, form, bound):
+    code, out, _ = run(capsys, "decompose", form)
+    assert code == EXIT_OK
+    payload = certificate(out)
+    assert (payload["n"], payload["bound"]) == (3, bound)
+    assert len(payload["terms"]) <= bound["value"]
 
 
 @pytest.mark.parametrize("argv", [

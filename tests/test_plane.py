@@ -16,8 +16,8 @@ from waring.plane import (
     pencil_at,
     plane_basis,
     quadric_matrix,
+    quadric_rank,
     quadric_rank_exact,
-    quadric_rank_numeric,
     rational_point_on_conic,
     rational_sqrt,
     singular_members,
@@ -128,7 +128,9 @@ def test_quadric_ranks():
     zero = Form(3, 2, (F(0),) * 6)
     assert quadric_rank_exact(zero) == 0
     for text, want in (("x0^2 + x1^2 + x2^2", 3), ("x0*x1", 2), ("x1^2", 1)):
-        assert quadric_rank_numeric(parse_form(text, 3).to_float()) == want
+        q = parse_form(text, 3)
+        assert quadric_rank(q) == quadric_rank(q.to_float()) == want
+    assert quadric_rank(zero) == quadric_rank(zero.to_float()) == 0
 
 
 def test_rational_sqrt():

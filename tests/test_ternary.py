@@ -197,6 +197,12 @@ def test_annihilating_lines_validates_input():
         annihilating_lines(parse_form("x0^2 + x1^2", 2))
 
 
+def test_annihilating_lines_rejects_the_zero_form():
+    # every line kills the zero form, so there is no system to build
+    with pytest.raises(ZeroFormError):
+        annihilating_lines(Form.zero(3, 5))
+
+
 def test_annihilating_lines_tests_each_pair_once(monkeypatch):
     # the pairs of sampled lines are tested inside reducible_kernel_pair only
     calls = []
