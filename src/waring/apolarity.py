@@ -19,14 +19,14 @@ positive column scaling keeps the rank and the left kernel, and it scales
 each row of Cat(delta) transposed by a positive constant, so the exact
 elimination clears it to the same primitive integer row: same pivots,
 same kernel Fractions.  `catalecticant_rank` (the middle binary rank of
-`apolar_initial_degree`, `essential_variables`, the quartic router) and the
+`apolar_initial_degree`, `essential_variables`, the quartic router, the
+certificate's rank table of forms in three or more variables) and the
 kernel of `catalecticant` (`rank_binary`, `apolar_component`, the conic and
 net kernels of the quartic and ternary routes) eliminate these integer
 rows, built without a Fraction: binary rows are slices of g (G is Hankel),
 other shapes gather g through the index of `_gather_table`.
-`cat_rank_table`, the certificate's table that replay recomputes, keeps
-the falling-product entries of `_entries`, and the tests hold the integer
-rows to it.
+`cat_rank_table` of a binary form keeps the falling-product entries of
+`_entries`, and the tests hold the integer rows to them.
 
 Float pipelines use `numeric_catalecticant` and make their own tolerance
 calls.  It is one gather: the form's complex view (`to_float().coeffs`,
@@ -217,23 +217,23 @@ def cat_rank_table(f: Form) -> list[tuple[int, int]]:
     """[(delta, rank)] for delta = 1..d-1, as recorded in certificates.
 
     Cat(d - delta) is the transpose of Cat(delta) up to invertible diagonal
-    scalings, so only delta <= d // 2 is eliminated.  Binary forms still scan
-    every delta: their table is to come from one rank (ROADMAP item 2) once
-    the benchmark's memory reading stops growing with its pass count.
+    scalings, so forms in three or more variables eliminate only the
+    integer rows of `catalecticant_rank` for delta <= d // 2.
 
-    This is the reference route: each rank is `exact_rank` of the
-    falling-product entries `_entries`, where `catalecticant_rank` takes
-    the integer rows G(delta) of Cat(delta) = G(delta) * diag(1 / (den * m'!)).
-    Replaying a certificate recomputes this table, and on the replay
-    workload the faster integer rows raised the benchmark's peak memory
-    reading past its 10% bound (49.0 -> 57.7 MB, +18%, with every table on
-    them; +8% to +12% with only the binary half table) through that same
-    growth, so the table moves with ROADMAP item 2.
+    Binary forms still scan every delta with `exact_rank` of the
+    falling-product entries `_entries`; their table is to come from one
+    rank (ROADMAP item 2).  Replaying a certificate recomputes this table,
+    and with the binary table on one rank the replay workload ran in a
+    third of the time (pass 0.266 -> 0.085 s) but read 50.4 -> 61.6 MB of
+    peak memory, +22% against a 10% bound.  The rise is the benchmark's
+    own statistics step, whose memory grows with the number of timed
+    operations (6.3 MB at 2,964 of them, 19.4 MB at 9,594), so the binary
+    table waits for that step to stop growing.
     """
     d = f.degree
     if d <= 1:
         return []
     if f.num_vars == 2:
         return [(delta, exact_rank(_exact_entries(f, delta))) for delta in range(1, d)]
-    half = [exact_rank(_exact_entries(f, delta)) for delta in range(1, d // 2 + 1)]
+    half = [catalecticant_rank(f, delta) for delta in range(1, d // 2 + 1)]
     return [(delta, half[min(delta, d - delta) - 1]) for delta in range(1, d)]

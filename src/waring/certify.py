@@ -222,8 +222,8 @@ def verify_decomposition(f: Form, dec: Decomposition,
 
 # route -> (decomposer(f, avoid, **options), bound value of f, bound tag).
 # The options are seed, tol and retries; a decomposer keeps its own default
-# for an option it is not given.  binary-rank has no retry budget and brk3
-# keeps its own budget of conics, so both drop retries.
+# for an option it is not given.  binary-rank has no retry budget, so it
+# drops retries; brk3 spends them as its budget of conics.
 ROUTES = {
     "binary-rank": (lambda f, avoid, retries=None, **options:
                     decompose_binary(f, **options),
@@ -232,9 +232,7 @@ ROUTES = {
     "quartic8": (quartic_decompose_open, lambda f: 8, BOUND_QUARTIC_EIGHT),
     "odd-split": (lambda f, avoid, **options: decompose_ternary_odd(f, **options),
                   lambda f: (f.degree ** 2 - 1) // 2, BOUND_ODD_SPLIT),
-    "brk3": (lambda f, avoid, retries=None, **options:
-             quartic_brk3_decompose(f, avoid, **options),
-             lambda f: 7, BOUND_CONIC_PULLBACK),
+    "brk3": (quartic_brk3_decompose, lambda f: 7, BOUND_CONIC_PULLBACK),
 }
 
 

@@ -258,16 +258,30 @@ def _smooth_members(net: list[Form], rng, budget: int):
 
     The combinations with coefficients in [-1, 1], then in [-2, 2], come
     first in order; after them `random_combination` draws at height 9.
+    The determinant of the net's general member is a cubic in its three
+    coordinates, and a nonzero cubic does not vanish on all of {-2..2}^3
+    (Combinatorial Nullstellensatz).  So when that grid has no smooth
+    member the net has none, and NoSmoothConic is raised before any draw.
     """
+    def smooth(q):
+        return q is not None and det3(quadric_matrix(q)) != 0
+
     def members():
+        found = False
         for height in (1, 2):
             for trip in product(range(-height, height + 1), repeat=3):
-                yield sum((base.scale(x) for x, base in zip(trip, net) if x), Form.zero(3, 2))
+                q = sum((base.scale(x) for x, base in zip(trip, net) if x), Form.zero(3, 2))
+                if smooth(q):
+                    found = True
+                    yield q
+        if not found:
+            raise NoSmoothConic("every conic annihilating the form is singular")
         while True:
-            yield random_combination(rng, net, 9)
+            q = random_combination(rng, net, 9)
+            if smooth(q):
+                yield q
 
-    smooth = (q for q in members() if q is not None and det3(quadric_matrix(q)) != 0)
-    return islice(smooth, max(budget, 0))
+    return islice(members(), max(budget, 0))
 
 
 # nine rational parameter values: enough to pin down a binary octic
@@ -363,8 +377,6 @@ def quartic_brk3_decompose(f: Form, avoid: AvoidanceSet | None = None,
             failures["residual"] += 1
             continue
         return merged
-    if smooth_seen == 0 and retries > 0:
-        raise NoSmoothConic("every conic annihilating the form is singular")
     raise RetryExhausted(
         f"no smooth conic produced an admissible pullback "
         f"({smooth_seen} conics tried)",

@@ -31,9 +31,9 @@ from waring import (
 )
 from waring.certify import BOUND_BINARY_RANK, BOUND_ODD_SPLIT, BOUND_QUARTIC_EIGHT
 
-PINNED_SHA256 = "40bcb211317e8529d5770f5bffabd9ca22f304d6c416e56f9e880d98245d6246"
+PINNED_SHA256 = "cf055d73a086ed9f89387c9b30e1f6e2d623073455bb6eec5a1749e08dc4c6f0"
 
-ODD_SPLIT_PINNED_SHA256 = "107d4577feb94e73259257b803b188baf029a1a73f0c1a740ee2bc68cb124cb0"
+ODD_SPLIT_PINNED_SHA256 = "ec7d1b763b31a4ff29b3b696bb8fa8b3317ec8a0f8c9a5cf2aabf8f627feb8eb"
 
 QUARTIC_AVOID = (None, "x2", "x0*x2 - x1^2", "x0^3 + x1^3 + x2^3")
 

@@ -100,6 +100,22 @@ def test_brk3_with_avoid_file(capsys, tmp_path):
     assert payload["avoidance"]["generators"] == ["x0-2*x1"]
 
 
+def test_brk3_spends_retries_as_its_conic_budget(capsys):
+    code, out, err = run(capsys, "brk3", "x0^4 + x1^4 + x2^4", "--retries", "0")
+    assert code == EXIT_RETRY
+    assert out == ""
+    assert "0 conics tried" in err
+
+
+def test_brk3_without_a_smooth_apolar_conic_exits_3(capsys):
+    # every conic apolar to this quartic in two essential variables is singular
+    form = "x0^4 + 2*x0^3*x1 + x1^4 + 5*x0*x1^3 + 3*x0^2*x1^2"
+    code, out, err = run(capsys, "brk3", form)
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert "singular" in err
+
+
 def test_verify_replays_what_decompose_printed(capsys, tmp_path):
     code, out, _ = run(capsys, "decompose", "x0^5 - 3*x0^2*x1^3 + x1^5")
     assert code == EXIT_OK

@@ -5,12 +5,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from waring import apolarity, avoidance
+from waring import apolarity, avoidance, quartic
 from waring.apolarity import catalecticant, essential_variables, rank_lower_bound
 from waring.avoidance import AvoidanceSet
 from waring.binary import border_rank_binary
 from waring.certify import BOUND_QUARTIC_EIGHT, verify_decomposition
-from waring.errors import PreconditionError, RetryExhausted, WaringError, ZeroFormError
+from waring.errors import (
+    NoSmoothConic,
+    PreconditionError,
+    RetryExhausted,
+    WaringError,
+    ZeroFormError,
+)
 from waring.forms import Form, contract, parse_form, power_of_linear, random_form
 from waring.monomials import exponents
 from waring.plane import det3
@@ -109,6 +115,20 @@ def test_brk3_decompose_seven_points():
     check_open(f, dec, LINE_X2, max_size=7)
     assert dec.size == 7
     assert dec.provenance["route"] == "conic-pullback"
+
+
+# two essential variables and middle rank three: the apolar net is the dual
+# line times S_1, so every conic in it is singular
+SINGULAR_NET_QUARTIC = "x0^4 + 2*x0^3*x1 + x1^4 + 5*x0*x1^3 + 3*x0^2*x1^2"
+
+
+def test_brk3_singular_net_raises_before_any_random_draw(monkeypatch):
+    f = parse_form(SINGULAR_NET_QUARTIC, 3)
+    assert (catalecticant(f, 2).rank, essential_variables(f)) == (3, 2)
+    # the grid {-2..2}^3 decides it: a nonzero determinant cubic cannot vanish there
+    monkeypatch.setattr(quartic, "random_combination", None)
+    with pytest.raises(NoSmoothConic):
+        quartic_brk3_decompose(f, seed=0)
 
 
 def test_brk3_octic_has_border_rank_three():

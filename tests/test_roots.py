@@ -1,8 +1,15 @@
+import cmath
 import math
 import random
 from fractions import Fraction
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from waring import decompose_binary, random_form
+from waring import roots as roots_module
 from waring.roots import (
+    COEFF_TRIM_TOL,
     aberth_roots,
     binary_form_roots,
     cubic_from_samples,
@@ -59,6 +66,84 @@ def test_aberth_roots_at_origin():
     zeros = [z for z in found if abs(z) < 1e-12]
     assert len(zeros) == 2
     match_multisets([z for z in found if abs(z) >= 1e-12], [3])
+
+
+@st.composite
+def root_polynomials(draw):
+    """Monic polynomials of degree 3..12: distinct roots on a polar grid with
+    moduli 10^-3..10^3, the same with one root doubled, or t^n - c (zero
+    interior coefficients).  Both ends stay above the trim tolerance, so
+    `aberth_roots` sees the whole polynomial."""
+    n = draw(st.integers(3, 12))
+    # modulus 10^(e / 2), angle a * pi / 6 (plus a fixed tilt off the axes)
+    polar = st.tuples(st.integers(-6, 6), st.integers(0, 11))
+
+    def root(e, a):
+        return 10.0 ** (e / 2) * cmath.exp(1j * (a * math.pi / 6 + 0.1))
+
+    kind = draw(st.sampled_from(["spread", "double", "binomial"]))
+    if kind == "binomial":
+        coeffs = [-root(*draw(polar))] + [0j] * (n - 1) + [1 + 0j]
+    else:
+        planted = [root(e, a) for e, a in draw(st.lists(polar, min_size=n, max_size=n,
+                                                        unique=True))]
+        if kind == "double":
+            planted[1] = planted[0]
+        coeffs = expand_from_roots(planted)
+    scale = max(abs(c) for c in coeffs)
+    assume(min(abs(coeffs[0]), abs(coeffs[-1])) > 10 * COEFF_TRIM_TOL * scale)
+    return coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(root_polynomials())
+def test_aberth_roots_have_small_backward_error(coeffs):
+    found = aberth_roots(coeffs)
+    assert len(found) == len(coeffs) - 1
+    for z in found:
+        value = sum(c * z ** i for i, c in enumerate(coeffs))
+        size = sum(abs(c) * abs(z) ** i for i, c in enumerate(coeffs))
+        assert abs(value) <= 1e-10 * size, (coeffs, z)
+
+
+# the benchmark's binary-ladder forms at seed 0: degree -> form seeds 0..count-1,
+# plus the probes random_form(2, 32, 2) and random_form(2, 40, 1)
+BINARY_LADDER = {6: 3, 7: 3, 8: 4, 9: 3, 12: 3, 15: 4, 16: 28,
+                 20: 1, 21: 1, 24: 18, 25: 2, 28: 1, 32: 1}
+
+
+def test_aberth_sweeps_on_the_binary_ladder_generators(monkeypatch):
+    # the Newton-polygon start needs about 6.3 sweeps per generator; the
+    # circle at 0.7 x the Cauchy bound needed 34.9
+    forms = [random_form(2, d, s) for d, count in BINARY_LADDER.items() for s in range(count)]
+    forms += [random_form(2, 32, 2), random_form(2, 40, 1)]
+    evaluations, sweeps = [0], []
+    horner, polish, aberth = roots_module._horner, roots_module._polish, roots_module.aberth_roots
+
+    def counted_horner(coeffs, z):
+        evaluations[0] += 1
+        return horner(coeffs, z)
+
+    def uncounted_polish(coeffs, z):
+        before = evaluations[0]
+        z = polish(coeffs, z)
+        evaluations[0] = before
+        return z
+
+    def counted_aberth(*args, **kwargs):
+        evaluations[0] = 0
+        found = aberth(*args, **kwargs)
+        if evaluations[0]:  # degree three and up: the iteration ran
+            sweeps.append(evaluations[0] / len(found))
+        return found
+
+    monkeypatch.setattr(roots_module, "_horner", counted_horner)
+    monkeypatch.setattr(roots_module, "_polish", uncounted_polish)
+    monkeypatch.setattr(roots_module, "aberth_roots", counted_aberth)
+    for f in forms:
+        decompose_binary(f)
+    assert len(sweeps) == len(forms)
+    assert sum(sweeps) / len(sweeps) <= 10
 
 
 def test_binary_form_roots_counts_infinity():
