@@ -194,7 +194,10 @@ def binary_form_roots(coeffs: Sequence, exact_degree_drop: int | None = None) ->
     x0^(d-i) * x1^i).  Finite roots come back as (1, t); the root at
     (0, 1) appears once per unit of degree drop.  For exact input pass
     `exact_degree_drop` so the drop is decided exactly instead of by
-    float tolerance.
+    float tolerance.  Raises RootFindingError when the root iteration
+    returns fewer roots than the degree of the kept coefficients (up to
+    their last nonzero one), as when it trims a small leading coefficient
+    that the exact drop kept; callers resample on that error.
     """
     vals = [complex(c) for c in coeffs]
     d = len(vals) - 1
@@ -210,9 +213,13 @@ def binary_form_roots(coeffs: Sequence, exact_degree_drop: int | None = None) ->
         while poly and abs(poly[-1]) <= COEFF_TRIM_TOL * scale:
             poly.pop()
             drop += 1
-    points = [(0j, 1 + 0j)] * drop
-    points.extend((1 + 0j, t) for t in aberth_roots(poly))
-    return points
+    roots = aberth_roots(poly)
+    kept = len(poly) - 1
+    while kept > 0 and poly[kept] == 0:
+        kept -= 1
+    if len(roots) < kept:
+        raise RootFindingError(f"root iteration returned {len(roots)} roots for degree {kept}")
+    return [(0j, 1 + 0j)] * drop + [(1 + 0j, t) for t in roots]
 
 
 # -- exact univariate helpers ----------------------------------------------

@@ -3,11 +3,13 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from waring import decompose_binary, random_form
 from waring import roots as roots_module
+from waring.errors import RootFindingError
 from waring.roots import (
     COEFF_TRIM_TOL,
     aberth_roots,
@@ -166,6 +168,21 @@ def test_binary_form_roots_exact_drop_override():
     coeffs = [1.0, 0.0, 1e-30]
     pts = binary_form_roots(coeffs, exact_degree_drop=1)
     assert sum(1 for p in pts if abs(p[0]) < 1e-12) == 1
+
+
+def test_binary_form_roots_raises_instead_of_losing_roots():
+    # (t - 1000)^3 (t - 100) (t - 1)^5: the lead 1 lies below the trim
+    # tolerance times the largest coefficient (about 1.0e12), so the root
+    # iteration trims it and returns eight roots where the exact drop of
+    # zero keeps degree nine
+    coeffs = expand_from_roots([1000] * 3 + [100] + [1] * 5)
+    assert len(aberth_roots(coeffs)) == 8
+    with pytest.raises(RootFindingError):
+        binary_form_roots(coeffs, exact_degree_drop=0)
+    # without the override the trimmed lead counts as a root at infinity
+    pts = binary_form_roots(coeffs)
+    assert len(pts) == 9
+    assert sum(1 for p in pts if p[0] == 0) == 1
 
 
 def test_poly_gcd_known_factor():
