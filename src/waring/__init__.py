@@ -12,6 +12,9 @@ thread count.  The library does not pin it.  The `waring` console command
 (`waring_launcher`), `tests/conftest.py` and `perfbench/run.py` pin one
 thread through OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS,
 set before numpy is imported; the command keeps a value the caller set.
+The residual of a decomposition makes no BLAS call (its sum is numpy's own
+reduction), so its bits do not follow the thread count; the float
+solves and SVDs it judges still do.
 """
 
 from .apolarity import (

@@ -455,8 +455,10 @@ class ProjectivePoint:
 def complex_coords(values: Sequence) -> tuple[complex, ...]:
     """Coordinates as complex floats.  An exact one is numerator / denominator
     by int division: the bits of complex(Fraction), without its detour
-    through the abstract base classes."""
-    return tuple(complex(v.numerator / v.denominator) if isinstance(v, Fraction) else complex(v)
+    through the abstract base classes; a complex one is kept as it is."""
+    return tuple(v if type(v) is complex
+                 else complex(v.numerator / v.denominator) if isinstance(v, Fraction)
+                 else complex(v)
                  for v in values)
 
 

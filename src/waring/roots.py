@@ -200,7 +200,6 @@ def binary_form_roots(coeffs: Sequence, exact_degree_drop: int | None = None) ->
     that the exact drop kept; callers resample on that error.
     """
     vals = [complex(c) for c in coeffs]
-    d = len(vals) - 1
     scale = max((abs(c) for c in vals), default=0.0)
     if scale == 0.0:
         return []

@@ -43,6 +43,7 @@ from .forms import (
     contract,
     distinct_points,
     evaluate,
+    is_exact_scalar,
     power_of_linear,
     random_combination,
     same_point,
@@ -523,12 +524,28 @@ class SplitProblem:
         return self.merge(decs, provenance, tol, rejects)
 
 
-def _line_coordinates(u_ij, span):
-    """Coordinates of an intersection point in a line's own basis."""
-    solved = solve_columns(span, u_ij, tol=SPAN_TOL)
-    if solved is None:
+def _line_coordinates(x, span):
+    """Coordinates (a, b) of a point x in a line's own basis: x = a u + b v.
+
+    In closed form, with w = u x v: x x v = a w and u x x = b w, so
+    a = (x x v).w* / (w.w*) and b = (u x x).w* / (w.w*), w* the complex
+    conjugate.  Exact data take plain dot products, which give the
+    Fractions of the unique exact solution.  A point off its line raises
+    DegenerateSystemError: exactly when a u + b v differs from x, on
+    floats when max|a u + b v - x| exceeds SPAN_TOL * max(1, max|x|).
+    """
+    u, v = span
+    w = cross(u, v)
+    exact = all(is_exact_scalar(c) for c in (*x, *u, *v))
+    w_bar = w if exact else tuple(c.conjugate() for c in w)
+    norm = sum(p * q for p, q in zip(w, w_bar))
+    a = sum(p * q for p, q in zip(cross(x, v), w_bar)) / norm
+    b = sum(p * q for p, q in zip(cross(u, x), w_bar)) / norm
+    miss = [a * p + b * q - c for p, q, c in zip(u, v, x)]
+    if (any(miss) if exact  # `not <=` also catches a NaN
+            else not max(map(abs, miss)) <= SPAN_TOL * max(1.0, max(map(abs, x)))):
         raise DegenerateSystemError("intersection point escaped its line")
-    return tuple(solved[0])
+    return a, b
 
 
 def split_on_lines(f: Form, system: LineSystem) -> SplitProblem:

@@ -31,9 +31,9 @@ from waring import (
 )
 from waring.certify import BOUND_BINARY_RANK, BOUND_ODD_SPLIT, BOUND_QUARTIC_EIGHT
 
-PINNED_SHA256 = "cf055d73a086ed9f89387c9b30e1f6e2d623073455bb6eec5a1749e08dc4c6f0"
+PINNED_SHA256 = "142cec94c7416ac37e60de74fcb66726390eb10e1ff3876038aca8fea86c17e7"
 
-ODD_SPLIT_PINNED_SHA256 = "ec7d1b763b31a4ff29b3b696bb8fa8b3317ec8a0f8c9a5cf2aabf8f627feb8eb"
+ODD_SPLIT_PINNED_SHA256 = "42368086251b2acb54379e74924ce4160674781091e0f6266316b87ee28ba0d5"
 
 QUARTIC_AVOID = (None, "x2", "x0*x2 - x1^2", "x0^3 + x1^3 + x2^3")
 

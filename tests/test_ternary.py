@@ -2,11 +2,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waring import ternary
+from waring import linalg, ternary
 from waring.binary import decompose_binary, embed_binary
 from waring.certify import BOUND_ODD_SPLIT, verify_decomposition
 from waring.decomposition import Decomposition, Term
@@ -26,7 +27,8 @@ from waring.forms import (
     random_form,
     substitute,
 )
-from waring.plane import cross
+from waring.linalg import numeric_nullspace, solve_columns
+from waring.plane import cross, plane_basis
 from waring.ternary import (
     LineSystem,
     annihilates,
@@ -277,6 +279,75 @@ def test_split_on_lines_two_planted_lines():
     assert split.solution_dim == 1
     zero = [F(0)]
     assert (_assemble(split, split.pieces(zero)) - fsum).is_zero()
+
+
+# -- see-saw coordinates ------------------------------------------------------
+#
+# `_line_coordinates` writes a point x of a line spanned by (u, v) as
+# x = a u + b v in closed form, through the cross product w = u x v.  The
+# reference is the span solve it replaced, `solve_columns`.
+
+nonzero_duals = st.lists(st.integers(-5, 5), min_size=3, max_size=3).filter(any)
+small_fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonzero_duals, small_fractions, small_fractions)
+def test_line_coordinates_are_the_exact_solve(dual, a, b):
+    u, v = plane_basis([F(c) for c in dual])
+    x = tuple(a * p + b * q for p, q in zip(u, v))
+    got = ternary._line_coordinates(x, (u, v))
+    assert got == (a, b)
+    assert all(type(c) is Fraction for c in got)
+    assert list(got) == solve_columns((u, v), x)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonzero_duals, st.lists(st.floats(-3, 3), min_size=4, max_size=4))
+def test_line_coordinates_agree_with_the_float_solve(dual, parts):
+    # an orthonormal float basis, as `LineSystem.span` gives a float line,
+    # and the line's exact basis as complex floats
+    row = np.array([[complex(c, 0.5 * c - 1) for c in dual]])
+    orthonormal = tuple(tuple(map(complex, vec)) for vec in numeric_nullspace(row))
+    pivot = tuple(tuple(map(complex, vec)) for vec in plane_basis([F(c) for c in dual]))
+    a, b = complex(parts[0], parts[1]), complex(parts[2], parts[3])
+    for u, v in (orthonormal, pivot):
+        x = tuple(a * p + b * q for p, q in zip(u, v))
+        got = ternary._line_coordinates(x, (u, v))
+        assert all(type(c) is complex for c in got)
+        want = solve_columns((u, v), x)[0]
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
+
+
+def test_line_coordinates_reject_a_point_off_the_line():
+    u, v = plane_basis([F(1), F(-2), F(3)])
+    off = tuple(c + d for c, d in zip(u, cross(u, v)))
+    with pytest.raises(DegenerateSystemError):
+        ternary._line_coordinates(off, (u, v))
+    floats = tuple(tuple(map(complex, vec)) for vec in (u, v))
+    with pytest.raises(DegenerateSystemError):
+        ternary._line_coordinates(tuple(map(complex, off)), floats)
+    # a miss below the span tolerance is rounding, not an escape
+    near = tuple(complex(c) + 1e-12 * d for c, d in zip(u, cross(u, v)))
+    assert ternary._line_coordinates(near, floats) == pytest.approx((1, 0))
+
+
+def test_float_septic_split_makes_one_least_squares_solve(monkeypatch):
+    # the split solve itself; the see-saw coordinates take no solve
+    f = random_form(3, 7, 1)
+    system = minimize_annihilating(f, annihilating_lines(f, seed=1))
+    assert not system.is_exact
+    calls = []
+    solve = linalg.lstsq_solve
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return solve(*args)
+
+    monkeypatch.setattr(linalg, "lstsq_solve", counted)
+    split = split_on_lines(f, system)
+    assert len(split.kernel) == math.comb(system.k + 1, 2) > 1
+    assert calls == [(36, (system.k + 1) * 8)]
 
 
 def test_split_merge_counts_clash_and_residual():
