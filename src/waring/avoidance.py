@@ -73,7 +73,8 @@ class AvoidanceSet:
     def is_trivial(self) -> bool:
         return all(g.degree == 0 for g in self.generators)
 
-    def contains(self, point, tol: float = MEMBER_TOL) -> bool:
+    def contains(self, point) -> bool:
+        """Exact vanishing of every generator, else each |g(x)| <= MEMBER_TOL * max(1, |g|)."""
         pt = point if isinstance(point, ProjectivePoint) else ProjectivePoint(tuple(point))
         if len(pt) != self.num_vars:
             raise PreconditionError("point dimension does not match avoidance set")
@@ -84,7 +85,7 @@ class AvoidanceSet:
                     return False
             else:
                 value = complex(evaluate(g, pt.as_floats()))
-                if abs(value) > tol * max(1.0, g.max_abs()):
+                if abs(value) > MEMBER_TOL * max(1.0, g.max_abs()):
                     return False
         return True
 

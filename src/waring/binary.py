@@ -63,25 +63,18 @@ def _require_binary(f: Form, avoid: AvoidanceSet | None = None):
         raise PreconditionError("avoidance set must be binary")
 
 
-def _require_exact(f: Form):
-    if not f.is_exact:
-        raise PreconditionError("exact coefficients required for rank computations")
-
-
 # -- invariants -------------------------------------------------------------
 
 
 def border_rank_binary(f: Form) -> int:
     """Initial degree of the apolar ideal (exact input only)."""
     _require_binary(f)
-    _require_exact(f)
     return apolar_initial_degree(f)
 
 
 def rank_binary(f: Form) -> int:
     """Waring rank by the squarefree dichotomy (exact input only)."""
     _require_binary(f)
-    _require_exact(f)
     b = apolar_initial_degree(f)
     d = f.degree
     if 2 * b == d + 2:
@@ -94,7 +87,6 @@ def rank_binary(f: Form) -> int:
 def open_rank_binary(f: Form) -> int:
     """Points needed when any proper closed subset must be avoided."""
     _require_binary(f)
-    _require_exact(f)
     return f.degree + 2 - apolar_initial_degree(f)
 
 

@@ -50,6 +50,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RETRY = 2
 EXIT_PRECONDITION = 3
+MIN_NUM_VARS = 2
 
 
 class _UsageError(Exception):
@@ -71,9 +72,10 @@ def _read_text(arg: str) -> str:
     return arg
 
 
-def _infer_num_vars(text: str, minimum: int = 2) -> int:
+def _infer_num_vars(text: str) -> int:
+    """One past the largest index of an x<i> in text, at least MIN_NUM_VARS."""
     indices = [int(m) for m in re.findall(r"x(\d+)", text)]
-    return max([minimum - 1] + indices) + 1
+    return max([MIN_NUM_VARS - 1] + indices) + 1
 
 
 def _load_form(arg: str, num_vars: int | None = None) -> Form:

@@ -188,10 +188,11 @@ class Form:
             if c != 0:
                 yield expo, c
 
-    def is_zero(self, tol: float = FLOAT_ZERO_TOL) -> bool:
+    def is_zero(self) -> bool:
+        """Exactly zero, or on floats every |coefficient| <= FLOAT_ZERO_TOL."""
         if self.is_exact:
             return not any(self._num)
-        return all(abs(c) <= tol for c in self.coeffs)
+        return all(abs(c) <= FLOAT_ZERO_TOL for c in self.coeffs)
 
     def max_abs(self) -> float:
         return max(map(abs, _floats(self)), default=0.0)

@@ -207,12 +207,13 @@ def numeric_rank(matrix: np.ndarray, tol: float = NUMERIC_RANK_TOL) -> int:
     return int(np.sum(s > tol * s[0]))
 
 
-def numeric_nullspace(matrix: np.ndarray, tol: float = NUMERIC_RANK_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of the right null space {v : M v ~ 0}."""
+def numeric_nullspace(matrix: np.ndarray) -> list[np.ndarray]:
+    """Orthonormal basis of the right null space {v : M v ~ 0}: the right singular
+    vectors whose singular values are at most NUMERIC_RANK_TOL times the largest."""
     if matrix.size == 0:
         return []
     _, s, vh = np.linalg.svd(matrix)
-    cutoff = tol * (s[0] if s.size else 0.0)
+    cutoff = NUMERIC_RANK_TOL * (s[0] if s.size else 0.0)
     null = [np.conj(vh[i]) for i in range(vh.shape[0]) if i >= s.size or s[i] <= cutoff]
     return null
 

@@ -32,6 +32,7 @@ from .roots import pencil_roots, primitive_integer
 #: x0, x1, x2 as linear duals; `random_combination` over them samples a line
 UNIT_DUALS = tuple(Form(3, 1, tuple(Fraction(int(i == j)) for j in range(3)))
                    for i in range(3))
+CONIC_TOL = 1e-9
 
 
 def cross(a: Sequence, b: Sequence) -> tuple:
@@ -237,12 +238,13 @@ def factor_rank_two_quadric(q: Form) -> tuple[Form, Form]:
 # -- smooth conics ----------------------------------------------------------
 
 
-def conic_contains(q: Form, point: Sequence, tol: float = 1e-9) -> bool:
+def conic_contains(q: Form, point: Sequence) -> bool:
+    """Exact vanishing on exact data, else |q(x)| <= CONIC_TOL * max(1, |q|) * max(1, |x|)^2."""
     value = evaluate(q, tuple(point))
     if isinstance(value, Fraction):
         return value == 0
     scale = max(1.0, q.max_abs()) * max(1.0, max(abs(complex(c)) for c in point)) ** 2
-    return abs(complex(value)) <= tol * scale
+    return abs(complex(value)) <= CONIC_TOL * scale
 
 
 def rational_point_on_conic(q: Form, height: int = 16) -> tuple | None:

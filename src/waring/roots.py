@@ -34,11 +34,13 @@ import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import RootFindingError
+from .errors import PreconditionError, RootFindingError
 
 #: float coefficients below this times the largest are treated as zero
 #: when trimming degree
 COEFF_TRIM_TOL = 1e-12
+ABERTH_MAX_ITER = 400
+ABERTH_TOL = 1e-13
 
 
 def _trim(coeffs: list[complex]) -> list[complex]:
@@ -122,11 +124,13 @@ def _newton_polygon_start(work: list[complex]) -> list[complex]:
     return z
 
 
-def aberth_roots(coeffs: Sequence, max_iter: int = 400, tol: float = 1e-13) -> list[complex]:
+def aberth_roots(coeffs: Sequence) -> list[complex]:
     """All complex roots of sum(coeffs[i] * t^i), multiplicities repeated.
 
-    Raises RootFindingError if the simultaneous iteration stalls; callers
-    treat that as a resampling event, not a hard failure.
+    The iteration runs at most ABERTH_MAX_ITER (400) sweeps and stops once
+    every step is below ABERTH_TOL (1e-13) times max(1, Cauchy bound).
+    Raises RootFindingError if it stalls; callers treat that as a
+    resampling event, not a hard failure.
     """
     work = _trim([complex(c) for c in coeffs])
     if len(work) <= 1:
@@ -155,7 +159,7 @@ def aberth_roots(coeffs: Sequence, max_iter: int = 400, tol: float = 1e-13) -> l
     lead = work[-1]
     radius = 1.0 + max(abs(c / lead) for c in work[:-1])
     z = _newton_polygon_start(work)
-    for _ in range(max_iter):
+    for _ in range(ABERTH_MAX_ITER):
         moved = 0.0
         for i in range(n):
             p, dp = _horner(work, z[i])
@@ -177,7 +181,7 @@ def aberth_roots(coeffs: Sequence, max_iter: int = 400, tol: float = 1e-13) -> l
             step = w if denom == 0 else w / denom
             z[i] -= step
             moved = max(moved, abs(step))
-        if moved <= tol * max(1.0, radius):
+        if moved <= ABERTH_TOL * max(1.0, radius):
             break
     else:
         residual = max(_backward_error(work, zi) for zi in z)
@@ -194,10 +198,11 @@ def binary_form_roots(coeffs: Sequence, exact_degree_drop: int | None = None) ->
     x0^(d-i) * x1^i).  Finite roots come back as (1, t); the root at
     (0, 1) appears once per unit of degree drop.  For exact input pass
     `exact_degree_drop` so the drop is decided exactly instead of by
-    float tolerance.  Raises RootFindingError when the root iteration
-    returns fewer roots than the degree of the kept coefficients (up to
-    their last nonzero one), as when it trims a small leading coefficient
-    that the exact drop kept; callers resample on that error.
+    float tolerance; a drop that leaves a zero leading coefficient raises
+    PreconditionError.  Raises RootFindingError when the root iteration
+    returns fewer roots than the degree of the kept coefficients, as when
+    it trims a small leading coefficient that the exact drop kept (a tiny
+    nonzero Fraction can round to 0.0); callers resample on that error.
     """
     vals = [complex(c) for c in coeffs]
     scale = max((abs(c) for c in vals), default=0.0)
@@ -205,6 +210,8 @@ def binary_form_roots(coeffs: Sequence, exact_degree_drop: int | None = None) ->
         return []
     if exact_degree_drop is not None:
         drop = exact_degree_drop
+        if not 0 <= drop < len(coeffs) or coeffs[len(coeffs) - drop - 1] == 0:
+            raise PreconditionError(f"degree drop {drop} leaves a zero leading coefficient")
         poly = vals[: len(vals) - drop]
     else:
         poly = list(vals)
@@ -213,11 +220,9 @@ def binary_form_roots(coeffs: Sequence, exact_degree_drop: int | None = None) ->
             poly.pop()
             drop += 1
     roots = aberth_roots(poly)
-    kept = len(poly) - 1
-    while kept > 0 and poly[kept] == 0:
-        kept -= 1
-    if len(roots) < kept:
-        raise RootFindingError(f"root iteration returned {len(roots)} roots for degree {kept}")
+    if len(roots) < len(poly) - 1:
+        raise RootFindingError(
+            f"root iteration returned {len(roots)} roots for degree {len(poly) - 1}")
     return [(0j, 1 + 0j)] * drop + [(1 + 0j, t) for t in roots]
 
 

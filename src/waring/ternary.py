@@ -64,16 +64,17 @@ from .plane import (
 TUPLE_BUDGET = 256
 LINE_BUDGET = 64
 CONCURRENCY_TOL = 1e-8
+ANNIHILATION_TOL = 1e-8
 
 
 def _dual_form(point: ProjectivePoint) -> Form:
     return Form(3, 1, point.coords)
 
 
-def annihilates(duals, f: Form, tol: float = 1e-8) -> bool:
+def annihilates(duals, f: Form) -> bool:
     """Whether the product of the linear duals, contracted into f, is zero.
 
-    Exact on exact data; floats against tol * max(|product|, 1) * max(|f|, 1).
+    Exact on exact data; floats against ANNIHILATION_TOL * max(|product|, 1) * max(|f|, 1).
     """
     if not duals:
         return f.is_zero()
@@ -84,7 +85,7 @@ def annihilates(duals, f: Form, tol: float = 1e-8) -> bool:
     if product.is_exact and f.is_exact:
         return h.is_zero()
     scale = max(product.max_abs(), 1.0) * max(f.max_abs(), 1.0)
-    return h.max_abs() <= tol * scale
+    return h.max_abs() <= ANNIHILATION_TOL * scale
 
 
 # -- line systems ------------------------------------------------------------
@@ -136,8 +137,8 @@ class LineSystem:
             a, b = a.to_float(), b.to_float()
         return cross(a.coeffs, b.coeffs)
 
-    def annihilates(self, f: Form, tol: float = 1e-8) -> bool:
-        return annihilates(self.lines, f, tol)
+    def annihilates(self, f: Form) -> bool:
+        return annihilates(self.lines, f)
 
     def in_general_position(self) -> bool:
         """No three of the lines meet in a common point.
@@ -232,14 +233,14 @@ def _square_difference_pair(squares: list[Form],
 
 
 def reducible_member(basis: list[Form], forbidden: list[ProjectivePoint],
-                     seed: int = 0, budget: int = LINE_BUDGET) -> tuple[Form, Form]:
+                     seed: int = 0) -> tuple[Form, Form]:
     """A reducible quadric in the span of `basis`, split into its lines.
 
     Works down an exactness ladder: single basis members, then rational
-    roots of determinant cubics along pencils, then float roots, and
-    finally differences of squares built from rank-one members (which
-    always factor rationally).  Only the first float pair is ever
-    returned, so once one is held later float members are only
+    roots of determinant cubics along at most LINE_BUDGET pencils, then
+    float roots, and finally differences of squares built from rank-one
+    members (which always factor rationally).  Only the first float pair
+    is ever returned, so once one is held later float members are only
     rank-checked (a rank-one member still feeds the squares); exact
     members are always factored, so a later exact pair still wins.
     """
@@ -278,7 +279,7 @@ def reducible_member(basis: list[Form], forbidden: list[ProjectivePoint],
                 yield va, vb
 
     for qa, qb in pencil_stream():
-        if stats["pencils"] >= budget:
+        if stats["pencils"] >= LINE_BUDGET:
             break
         stats["pencils"] += 1
         for t in singular_members(quadric_matrix(qa), quadric_matrix(qb)):
@@ -311,8 +312,7 @@ def reducible_member(basis: list[Form], forbidden: list[ProjectivePoint],
         "no admissible reducible member found in the net", diagnostics=stats)
 
 
-def reducible_kernel_pair(g: Form, sigma=(), seed: int = 0,
-                          budget: int = LINE_BUDGET) -> KernelPair:
+def reducible_kernel_pair(g: Form, sigma=(), seed: int = 0) -> KernelPair:
     """Two distinct lines, off the forbidden locus, whose product kills g.
 
     g must be an exact ternary cubic.  Its quadratic annihilators form a
@@ -332,7 +332,7 @@ def reducible_kernel_pair(g: Form, sigma=(), seed: int = 0,
         if annihilates((_dual_form(a), _dual_form(b)), g):
             return KernelPair(_dual_form(a), _dual_form(b), from_sigma=True)
     net = list(catalecticant(g, 2).kernel)
-    l1, l2 = reducible_member(net, sigma_points, seed=seed, budget=budget)
+    l1, l2 = reducible_member(net, sigma_points, seed=seed)
     if not annihilates((l1, l2), g):
         raise RetryExhausted("factored member failed the annihilation recheck",
                              diagnostics={"stage": "recheck"})
@@ -342,30 +342,28 @@ def reducible_kernel_pair(g: Form, sigma=(), seed: int = 0,
 # -- building annihilating systems -------------------------------------------
 
 
-def _sample_lines(rng, count: int, height: int, sigma_points) -> list[Form]:
-    """`count` distinct random lines off sigma."""
+def _sample_lines(rng, count: int, height: int) -> list[Form]:
+    """`count` distinct random lines."""
     lines: list[Form] = []
     while len(lines) < count:
         ell = random_combination(rng, UNIT_DUALS, height)
         if ell is None:
             continue
         p = ProjectivePoint(ell.coeffs)
-        if any(same_point(p, s) for s in sigma_points):
-            continue
         if any(same_point(p, ProjectivePoint(x.coeffs)) for x in lines):
             continue
         lines.append(ell)
     return lines
 
 
-def annihilating_lines(f: Form, sigma=(), seed: int = 0,
-                       retries: int = LINE_BUDGET) -> LineSystem:
+def annihilating_lines(f: Form, seed: int = 0) -> LineSystem:
     """d - 1 distinct lines in general position whose product kills f.
 
     All but two of the lines are sampled at random subject to exact
     openness conditions (no residual contraction may die early); the last
     two come from factoring a singular member of the quadratic annihilator
-    net of what remains.  Points of `sigma` are kept out of the system.
+    net of what remains.  LINE_BUDGET attempts are made before
+    RetryExhausted, whose diagnostics count the rejects by reason.
     The zero form, which every line annihilates, raises ZeroFormError.
     """
     if f.num_vars != 3:
@@ -375,19 +373,14 @@ def annihilating_lines(f: Form, sigma=(), seed: int = 0,
         raise PreconditionError("need degree at least three to build a system")
     if f.is_zero():
         raise ZeroFormError("every line annihilates the zero form")
-    sigma_points = [as_dual_point(s) for s in sigma]
     rng = random.Random(seed)
     if not f.is_exact:
         raise PreconditionError("annihilating_lines runs on the exact backend")
-    for a, b in combinations_with_replacement(sigma_points, 2):
-        if annihilates((_dual_form(a), _dual_form(b)), f):
-            raise PreconditionError(
-                "a pair from the forbidden locus already annihilates the form")
 
     rejects = {"zero_residual": 0, "pair_condition": 0, "kernel_pair": 0,
                "position": 0, "duplicate": 0}
-    for attempt in range(retries):
-        sampled = _sample_lines(rng, d - 3, 9 << (attempt // 16), sigma_points)
+    for attempt in range(LINE_BUDGET):
+        sampled = _sample_lines(rng, d - 3, 9 << (attempt // 16))
         if len(sampled) >= 3 and not LineSystem(tuple(sampled)).in_general_position():
             rejects["position"] += 1
             continue
@@ -397,10 +390,9 @@ def annihilating_lines(f: Form, sigma=(), seed: int = 0,
         if g.is_zero():
             rejects["zero_residual"] += 1
             continue
-        # a sampled or sigma pair that already kills g comes back flagged
+        # a sampled pair that already kills g comes back flagged
         try:
-            pair = reducible_kernel_pair(g, sigma=sampled + sigma_points,
-                                         seed=seed + 7919 * attempt)
+            pair = reducible_kernel_pair(g, sigma=sampled, seed=seed + 7919 * attempt)
         except RetryExhausted:
             rejects["kernel_pair"] += 1
             continue
@@ -420,7 +412,7 @@ def annihilating_lines(f: Form, sigma=(), seed: int = 0,
             continue
         return system
     raise RetryExhausted(
-        f"no annihilating system of {d - 1} lines in {retries} attempts",
+        f"no annihilating system of {d - 1} lines in {LINE_BUDGET} attempts",
         diagnostics={"rejects": rejects})
 
 

@@ -64,3 +64,94 @@ def test_every_function_is_named_elsewhere_in_src():
                 named.add(node.asname or node.name)
     uncalled = {qualified for qualified, name in defined if name not in named}
     assert uncalled == UNCALLED_BY_DESIGN
+
+
+# defaulted parameters that no call in src/ sets: `python -m waring.cli` and
+# the console launcher call main() and let argparse read sys.argv
+UNSET_BY_DESIGN = {"cli.main.argv"}
+
+
+def _signature(fn):
+    """The positional parameter names of fn and the names that carry a default."""
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaulted = positional[len(positional) - len(args.defaults):]
+    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return positional, defaulted
+
+
+def _calls(scope, skip):
+    """The calls under scope, not descending into the nodes in skip."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if node in skip:
+            continue
+        if isinstance(node, ast.Call):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_defaulted_parameter_is_set_by_a_call_in_src():
+    """A default that no call overrides is a constant in disguise.
+
+    Checked: module functions outside `waring.__all__` and the methods of
+    classes outside it.  A call sets a parameter by keyword or by
+    position; calling a class sets its `__init__`, `partial(fn, ...)`
+    counts as a call of fn, and a call with *args or **kwargs sets every
+    parameter.  An argument that forwards the caller's own defaulted
+    parameter sets the callee's only if that one is set in turn.
+    """
+    exported = set(waring.__all__)
+    functions = {}  # qualified name -> (positional, defaulted, checked)
+    callees = {}  # ("name" | "attr", identifier) -> [(qualified name, bound)]
+    scopes = []  # (qualified name or None for module code, node)
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes.append((None, tree))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                members = [(f"{path.stem}.{node.name}", node, node.name, ("name", node.name), 0)]
+            elif isinstance(node, ast.ClassDef):
+                members = [(f"{path.stem}.{node.name}.{item.name}", item, node.name,
+                            ("name", node.name) if item.name == "__init__"
+                            else ("attr", item.name), 1)
+                           for item in node.body if isinstance(item, ast.FunctionDef)]
+            else:
+                continue
+            for qualified, fn, owner, key, bound in members:
+                functions[qualified] = (*_signature(fn), owner not in exported)
+                callees.setdefault(key, []).append((qualified, bound))
+                scopes.append((qualified, fn))
+    skip = {fn for qualified, fn in scopes if qualified is not None}
+
+    edges = []  # ((callee, parameter), (caller, forwarded parameter) or None)
+    for caller, scope in scopes:
+        own = set(functions[caller][1]) if caller else set()
+        for call in _calls(scope, skip - {scope}):
+            func, args = call.func, call.args
+            if getattr(func, "id", None) == "partial" and args:
+                func, args = args[0], args[1:]
+            key = ("name", func.id) if isinstance(func, ast.Name) else (
+                ("attr", func.attr) if isinstance(func, ast.Attribute) else None)
+            starred = (any(isinstance(a, ast.Starred) for a in args)
+                       or any(k.arg is None for k in call.keywords))
+            for callee, bound in callees.get(key, []):
+                positional, defaulted = functions[callee][:2]
+                given = [(positional[bound + i], a) for i, a in enumerate(args)
+                         if bound + i < len(positional) and not isinstance(a, ast.Starred)]
+                given += [(k.arg, k.value) for k in call.keywords if k.arg]
+                given += [(p, None) for p in defaulted if starred]
+                edges += [((callee, p), (caller, value.id)
+                           if isinstance(value, ast.Name) and value.id in own else None)
+                          for p, value in given if p in defaulted]
+    is_set, grew = set(), True
+    while grew:
+        grew = False
+        for target, source in edges:
+            if target not in is_set and (source is None or source in is_set):
+                is_set.add(target)
+                grew = True
+    unset = {f"{qualified}.{p}" for qualified, (_, defaulted, checked) in functions.items()
+             if checked for p in defaulted if (qualified, p) not in is_set}
+    assert unset == UNSET_BY_DESIGN

@@ -209,7 +209,7 @@ def test_rational_point_on_conic_found_and_missed():
 def test_float_point_on_conic():
     q = parse_form("x0^2 + x1^2 + x2^2", 3)  # only complex points
     pt = float_point_on_conic(q, seed=3)
-    assert conic_contains(q, pt, tol=1e-8)
+    assert conic_contains(q, pt)
 
 
 def test_conic_parametrization_traces_the_conic():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from waring import decompose_binary, random_form
 from waring import roots as roots_module
-from waring.errors import RootFindingError
+from waring.errors import PreconditionError, RootFindingError
 from waring.roots import (
     COEFF_TRIM_TOL,
     aberth_roots,
@@ -164,10 +164,22 @@ def test_binary_form_roots_counts_infinity():
 
 def test_binary_form_roots_exact_drop_override():
     # tiny but nonzero trailing coefficient: float path would keep it,
-    # the exact override forces one root to infinity
+    # the exact override forces both roots to infinity
     coeffs = [1.0, 0.0, 1e-30]
-    pts = binary_form_roots(coeffs, exact_degree_drop=1)
-    assert sum(1 for p in pts if abs(p[0]) < 1e-12) == 1
+    pts = binary_form_roots(coeffs, exact_degree_drop=2)
+    assert sum(1 for p in pts if abs(p[0]) < 1e-12) == 2
+    # a drop of one leaves the exact zero x0 * x1 coefficient in the lead,
+    # and a drop of three leaves no coefficient at all
+    for drop in (1, 3):
+        with pytest.raises(PreconditionError):
+            binary_form_roots(coeffs, exact_degree_drop=drop)
+
+
+def test_binary_form_roots_resamples_a_lead_that_rounds_to_zero():
+    # the exact lead is nonzero, so the drop of zero is right, but its
+    # float image is 0.0 and the root iteration loses the root
+    with pytest.raises(RootFindingError):
+        binary_form_roots([Fraction(1), Fraction(1, 10**400)], exact_degree_drop=0)
 
 
 def test_binary_form_roots_raises_instead_of_losing_roots():

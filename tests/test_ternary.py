@@ -30,6 +30,7 @@ from waring.forms import (
 from waring.linalg import numeric_nullspace, solve_columns
 from waring.plane import cross, plane_basis
 from waring.ternary import (
+    KernelPair,
     LineSystem,
     annihilates,
     annihilating_lines,
@@ -188,6 +189,26 @@ def test_annihilating_lines_triple_product():
     sys = annihilating_lines(f, seed=0)
     assert len(sys.lines) == 2
     assert sys.annihilates(f)
+
+
+def test_annihilating_lines_counts_every_kernel_pair_failure(monkeypatch):
+    def no_pair(g, sigma=(), seed=0):
+        raise RetryExhausted("no pair", diagnostics={})
+
+    monkeypatch.setattr(ternary, "reducible_kernel_pair", no_pair)
+    with pytest.raises(RetryExhausted) as err:
+        annihilating_lines(random_form(3, 5, seed=31), seed=0)
+    assert err.value.diagnostics["rejects"]["kernel_pair"] == ternary.LINE_BUDGET == 64
+
+
+def test_annihilating_lines_rejects_every_pair_from_the_sampled_lines(monkeypatch):
+    def sampled_pair(g, sigma=(), seed=0):
+        return KernelPair(sigma[0], sigma[1], from_sigma=True)
+
+    monkeypatch.setattr(ternary, "reducible_kernel_pair", sampled_pair)
+    with pytest.raises(RetryExhausted) as err:
+        annihilating_lines(random_form(3, 5, seed=31), seed=0)
+    assert err.value.diagnostics["rejects"]["pair_condition"] == ternary.LINE_BUDGET
 
 
 def test_annihilating_lines_validates_input():
