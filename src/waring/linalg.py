@@ -242,14 +242,15 @@ def solve_columns(columns: Sequence[Sequence], target: Sequence,
     max|Mx - b| / max(1, max|b|) comes back with the numeric rank of the
     scaled matrix; with `tol` set, a residual above it gives None.
     """
-    matrix = [[col[r] for col in columns] for r in range(len(target))]
-    exact = (all(isinstance(b, (Fraction, int)) for b in target)
-             and all(isinstance(x, (Fraction, int)) for row in matrix for x in row))
-    if exact:
+    if (all(isinstance(b, (Fraction, int)) for b in target)
+            and all(isinstance(x, (Fraction, int)) for col in columns for x in col)):
+        matrix = [[col[r] for col in columns] for r in range(len(target))]
         x, rank = exact_solve_with_rank(matrix, list(target))
         return None if x is None else (x, 0.0, rank)
-    m = np.array([[complex(x) for x in row] for row in matrix])
-    rhs = np.array([complex(b) for b in target])
+    # numpy converts an exact entry through its __float__, numerator /
+    # denominator, the value complex() gives; the copy keeps the row layout
+    m = np.array(columns, dtype=complex).reshape(len(columns), len(target)).T.copy()
+    rhs = np.array(target, dtype=complex)
     scale = np.abs(m).max(axis=0)
     scale[scale == 0] = 1.0
     x, rank = lstsq_solve(m / scale, rhs)

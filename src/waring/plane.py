@@ -81,20 +81,19 @@ def plane_basis(ell: Sequence) -> tuple[tuple, tuple]:
 # -- quadrics ---------------------------------------------------------------
 
 
+#: _QUADRIC_INDEX[i][j] is the index of x_i x_j among the ternary quadric monomials
+_QUADRIC_INDEX = tuple(tuple(index_of(tuple(int(i == m) + int(j == m) for m in range(3)))
+                             for j in range(3)) for i in range(3))
+
+
 def quadric_matrix(q: Form) -> list[list]:
     """Symmetric 3x3 matrix of a ternary quadric (exact or float entries)."""
     if q.num_vars != 3 or q.degree != 2:
         raise PreconditionError("quadric_matrix wants a ternary quadric")
     half = Fraction(1, 2) if q.is_exact else 0.5
-    m = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            expo = [0, 0, 0]
-            expo[i] += 1
-            expo[j] += 1
-            c = q.coeffs[index_of(tuple(expo))]
-            m[i][j] = c if i == j else c * half
-    return m
+    c = q.coeffs
+    return [[c[k] if i == j else c[k] * half for j, k in enumerate(row)]
+            for i, row in enumerate(_QUADRIC_INDEX)]
 
 
 def adjugate3(m: list[list]) -> list[list]:
@@ -124,8 +123,9 @@ def pencil_at(m_a: list[list], m_b: list[list], t) -> list[list]:
     return [[a + t * b for a, b in zip(ra, rb)] for ra, rb in zip(m_a, m_b)]
 
 
-def singular_members(m_a: list[list], m_b: list[list]) -> list:
-    """Parameters t where det(m_a + t * m_b) vanishes, by `pencil_roots`.
+def singular_members(m_a: list[list], m_b: list[list], rational_only: bool = False) -> list:
+    """Parameters t where det(m_a + t * m_b) vanishes, by `pencil_roots`
+    (its rational roots alone when `rational_only` is set).
 
     The matrices are exact, cleared once by the lcm D of their denominators:
     each sample t = p / q is det(q D m_a + p D m_b) / (q D)^3, over the integers.
@@ -140,7 +140,7 @@ def singular_members(m_a: list[list], m_b: list[list]) -> list:
         member = [[q * x + p * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
         return Fraction(det3(member), (q * den) ** 3)
 
-    ts = pencil_roots(det_at)
+    ts = pencil_roots(det_at, rational_only)
     return [Fraction(v) for v in (0, 1, -1, 2, -2)] if ts is None else ts
 
 

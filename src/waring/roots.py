@@ -23,8 +23,9 @@ gcd with the derivative modulo a few fixed large primes first and falls
 back to the exact PRS only when none of them proves coprimality.
 
 `pencil_roots` is the one determinant-pencil root finder: it rebuilds the
-cubic det(A + t B) from four samples and returns its rational roots, then
-the complex roots of what is left once they are divided out.
+cubic det(A + t B) from four samples and returns its rational roots, then,
+unless asked for rational roots only, the complex roots of what is left
+once they are divided out.
 """
 
 from __future__ import annotations
@@ -390,18 +391,21 @@ def cubic_from_samples(d0, d1, dm1, d2) -> list:
     return [c0, c1, c2, c3]
 
 
-def pencil_roots(det_at: Callable) -> list | None:
+def pencil_roots(det_at: Callable, rational_only: bool = False) -> list | None:
     """Roots t of the cubic det_at(t), or None when it vanishes identically.
 
     `det_at` is sampled at the Fractions 0, 1, -1 and 2.  When the samples
     are exact, the rational roots come first, each once; the Aberth roots
-    of the cubic with them divided out (multiplicities included) follow.
-    A stalled Aberth iteration contributes no float roots.
+    of the cubic with them divided out (multiplicities included) follow,
+    unless `rational_only` is set.  A stalled Aberth iteration contributes
+    no float roots.
     """
     cubic = cubic_from_samples(*(det_at(Fraction(v)) for v in (0, 1, -1, 2)))
     if all(c == 0 for c in cubic):
         return None
     roots = rational_roots(cubic) if all(isinstance(c, Fraction) for c in cubic) else []
+    if rational_only:
+        return roots
     rest = _integer_poly(cubic) if roots else cubic
     for r in roots:
         while _vanishes_at(rest, r.numerator, r.denominator):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -53,6 +54,7 @@ from .plane import (
     UNIT_DUALS,
     as_dual_point,
     cross,
+    det3,
     factor_rank_two_quadric,
     plane_basis,
     quadric_matrix,
@@ -75,12 +77,22 @@ def annihilates(duals, f: Form) -> bool:
     """Whether the product of the linear duals, contracted into f, is zero.
 
     Exact on exact data; floats against ANNIHILATION_TOL * max(|product|, 1) * max(|f|, 1).
+    The product is the left fold duals[0] * duals[1] * ...
     """
     if not duals:
         return f.is_zero()
-    product = duals[0]
-    for ell in duals[1:]:
-        product = product * ell
+    return _kills(_fold(duals), f)
+
+
+def _fold(duals, product: Form | None = None) -> Form:
+    """`product` times the duals in turn, from the left (the first dual if None)."""
+    for ell in duals:
+        product = ell if product is None else product * ell
+    return product
+
+
+def _kills(product: Form, f: Form) -> bool:
+    """`annihilates` for a product of duals already formed."""
     h = contract(product, f)
     if product.is_exact and f.is_exact:
         return h.is_zero()
@@ -143,19 +155,22 @@ class LineSystem:
     def in_general_position(self) -> bool:
         """No three of the lines meet in a common point.
 
-        The triples a < b < c run in `combinations` order, and the point of
-        lines a and b is taken once, before line c runs over the rest.
+        An exact system decides each triple by the 3 x 3 determinant of the
+        lines' integer numerators, which vanishes exactly when they meet.
+        A float system takes the point of lines a and b once, for a < b in
+        `combinations` order, and tests it against every later line c.
         """
-        exact, m = self.is_exact, len(self.lines)
+        m = len(self.lines)
+        if self.is_exact:
+            rows = [ell.numerators()[0] for ell in self.lines]
+            return all(det3((rows[a], rows[b], rows[c]))
+                       for a, b, c in combinations(range(m), 3))
         for a, b in combinations(range(m - 1), 2):
-            u = self.intersection(a, b)  # exact when the system is
-            top = None if exact else max(abs(complex(x)) for x in u)
+            u = self.intersection(a, b)
+            top = max(abs(complex(x)) for x in u)
             for ell in self.lines[b + 1:]:
                 val = evaluate(ell, u)
-                if exact:
-                    if val == 0:
-                        return False
-                elif abs(complex(val)) <= CONCURRENCY_TOL * (top * max(1.0, ell.max_abs())):
+                if abs(complex(val)) <= CONCURRENCY_TOL * (top * max(1.0, ell.max_abs())):
                     return False
         return True
 
@@ -197,9 +212,8 @@ def _pair_ok(l1: Form, l2: Form, forbidden: list[ProjectivePoint]) -> bool:
 
 
 def _split_reducible(q: Form, forbidden: list[ProjectivePoint],
-                     squares: list[Form], factor: bool = True) -> tuple[Form, Form] | None:
-    """Factor a singular quadric, stashing rank-one members for later;
-    with `factor` false a rank-two member is only rank-checked."""
+                     squares: list[Form]) -> tuple[Form, Form] | None:
+    """Factor a singular quadric, stashing rank-one members for later."""
     rank = quadric_rank(q)
     if rank == 1:
         root = _square_root_line(q)
@@ -209,7 +223,7 @@ def _split_reducible(q: Form, forbidden: list[ProjectivePoint],
         ):
             squares.append(root)
         return None
-    if rank != 2 or not factor:
+    if rank != 2:
         return None
     try:
         l1, l2 = factor_rank_two_quadric(q)
@@ -240,9 +254,11 @@ def reducible_member(basis: list[Form], forbidden: list[ProjectivePoint],
     roots of determinant cubics along at most LINE_BUDGET pencils, then
     float roots, and finally differences of squares built from rank-one
     members (which always factor rationally).  Only the first float pair
-    is ever returned, so once one is held later float members are only
-    rank-checked (a rank-one member still feeds the squares); exact
-    members are always factored, so a later exact pair still wins.
+    is ever returned, so once one is held the later pencils ask for their
+    rational roots alone: an exact member there can still give the pair
+    or feed the squares, while a float member cannot.  A float root is an
+    irrational root of a rational cubic, hence simple, so its member has
+    a nonzero adjugate (rank two) and is never a square.
     """
     if not basis:
         raise PreconditionError("empty net has no reducible member")
@@ -282,15 +298,16 @@ def reducible_member(basis: list[Form], forbidden: list[ProjectivePoint],
         if stats["pencils"] >= LINE_BUDGET:
             break
         stats["pencils"] += 1
-        for t in singular_members(quadric_matrix(qa), quadric_matrix(qb)):
-            stats["members"] += 1
-            exact = isinstance(t, Fraction)
-            if exact:
+        for t in singular_members(quadric_matrix(qa), quadric_matrix(qb),
+                                  rational_only=float_hit is not None):
+            if isinstance(t, Fraction):
                 member = qa + qb.scale(t)
-            else:
+            elif float_hit is None:
                 member = qa.to_float() + qb.to_float().scale(t)
-            hit = record(_split_reducible(member, forbidden, squares,
-                                          factor=exact or float_hit is None))
+            else:  # a float pair is held: this pencil's other float roots are spent
+                continue
+            stats["members"] += 1
+            hit = record(_split_reducible(member, forbidden, squares))
             if hit is not None:
                 return hit
         # two rank-one members factor rationally without more pencil work
@@ -328,9 +345,9 @@ def reducible_kernel_pair(g: Form, sigma=(), seed: int = 0) -> KernelPair:
     if g.is_zero():
         raise ZeroFormError("the zero cubic is annihilated by everything")
     sigma_points = [as_dual_point(s) for s in sigma]
-    for a, b in combinations_with_replacement(sigma_points, 2):
-        if annihilates((_dual_form(a), _dual_form(b)), g):
-            return KernelPair(_dual_form(a), _dual_form(b), from_sigma=True)
+    for a, b in combinations_with_replacement([_dual_form(p) for p in sigma_points], 2):
+        if annihilates((a, b), g):
+            return KernelPair(a, b, from_sigma=True)
     net = list(catalecticant(g, 2).kernel)
     l1, l2 = reducible_member(net, sigma_points, seed=seed)
     if not annihilates((l1, l2), g):
@@ -345,14 +362,16 @@ def reducible_kernel_pair(g: Form, sigma=(), seed: int = 0) -> KernelPair:
 def _sample_lines(rng, count: int, height: int) -> list[Form]:
     """`count` distinct random lines."""
     lines: list[Form] = []
+    points: list[ProjectivePoint] = []
     while len(lines) < count:
         ell = random_combination(rng, UNIT_DUALS, height)
         if ell is None:
             continue
         p = ProjectivePoint(ell.coeffs)
-        if any(same_point(p, ProjectivePoint(x.coeffs)) for x in lines):
+        if any(same_point(p, x) for x in points):
             continue
         lines.append(ell)
+        points.append(p)
     return lines
 
 
@@ -421,19 +440,24 @@ def minimize_annihilating(f: Form, system: LineSystem) -> LineSystem:
 
     A single left-to-right pass suffices: annihilation is monotone under
     adding lines, so anything kept against a superset stays necessary.
+    Each trial without line i continues the product of the lines kept
+    before i, which is the left fold `annihilates` takes, so it multiplies
+    only the lines after i.
     """
     if f.is_zero():
         return LineSystem(())
     if not system.annihilates(f):
         raise PreconditionError("system does not annihilate the form")
     kept = list(system.lines)
+    prefix = None  # the product of kept[:i]
     i = 0
     while i < len(kept):
-        trial = kept[:i] + kept[i + 1:]
-        if trial and annihilates(trial, f):
-            kept = trial
-        else:
-            i += 1
+        rest = kept[i + 1:]
+        if (prefix is not None or rest) and _kills(_fold(rest, prefix), f):
+            del kept[i]
+            continue
+        prefix = kept[i] if prefix is None else prefix * kept[i]
+        i += 1
     return LineSystem(tuple(kept))
 
 
@@ -447,24 +471,27 @@ class SplitProblem:
     `particular` is one solution tuple (binary forms, one per line, in the
     coordinates of the line's span).  The direction space is spanned by
     see-saw generators: the d-th power of a pairwise intersection point,
-    added on one line and subtracted on the other.
+    added on one line and subtracted on the other.  `kernel` holds them as
+    (i, j, power on line i, power on line j).
     """
 
     form: Form
     system: LineSystem
     particular: tuple[Form, ...]
-    kernel: tuple[tuple[int, int, Form, Form], ...]
+    kernel: Sequence[tuple[int, int, Form, Form]]
     spans: tuple[tuple[tuple, tuple], ...]
     solution_dim: int
 
     def pieces(self, coeffs) -> list[Form]:
-        """The summand tuple at one choice of kernel coefficients."""
+        """The summand tuple at one choice of kernel coefficients; a zero
+        coefficient reads nothing of its generator."""
         if len(coeffs) != len(self.kernel):
             raise PreconditionError(
                 f"expected {len(self.kernel)} kernel coefficients")
         out = list(self.particular)
-        for c, (i, j, pow_i, pow_j) in zip(coeffs, self.kernel):
+        for n, c in enumerate(coeffs):
             if c:
+                i, j, pow_i, pow_j = self.kernel[n]
                 out[i] = out[i] + pow_i.scale(c)
                 out[j] = out[j] - pow_j.scale(c)
         return out
@@ -474,7 +501,9 @@ class SplitProblem:
         """The piece decompositions `decs` (by line index), pushed to the plane.
 
         None on clashing points or on a sum that misses f, each counted in
-        `rejects`; the provenance gains `lines` and `piece_sizes`.
+        `rejects`; the provenance gains `lines` and `piece_sizes`.  A
+        `best_residual` entry of `rejects`, where the caller keeps one, is
+        lowered to the residual of a sum that misses.
         """
         terms = [t for i, dec in decs.items()
                  for t in push_decomposition(dec, self.spans[i]).terms]
@@ -489,6 +518,7 @@ class SplitProblem:
         })
         if not merged.meets_tolerance(self.form, tol):
             rejects["residual"] += 1
+            _note_residual(rejects, merged.provenance["residual"])
             return None
         return merged
 
@@ -501,7 +531,8 @@ class SplitProblem:
         nothing) from `decompose_binary_bounded` at seed `seed + i`; zero
         pieces and those already decomposed in `done` (by line index) are
         skipped.  None when a piece fails (counted as `piece_fail`) or the
-        merge rejects the sum (`clash`, `residual`).
+        merge rejects the sum (`clash`, `residual`); a failed piece's best
+        residual lowers a `best_residual` entry of `rejects` as `merge` does.
         """
         decs = dict(done or {})
         for i, piece in enumerate(self.pieces(coeffs)):
@@ -510,10 +541,18 @@ class SplitProblem:
             try:
                 decs[i] = decompose_binary_bounded(piece, avoids[i], caps[i],
                                                    seed=seed + i, tol=tol)
-            except RetryExhausted:
+            except RetryExhausted as err:
                 rejects["piece_fail"] += 1
+                _note_residual(rejects, err.diagnostics.get("best_residual"))
                 return None
         return self.merge(decs, provenance, tol, rejects)
+
+
+def _note_residual(rejects: dict, residual: float | None) -> None:
+    """Lower rejects["best_residual"] to `residual`, where the caller keeps one."""
+    if residual is not None and "best_residual" in rejects:
+        best = rejects["best_residual"]
+        rejects["best_residual"] = residual if best is None else min(best, residual)
 
 
 def _line_coordinates(x, span):
@@ -581,32 +620,55 @@ def split_on_lines(f: Form, system: LineSystem) -> SplitProblem:
         Form(2, d, tuple(sol[i * (d + 1):(i + 1) * (d + 1)]))
         for i in range(k + 1)
     )
-    # scale each see-saw generator to the size of the particular solution,
-    # via an exact dyadic factor, so integer kernel coefficients perturb
-    # the pieces instead of drowning them
-    ref = max(max(p.max_abs() for p in particular), 1e-30)
     # keep the generators on the particular solution's backend even where
     # two exact lines meet: mixing them would convert every Fraction again
     # on each sampled tuple; exact spans and points are converted once here
     bases = spans if exact else [tuple(map(complex_coords, span)) for span in spans]
-    gens = []
+    seesaws = []  # each point in its two lines' coordinates; a point off a line raises here
     for i, j in combinations(range(k + 1), 2):
         u_ij = system.intersection(i, j)
         if not exact:
             u_ij = complex_coords(u_ij)
-        ci = _line_coordinates(u_ij, bases[i])
-        cj = _line_coordinates(u_ij, bases[j])
-        pow_i = power_of_linear(ci, d)
-        pow_j = power_of_linear(cj, d)
-        gnorm = max(pow_i.max_abs(), pow_j.max_abs())
-        shift = round(math.log2(gnorm / ref)) if gnorm > 0 else 0
-        gamma = Fraction(1, 1 << shift) if shift >= 0 else Fraction(1 << -shift)
-        if not exact:  # a power of two: float(gamma) has the bits of complex(gamma)
-            gamma = float(gamma)
-        gens.append((i, j, pow_i.scale(gamma), pow_j.scale(gamma)))
+        seesaws.append((i, j, _line_coordinates(u_ij, bases[i]),
+                        _line_coordinates(u_ij, bases[j])))
+
+    def generators():
+        # scale each see-saw generator to the size of the particular solution,
+        # via an exact dyadic factor, so integer kernel coefficients perturb
+        # the pieces instead of drowning them
+        ref = max(max(p.max_abs() for p in particular), 1e-30)
+        for i, j, ci, cj in seesaws:
+            pow_i = power_of_linear(ci, d)
+            pow_j = power_of_linear(cj, d)
+            gnorm = max(pow_i.max_abs(), pow_j.max_abs())
+            shift = round(math.log2(gnorm / ref)) if gnorm > 0 else 0
+            gamma = Fraction(1, 1 << shift) if shift >= 0 else Fraction(1 << -shift)
+            if not exact:  # a power of two: float(gamma) has the bits of complex(gamma)
+                gamma = float(gamma)
+            yield i, j, pow_i.scale(gamma), pow_j.scale(gamma)
+
     return SplitProblem(
-        form=f, system=system, particular=particular, kernel=tuple(gens),
-        spans=spans, solution_dim=got)
+        form=f, system=system, particular=particular,
+        kernel=_PoweredOnRead(generators, len(seesaws)), spans=spans, solution_dim=got)
+
+
+class _PoweredOnRead(Sequence):
+    """The see-saw generators of a split, powered when first read.
+
+    The first tuple every split route tries has all coefficients zero and
+    reads no generator, so a split that succeeds there powers none.
+    """
+
+    def __init__(self, generators, size: int):
+        self._generators, self._size, self._items = generators, size, None
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index):
+        if self._items is None:
+            self._items = tuple(self._generators())
+        return self._items[index]
 
 
 # -- full decompositions in odd degree ---------------------------------------
@@ -640,7 +702,10 @@ def decompose_ternary_odd(f: Form, seed: int = 0, tol: float = RESIDUAL_TOL,
     within the per-line cap max(d + 1 - k, (d + 1) / 2).  The total never
     exceeds (d^2 - 1) / 2, because (k + 1) times the cap does not for any
     1 <= k <= d - 2.  Forms in fewer essential variables take the direct
-    single-power or binary route instead.
+    single-power or binary route instead.  When the tuple stage gives up,
+    the RetryExhausted diagnostics carry `best_residual`, the least
+    residual that any merged sum or failed piece reached (None if none
+    got that far).
     """
     if f.num_vars != 3:
         raise PreconditionError("decompose_ternary_odd expects a ternary form")
@@ -660,6 +725,7 @@ def decompose_ternary_odd(f: Form, seed: int = 0, tol: float = RESIDUAL_TOL,
         return _binary_on_subspace(f, seed, tol)
 
     best: dict | None = None
+    best_residual = None
     outer_budget = 4
     for sys_attempt in range(outer_budget):
         try:
@@ -680,7 +746,8 @@ def decompose_ternary_odd(f: Form, seed: int = 0, tol: float = RESIDUAL_TOL,
         cap = max(d + 1 - k, (d + 1) // 2)
         caps, avoids = (cap,) * (k + 1), (None,) * (k + 1)
         rng = random.Random(seed + 977 * sys_attempt + 13)
-        rejects = {"piece_fail": 0, "clash": 0, "residual": 0}
+        rejects = {"piece_fail": 0, "clash": 0, "residual": 0,
+                   "best_residual": best_residual}
         for t in range(retries):
             height = 9 << (t // 32)
             if t == 0:
@@ -694,7 +761,9 @@ def decompose_ternary_odd(f: Form, seed: int = 0, tol: float = RESIDUAL_TOL,
                                            rejects, provenance)
             if merged is not None:
                 return merged
-        best = {"stage": "tuples", "rejects": rejects, "k": k, "cap": cap}
+        best_residual = rejects.pop("best_residual")
+        best = {"stage": "tuples", "rejects": rejects, "k": k, "cap": cap,
+                "best_residual": best_residual}
     raise RetryExhausted(
         f"no admissible split decomposition after {outer_budget} line systems",
         diagnostics=best or {})

@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from waring import linalg
 from waring.apolarity import _exact_entries, catalecticant_rank
 from waring.errors import PreconditionError
 from waring.forms import Form, random_form
@@ -12,6 +16,7 @@ from waring.linalg import (
     exact_nullspace,
     exact_rank,
     exact_solve,
+    exact_solve_with_rank,
     lstsq_solve,
     numeric_nullspace,
     numeric_rank,
@@ -224,3 +229,64 @@ def test_solve_columns_float_reports_the_residual():
     x, residual, rank = solve_columns(columns, (Fraction(1), 2.0, 0.5))
     assert np.allclose(x, [1.0, -2j]) and rank == 2
     assert abs(residual - 0.25) < 1e-15
+
+
+def row_by_row_system(columns, target):
+    """The matrix, right-hand side and column scales of the float branch
+    of `solve_columns` as it built them before: a transposed list of rows,
+    each entry through complex()."""
+    matrix = [[col[r] for col in columns] for r in range(len(target))]
+    m = np.array([[complex(x) for x in row] for row in matrix])
+    scale = np.abs(m).max(axis=0)
+    scale[scale == 0] = 1.0
+    return m, np.array([complex(b) for b in target]), scale
+
+
+def row_by_row_solve(columns, target, tol=None):
+    """The float branch of `solve_columns` on the row-by-row build."""
+    m, rhs, scale = row_by_row_system(columns, target)
+    x, rank = lstsq_solve(m / scale, rhs)
+    x = x / scale
+    residual = max(abs(r) for r in m @ x - rhs) / max(1.0, max(abs(b) for b in rhs))
+    if tol is not None and residual > tol:
+        return None
+    return list(x), float(residual), rank
+
+
+# numerators and denominators past 2**53 round when numpy converts them
+_entries = st.one_of(
+    st.integers(-10**20, 10**20),
+    st.builds(Fraction, st.integers(-10**20, 10**20), st.integers(1, 10**18)),
+    st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.data())
+def test_solve_columns_matrix_build_keeps_every_bit(rows, cols, data):
+    columns = [tuple(data.draw(_entries) for _ in range(rows)) for _ in range(cols)]
+    target = tuple(data.draw(_entries) for _ in range(rows))
+    tol = data.draw(st.sampled_from([None, 1e-8]))
+    solved = []
+    with patch.object(linalg, "lstsq_solve", lambda m, b: solved.append((m, b)) or lstsq_solve(m, b)):
+        try:
+            got = solve_columns(columns, target, tol=tol)
+        except np.linalg.LinAlgError:  # the SVD fails on some subnormal columns
+            got = "no convergence"
+    matrix = [[col[r] for col in columns] for r in range(rows)]
+    if all(isinstance(v, (int, Fraction)) for v in (*target, *(x for row in matrix for x in row))):
+        x, rank = exact_solve_with_rank(matrix, list(target))
+        assert got == (None if x is None else (x, 0.0, rank)) and not solved
+        return
+    # the scaled system handed to the solve, byte for byte: the old build
+    # fails alike on it, or gives the same solution
+    m, rhs, scale = row_by_row_system(columns, target)
+    assert [a.tobytes() for a in solved[0]] == [(m / scale).tobytes(), rhs.tobytes()]
+    if got == "no convergence":
+        return
+    want = row_by_row_solve(columns, target, tol=tol)
+    if want is None:
+        assert got is None
+        return
+    assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()
+    assert repr(got[1]) == repr(want[1]) and got[2] == want[2]

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waring import linalg, ternary
+from waring.apolarity import catalecticant
 from waring.binary import decompose_binary, embed_binary
 from waring.certify import BOUND_ODD_SPLIT, verify_decomposition
 from waring.decomposition import Decomposition, Term
@@ -24,11 +26,21 @@ from waring.forms import (
     contract,
     parse_form,
     power_of_linear,
+    random_combination,
     random_form,
+    same_point,
     substitute,
 )
 from waring.linalg import numeric_nullspace, solve_columns
-from waring.plane import cross, plane_basis
+from waring.plane import (
+    UNIT_DUALS,
+    cross,
+    factor_rank_two_quadric,
+    plane_basis,
+    quadric_matrix,
+    quadric_rank,
+    singular_members,
+)
 from waring.ternary import (
     KernelPair,
     LineSystem,
@@ -111,8 +123,8 @@ def test_reducible_kernel_pair_fermat_cubic():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_line_search_factors_one_float_pair(monkeypatch, seed):
-    # only the first float pair can be returned: later float members are only
-    # rank-checked, so one factorization is made where 24 used to be
+    # only the first float pair can be returned: later pencils take their
+    # rational roots alone, so one factorization is made where 24 used to be
     calls = []
     real = ternary.factor_rank_two_quadric
     monkeypatch.setattr(ternary, "factor_rank_two_quadric",
@@ -144,6 +156,150 @@ def test_exact_pair_found_after_a_float_pair_wins(monkeypatch):
     assert calls == [False, True]
     assert pair.first.coeffs == (F(92), F(-46, 3), F(92, 3))
     assert pair.second.coeffs == (F(5, 46), F(-3, 46), F(-3, 23))
+
+
+def float_member_search(basis, forbidden, seed=0):
+    """`reducible_member` as it searched before: every pencil took its float
+    roots too, and float members after the first float pair were rank-checked."""
+    squares, rng, float_hit = [], random.Random(seed), None
+
+    def split(q, factor=True):
+        rank = quadric_rank(q)
+        if rank == 1:
+            root = ternary._square_root_line(q)
+            if root is not None and all(
+                    not same_point(ProjectivePoint(root.coeffs), ProjectivePoint(s.coeffs))
+                    for s in squares):
+                squares.append(root)
+            return None
+        if rank != 2 or not factor:
+            return None
+        try:
+            l1, l2 = factor_rank_two_quadric(q)
+        except PreconditionError:
+            return None
+        return (l1, l2) if ternary._pair_ok(l1, l2, forbidden) else None
+
+    def record(hit):
+        nonlocal float_hit
+        if hit is None:
+            return None
+        if hit[0].is_exact and hit[1].is_exact:
+            return hit
+        float_hit = float_hit or hit
+        return None
+
+    for q in basis:
+        hit = record(split(q))
+        if hit is not None:
+            return hit
+
+    def pencil_stream():
+        for i, j in combinations(range(len(basis)), 2):
+            yield basis[i], basis[j]
+        while True:
+            va = random_combination(rng, basis, 5)
+            vb = random_combination(rng, basis, 5)
+            if va is not None and vb is not None:
+                yield va, vb
+
+    pencils = 0
+    for qa, qb in pencil_stream():
+        if pencils >= ternary.LINE_BUDGET:
+            break
+        pencils += 1
+        for t in singular_members(quadric_matrix(qa), quadric_matrix(qb)):
+            exact = isinstance(t, Fraction)
+            member = qa + qb.scale(t) if exact else qa.to_float() + qb.to_float().scale(t)
+            hit = record(split(member, factor=exact or float_hit is None))
+            if hit is not None:
+                return hit
+        if len(squares) >= 2:
+            pair = ternary._square_difference_pair(squares, forbidden)
+            if pair is not None:
+                return pair
+        if float_hit is not None and pencils >= 8:
+            break
+    pair = ternary._square_difference_pair(squares, forbidden)
+    if pair is not None:
+        return pair
+    if float_hit is not None:
+        return float_hit
+    raise RetryExhausted("no admissible reducible member found in the net")
+
+
+# a sum of cubes whose search holds a float pair before an exact member splits
+_LATE_EXACT_CUBIC = Form(3, 3, tuple(F(c) for c in (80, 15, 192, 75, -6, 174, 9, 93, -93, 44)))
+
+
+def _exact_nets():
+    """(basis, forbidden, seed) of the apolar nets of fixed exact cubics,
+    some searched off a few forbidden lines."""
+    nets = [(list(catalecticant(_LATE_EXACT_CUBIC, 2).kernel), [], 56)]
+    for seed in range(16):
+        g = random_form(3, 3, seed)
+        forbidden = [ProjectivePoint(lin(1, seed % 5, -2).coeffs)] if seed % 2 else []
+        nets.append((list(catalecticant(g, 2).kernel), forbidden, seed))
+    for text in ("x0^3 + x1^3 + x2^3", "x0*x1*x2", "x0^3 + x0*x1*x2 + x2^3"):
+        nets.append((list(catalecticant(parse_form(text, 3), 2).kernel), [], 0))
+    return nets
+
+
+def test_line_search_returns_the_pair_of_the_float_member_search():
+    floats = 0
+    for basis, forbidden, seed in _exact_nets():
+        got = ternary.reducible_member(basis, forbidden, seed=seed)
+        want = float_member_search(basis, forbidden, seed=seed)
+        assert [repr(ell.coeffs) for ell in got] == [repr(ell.coeffs) for ell in want]
+        floats += not got[0].is_exact
+    assert floats >= 8  # most random nets end on their first float pair
+
+
+def test_line_search_finds_no_float_roots_after_the_first_float_pair(monkeypatch):
+    import waring.roots as roots
+
+    events = []
+    real_aberth, real_split = roots.aberth_roots, ternary._split_reducible
+
+    def aberth(*args, **kwargs):
+        events.append("aberth")
+        return real_aberth(*args, **kwargs)
+
+    def split(q, forbidden, squares):
+        hit = real_split(q, forbidden, squares)
+        if hit is not None and not hit[0].is_exact:
+            events.append("float pair")
+        return hit
+
+    monkeypatch.setattr(roots, "aberth_roots", aberth)
+    monkeypatch.setattr(ternary, "_split_reducible", split)
+    held = 0
+    for basis, forbidden, seed in _exact_nets():
+        events.clear()
+        ternary.reducible_member(basis, forbidden, seed=seed)
+        if "float pair" in events:
+            held += 1
+            assert "aberth" not in events[events.index("float pair"):]
+    assert held >= 8
+
+
+def test_line_search_keeps_a_rational_root_found_after_the_float_pair(monkeypatch):
+    events = []
+    real = ternary._split_reducible
+
+    def split(q, forbidden, squares):
+        hit = real(q, forbidden, squares)
+        events.append(None if hit is None else hit[0].is_exact)
+        return hit
+
+    monkeypatch.setattr(ternary, "_split_reducible", split)
+    basis = list(catalecticant(_LATE_EXACT_CUBIC, 2).kernel)
+    pair = ternary.reducible_member(basis, [], seed=56)
+    assert events.index(False) < events.index(True) == len(events) - 1
+    assert pair[0].coeffs == (F(92), F(-46, 3), F(92, 3))
+    assert pair[1].coeffs == (F(5, 46), F(-3, 46), F(-3, 23))
+    assert [ell.coeffs for ell in pair] == [
+        ell.coeffs for ell in float_member_search(basis, [], seed=56)]
 
 
 def test_reducible_kernel_pair_respects_sigma():
@@ -224,6 +380,28 @@ def test_annihilating_lines_rejects_the_zero_form():
     # every line kills the zero form, so there is no system to build
     with pytest.raises(ZeroFormError):
         annihilating_lines(Form.zero(3, 5))
+
+
+def test_sampled_lines_are_the_draws_of_the_pointwise_check():
+    # the lines kept, and so the draws, are those of a check that builds
+    # the point of every kept line again for each candidate
+    def rebuilt(rng, count, height):
+        lines = []
+        while len(lines) < count:
+            ell = random_combination(rng, UNIT_DUALS, height)
+            if ell is None:
+                continue
+            p = ProjectivePoint(ell.coeffs)
+            if any(same_point(p, ProjectivePoint(x.coeffs)) for x in lines):
+                continue
+            lines.append(ell)
+        return lines
+
+    for seed in range(20):
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        got = ternary._sample_lines(got_rng, 8, 1 + seed % 3)
+        assert [ell.coeffs for ell in got] == [ell.coeffs for ell in rebuilt(want_rng, 8, 1 + seed % 3)]
+        assert got_rng.getstate() == want_rng.getstate()
 
 
 def test_annihilating_lines_tests_each_pair_once(monkeypatch):
@@ -447,6 +625,30 @@ def test_per_line_caps_bound_the_total(d):
     # max(d + 1 - k, (d + 1) // 2) points, so (d^2 - 1) / 2 needs no own check
     for k in range(1, d - 1):
         assert (k + 1) * max(d + 1 - k, (d + 1) // 2) <= (d * d - 1) // 2
+
+
+def test_spent_tuple_budget_reports_the_best_residual():
+    # at tol 1e-15 every tuple misses; the diagnostics say by how much
+    with pytest.raises(RetryExhausted) as err:
+        decompose_ternary_odd(random_form(3, 5, 0), tol=1e-15, retries=4)
+    diag = err.value.diagnostics
+    assert diag["stage"] == "tuples"
+    assert set(diag["rejects"]) == {"piece_fail", "clash", "residual"}
+    assert 1e-15 < diag["best_residual"] < 1e-8
+
+
+def test_tuple_step_keeps_the_best_residual_only_where_asked():
+    f = random_form(3, 5, 0)
+    split = split_on_lines(f, minimize_annihilating(f, annihilating_lines(f)))
+    caps, avoids = (6,) * len(split.spans), (None,) * len(split.spans)
+    zero = [0] * len(split.kernel)
+    tracked = {"piece_fail": 0, "clash": 0, "residual": 0, "best_residual": None}
+    assert split.decompose_tuple(zero, caps, avoids, 0, 1e-30, tracked, {}) is None
+    assert tracked["best_residual"] > 0
+    counts = {"piece_fail": 0, "clash": 0, "residual": 0}
+    assert split.decompose_tuple(zero, caps, avoids, 0, 1e-30, counts, {}) is None
+    assert "best_residual" not in counts
+    assert sum(counts.values()) == 1 == sum(v for k, v in tracked.items() if k != "best_residual")
 
 
 def test_tuple_rejects_use_one_vocabulary():
