@@ -84,16 +84,13 @@ def _load_form(arg: str, num_vars: int | None = None) -> Form:
     return parse_form(text, n)
 
 
-def _load_avoidance(path: str | None, num_vars: int) -> AvoidanceSet | None:
-    if path is None:
-        return None
-    with open(path, encoding="utf-8") as handle:
-        lines = [ln.strip() for ln in handle]
-    texts = [ln for ln in lines if ln and not ln.startswith("#")]
+def _load_avoidance(path: str, text: str, num_vars: int) -> AvoidanceSet:
+    """The avoided set of the generators in `text`, one per line, read from `path`."""
+    texts = [ln for ln in (ln.strip() for ln in text.split("\n"))
+             if ln and not ln.startswith("#")]
     if not texts:
         raise ParseFormError(f"avoidance file {path!r} has no generators")
-    gens = tuple(parse_form(t, num_vars) for t in texts)
-    return AvoidanceSet(num_vars, gens)
+    return AvoidanceSet(num_vars, tuple(parse_form(t, num_vars) for t in texts))
 
 
 def _emit(cert, as_text: bool) -> int:
@@ -129,16 +126,14 @@ def _cmd_decompose(args, route: str | None = None) -> int:
     from the avoidance file.
     """
     text = _read_text(args.input).strip()
-    if route is not None:
-        n = 3
-    else:
-        n = _infer_num_vars(text)
-        if args.avoid is not None:
-            # the forbidden set may live in more variables than the form shows
-            with open(args.avoid, encoding="utf-8") as handle:
-                n = max(n, _infer_num_vars(handle.read()))
+    avoid_text = None
+    if args.avoid is not None:
+        with open(args.avoid, encoding="utf-8") as handle:
+            avoid_text = handle.read()
+    # the forbidden set may live in more variables than the form shows
+    n = 3 if route is not None else max(_infer_num_vars(text), _infer_num_vars(avoid_text or ""))
     f = parse_form(text, n)
-    avoid = _load_avoidance(args.avoid, n)
+    avoid = None if avoid_text is None else _load_avoidance(args.avoid, avoid_text, n)
     decompose, bound_value, bound_tag = ROUTES[route or route_by_shape(f, avoid)]
     dec = decompose(f, avoid, seed=args.seed, tol=args.tol, retries=args.retries)
     cert = verify_decomposition(f, dec, tol=args.tol, avoid=avoid, seed=args.seed,

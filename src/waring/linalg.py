@@ -236,11 +236,12 @@ def solve_columns(columns: Sequence[Sequence], target: Sequence,
     When every entry is exact (Fraction or int) this is `exact_solve`: it
     returns (x, 0.0, rank), or None when the system is inconsistent.
     Otherwise it is an equilibrated least-squares solve: each column is
-    divided by its largest magnitude (1 for a zero column), the scaled
-    system is solved, and the solution is divided back, so columns of very
-    different size (high powers of points) keep their digits.  The residual
+    divided by its largest magnitude (1 for a zero or subnormal column,
+    where complex division overflows), the scaled system is solved, and
+    the solution is divided back, so columns of very different size (high
+    powers of points) keep their digits.  The residual
     max|Mx - b| / max(1, max|b|) comes back with the numeric rank of the
-    scaled matrix; with `tol` set, a residual above it gives None.
+    scaled matrix; with `tol` set, a residual above it (or NaN) gives None.
     """
     if (all(isinstance(b, (Fraction, int)) for b in target)
             and all(isinstance(x, (Fraction, int)) for col in columns for x in col)):
@@ -252,10 +253,10 @@ def solve_columns(columns: Sequence[Sequence], target: Sequence,
     m = np.array(columns, dtype=complex).reshape(len(columns), len(target)).T.copy()
     rhs = np.array(target, dtype=complex)
     scale = np.abs(m).max(axis=0)
-    scale[scale == 0] = 1.0
+    scale[scale < np.finfo(float).tiny] = 1.0
     x, rank = lstsq_solve(m / scale, rhs)
     x = x / scale
     residual = max(abs(r) for r in m @ x - rhs) / max(1.0, max(abs(b) for b in rhs))
-    if tol is not None and residual > tol:
+    if tol is not None and not residual <= tol:  # `not <=` also catches a NaN
         return None
     return list(x), float(residual), rank

@@ -74,6 +74,8 @@ from .plane import (
 from .roots import pencil_roots
 from .ternary import (
     LineSystem,
+    annihilates,
+    concurrent,
     reducible_member,
     single_power,
     split_on_lines,
@@ -161,7 +163,7 @@ def _zero_pair(f: Form, triple) -> tuple[Form, Form] | None:
     l0 = triple[0]
     g0 = contract(l0, f)
     for other in triple[1:]:
-        if contract(other, g0).is_zero():
+        if annihilates((other,), g0):
             return l0, other
     return None
 
@@ -227,12 +229,7 @@ def quartic_predecomp(f: Form, sigma=(), seed: int = 0,
             if not admissible(l0, [l1, l2]):
                 stats["clash"] += 1
                 continue
-            rows = [list(l0.coeffs), list(l1.coeffs), list(l2.coeffs)]
-            deter = det3(rows)
-            scale = 1.0
-            for row in rows:
-                scale *= max(abs(complex(x)) for x in row)
-            if abs(complex(deter)) <= 1e-10 * max(scale, 1e-30):
+            if concurrent(l0, l1, l2):
                 stats["concurrent"] += 1
                 continue
             if quadric_rank(contract(l2, g1)) < 2:

@@ -76,28 +76,50 @@ def _dual_form(point: ProjectivePoint) -> Form:
 def annihilates(duals, f: Form) -> bool:
     """Whether the product of the linear duals, contracted into f, is zero.
 
-    Exact on exact data; floats against ANNIHILATION_TOL * max(|product|, 1) * max(|f|, 1).
-    The product is the left fold duals[0] * duals[1] * ...
+    On an exact f the exact duals are contracted into f in turn, exactly,
+    and only the product of the float duals (the left fold, in their
+    order) is judged against that residual h: exactly when no float dual
+    is left, else against ANNIHILATION_TOL * max(|product|, 1) * max(|h|, 1).
+    A float f folds every dual into the product.
     """
+    h = f
+    if f.is_exact:
+        floats = []
+        for ell in duals:
+            if ell.is_exact:
+                h = contract(ell, h)
+            else:
+                floats.append(ell)
+        duals = floats
     if not duals:
-        return f.is_zero()
-    return _kills(_fold(duals), f)
-
-
-def _fold(duals, product: Form | None = None) -> Form:
-    """`product` times the duals in turn, from the left (the first dual if None)."""
-    for ell in duals:
-        product = ell if product is None else product * ell
-    return product
-
-
-def _kills(product: Form, f: Form) -> bool:
-    """`annihilates` for a product of duals already formed."""
-    h = contract(product, f)
-    if product.is_exact and f.is_exact:
         return h.is_zero()
-    scale = max(product.max_abs(), 1.0) * max(f.max_abs(), 1.0)
-    return h.max_abs() <= ANNIHILATION_TOL * scale
+    product = duals[0]
+    for ell in duals[1:]:
+        product = product * ell
+    scale = max(product.max_abs(), 1.0) * max(h.max_abs(), 1.0)
+    return contract(product, h).max_abs() <= ANNIHILATION_TOL * scale
+
+
+def _meet(a: Form, b: Form) -> tuple:
+    """The common point of two lines, as `LineSystem.intersection` gives it."""
+    if not (a.is_exact and b.is_exact):
+        a, b = a.to_float(), b.to_float()
+    return cross(a.coeffs, b.coeffs)
+
+
+def concurrent(a: Form, b: Form, c: Form) -> bool:
+    """Whether three lines meet in a common point.
+
+    Three exact lines meet exactly when the 3 x 3 determinant of their
+    integer numerators vanishes.  Otherwise line c is evaluated at the
+    point u of a and b and judged against
+    CONCURRENCY_TOL * (max|u| * max(1, max|c|)).
+    """
+    if a.is_exact and b.is_exact and c.is_exact:
+        return det3((a.numerators()[0], b.numerators()[0], c.numerators()[0])) == 0
+    u = _meet(a, b)
+    top = max(abs(complex(x)) for x in u)
+    return abs(complex(evaluate(c, u))) <= CONCURRENCY_TOL * (top * max(1.0, c.max_abs()))
 
 
 # -- line systems ------------------------------------------------------------
@@ -144,35 +166,14 @@ class LineSystem:
     def intersection(self, i: int, j: int) -> tuple:
         """The common point of lines i and j: exact when both lines are,
         else from their complex views (the bits mixed arithmetic gives)."""
-        a, b = self.lines[i], self.lines[j]
-        if not (a.is_exact and b.is_exact):
-            a, b = a.to_float(), b.to_float()
-        return cross(a.coeffs, b.coeffs)
+        return _meet(self.lines[i], self.lines[j])
 
     def annihilates(self, f: Form) -> bool:
         return annihilates(self.lines, f)
 
     def in_general_position(self) -> bool:
-        """No three of the lines meet in a common point.
-
-        An exact system decides each triple by the 3 x 3 determinant of the
-        lines' integer numerators, which vanishes exactly when they meet.
-        A float system takes the point of lines a and b once, for a < b in
-        `combinations` order, and tests it against every later line c.
-        """
-        m = len(self.lines)
-        if self.is_exact:
-            rows = [ell.numerators()[0] for ell in self.lines]
-            return all(det3((rows[a], rows[b], rows[c]))
-                       for a, b, c in combinations(range(m), 3))
-        for a, b in combinations(range(m - 1), 2):
-            u = self.intersection(a, b)
-            top = max(abs(complex(x)) for x in u)
-            for ell in self.lines[b + 1:]:
-                val = evaluate(ell, u)
-                if abs(complex(val)) <= CONCURRENCY_TOL * (top * max(1.0, ell.max_abs())):
-                    return False
-        return True
+        """No three of the lines meet in a common point (see `concurrent`)."""
+        return not any(concurrent(a, b, c) for a, b, c in combinations(self.lines, 3))
 
 
 # -- reducible members of apolar nets ---------------------------------------
@@ -381,7 +382,9 @@ def annihilating_lines(f: Form, seed: int = 0) -> LineSystem:
     All but two of the lines are sampled at random subject to exact
     openness conditions (no residual contraction may die early); the last
     two come from factoring a singular member of the quadratic annihilator
-    net of what remains.  LINE_BUDGET attempts are made before
+    net of what remains.  That pair's recheck on the residual of f is
+    what `annihilates` decides for the whole system, so the system is not
+    checked again.  LINE_BUDGET attempts are made before
     RetryExhausted, whose diagnostics count the rejects by reason.
     The zero form, which every line annihilates, raises ZeroFormError.
     """
@@ -400,9 +403,6 @@ def annihilating_lines(f: Form, seed: int = 0) -> LineSystem:
                "position": 0, "duplicate": 0}
     for attempt in range(LINE_BUDGET):
         sampled = _sample_lines(rng, d - 3, 9 << (attempt // 16))
-        if len(sampled) >= 3 and not LineSystem(tuple(sampled)).in_general_position():
-            rejects["position"] += 1
-            continue
         g = f
         for ell in sampled:
             g = contract(ell, g)  # a zero residual stays zero
@@ -423,11 +423,8 @@ def annihilating_lines(f: Form, seed: int = 0) -> LineSystem:
         except PreconditionError:
             rejects["duplicate"] += 1
             continue
-        if len(system.lines) >= 3 and not system.in_general_position():
+        if not system.in_general_position():
             rejects["position"] += 1
-            continue
-        if not system.annihilates(f):
-            rejects["pair_condition"] += 1
             continue
         return system
     raise RetryExhausted(
@@ -440,24 +437,19 @@ def minimize_annihilating(f: Form, system: LineSystem) -> LineSystem:
 
     A single left-to-right pass suffices: annihilation is monotone under
     adding lines, so anything kept against a superset stays necessary.
-    Each trial without line i continues the product of the lines kept
-    before i, which is the left fold `annihilates` takes, so it multiplies
-    only the lines after i.
     """
     if f.is_zero():
         return LineSystem(())
     if not system.annihilates(f):
         raise PreconditionError("system does not annihilate the form")
     kept = list(system.lines)
-    prefix = None  # the product of kept[:i]
     i = 0
     while i < len(kept):
-        rest = kept[i + 1:]
-        if (prefix is not None or rest) and _kills(_fold(rest, prefix), f):
+        rest = kept[:i] + kept[i + 1:]
+        if rest and annihilates(rest, f):
             del kept[i]
-            continue
-        prefix = kept[i] if prefix is None else prefix * kept[i]
-        i += 1
+        else:
+            i += 1
     return LineSystem(tuple(kept))
 
 

@@ -231,6 +231,17 @@ def test_solve_columns_float_reports_the_residual():
     assert abs(residual - 0.25) < 1e-15
 
 
+def test_solve_columns_takes_a_subnormal_column_unscaled():
+    # dividing by a subnormal scale overflows numpy's complex division, and
+    # the NaNs it left made the SVD fail with a LinAlgError
+    assert solve_columns([(5e-324 + 0j,)], (0,)) == ([0j], 0.0, 1)
+    # the solution 2e323 overflows: its NaN residual fails any tol
+    with np.errstate(invalid="ignore"):
+        assert solve_columns([(5e-324 + 0j,)], (1,), tol=1e-8) is None
+    x, residual, rank = solve_columns([(5e-324 + 0j, 0j), (1.0, 1.0)], (1.0, 1.0))
+    assert np.allclose(x, [0, 1]) and residual < 1e-15 and rank == 1
+
+
 def row_by_row_system(columns, target):
     """The matrix, right-hand side and column scales of the float branch
     of `solve_columns` as it built them before: a transposed list of rows,
@@ -269,20 +280,23 @@ def test_solve_columns_matrix_build_keeps_every_bit(rows, cols, data):
     tol = data.draw(st.sampled_from([None, 1e-8]))
     solved = []
     with patch.object(linalg, "lstsq_solve", lambda m, b: solved.append((m, b)) or lstsq_solve(m, b)):
-        try:
-            got = solve_columns(columns, target, tol=tol)
-        except np.linalg.LinAlgError:  # the SVD fails on some subnormal columns
-            got = "no convergence"
+        got = solve_columns(columns, target, tol=tol)
     matrix = [[col[r] for col in columns] for r in range(rows)]
     if all(isinstance(v, (int, Fraction)) for v in (*target, *(x for row in matrix for x in row))):
         x, rank = exact_solve_with_rank(matrix, list(target))
         assert got == (None if x is None else (x, 0.0, rank)) and not solved
         return
-    # the scaled system handed to the solve, byte for byte: the old build
-    # fails alike on it, or gives the same solution
+    # the scaled system handed to the solve, byte for byte: a column whose
+    # scale is a normal float as the old build scaled it, a subnormal one
+    # unscaled (the old build overflowed there); with every scale normal
+    # the solution is the old one too
     m, rhs, scale = row_by_row_system(columns, target)
-    assert [a.tobytes() for a in solved[0]] == [(m / scale).tobytes(), rhs.tobytes()]
-    if got == "no convergence":
+    normal = scale >= np.finfo(float).tiny
+    scaled, handed = solved[0]
+    assert scaled[:, normal].tobytes() == (m[:, normal] / scale[normal]).tobytes()
+    assert scaled[:, ~normal].tobytes() == m[:, ~normal].tobytes()
+    assert handed.tobytes() == rhs.tobytes()
+    if not normal.all():
         return
     want = row_by_row_solve(columns, target, tol=tol)
     if want is None:

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from waring.forms import (
     Form,
     ProjectivePoint,
     contract,
+    evaluate,
     parse_form,
     power_of_linear,
     random_combination,
@@ -35,6 +36,7 @@ from waring.linalg import numeric_nullspace, solve_columns
 from waring.plane import (
     UNIT_DUALS,
     cross,
+    det3,
     factor_rank_two_quadric,
     plane_basis,
     quadric_matrix,
@@ -47,6 +49,7 @@ from waring.ternary import (
     annihilates,
     annihilating_lines,
     bound_B1,
+    concurrent,
     decompose_ternary_odd,
     minimize_annihilating,
     reducible_kernel_pair,
@@ -95,6 +98,61 @@ def test_line_system_concurrency_detected():
     assert not sys.in_general_position()
 
 
+def parent_exact_position(lines):
+    """The exact branch of `in_general_position` before `concurrent`."""
+    rows = [ell.numerators()[0] for ell in lines]
+    return all(det3((rows[a], rows[b], rows[c]))
+               for a, b, c in combinations(range(len(lines)), 3))
+
+
+def parent_float_position(lines):
+    """The float branch of `in_general_position` before `concurrent`."""
+    m = len(lines)
+    for a, b in combinations(range(m - 1), 2):
+        la, lb = lines[a], lines[b]
+        if not (la.is_exact and lb.is_exact):
+            la, lb = la.to_float(), lb.to_float()
+        u = cross(la.coeffs, lb.coeffs)
+        top = max(abs(complex(x)) for x in u)
+        for ell in lines[b + 1:]:
+            val = evaluate(ell, u)
+            if abs(complex(val)) <= ternary.CONCURRENCY_TOL * (top * max(1.0, ell.max_abs())):
+                return False
+    return True
+
+
+def sampled_triples(count):
+    """Triples of lines, exact, mixed or float; in half of them the third
+    line passes through the point of the first two (or misses it by 1e-12)."""
+    rng = random.Random(3)
+    for _ in range(count):
+        triple = [lin(*(rng.randint(-4, 4) for _ in range(3))) for _ in range(3)]
+        if rng.random() < 0.5:
+            triple[2] = triple[0].scale(rng.randint(1, 3)) + triple[1].scale(rng.randint(-3, -1))
+        floats = rng.randint(0, 3)
+        for i in rng.sample(range(3), floats):
+            triple[i] = triple[i].to_float()
+            if rng.random() < 0.3:
+                triple[i] = triple[i] + Form(3, 1, (1e-12j, 0j, 0j))
+        if not any(ell.is_zero() for ell in triple):
+            yield tuple(triple)
+
+
+def test_concurrent_is_the_parent_branch_of_its_backend():
+    seen = set()
+    for triple in sampled_triples(600):
+        floats = sum(not ell.is_exact for ell in triple)
+        position = parent_exact_position if floats == 0 else parent_float_position
+        meet = concurrent(*triple)
+        assert meet is not position(triple)
+        seen.add(("exact" if floats == 0 else "float" if floats == 3 else "mixed", meet))
+    assert seen == {(kind, meet) for kind in ("exact", "mixed", "float") for meet in (True, False)}
+    # an exact triple is decided exactly, even where the float test, within
+    # its tolerance, would call it concurrent
+    near = (lin(1, 0, 0), lin(0, 1, 0), lin(10 ** 9, 10 ** 9, 1))
+    assert not concurrent(*near) and not parent_float_position(near)
+
+
 def test_line_system_annihilates():
     f = parse_form("x0^5 + x1^5", 3)
     assert LineSystem((lin(1, 0, 0), lin(0, 1, 0))).annihilates(f)
@@ -108,6 +166,36 @@ def test_annihilates_float_duals_within_tolerance():
     assert annihilates((Form(3, 1, l1), Form(3, 1, l2)), f)
     nudged = (l1[0] * (1 + 1e-6),) + l1[1:]
     assert not annihilates((Form(3, 1, nudged), Form(3, 1, l2)), f)
+
+
+SMALL = st.integers(-3, 3)
+NONZERO_DUAL = st.tuples(SMALL, SMALL, SMALL).filter(any)
+
+
+@st.composite
+def exact_duals_and_forms(draw):
+    """Exact duals and an exact form, which the duals' product often kills:
+    a sum of powers of points, each on one of the lines, maybe plus a stray power."""
+    degree = draw(st.integers(1, 5))
+    duals = [lin(*draw(NONZERO_DUAL)) for _ in range(draw(st.integers(1, degree)))]
+    f = Form.zero(3, degree)
+    for _ in range(draw(st.integers(0, 3))):
+        ell = draw(st.sampled_from(duals))
+        point = cross(ell.coeffs, draw(NONZERO_DUAL))
+        f = f + power_of_linear(point, degree, coeff=F(draw(SMALL)))
+    if draw(st.booleans()):
+        f = f + power_of_linear(draw(NONZERO_DUAL), degree)
+    return duals, f
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_duals_and_forms())
+def test_annihilates_exact_data_is_the_product_contraction(case):
+    duals, f = case
+    product = duals[0]
+    for ell in duals[1:]:
+        product = product * ell
+    assert annihilates(duals, f) is contract(product, f).is_zero()
 
 
 # -- reducible members of apolar nets ------------------------------------------
@@ -405,12 +493,32 @@ def test_sampled_lines_are_the_draws_of_the_pointwise_check():
 
 
 def test_annihilating_lines_tests_each_pair_once(monkeypatch):
-    # the pairs of sampled lines are tested inside reducible_kernel_pair only
+    # each pair of sampled lines goes through `annihilates` once, inside
+    # reducible_kernel_pair, then the factored pair is rechecked on the
+    # same cubic residual; nothing re-checks the full system
     calls = []
-    real = ternary.contract
-    monkeypatch.setattr(ternary, "contract", lambda t, g: calls.append(t) or real(t, g))
-    annihilating_lines(random_form(3, 9, 0))
-    assert len(calls) == 29
+    real = ternary.annihilates
+    monkeypatch.setattr(ternary, "annihilates",
+                        lambda duals, g: calls.append((duals, g)) or real(duals, g))
+    *sampled, first, second = annihilating_lines(random_form(3, 9, 0)).lines
+    expected = list(combinations_with_replacement(sampled, 2)) + [(first, second)]
+
+    def points(duals):
+        return [ProjectivePoint(ell.coeffs).coords for ell in duals]
+
+    assert [points(duals) for duals, _ in calls] == [points(duals) for duals in expected]
+    assert {g.degree for _, g in calls} == {3}
+
+
+@pytest.mark.parametrize("degree, seed", [(15, 0), (17, 0), (17, 1), (19, 0), (19, 1),
+                                          (21, 0), (21, 1)])
+def test_annihilating_lines_returns_at_high_degree(degree, seed):
+    # the float pair is judged against the residual of the exact lines, not
+    # inside the full product of d - 1 lines, whose float error hid it
+    f = random_form(3, degree, seed)
+    system = annihilating_lines(f, seed=seed)
+    assert len(system.lines) == degree - 1
+    assert system.annihilates(f)
 
 
 def test_minimize_annihilating_drops_redundant_line():
