@@ -221,14 +221,13 @@ def cat_rank_table(f: Form) -> list[tuple[int, int]]:
     integer rows of `catalecticant_rank` for delta <= d // 2.
 
     Binary forms still scan every delta with `exact_rank` of the
-    falling-product entries `_entries`; their table is to come from one
-    rank (ROADMAP item 2).  Replaying a certificate recomputes this table,
-    and with the binary table on one rank the replay workload ran in a
-    third of the time (pass 0.266 -> 0.085 s) but read 50.4 -> 61.6 MB of
-    peak memory, +22% against a 10% bound.  The rise is the benchmark's
-    own statistics step, whose memory grows with the number of timed
-    operations (6.3 MB at 2,964 of them, 19.4 MB at 9,594), so the binary
-    table waits for that step to stop growing.
+    falling-product entries `_exact_entries`, though rank Cat(delta) =
+    min(delta + 1, b, d + 1 - delta) with b the middle rank.  Replaying a
+    certificate recomputes this table, and a faster table lets the
+    benchmark time more replays, whose statistics step then holds more
+    memory: the peak it reports grows with the number of timed operations
+    (the open `peak_rss_mb` finding on `perfbench/run.py`).  So the binary
+    scan stays until that step stops growing.
     """
     d = f.degree
     if d <= 1:

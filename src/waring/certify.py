@@ -336,9 +336,10 @@ def replay(payload: dict, tol: float = RESIDUAL_TOL) -> Certificate:
     The input form is re-parsed, the terms are rebuilt, the avoidance
     generators are re-parsed, and verify_decomposition runs afresh; the
     recorded bound rides along unchanged.  A field that cannot be rebuilt
-    (missing, of the wrong type, or a zero denominator) raises
-    ParseFormError.  The caller compares validity (and, if it wants, the
-    serialized bytes).
+    (missing, of the wrong type, a zero denominator, or a point that is
+    zero or of the wrong length) raises ParseFormError; errors of the
+    verification itself pass through.  The caller compares validity (and,
+    if it wants, the serialized bytes).
     """
     try:
         n = int(payload["n"])
@@ -356,6 +357,6 @@ def replay(payload: dict, tol: float = RESIDUAL_TOL) -> Certificate:
             avoid = AvoidanceSet(n, gens)
         bound = (int(payload["bound"]["value"]), str(payload["bound"]["source_tag"]))
         seed = int(payload["seed"])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, PreconditionError) as err:
         raise ParseFormError(f"malformed certificate field: {err!r}") from err
     return verify_decomposition(f, dec, tol=tol, avoid=avoid, seed=seed, bound=bound)

@@ -257,19 +257,12 @@ def rational_point_on_conic(q: Form, height: int = 16) -> tuple | None:
     """
     if not q.is_exact:
         return None
-    m = quadric_matrix(q)
-    denom = 1
-    for row in m:
-        for x in row:
-            denom = denom * Fraction(x).denominator
-    mi = [[int(x * denom) for x in row] for row in m]
+    # den * q(v) is the sum of num_b v^b over the monomials x_i x_j, i <= j
+    num = q.numerators()[0]
+    terms = [(num[_QUADRIC_INDEX[i][j]], i, j) for i in range(3) for j in range(i, 3)]
 
     def value(v):
-        total = 0
-        for i in range(3):
-            for j in range(3):
-                total += mi[i][j] * v[i] * v[j]
-        return total
+        return sum(c * v[i] * v[j] for c, i, j in terms)
 
     for h in range(1, height + 1):
         for a in range(-h, h + 1):

@@ -11,8 +11,10 @@ middle rank at least three.  Rank three pulls the problem back to a
 binary octic along a smooth apolar conic; rank four or more splits the
 form across three lines found by a determinant search, with piece
 lengths 2 + 3 + 3.  The search's matrix, l -> (l l1 l2) contracted into
-f, is the Hessian of contract(l2, contract(l1, f)), linear in l2:
-det(M_a + t M_b) samples the pencil l2 = la + t lb.
+f, is the Hessian of contract(l2, contract(l1, f)): twice its
+`quadric_matrix`, and linear in l2.  With M_a and M_b the quadric
+matrices at l2 = la and l2 = lb, det(M_a + t M_b) samples the pencil
+l2 = la + t lb, and each root's kernel comes from that one member.
 """
 
 from __future__ import annotations
@@ -145,19 +147,6 @@ def witness_quartic(coeffs=(1, 1, 1, 1)) -> Form:
 # -- the determinant search for a split triple --------------------------------
 
 
-def _triple_product_matrix(f: Form, l1: Form, l2: Form):
-    """Matrix of l -> (l * l1 * l2) contracted into f, basis to basis."""
-    base = l1 * l2
-    cols = [contract(unit * base, f) for unit in UNIT_DUALS]
-    return [[cols[j].coeffs[i] for j in range(3)] for i in range(3)]
-
-
-def _hessian(q: Form):
-    """Entry (i, j) is d_i d_j q, for a ternary quadric q."""
-    cols = [contract(unit, q) for unit in UNIT_DUALS]
-    return [[cols[j].coeffs[i] for j in range(3)] for i in range(3)]
-
-
 def _zero_pair(f: Form, triple) -> tuple[Form, Form] | None:
     """(l0, l1) or (l0, l2), the first whose product annihilates f, else None."""
     l0 = triple[0]
@@ -208,20 +197,18 @@ def quartic_predecomp(f: Form, sigma=(), seed: int = 0,
         stats["pencils"] += 1
 
         g1 = contract(l1, f)
-        m_a, m_b = _hessian(contract(la, g1)), _hessian(contract(lb, g1))
+        m_a, m_b = quadric_matrix(contract(la, g1)), quadric_matrix(contract(lb, g1))
 
         for t in singular_members(m_a, m_b):
             stats["roots"] += 1
             l2 = la + lb.scale(t)
             if l2.is_zero() or not admissible(l2, [l1]):
                 continue
+            member = pencil_at(m_a, m_b, t)
             if l2.is_exact:
-                kernel = exact_nullspace(pencil_at(m_a, m_b, t))
+                kernel = exact_nullspace(member)
             else:
-                # float roots keep the product path, whose bits certificates hold
-                matrix = _triple_product_matrix(f, l1, l2)
-                kernel = numeric_nullspace(
-                    np.array([[complex(x) for x in row] for row in matrix]))
+                kernel = numeric_nullspace(np.array(member, dtype=complex))
             if len(kernel) != 1:
                 stats["kernel_dim"] += 1
                 continue

@@ -152,13 +152,24 @@ class LineSystem:
     def span(self, i: int) -> tuple[tuple, tuple]:
         """Basis of the line cut out by the i-th dual.
 
-        Exact duals keep the exact pivot basis; float duals get an
-        orthonormal basis so the embedding of the line stays
+        Exact duals keep the pivot basis of their integer numerators, each
+        vector w divided by the power of two 2^e <= max |w_i| < 2^(e+1).
+        That dyadic scale changes no bit of a mantissa, yet brings every
+        vector to a largest coordinate in [1, 2), near the unit scale of
+        the float duals' orthonormal basis.  A piece on the line scales as
+        the d-th power of 1 / |w|, so without it the pieces on lines of
+        different heights, and the float roots and weights computed from
+        them, would spread over many orders (van der Sluis, 1969).  Float
+        duals get an orthonormal basis so the embedding of the line stays
         well-conditioned (high powers amplify any skew badly).
         """
         ell = self.lines[i]
         if ell.is_exact:
-            return plane_basis(ell.coeffs)
+            basis = []
+            for w in plane_basis(ell.numerators()[0]):
+                scale = 1 << (max(map(abs, w)).bit_length() - 1)
+                basis.append(tuple(Fraction(x, scale) for x in w))
+            return basis[0], basis[1]
         row = np.array([[complex(c) for c in ell.coeffs]])
         basis = numeric_nullspace(row / np.abs(row).max())
         return tuple(basis[0]), tuple(basis[1])

@@ -31,9 +31,9 @@ from waring import (
 )
 from waring.certify import BOUND_BINARY_RANK, BOUND_ODD_SPLIT, BOUND_QUARTIC_EIGHT
 
-PINNED_SHA256 = "142cec94c7416ac37e60de74fcb66726390eb10e1ff3876038aca8fea86c17e7"
+PINNED_SHA256 = "d2e79804e3a8e0f661f375f836a59fd243cc9e98cfb6f21c8714cf555c59a1ae"
 
-ODD_SPLIT_PINNED_SHA256 = "42368086251b2acb54379e74924ce4160674781091e0f6266316b87ee28ba0d5"
+ODD_SPLIT_PINNED_SHA256 = "e075894e1c7b729e68fcd7207f70327e1cbf131a412de19aa22fb3b66c291fdc"
 
 QUARTIC_AVOID = (None, "x2", "x0*x2 - x1^2", "x0^3 + x1^3 + x2^3")
 

@@ -141,6 +141,8 @@ def test_verify_of_a_tampered_certificate_exits_2(capsys, tmp_path):
     (0, None, {}),                 # a term without its coefficient and point
     (0, "coeff", [1, 0]),          # a zero denominator
     (None, "n", "two"),            # a variable count that is no integer
+    (0, "point", [[0, 1], [0, 1]]),  # a point of zeros
+    (0, "point", [[1, 1]]),        # a point of the wrong length
 ])
 def test_verify_of_a_malformed_certificate_exits_1(capsys, monkeypatch, term, field, value):
     _, out, _ = run(capsys, "decompose", "x0^3 + x1^3")

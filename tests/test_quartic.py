@@ -19,11 +19,9 @@ from waring.errors import (
 )
 from waring.forms import Form, contract, parse_form, power_of_linear, random_form
 from waring.monomials import exponents
-from waring.plane import det3
+from waring.plane import UNIT_DUALS, det3, pencil_at, quadric_matrix
 from waring.quartic import (
     _BINARY_QUADRIC_DUALS,
-    _hessian,
-    _triple_product_matrix,
     quartic_brk3_decompose,
     quartic_decompose_open,
     quartic_predecomp,
@@ -311,20 +309,25 @@ def integer_forms(degree, height):
 LINES = integer_forms(1, 9)
 
 
+def _product_matrix(f, l1, l2):
+    """Matrix of l -> (l * l1 * l2) contracted into f, basis to basis."""
+    base = l1 * l2
+    cols = [contract(unit * base, f) for unit in UNIT_DUALS]
+    return [[cols[j].coeffs[i] for j in range(3)] for i in range(3)]
+
+
 @settings(max_examples=80, deadline=None)
 @given(integer_forms(4, 9), LINES, LINES, LINES)
 def test_pencil_hessians_equal_the_product_matrices(f, l1, la, lb):
     g1 = contract(l1, f)
-    m_a, m_b = _hessian(contract(la, g1)), _hessian(contract(lb, g1))
-    assert m_a == _triple_product_matrix(f, l1, la)
-    assert m_b == _triple_product_matrix(f, l1, lb)
+    m_a, m_b = quadric_matrix(contract(la, g1)), quadric_matrix(contract(lb, g1))
     for v in (0, 1, -1, 2):  # the samples `pencil_roots` takes
         t = F(v)
-        combined = [[a + t * b for a, b in zip(ra, rb)] for ra, rb in zip(m_a, m_b)]
-        old = _triple_product_matrix(f, l1, la + lb.scale(t))
-        assert combined == old
-        assert all(type(x) is Fraction for row in combined for x in row)
-        assert det3(combined) == det3(old)
+        member = pencil_at(m_a, m_b, t)
+        reference = _product_matrix(f, l1, la + lb.scale(t))
+        assert [[2 * x for x in row] for row in member] == reference
+        assert all(type(x) is Fraction for row in member for x in row)
+        assert 8 * det3(member) == det3(reference)
 
 
 @settings(max_examples=60, deadline=None)

@@ -92,6 +92,20 @@ def test_line_system_geometry():
     assert sys.in_general_position()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(-50, 50, max_denominator=12), min_size=3, max_size=3)
+       .filter(any))
+def test_exact_spans_are_dyadic_scalings_of_the_pivot_basis(coeffs):
+    ell = Form(3, 1, tuple(coeffs))
+    for w, pivot in zip(LineSystem((ell,)).span(0), plane_basis(ell.numerators()[0])):
+        assert all(type(x) is Fraction for x in w)
+        assert 1 <= max(map(abs, w)) < 2
+        ratio = next(x / y for x, y in zip(w, pivot) if y != 0)
+        assert tuple(x * ratio for x in pivot) == w
+        assert ratio.numerator == 1  # 1 / 2^e
+        assert ratio.denominator & (ratio.denominator - 1) == 0
+
+
 def test_line_system_concurrency_detected():
     # three lines through (0, 0, 1)
     sys = LineSystem((lin(1, 0, 0), lin(0, 1, 0), lin(1, 1, 0)))
@@ -711,6 +725,16 @@ def test_decompose_septic_respects_global_cap():
     assert dec.size <= 24  # (7^2 - 1) / 2
     check_ternary(f, dec)
 
+
+
+@pytest.mark.parametrize("degree, seed", [(d, s) for d in (11, 13) for s in range(3)])
+def test_decompose_ternary_odd_certifies_degrees_11_and_13(degree, seed):
+    # with exact spans at the height of their lines these raised RetryExhausted
+    f = random_form(3, degree, seed=seed)
+    dec = decompose_ternary_odd(f, seed=seed)
+    bound = (degree * degree - 1) // 2
+    assert dec.size == bound
+    assert verify_decomposition(f, dec, bound=(bound, BOUND_ODD_SPLIT)).valid
 
 
 @settings(max_examples=15, deadline=None)
