@@ -13,14 +13,17 @@ prescribed proper closed subset must be avoided.
 
 One decomposer, `decompose_binary_bounded`, gives every rank-length
 decomposition; `decompose_binary` is it with nothing avoided and the cap
-d + 1.  It takes the distinct roots of the degree-b generator, samples
-the pencil of degree-b members when 2b = d + 2, and otherwise samples
-the degree-(d + 2 - b) part of the ideal, as `decompose_binary_avoiding`
-does for the open-rank length.  Every failure raises RetryExhausted.
-Sampled weights below SMALL_COEFF_TOL of the largest are rejected as
-near-degenerate, except at the pencil length b: no weight can vanish
-there (a shorter sum would undercut the border rank b), so a tiny weight
-is genuine; `random_form(2, 40, 1)` certifies with a ratio of 9e-11.
+d + 1.  It takes the distinct roots of the degree-b generator, or else
+samples as `decompose_binary_avoiding` does for the open-rank length
+d + 2 - b, with one sampler: pencil members of degree b when 2b = d + 2,
+d + 1 integer points off the power point for a pure power (b = 1), and
+degree-(d + 2 - b) members of the ideal otherwise.  Every failure raises
+RetryExhausted.  A zero sampled weight is rejected, and so is one below
+SMALL_COEFF_TOL of the largest, except where no weight can vanish: at
+the pencil length b (a shorter sum would undercut the border rank b, so
+a tiny weight is genuine; `random_form(2, 40, 1)` certifies with a ratio
+of 9e-11) and for a pure power (a shorter sum would put l^d in the span
+of d other distinct powers).
 
 Binary data often lives on a line inside a bigger projective space.  The
 embedding sending the monomial s^(d-j) t^j to U^(d-j) V^j (U, V the
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 
 from .apolarity import (apolar_component, apolar_initial_degree, catalecticant,
                         numeric_catalecticant)
@@ -255,32 +259,69 @@ def _try_exact_then_float_points(g: Form) -> list[ProjectivePoint] | None:
     return pts
 
 
-def _sample_ideal_decomposition(f, size, avoid, seed, tol, retries,
-                                provenance) -> Decomposition:
-    """Sample degree-`size` apolar members until one yields good points.
+def _apolar_member_roots(rng, basis, height):
+    """Distinct roots of a random member of `basis`, or None and why not."""
+    combo = random_combination(rng, basis, height)
+    if combo is None:
+        return None, "zero_combo"
+    return _try_exact_then_float_points(combo), "repeated_roots"
 
-    Good means: squarefree with separated roots, all roots off the
-    avoidance set, all weights comfortably nonzero (not asked at the pencil
-    length, see the module docstring), small residual.
+
+def _respread_points(f, power_point, avoid, rng, height):
+    """d + 1 distinct integer points off the power point and off `avoid`,
+    or None and why not when 200 (d + 1) draws do not find them."""
+    d = f.degree
+    chosen: list[ProjectivePoint] = []
+    guard = 0
+    while len(chosen) < d + 1 and guard < 200 * (d + 1):
+        guard += 1
+        vec = (rng.randint(-height, height), rng.randint(-height, height))
+        if vec == (0, 0):
+            continue
+        if not f.is_exact:
+            vec = (complex(vec[0]), complex(vec[1]))
+        p = ProjectivePoint(vec)
+        if same_point(p, power_point, SEPARATION_TOL):
+            continue
+        if any(same_point(p, q, SEPARATION_TOL) for q in chosen):
+            continue
+        if avoid is not None and avoid.contains(p):
+            continue
+        chosen.append(p)
+    return (chosen if len(chosen) == d + 1 else None), "few_points"
+
+
+def _sample_decomposition(f, size, avoid, seed, tol, retries,
+                          provenance) -> Decomposition:
+    """Draw `size` points until one set yields an admissible decomposition.
+
+    A pure power c l^d (size d + 1, d >= 1) is respread on any d + 1
+    distinct points other than [l]; any other form takes the distinct
+    roots of a random degree-`size` apolar member.  Admissible means: all
+    points off the avoidance set, weights as the module docstring asks,
+    and a residual within `tol`.
     """
     d = f.degree
-    basis = _kernel_any(f, size)
-    if not basis:
-        raise RetryExhausted("apolar ideal is empty in the target degree",
-                             diagnostics={"target_size": size})
     rng = random.Random(seed)
-    rejects = {"zero_combo": 0, "repeated_roots": 0, "avoided": 0,
+    pure_power = d >= 1 and size == d + 1
+    if pure_power:
+        c0, c1 = _kernel_any(f, 1)[0].coeffs
+        draw = partial(_respread_points, f, ProjectivePoint((-c1, c0)), avoid, rng)
+        provenance = {"route": "power-respread"}
+    else:
+        basis = _kernel_any(f, size)
+        if not basis:
+            raise RetryExhausted("apolar ideal is empty in the target degree",
+                                 diagnostics={"target_size": size})
+        draw = partial(_apolar_member_roots, rng, basis)
+    reject_tiny = not pure_power and 2 * size != d + 2
+    rejects = {"zero_combo": 0, "repeated_roots": 0, "few_points": 0, "avoided": 0,
                "tiny_weight": 0, "residual": 0}
     best_residual = None
     for attempt in range(retries):
-        height = 9 << (attempt // 8)
-        combo = random_combination(rng, basis, height)
-        if combo is None:
-            rejects["zero_combo"] += 1
-            continue
-        pts = _try_exact_then_float_points(combo)
+        pts, why = draw(9 << (attempt // 8))
         if pts is None:
-            rejects["repeated_roots"] += 1
+            rejects[why] += 1
             continue
         if avoid is not None and any(avoid.contains(p) for p in pts):
             rejects["avoided"] += 1
@@ -289,11 +330,10 @@ def _sample_ideal_decomposition(f, size, avoid, seed, tol, retries,
         if weights is None:
             rejects["residual"] += 1
             continue
-        if 2 * size != d + 2:
-            scale = max(abs(complex(w)) for w in weights)
-            if scale == 0 or min(abs(complex(w)) for w in weights) <= SMALL_COEFF_TOL * scale:
-                rejects["tiny_weight"] += 1
-                continue
+        mags = [abs(complex(w)) for w in weights]
+        if min(mags) == 0 or reject_tiny and min(mags) <= SMALL_COEFF_TOL * max(mags):
+            rejects["tiny_weight"] += 1
+            continue
         dec = _build(f, pts, weights, {**provenance, "attempt": attempt,
                                        "target_size": size})
         ok = dec.meets_tolerance(f, tol)
@@ -315,66 +355,15 @@ def decompose_binary_avoiding(f: Form, avoid: AvoidanceSet | None = None,
     """A power sum of length exactly d + 2 - b with all points off `avoid`.
 
     This is the open-rank length: it works for every proper closed subset.
-    Powers of a single linear form get the special treatment their apolar
-    ideal demands (d + 1 points, none equal to the power point itself).
+    A power of a single linear form (b = 1) takes d + 1 respread points,
+    none equal to the power point itself, as `decompose_binary_bounded`
+    gives it when the power point is avoided.
     """
     _require_binary(f, avoid)
-    d = f.degree
     b = initial_degree_any(f)
-    if b == 1:
-        return _decompose_power_avoiding(f, avoid, seed, tol, retries)
-    return _sample_ideal_decomposition(
-        f, d + 2 - b, avoid, seed, tol, retries,
+    return _sample_decomposition(
+        f, f.degree + 2 - b, avoid, seed, tol, retries,
         provenance={"route": "kernel-sampling-avoiding", "initial_degree": b})
-
-
-def _decompose_power_avoiding(f, avoid, seed, tol, retries) -> Decomposition:
-    """f = c * l^d rewritten on d + 1 admissible points.
-
-    Any d + 1 distinct points different from [l] and off the avoidance
-    set work, and every weight is automatically nonzero: dropping a point
-    would put l^d in the span of d distinct powers, which independence of
-    distinct power vectors forbids.
-    """
-    d = f.degree
-    gen = _kernel_any(f, 1)[0]
-    c0, c1 = gen.coeffs
-    power_point = ProjectivePoint((-c1, c0))
-    rng = random.Random(seed)
-    for attempt in range(retries):
-        height = 9 << (attempt // 8)
-        chosen: list[ProjectivePoint] = []
-        guard = 0
-        while len(chosen) < d + 1 and guard < 200 * (d + 1):
-            guard += 1
-            vec = (rng.randint(-height, height), rng.randint(-height, height))
-            if vec == (0, 0):
-                continue
-            if not f.is_exact:
-                vec = (complex(vec[0]), complex(vec[1]))
-            p = ProjectivePoint(vec)
-            if same_point(p, power_point, SEPARATION_TOL):
-                continue
-            if any(same_point(p, q, SEPARATION_TOL) for q in chosen):
-                continue
-            if avoid is not None and avoid.contains(p):
-                continue
-            chosen.append(p)
-        if len(chosen) < d + 1:
-            continue
-        weights = _solve_weights(f, chosen)
-        if weights is None:
-            continue
-        if any(complex(w) == 0 for w in weights):
-            continue
-        dec = _build(f, chosen, weights,
-                     {"route": "power-respread", "attempt": attempt,
-                      "target_size": d + 1})
-        if dec.meets_tolerance(f, tol):
-            return dec
-    raise RetryExhausted(
-        f"could not place {d + 1} admissible points for a pure power",
-        diagnostics={"attempts": retries})
 
 
 def decompose_binary_bounded(f: Form, avoid: AvoidanceSet | None,
@@ -385,8 +374,9 @@ def decompose_binary_bounded(f: Form, avoid: AvoidanceSet | None,
 
     Prefers the rank-length route: pencil members are sampled with the
     avoidance filter built in, fixed kernel roots are used when they all
-    clear the avoidance set, and otherwise the length grows to d + 2 - b.
-    Every failure, a length over the cap included, raises RetryExhausted,
+    clear the avoidance set, and otherwise the length grows to d + 2 - b,
+    sampled as `decompose_binary_avoiding` samples it: an avoided pure
+    power takes d + 1 respread points, exact for an exact form.  Every failure, a length over the cap included, raises RetryExhausted,
     which callers treat as a resampling signal; PreconditionError is left
     for a zero or non-binary form and a non-binary avoidance set.
     """
@@ -414,7 +404,7 @@ def decompose_binary_bounded(f: Form, avoid: AvoidanceSet | None,
         raise RetryExhausted(
             f"needs {size} points, cap is {max_size}",
             diagnostics={"needed": size, "cap": max_size})
-    return _sample_ideal_decomposition(
+    return _sample_decomposition(
         f, size, avoid, seed, tol, retries,
         provenance={"route": route, "initial_degree": b})
 

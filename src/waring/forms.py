@@ -230,8 +230,9 @@ class Form:
 
     def scale(self, scalar) -> "Form":
         if not self._exact:  # every product is complex already: no backend scan
+            s = complex(scalar)  # once, not per coefficient as Fraction.__rmul__ does
             return Form._trusted(self.num_vars, self.degree,
-                                 tuple(complex(c * scalar) for c in self.coeffs), False)
+                                 tuple(c * s for c in self.coeffs), False)
         if isinstance(scalar, (Fraction, int)):
             num, den = scalar.numerator, self._den * scalar.denominator
             return Form._exact_over(self.num_vars, self.degree, [v * num for v in self._num], den)

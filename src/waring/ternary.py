@@ -332,9 +332,6 @@ def reducible_member(basis: list[Form], forbidden: list[ProjectivePoint],
             break
 
     stats["squares"] = len(squares)
-    pair = _square_difference_pair(squares, forbidden)
-    if pair is not None:
-        return pair
     if float_hit is not None:
         return float_hit
     raise RetryExhausted(

@@ -193,6 +193,24 @@ def test_apolar_initial_degree_matches_kernel_scan():
             assert catalecticant(f, e).kernel
 
 
+@pytest.mark.parametrize("text, n, expected", [
+    ("x0^2 + x1^2 + x2^2", 3, 2),
+    ("x0^3 + x1^3 + x2^3", 3, 2),
+    ("x0*x1*x2", 3, 2),
+    ("x0^4", 3, 1),
+    ("3*x0^5", 1, 6),
+])
+def test_apolar_initial_degree_beyond_two_variables(text, n, expected):
+    assert apolar_initial_degree(parse_form(text, n)) == expected
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ternary_initial_degree_is_the_first_catalecticant_kernel(seed):
+    f = random_form(3, 6, seed)
+    first = next(e for e in range(1, f.degree + 1) if catalecticant(f, e).kernel)
+    assert apolar_initial_degree(f) == first
+
+
 def scan_initial_degree(f):
     """Reference: the first e >= 1 whose catalecticant has a kernel."""
     for e in range(1, f.degree + 1):

@@ -19,7 +19,7 @@ from waring.binary import (
     open_rank_binary,
     rank_binary,
 )
-from waring.certify import BOUND_BINARY_RANK, verify_decomposition
+from waring.certify import BOUND_BINARY_OPEN, BOUND_BINARY_RANK, to_json, verify_decomposition
 from waring.errors import PreconditionError, RetryExhausted, RootFindingError, WaringError
 from waring.forms import Form, parse_form, power_of_linear, random_form
 
@@ -303,6 +303,39 @@ def test_decompose_avoiding_pure_power():
     for p in dec.points():
         a = p.as_floats()
         assert abs(a[1]) > 1e-9 or abs(a[0]) < 1e-9
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_both_decomposers_respread_an_avoided_pure_power_alike(exact):
+    # (x0 + 2 x1)^5 with its own point avoided: d + 1 = 6 respread points
+    f = power_of_linear((1, 2), 5)
+    f = f if exact else f.to_float()
+    X = AvoidanceSet.from_points([(F(1), F(2))])
+    open_dec = decompose_binary_avoiding(f, X, seed=3)
+    capped_dec = decompose_binary_bounded(f, X, max_size=6, seed=3)
+    certificates = [verify_decomposition(f, dec, avoid=X, bound=(6, BOUND_BINARY_OPEN))
+                    for dec in (open_dec, capped_dec)]
+    assert to_json(certificates[0]) == to_json(certificates[1])
+    assert certificates[0].valid and open_dec.size == 6
+    assert open_dec.provenance["route"] == capped_dec.provenance["route"] == "power-respread"
+    assert open_dec.is_exact == capped_dec.is_exact == exact
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("options", [{"retries": 0}, {"tol": 1e-30}])
+def test_an_exhausted_respread_names_its_rejects(exact, options):
+    f = parse_form("x0^5", 2).scale(F(3))
+    f = f if exact else f.to_float()
+    X = AvoidanceSet.from_points([(F(1), F(1)), (F(2), F(1))])
+    with pytest.raises(RetryExhausted) as err:
+        decompose_binary_avoiding(f, X, seed=2, **options)
+    diag = err.value.diagnostics
+    assert set(diag) == {"rejects", "best_residual", "target_size"}
+    assert diag["target_size"] == 6
+    if "tol" in options:
+        assert diag["rejects"]["residual"] == 64 and diag["best_residual"] > 1e-30
+    else:
+        assert set(diag["rejects"].values()) == {0} and diag["best_residual"] is None
 
 
 def test_decompose_avoiding_excludes_kernel_roots():

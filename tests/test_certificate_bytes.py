@@ -11,6 +11,10 @@ A second pin covers a ternary septic and a ternary nonic, whose line
 splits run the large float solve (55 x 80 at degree 9) that the quintics
 never reach.
 
+A third pin covers the respread of avoided pure powers: d + 1 integer
+points off the power point, on both backends and on the quartic power
+route's line.
+
 A change that alters certificate bytes on purpose (a fix that moves a
 float result, say) updates the pins here and records the old and the
 new hashes in CHANGES.md.
@@ -21,19 +25,24 @@ import hashlib
 from waring import (
     AvoidanceSet,
     decompose_binary,
+    decompose_binary_avoiding,
     decompose_ternary_odd,
     parse_form,
+    power_of_linear,
     quartic_decompose_open,
     random_form,
     rank_binary,
     to_json,
     verify_decomposition,
 )
-from waring.certify import BOUND_BINARY_RANK, BOUND_ODD_SPLIT, BOUND_QUARTIC_EIGHT
+from waring.certify import (BOUND_BINARY_OPEN, BOUND_BINARY_RANK, BOUND_ODD_SPLIT,
+                            BOUND_QUARTIC_EIGHT)
 
 PINNED_SHA256 = "d2e79804e3a8e0f661f375f836a59fd243cc9e98cfb6f21c8714cf555c59a1ae"
 
 ODD_SPLIT_PINNED_SHA256 = "e075894e1c7b729e68fcd7207f70327e1cbf131a412de19aa22fb3b66c291fdc"
+
+RESPREAD_PINNED_SHA256 = "e7f78c4e5d5a262331d92261473f670aac13d4564dce9e25503e35c314a6aea1"
 
 QUARTIC_AVOID = (None, "x2", "x0*x2 - x1^2", "x0^3 + x1^3 + x2^3")
 
@@ -74,3 +83,27 @@ def test_septic_and_nonic_certificate_bytes_are_pinned():
     assert all(c.valid for c in certificates)
     texts = "\n".join(to_json(c) for c in certificates)
     assert hashlib.sha256(texts.encode()).hexdigest() == ODD_SPLIT_PINNED_SHA256
+
+
+def respread_certificates():
+    f = parse_form("3*x0^5", 2)
+    avoid = AvoidanceSet.from_points([(1, 1), (2, 1)])
+    for seed in (0, 1, 2):
+        yield verify_decomposition(f, decompose_binary_avoiding(f, avoid, seed=seed),
+                                   avoid=avoid, bound=(6, BOUND_BINARY_OPEN))
+    g = power_of_linear((1, 2), 5)
+    avoid = AvoidanceSet.from_points([(1, 2)])
+    for h in (g, g.to_float()):
+        yield verify_decomposition(h, decompose_binary_avoiding(h, avoid), avoid=avoid,
+                                   bound=(6, BOUND_BINARY_OPEN))
+    q = parse_form("x0^4", 3)
+    avoid = AvoidanceSet(3, (parse_form("x1", 3),))
+    yield verify_decomposition(q, quartic_decompose_open(q, avoid), avoid=avoid,
+                               bound=(8, BOUND_QUARTIC_EIGHT))
+
+
+def test_respread_certificate_bytes_are_pinned():
+    certificates = list(respread_certificates())
+    assert all(c.valid for c in certificates)
+    texts = "\n".join(to_json(c) for c in certificates)
+    assert hashlib.sha256(texts.encode()).hexdigest() == RESPREAD_PINNED_SHA256

@@ -153,6 +153,13 @@ def test_rank_bracket_binary():
     assert dec.size == 4
 
 
+def test_rank_bracket_of_a_one_variable_form_is_its_single_power():
+    f = parse_form("3*x0^5", 1)
+    lower, upper, dec = rank_bracket(f)
+    assert (lower, upper) == (1, 1) and dec.size == 1
+    assert verify_decomposition(f, dec).valid
+
+
 def test_rank_bracket_ternary_quartic():
     f = random_form(3, 4, seed=91)
     lower, upper, dec = rank_bracket(f)

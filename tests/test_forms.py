@@ -469,6 +469,8 @@ SCALARS = st.one_of(
     SIGNED_ZEROS,
     st.integers(-9, 9),
     EXACT,
+    st.integers(-10**30, 10**30),
+    st.fractions(min_value=-10**30, max_value=10**30, max_denominator=10**20),
     st.builds(float, PART),
     FLOAT,
     st.builds(np.complex128, FLOAT),
@@ -486,7 +488,11 @@ def test_sums_and_negation_match_the_reference_bit_for_bit(pair):
 
 @KERNEL
 @given(st.integers(1, 3).flatmap(lambda n: forms(n, 2)), SCALARS)
+@example(Form(2, 2, (complex(-0.0, 1.5), complex(2.0, -0.0), -0.0j)), Fraction(-7, 3))
+@example(Form(2, 2, (complex(-0.0, -0.0), complex(1e-300, -1e300), 1j)), 10**30)
 def test_scale_matches_the_reference_bit_for_bit(form, scalar):
+    # a float form converts an int or Fraction scalar once; the bits are those
+    # of Fraction.__rmul__, which converted it once per coefficient
     assert bits(form.scale(scalar)) == bits(reference_scale(form, scalar))
 
 
