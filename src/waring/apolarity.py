@@ -29,7 +29,7 @@ other shapes gather g through the index of `_gather_table`.
 `_entries`, and the tests hold the integer rows to them.
 
 Float pipelines use `numeric_catalecticant` and make their own tolerance
-calls.  It is one gather: the form's complex view (`to_float().coeffs`,
+calls.  It is one gather: the form's complex view (`floats()`,
 kept by exact forms) indexed at m + m', times the falling products as
 floats, both tables cached per (n, d, delta).  On a float form each entry
 has the bits of complex(c * falling product).
@@ -146,7 +146,7 @@ def numeric_catalecticant(f: Form, delta: int) -> np.ndarray:
     `complex(c * falling_product(...))`.
     """
     index, falls = _gather_table(f.num_vars, f.degree, delta)
-    return np.array(f.to_float().coeffs, dtype=complex)[index] * falls
+    return np.array(f.floats(), dtype=complex)[index] * falls
 
 
 def apolar_component(f: Form, degree: int) -> list[DualForm]:

@@ -323,7 +323,8 @@ def _sample_decomposition(f, size, avoid, seed, tol, retries,
         if pts is None:
             rejects[why] += 1
             continue
-        if avoid is not None and any(avoid.contains(p) for p in pts):
+        # a respread draw is already off `avoid`, point by point
+        if avoid is not None and not pure_power and any(avoid.contains(p) for p in pts):
             rejects["avoided"] += 1
             continue
         weights = _solve_weights(f, pts)

@@ -104,7 +104,7 @@ class Decomposition:
         for j in range(1, n):
             values = values * powers[:, j, expo[:, j]]
         total = multi * (weights[:, None] * values).sum(axis=0)
-        target = np.array(f.to_float().coeffs, dtype=complex)
+        target = np.array(f.floats(), dtype=complex)
         return float(np.abs(target - total).max()) / max(1.0, f.max_abs())
 
     def meets_tolerance(self, f: Form, tol: float = RESIDUAL_TOL) -> bool:

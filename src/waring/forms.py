@@ -170,7 +170,7 @@ class Form:
         return self._exact
 
     def to_float(self) -> "Form":
-        return Form._trusted(self.num_vars, self.degree, _floats(self), False)
+        return Form._trusted(self.num_vars, self.degree, self.floats(), False)
 
     # -- inspection -------------------------------------------------------
 
@@ -181,6 +181,10 @@ class Form:
         """(num, den) with coefficient i equal to num[i] / den, den > 0: the
         integers an exact form keeps (read only; exact forms only)."""
         return self._num, self._den
+
+    def floats(self) -> tuple:
+        """The coefficients as complex numbers, kept by exact forms (read only)."""
+        return self._cplx if self._exact else self.coeffs
 
     def items(self):
         """Yield (exponent, coefficient) pairs for nonzero coefficients."""
@@ -195,7 +199,7 @@ class Form:
         return all(abs(c) <= FLOAT_ZERO_TOL for c in self.coeffs)
 
     def max_abs(self) -> float:
-        return max(map(abs, _floats(self)), default=0.0)
+        return max(map(abs, self.floats()), default=0.0)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -214,7 +218,7 @@ class Form:
             sa, sb = den // self._den, den // other._den
             out = [op(x * sa, y * sb) for x, y in zip(self._num, other._num)]
             return Form._exact_over(self.num_vars, self.degree, out, den)
-        out = tuple(op(x, y) for x, y in zip(_floats(self), _floats(other)))
+        out = tuple(op(x, y) for x, y in zip(self.floats(), other.floats()))
         return Form._trusted(self.num_vars, self.degree, out, False)
 
     def __add__(self, other: "Form") -> "Form":
@@ -250,7 +254,7 @@ class Form:
         if exact:
             a, b = self._num, other._num
         else:
-            a, b = _floats(self), _floats(other)
+            a, b = self.floats(), other.floats()
         out = [0 if exact else 0j] * space_dim(n, degree)
         right = [(ib, cb) for ib, cb in enumerate(b) if cb != 0]
         for ca, row in zip(a, product_table(n, self.degree, other.degree)):
@@ -267,11 +271,6 @@ def _numerators(coeffs: tuple) -> tuple[list[int], int]:
     if den == 1:
         return [c.numerator for c in coeffs], 1
     return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _floats(form: Form) -> tuple:
-    """The coefficients as complex numbers: the kept view of an exact form."""
-    return form._cplx if form._exact else form.coeffs
 
 
 #: alias used where a form acts by differentiation (the apolarity pairing)
@@ -295,7 +294,7 @@ def contract(t: Form, f: Form) -> Form:
     if exact:
         tc, fc = t._num, f._num
     else:
-        tc, fc = _floats(t), _floats(f)
+        tc, fc = t.floats(), f.floats()
     out = [0 if exact else 0j] * space_dim(n, out_degree)
     for ta, row in zip(tc, contraction_table(n, t.degree, f.degree)):
         if ta != 0:
@@ -390,14 +389,18 @@ def random_form(num_vars: int, degree: int, seed: int, height: int = 9) -> Form:
 
 def random_combination(rng: random.Random, basis: Sequence[Form],
                        height: int) -> Form | None:
-    """sum c_i * basis[i] with integers c_i uniform in [-height, height].
+    """The `combination` of one `rng.randint(-height, height)` per basis
+    member, drawn in order."""
+    return combination([rng.randint(-height, height) for _ in basis], basis)
 
-    Draws exactly one `rng.randint` per basis member, in order, and returns
-    None when the combination is zero.  The sum starts from the first
-    nonzero part, never from a zero form: adding to a zero float form would
-    turn -0.0 into 0.0, and roots that depend on a branch cut would move.
+
+def combination(coeffs: Sequence[int], basis: Sequence[Form]) -> Form | None:
+    """sum c_i * basis[i], or None when it is zero.
+
+    The sum starts from the first nonzero part, never from a zero form:
+    adding to a zero float form would turn -0.0 into 0.0, and roots that
+    depend on a branch cut would move.
     """
-    coeffs = [rng.randint(-height, height) for _ in basis]
     total = None
     for c, g in zip(coeffs, basis):
         if c:

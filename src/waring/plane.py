@@ -27,7 +27,7 @@ from .forms import (Form, ProjectivePoint, complex_coords, evaluate, is_exact_sc
                     substitute)
 from .linalg import numeric_rank, solve_columns
 from .monomials import index_of
-from .roots import pencil_roots, primitive_integer
+from .roots import pencil_roots, primitive_integer, rational_roots
 
 #: x0, x1, x2 as linear duals; `random_combination` over them samples a line
 UNIT_DUALS = tuple(Form(3, 1, tuple(Fraction(int(i == j)) for j in range(3)))
@@ -123,25 +123,43 @@ def pencil_at(m_a: list[list], m_b: list[list], t) -> list[list]:
     return [[a + t * b for a, b in zip(ra, rb)] for ra, rb in zip(m_a, m_b)]
 
 
-def singular_members(m_a: list[list], m_b: list[list], rational_only: bool = False) -> list:
-    """Parameters t where det(m_a + t * m_b) vanishes, by `pencil_roots`
-    (its rational roots alone when `rational_only` is set).
+def integer_matrices(mats: Sequence[list[list]]) -> tuple[int, list[list[list[int]]]]:
+    """(D, [D * m for m in mats]): exact matrices over the lcm D of their denominators."""
+    den = lcm(*(x.denominator for m in mats for row in m for x in row))
+    return den, [[[x.numerator * (den // x.denominator) for x in row] for row in m] for m in mats]
+
+
+#: the parameters taken from an identically singular pencil, where every member is singular
+_EVERY_MEMBER = tuple(Fraction(v) for v in (0, 1, -1, 2, -2))
+
+
+def singular_members(m_a: list[list], m_b: list[list]) -> list:
+    """Parameters t where det(m_a + t * m_b) vanishes, by `pencil_roots`.
 
     The matrices are exact, cleared once by the lcm D of their denominators:
     each sample t = p / q is det(q D m_a + p D m_b) / (q D)^3, over the integers.
     An identically singular pencil has every member singular; it gives
     the five samples 0, 1, -1, 2, -2.
     """
-    den = lcm(*(x.denominator for m in (m_a, m_b) for row in m for x in row))
-    a, b = ([[x.numerator * (den // x.denominator) for x in r] for r in m] for m in (m_a, m_b))
+    den, (a, b) = integer_matrices((m_a, m_b))
 
     def det_at(t: Fraction) -> Fraction:
         p, q = t.numerator, t.denominator
         member = [[q * x + p * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
         return Fraction(det3(member), (q * den) ** 3)
 
-    ts = pencil_roots(det_at, rational_only)
-    return [Fraction(v) for v in (0, 1, -1, 2, -2)] if ts is None else ts
+    ts = pencil_roots(det_at)
+    return list(_EVERY_MEMBER) if ts is None else ts
+
+
+def rational_singular_members(a: list[list[int]], b: list[list[int]]) -> list[Fraction]:
+    """`singular_members` without its float roots, for integer matrices: the
+    cubic is six times the one `cubic_from_samples` reads from the integer
+    samples at 0, 1, -1, 2, so no Fraction is made until a root turns up."""
+    d0, d1, dm1, d2 = (det3(pencil_at(a, b, t)) for t in (0, 1, -1, 2))
+    c3 = d2 + 3 * d0 - 3 * d1 - dm1
+    cubic = [6 * d0, 3 * (d1 - dm1) - c3, 3 * (d1 + dm1) - 6 * d0, c3]
+    return rational_roots(cubic) if any(cubic) else list(_EVERY_MEMBER)
 
 
 def quadric_rank_exact(q: Form) -> int:

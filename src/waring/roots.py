@@ -14,8 +14,9 @@ at x0 = 1; a drop in the dehomogenized degree corresponds to roots at the
 point (0 : 1), which are reinstated explicitly.
 
 Exact helpers live here too, and run on Python integers (von zur Gathen
-and Gerhard, *Modern Computer Algebra*, ch. 6 and 15).  `rational_roots`
-is complete: it finds the roots of the squarefree part modulo a small
+and Gerhard, *Modern Computer Algebra*, ch. 6, 14 and 15).  `rational_roots`
+is complete: a sieve modulo a few small primes rules most rootless input
+out; otherwise it finds the roots of the squarefree part modulo a small
 prime, lifts them by Newton (Hensel) iteration past a root bound and keeps
 the candidates that vanish exactly, at any coefficient size.  `poly_gcd`
 is a primitive PRS over the integers.  `is_squarefree_binary` takes the
@@ -23,9 +24,8 @@ gcd with the derivative modulo a few fixed large primes first and falls
 back to the exact PRS only when none of them proves coprimality.
 
 `pencil_roots` is the one determinant-pencil root finder: it rebuilds the
-cubic det(A + t B) from four samples and returns its rational roots, then,
-unless asked for rational roots only, the complex roots of what is left
-once they are divided out.
+cubic det(A + t B) from four samples and returns its rational roots, then
+the complex roots of what is left once they are divided out.
 """
 
 from __future__ import annotations
@@ -235,6 +235,7 @@ def binary_form_roots(coeffs: Sequence, exact_degree_drop: int | None = None) ->
 
 #: large primes for the modular coprimality test (Mersenne primes)
 _TEST_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1)
+_SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)  # the no-root sieve of `rational_roots`
 
 
 def _strip(u: list) -> list:
@@ -251,7 +252,7 @@ def _primitive(u: list[int]) -> list[int]:
 
 def primitive_integer(vec: Sequence) -> list[int]:
     """The primitive integer multiple of a nonzero rational vector."""
-    vals = [Fraction(c) for c in vec]
+    vals = [c if type(c) is int else Fraction(c) for c in vec]  # ints make no Fraction
     denom = math.lcm(*(c.denominator for c in vals))
     return _primitive([c.numerator * (denom // c.denominator) for c in vals])
 
@@ -369,12 +370,7 @@ def is_squarefree_binary(coeffs: Sequence[Fraction], degree: int) -> bool:
 
 
 def exact_degree_drop(coeffs: Sequence[Fraction]) -> int:
-    vals = list(coeffs)
-    drop = 0
-    while vals and vals[-1] == 0:
-        vals.pop()
-        drop += 1
-    return drop
+    return len(coeffs) - len(_strip(list(coeffs)))
 
 
 def cubic_from_samples(d0, d1, dm1, d2) -> list:
@@ -391,21 +387,18 @@ def cubic_from_samples(d0, d1, dm1, d2) -> list:
     return [c0, c1, c2, c3]
 
 
-def pencil_roots(det_at: Callable, rational_only: bool = False) -> list | None:
+def pencil_roots(det_at: Callable) -> list | None:
     """Roots t of the cubic det_at(t), or None when it vanishes identically.
 
     `det_at` is sampled at the Fractions 0, 1, -1 and 2.  When the samples
     are exact, the rational roots come first, each once; the Aberth roots
-    of the cubic with them divided out (multiplicities included) follow,
-    unless `rational_only` is set.  A stalled Aberth iteration contributes
-    no float roots.
+    of the cubic with them divided out (multiplicities included) follow.
+    A stalled Aberth iteration contributes no float roots.
     """
     cubic = cubic_from_samples(*(det_at(Fraction(v)) for v in (0, 1, -1, 2)))
     if all(c == 0 for c in cubic):
         return None
     roots = rational_roots(cubic) if all(isinstance(c, Fraction) for c in cubic) else []
-    if rational_only:
-        return roots
     rest = _integer_poly(cubic) if roots else cubic
     for r in roots:
         while _vanishes_at(rest, r.numerator, r.denominator):
@@ -469,17 +462,22 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     """All rational roots of a rational polynomial, without multiplicity.
 
     The polynomial is cleared to a primitive integer u with the zero root
-    divided out and reduced to its squarefree part.  A rational root r
-    makes s = lead(u)*r an integer with |s| <= |lead(u)| + max|u_i| (the
-    Cauchy bound, scaled), and r is a simple root of u over the p-adics
-    for any prime p that keeps u squarefree without dividing its lead.  So
-    every root of u mod p is lifted by Newton iteration past twice that
-    bound, read back as the symmetric residue s, and kept when u(s/lead)
-    is exactly zero: the search is complete at any coefficient size.
+    divided out.  A root a/b in lowest terms has b | lead(u), so it is a
+    root of u modulo each prime p that does not divide lead(u): if u has
+    no root modulo one such p of `_SIEVE_PRIMES`, it has no rational root
+    (von zur Gathen and Gerhard, ch. 14).  Any other u is reduced to its
+    squarefree part.  A rational root r makes s = lead(u)*r an integer
+    with |s| <= |lead(u)| + max|u_i| (the Cauchy bound, scaled), and r is
+    a simple root of u over the p-adics for any prime p that keeps u
+    squarefree without dividing its lead.  So every root of u mod p is
+    lifted by Newton iteration past twice that bound, read back as the
+    symmetric residue s, and kept when u(s/lead) is exactly zero: the
+    search is complete at any coefficient size.
 
     The roots come back as 0 first, then by (|numerator|, denominator,
     sign), positive first: the order of a divisor enumeration by the
-    rational root theorem.
+    rational root theorem.  Integer coefficients make no Fraction until a
+    root turns up.
     """
     u = _integer_poly(coeffs)
     roots: list[Fraction] = []
@@ -491,6 +489,8 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
             u.pop(0)
         if len(u) <= 1:
             return roots
+    if any(u[-1] % p and all(_value_mod(u, r, p) for r in range(p)) for p in _SIEVE_PRIMES):
+        return roots  # no root modulo a prime that does not divide the lead
     u = _squarefree_part(u)
     lead, du = u[-1], _derivative(u)
     bound = 2 * (abs(lead) + max(abs(c) for c in u[:-1]))
@@ -503,9 +503,8 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
         s = lead * r % m
         if s > m // 2:
             s -= m
-        cand = Fraction(s, lead)
-        if cand and u[0] % cand.numerator == 0 and _vanishes_at(
-                u, cand.numerator, cand.denominator):
-            found.append(cand)
+        # s / lead, kept when its numerator divides u[0] and it is a root
+        if s and u[0] % (s // math.gcd(s, lead)) == 0 and _vanishes_at(u, s, lead):
+            found.append(Fraction(s, lead))
     found.sort(key=lambda q: (abs(q.numerator), q.denominator, q.numerator < 0))
     return roots + found

@@ -40,6 +40,7 @@ from .errors import (
 from .forms import (
     Form,
     ProjectivePoint,
+    combination,
     complex_coords,
     contract,
     distinct_points,
@@ -56,9 +57,11 @@ from .plane import (
     cross,
     det3,
     factor_rank_two_quadric,
+    integer_matrices,
     plane_basis,
     quadric_matrix,
     quadric_rank,
+    rational_singular_members,
     reduced_plane_basis,
     singular_members,
 )
@@ -67,10 +70,6 @@ TUPLE_BUDGET = 256
 LINE_BUDGET = 64
 CONCURRENCY_TOL = 1e-8
 ANNIHILATION_TOL = 1e-8
-
-
-def _dual_form(point: ProjectivePoint) -> Form:
-    return Form(3, 1, point.coords)
 
 
 def annihilates(duals, f: Form) -> bool:
@@ -102,9 +101,8 @@ def annihilates(duals, f: Form) -> bool:
 
 def _meet(a: Form, b: Form) -> tuple:
     """The common point of two lines, as `LineSystem.intersection` gives it."""
-    if not (a.is_exact and b.is_exact):
-        a, b = a.to_float(), b.to_float()
-    return cross(a.coeffs, b.coeffs)
+    exact = a.is_exact and b.is_exact
+    return cross(a.coeffs, b.coeffs) if exact else cross(a.floats(), b.floats())
 
 
 def concurrent(a: Form, b: Form, c: Form) -> bool:
@@ -117,9 +115,13 @@ def concurrent(a: Form, b: Form, c: Form) -> bool:
     """
     if a.is_exact and b.is_exact and c.is_exact:
         return det3((a.numerators()[0], b.numerators()[0], c.numerators()[0])) == 0
-    u = _meet(a, b)
-    top = max(abs(complex(x)) for x in u)
-    return abs(complex(evaluate(c, u))) <= CONCURRENCY_TOL * (top * max(1.0, c.max_abs()))
+    return _through(c, _meet(a, b))
+
+
+def _through(c: Form, u: tuple) -> bool:
+    """The float branch of `concurrent`: line c at the point u of the other two."""
+    u = complex_coords(u)
+    return abs(evaluate(c, u)) <= CONCURRENCY_TOL * (max(map(abs, u)) * max(1.0, c.max_abs()))
 
 
 # -- line systems ------------------------------------------------------------
@@ -127,7 +129,13 @@ def concurrent(a: Form, b: Form, c: Form) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class LineSystem:
-    """Pairwise distinct lines in the plane, given by their linear duals."""
+    """Pairwise distinct lines in the plane, given by their linear duals.
+
+    A system keeps what it has decided: each pairwise meet, computed once
+    for `in_general_position` and the see-saw points of a split, and the
+    form f for which `annihilating_lines` or `minimize_annihilating` made
+    it, which `annihilates` then passes without a check.
+    """
 
     lines: tuple[Form, ...]
 
@@ -140,6 +148,8 @@ class LineSystem:
         pts = [ProjectivePoint(ell.coeffs) for ell in self.lines]
         if not distinct_points(pts):
             raise PreconditionError("lines of a system must be pairwise distinct")
+        object.__setattr__(self, "_meets", {})
+        object.__setattr__(self, "_annihilated", None)
 
     @property
     def k(self) -> int:
@@ -175,16 +185,23 @@ class LineSystem:
         return tuple(basis[0]), tuple(basis[1])
 
     def intersection(self, i: int, j: int) -> tuple:
-        """The common point of lines i and j: exact when both lines are,
-        else from their complex views (the bits mixed arithmetic gives)."""
-        return _meet(self.lines[i], self.lines[j])
+        """The common point of lines i < j: exact when both lines are, else
+        from their complex views (the bits mixed arithmetic gives); kept."""
+        if (i, j) not in self._meets:
+            self._meets[i, j] = _meet(self.lines[i], self.lines[j])
+        return self._meets[i, j]
 
     def annihilates(self, f: Form) -> bool:
-        return annihilates(self.lines, f)
+        return self._annihilated is f or annihilates(self.lines, f)
 
     def in_general_position(self) -> bool:
-        """No three of the lines meet in a common point (see `concurrent`)."""
-        return not any(concurrent(a, b, c) for a, b, c in combinations(self.lines, 3))
+        """No three of the lines meet in a common point (see `concurrent`);
+        a float triple reads the meet of its first two from `intersection`."""
+        lines = self.lines
+        return not any(concurrent(lines[i], lines[j], lines[m])
+                       if all(lines[n].is_exact for n in (i, j, m))
+                       else _through(lines[m], self.intersection(i, j))
+                       for i, j, m in combinations(range(len(lines)), 3))
 
 
 # -- reducible members of apolar nets ---------------------------------------
@@ -271,6 +288,11 @@ def reducible_member(basis: list[Form], forbidden: list[ProjectivePoint],
     or feed the squares, while a float member cannot.  A float root is an
     irrational root of a rational cubic, hence simple, so its member has
     a nonzero adjugate (rank two) and is never a square.
+
+    Those later pencils run on the integers: combinations, by the draws of
+    `random_combination`, of the net's quadric matrices over one common
+    denominator, searched by `rational_singular_members`.  Their quadrics
+    become Forms only when a rational root turns up.
     """
     if not basis:
         raise PreconditionError("empty net has no reducible member")
@@ -280,6 +302,7 @@ def reducible_member(basis: list[Form], forbidden: list[ProjectivePoint],
     stats = {"members": 0, "pencils": 0, "squares": 0}
     rng = random.Random(seed)
     float_hit: tuple[Form, Form] | None = None
+    _, net = integer_matrices([quadric_matrix(q) for q in basis])
 
     def record(hit):
         nonlocal float_hit
@@ -297,26 +320,34 @@ def reducible_member(basis: list[Form], forbidden: list[ProjectivePoint],
         if hit is not None:
             return hit
 
-    def pencil_stream():
-        for i, j in combinations(range(len(basis)), 2):
-            yield basis[i], basis[j]
-        while True:
-            va = random_combination(rng, basis, 5)
-            vb = random_combination(rng, basis, 5)
-            if va is not None and vb is not None:
-                yield va, vb
+    def on_net(coeffs):  # the integer matrix of sum coeffs[k] * basis[k]
+        return [[sum(c * m[i][j] for c, m in zip(coeffs, net)) for j in range(3)]
+                for i in range(3)]
 
-    for qa, qb in pencil_stream():
+    def pencil_stream():
+        # each quadric of a pencil as its coefficients over the basis and its matrix
+        units = [[int(i == k) for k in range(len(basis))] for i in range(len(basis))]
+        yield from combinations(zip(units, net), 2)
+        while True:  # the draws of two `random_combination(rng, basis, 5)`
+            pair = [(c, on_net(c)) for c in ([rng.randint(-5, 5) for _ in basis] for _ in range(2))]
+            if all(any(map(any, m)) for _, m in pair):  # neither quadric is zero
+                yield pair
+
+    for (ca, a), (cb, b) in pencil_stream():
         if stats["pencils"] >= LINE_BUDGET:
             break
         stats["pencils"] += 1
-        for t in singular_members(quadric_matrix(qa), quadric_matrix(qb),
-                                  rational_only=float_hit is not None):
+        if float_hit is None:
+            qa, qb = combination(ca, basis), combination(cb, basis)
+            ts = singular_members(quadric_matrix(qa), quadric_matrix(qb))
+        elif ts := rational_singular_members(a, b):  # a float pair is held
+            qa, qb = combination(ca, basis), combination(cb, basis)
+        for t in ts:
             if isinstance(t, Fraction):
                 member = qa + qb.scale(t)
             elif float_hit is None:
                 member = qa.to_float() + qb.to_float().scale(t)
-            else:  # a float pair is held: this pencil's other float roots are spent
+            else:  # the float pair came from an earlier root of this pencil
                 continue
             stats["members"] += 1
             hit = record(_split_reducible(member, forbidden, squares))
@@ -354,7 +385,7 @@ def reducible_kernel_pair(g: Form, sigma=(), seed: int = 0) -> KernelPair:
     if g.is_zero():
         raise ZeroFormError("the zero cubic is annihilated by everything")
     sigma_points = [as_dual_point(s) for s in sigma]
-    for a, b in combinations_with_replacement([_dual_form(p) for p in sigma_points], 2):
+    for a, b in combinations_with_replacement([Form(3, 1, p.coords) for p in sigma_points], 2):
         if annihilates((a, b), g):
             return KernelPair(a, b, from_sigma=True)
     net = list(catalecticant(g, 2).kernel)
@@ -391,9 +422,9 @@ def annihilating_lines(f: Form, seed: int = 0) -> LineSystem:
     openness conditions (no residual contraction may die early); the last
     two come from factoring a singular member of the quadratic annihilator
     net of what remains.  That pair's recheck on the residual of f is
-    what `annihilates` decides for the whole system, so the system is not
-    checked again.  LINE_BUDGET attempts are made before
-    RetryExhausted, whose diagnostics count the rejects by reason.
+    what `annihilates` decides for the whole system, so the system comes
+    back carrying f and is not checked again.  LINE_BUDGET attempts are
+    made before RetryExhausted, whose diagnostics count the rejects by reason.
     The zero form, which every line annihilates, raises ZeroFormError.
     """
     if f.num_vars != 3:
@@ -434,6 +465,7 @@ def annihilating_lines(f: Form, seed: int = 0) -> LineSystem:
         if not system.in_general_position():
             rejects["position"] += 1
             continue
+        object.__setattr__(system, "_annihilated", f)
         return system
     raise RetryExhausted(
         f"no annihilating system of {d - 1} lines in {LINE_BUDGET} attempts",
@@ -445,6 +477,8 @@ def minimize_annihilating(f: Form, system: LineSystem) -> LineSystem:
 
     A single left-to-right pass suffices: annihilation is monotone under
     adding lines, so anything kept against a superset stays necessary.
+    A system that carries f (see `LineSystem`) is not checked first; the
+    result carries f, and is the system itself when no line drops.
     """
     if f.is_zero():
         return LineSystem(())
@@ -458,7 +492,10 @@ def minimize_annihilating(f: Form, system: LineSystem) -> LineSystem:
             del kept[i]
         else:
             i += 1
-    return LineSystem(tuple(kept))
+    if len(kept) < len(system.lines):
+        system = LineSystem(tuple(kept))
+    object.__setattr__(system, "_annihilated", f)
+    return system
 
 
 # -- the splitting system -----------------------------------------------------
@@ -585,7 +622,9 @@ def split_on_lines(f: Form, system: LineSystem) -> SplitProblem:
     Requires at least two lines and verifies both the annihilation
     hypothesis and the expected solution-space dimension (one see-saw
     generator per pair of lines); a dimension mismatch means the system
-    is degenerate and should be resampled.
+    is degenerate and should be resampled.  A system that carries f (see
+    `LineSystem`) is not checked for annihilation again; the see-saw points
+    are its kept meets, and a float solve reads the kept complex views.
     """
     if f.num_vars != 3:
         raise PreconditionError("split_on_lines expects a ternary form")
@@ -603,9 +642,9 @@ def split_on_lines(f: Form, system: LineSystem) -> SplitProblem:
     # the equilibrated solve keeps the rank count from being thrown off by
     # the very different magnitudes of high powers of the span vectors; the
     # float solves read the complex views that exact forms keep
-    columns = [col.coeffs if exact else col.to_float().coeffs
+    columns = [col.coeffs if exact else col.floats()
                for u, v in spans for col in line_embedding(u, v, d)]
-    solved = solve_columns(columns, f.coeffs if exact else f.to_float().coeffs, tol=SPAN_TOL)
+    solved = solve_columns(columns, f.coeffs if exact else f.floats(), tol=SPAN_TOL)
     if solved is None:
         raise DegenerateSystemError("annihilating system failed to split the form")
     sol, _, rank = solved

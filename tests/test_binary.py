@@ -321,6 +321,18 @@ def test_both_decomposers_respread_an_avoided_pure_power_alike(exact):
     assert open_dec.is_exact == capped_dec.is_exact == exact
 
 
+def test_a_respread_asks_the_avoided_set_once_per_point(monkeypatch):
+    # `_respread_points` filters each draw, so the whole-set check is skipped
+    calls = []
+    contains = AvoidanceSet.contains
+    monkeypatch.setattr(AvoidanceSet, "contains",
+                        lambda self, p: calls.append(p) or contains(self, p))
+    f = parse_form("3*x0^5", 2)
+    dec = decompose_binary_avoiding(f, AvoidanceSet.from_points([(1, 1), (2, 1)]), seed=0)
+    assert dec.provenance["route"] == "power-respread" and dec.provenance["attempt"] == 0
+    assert len(calls) == dec.size == 6  # 12 when each point was asked twice
+
+
 @pytest.mark.parametrize("exact", [True, False])
 @pytest.mark.parametrize("options", [{"retries": 0}, {"tol": 1e-30}])
 def test_an_exhausted_respread_names_its_rejects(exact, options):

@@ -100,7 +100,7 @@ def test_singular_members_sample_a_fractional_parameter_exactly(monkeypatch):
     ts = [F(1, 3), F(-5, 2), F(7, 11), F(4)]
     seen = []
 
-    def probe(det_at, rational_only=False):
+    def probe(det_at):
         seen.extend(det_at(t) for t in ts)
         return []
 

@@ -8,6 +8,7 @@ oracle for which roots are rational, which forms are squarefree and
 what the monic gcd is.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given, settings = hypothesis.given, hypothesis.settings
 
+from waring import roots  # noqa: E402
 from waring.roots import is_squarefree_binary, poly_gcd, rational_roots  # noqa: E402
 
 T = sympy.Symbol("t")
@@ -168,3 +170,86 @@ def test_poly_gcd_is_sympys_monic_gcd(pair):
     a, b = pair
     expected = monic_coeffs(to_sympy(a).gcd(to_sympy(b)))
     assert poly_gcd(a, b) == expected
+
+
+# -- the no-root sieve ---------------------------------------------------------
+#
+# `rational_roots` first asks whether u has a root modulo each sieve prime
+# that does not divide lead(u).  A lead divisible by every sieve prime
+# leaves the sieve nothing to decide, rational roots with such denominators
+# survive it, and a product with a root modulo every prime but no rational
+# root passes it: all must reach the Hensel path with sympy's answer.
+
+SIEVE_LEAD = math.prod(roots._SIEVE_PRIMES)
+
+
+def sieve_passes(coeffs, monkeypatch):
+    """rational_roots(coeffs), and whether the sieve let it through to the Hensel path."""
+    calls = []
+    real = roots._squarefree_part
+    monkeypatch.setattr(roots, "_squarefree_part", lambda u: calls.append(u) or real(u))
+    found = rational_roots(coeffs)
+    monkeypatch.undo()
+    return found, bool(calls)
+
+
+sieve_denominators = st.lists(st.sampled_from(roots._SIEVE_PRIMES), min_size=1,
+                              max_size=4).map(math.prod)
+
+
+@st.composite
+def sieve_lead_polynomials(draw):
+    """Products with lead divisible by every sieve prime: SIEVE_LEAD t^2 + c
+    (no rational root for c > 0), rational roots whose denominators are
+    products of sieve primes, and the factors of `polynomials`."""
+    c = draw(st.integers(1, BIG).filter(lambda c: math.gcd(c, SIEVE_LEAD) == 1))
+    factors = [[Fraction(c), Fraction(0), Fraction(SIEVE_LEAD)]]  # primitive
+    for _ in range(draw(st.integers(0, 3))):
+        root = Fraction(draw(st.integers(-BIG, BIG)), draw(sieve_denominators))
+        factors.append([Fraction(-root.numerator), Fraction(root.denominator)])
+    factors.extend(draw(st.lists(other_factors, max_size=2)))
+    scale = draw(rationals.filter(bool))
+    return [scale * c for c in product(factors)]
+
+
+@PROPERTY
+@given(sieve_lead_polynomials())
+def test_a_lead_divisible_by_every_sieve_prime_goes_to_the_hensel_path(coeffs):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        found, passed = sieve_passes(coeffs, monkeypatch)
+    assert found == divisor_order(oracle_rational_roots(coeffs))
+    assert passed
+
+
+def test_roots_with_sieve_prime_denominators_pass_the_sieve(monkeypatch):
+    expected = [Fraction(5, 6), Fraction(-7, 2 * 3 * 5 * 7 * 11 * 13), Fraction(1, 23 ** 3)]
+    coeffs = product([[Fraction(-r.numerator), Fraction(r.denominator)] for r in expected]
+                     + [[Fraction(1), Fraction(0), Fraction(1)]])
+    found, passed = sieve_passes(coeffs, monkeypatch)
+    assert found == divisor_order(set(expected)) and passed
+
+
+# (t^2 - a)(t^2 - b)(t^2 - ab): modulo any prime one of a, b, ab is a square
+EVERYWHERE_LOCAL = [[(-2, 0, 1), (-3, 0, 1), (-6, 0, 1)],
+                    [(1, 0, 1), (-2, 0, 1), (2, 0, 1)],
+                    [(-5, 0, 1), (-7, 0, 1), (-35, 0, 1)],
+                    [(-2, 0, 3), (-7, 0, 5), (-14, 0, 15)]]
+
+
+@pytest.mark.parametrize("factors", EVERYWHERE_LOCAL)
+@pytest.mark.parametrize("extra", [None, (-5, 3), (7, 2 * 3 * 5 * 7 * 11)])
+def test_a_root_modulo_every_prime_falls_through_to_the_hensel_path(factors, extra,
+                                                                     monkeypatch):
+    polys = [[Fraction(c) for c in f] for f in factors + ([extra] if extra else [])]
+    coeffs = product(polys)
+    found, passed = sieve_passes(coeffs, monkeypatch)
+    assert found == divisor_order(oracle_rational_roots(coeffs)) and passed
+    assert found == ([Fraction(-extra[0], extra[1])] if extra else [])
+
+
+def test_no_root_modulo_a_sieve_prime_decides_without_the_hensel_path(monkeypatch):
+    # t^2 + t + 1 has no root mod 2; 2 t^3 + t + 1 none mod 3, after 2 | lead skips 2
+    for coeffs in ([1, 1, 1], [1, 1, 0, 2]):
+        found, passed = sieve_passes([Fraction(c) for c in coeffs], monkeypatch)
+        assert found == [] == sorted(oracle_rational_roots([Fraction(c) for c in coeffs]))
+        assert not passed

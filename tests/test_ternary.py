@@ -404,6 +404,57 @@ def test_line_search_keeps_a_rational_root_found_after_the_float_pair(monkeypatc
         ell.coeffs for ell in float_member_search(basis, [], seed=56)]
 
 
+def test_line_search_pencils_on_the_integers_after_the_float_pair(monkeypatch):
+    # after the float pair, a rational-only pencil calls no `quadric_matrix`,
+    # builds no Form and makes no Fraction until it finds a root
+    events = []
+    real_split, real_roots = ternary._split_reducible, ternary.rational_singular_members
+
+    def split(q, forbidden, squares):
+        hit = real_split(q, forbidden, squares)
+        if hit is not None and not hit[0].is_exact:
+            events.append("float pair")
+        return hit
+
+    def roots(a, b):
+        start = len(events)
+        found = real_roots(a, b)
+        if found:  # the Fractions of the roots it found
+            del events[start:]
+        events.append("root" if found else "none")
+        return found
+
+    def noting(name, real):
+        return lambda *args, **kwargs: events.append(name) or real(*args, **kwargs)
+
+    monkeypatch.setattr(ternary, "_split_reducible", split)
+    monkeypatch.setattr(ternary, "rational_singular_members", roots)
+    monkeypatch.setattr(ternary, "quadric_matrix", noting("matrix", quadric_matrix))
+    monkeypatch.setattr(Form, "__post_init__", noting("form", Form.__post_init__))
+    for kernel in ("_trusted", "_exact_over"):
+        real = vars(Form)[kernel].__func__
+        monkeypatch.setattr(Form, kernel, classmethod(noting("form", real)))
+    monkeypatch.setattr(F, "__new__", noting("fraction", F.__new__))
+    checked = found = 0
+    for basis, forbidden, seed in _exact_nets():
+        events.clear()
+        ternary.reducible_member(basis, forbidden, seed=seed)
+        if "float pair" not in events:
+            continue
+        # a pencil that finds no root leaves nothing but its root search
+        # between it and the next one (or the end of the search); the tail
+        # of the pencil that found the float pair may still build members
+        state = None
+        for event in events[events.index("float pair") + 1:]:
+            if event in ("root", "none"):
+                state = event
+                checked += event == "none"
+                found += event == "root"
+            else:
+                assert state != "none", (seed, event)
+    assert checked >= 100 and found >= 2
+
+
 def test_reducible_kernel_pair_respects_sigma():
     f = parse_form("x0^3 + x1^3 + x2^3", 3)
     # (y0+y1+y2)^2 does not kill f, so the search must run and stay off it
@@ -543,6 +594,30 @@ def test_minimize_annihilating_drops_redundant_line():
     assert slim.annihilates(f)
     duals = {tuple(ell.coeffs) for ell in slim.lines}
     assert duals == {(F(1), F(0), F(0)), (F(0), F(1), F(0))}
+
+
+def test_a_system_made_for_f_is_not_checked_again_and_meets_once(monkeypatch):
+    f = random_form(3, 7, seed=0)
+    system = annihilating_lines(f, seed=0)
+    n = len(system.lines)
+    checks, meets = [], []
+    real_annihilates, real_meet = ternary.annihilates, ternary._meet
+    monkeypatch.setattr(ternary, "annihilates",
+                        lambda duals, g: checks.append(len(duals)) or real_annihilates(duals, g))
+    monkeypatch.setattr(ternary, "_meet", lambda a, b: meets.append(1) or real_meet(a, b))
+    # minimizing runs only its n trials of n - 1 lines, and no line drops
+    assert minimize_annihilating(f, system) is system
+    assert checks == [n - 1] * n
+    # the split checks nothing, and computes only the meets that the
+    # general-position test of the float triples left
+    kept = len(system._meets)
+    split = split_on_lines(f, system)
+    assert checks == [n - 1] * n and 0 < kept < len(meets) + kept == math.comb(n, 2)
+    assert split.solution_dim == math.comb(n, 2)
+    # any other form is checked
+    with pytest.raises(PreconditionError):
+        split_on_lines(f + power_of_linear((F(1), F(2), F(3)), 7), system)
+    assert checks[-1] == n
 
 
 def test_minimize_requires_annihilation():
