@@ -377,9 +377,10 @@ def decompose_binary_bounded(f: Form, avoid: AvoidanceSet | None,
     avoidance filter built in, fixed kernel roots are used when they all
     clear the avoidance set, and otherwise the length grows to d + 2 - b,
     sampled as `decompose_binary_avoiding` samples it: an avoided pure
-    power takes d + 1 respread points, exact for an exact form.  Every failure, a length over the cap included, raises RetryExhausted,
-    which callers treat as a resampling signal; PreconditionError is left
-    for a zero or non-binary form and a non-binary avoidance set.
+    power takes d + 1 respread points, exact for an exact form.  Every
+    failure, a length over the cap included, raises RetryExhausted, which
+    callers treat as a resampling signal; PreconditionError is left for a
+    zero or non-binary form and a non-binary avoidance set.
     """
     _require_binary(f, avoid)
     d = f.degree

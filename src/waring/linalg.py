@@ -36,8 +36,6 @@ NUMERIC_RANK_TOL = 1e-8
 #: relative residual up to which a float target counts as in the span
 SPAN_TOL = 1e-8
 
-Row = list[Fraction]
-
 
 def _integer_rows(matrix: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     """Each row as primitive integers: times the lcm of its denominators,

@@ -18,16 +18,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import PreconditionError
 from .forms import (Form, ProjectivePoint, complex_coords, evaluate, is_exact_scalar,
-                    substitute)
+                    same_point, substitute)
 from .linalg import numeric_rank, solve_columns
 from .monomials import index_of
-from .roots import pencil_roots, primitive_integer, rational_roots
+from .roots import pencil_roots, primitive_integer
 
 #: x0, x1, x2 as linear duals; `random_combination` over them samples a line
 UNIT_DUALS = tuple(Form(3, 1, tuple(Fraction(int(i == j)) for j in range(3)))
@@ -129,37 +129,28 @@ def integer_matrices(mats: Sequence[list[list]]) -> tuple[int, list[list[list[in
     return den, [[[x.numerator * (den // x.denominator) for x in row] for row in m] for m in mats]
 
 
-#: the parameters taken from an identically singular pencil, where every member is singular
-_EVERY_MEMBER = tuple(Fraction(v) for v in (0, 1, -1, 2, -2))
+def singular_members(den: int, mats: Sequence) -> tuple[list[Fraction], Callable]:
+    """Parameters t where det(a + t * b) vanishes, by `pencil_roots`: the
+    rational ones at once and a function that gives the float ones.
 
-
-def singular_members(m_a: list[list], m_b: list[list]) -> list:
-    """Parameters t where det(m_a + t * m_b) vanishes, by `pencil_roots`.
-
-    The matrices are exact, cleared once by the lcm D of their denominators:
-    each sample t = p / q is det(q D m_a + p D m_b) / (q D)^3, over the integers.
-    An identically singular pencil has every member singular; it gives
-    the five samples 0, 1, -1, 2, -2.
+    a and b are integer matrices over the common denominator `den`, the
+    shape `integer_matrices` returns.  Their integer samples at t = 0, 1,
+    -1 and 2 give the integer cubic 6 det(a + t b), which is 6 den^3 times
+    the cubic of the exact pencil, so no Fraction is made until a rational
+    root turns up.  An identically singular pencil gives 0, 1, -1, 2, -2.
     """
-    den, (a, b) = integer_matrices((m_a, m_b))
-
-    def det_at(t: Fraction) -> Fraction:
-        p, q = t.numerator, t.denominator
-        member = [[q * x + p * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-        return Fraction(det3(member), (q * den) ** 3)
-
-    ts = pencil_roots(det_at)
-    return list(_EVERY_MEMBER) if ts is None else ts
-
-
-def rational_singular_members(a: list[list[int]], b: list[list[int]]) -> list[Fraction]:
-    """`singular_members` without its float roots, for integer matrices: the
-    cubic is six times the one `cubic_from_samples` reads from the integer
-    samples at 0, 1, -1, 2, so no Fraction is made until a root turns up."""
+    a, b = mats
     d0, d1, dm1, d2 = (det3(pencil_at(a, b, t)) for t in (0, 1, -1, 2))
     c3 = d2 + 3 * d0 - 3 * d1 - dm1
     cubic = [6 * d0, 3 * (d1 - dm1) - c3, 3 * (d1 + dm1) - 6 * d0, c3]
-    return rational_roots(cubic) if any(cubic) else list(_EVERY_MEMBER)
+    return pencil_roots(cubic, 6 * den ** 3)
+
+
+def apart(ell, others: Sequence) -> bool:
+    """Whether the line `ell` is none of `others`, as projective points; each
+    is a ternary linear dual, a point or coordinates (see `as_dual_point`)."""
+    p = as_dual_point(ell)
+    return not any(same_point(p, as_dual_point(o)) for o in others)
 
 
 def quadric_rank_exact(q: Form) -> int:

@@ -62,18 +62,20 @@ from .linalg import SPAN_TOL, exact_nullspace, numeric_nullspace, solve_columns
 from .monomials import exponents, multinomial
 from .plane import (
     UNIT_DUALS,
+    apart,
     as_dual_point,
     cross,
     det3,
     float_point_on_conic,
     conic_parametrization,
+    integer_matrices,
     pencil_at,
     quadric_matrix,
     quadric_rank,
     rational_point_on_conic,
     singular_members,
 )
-from .roots import pencil_roots
+from .roots import cubic_from_samples, pencil_roots
 from .ternary import (
     LineSystem,
     annihilates,
@@ -179,12 +181,6 @@ def quartic_predecomp(f: Form, sigma=(), seed: int = 0,
     stats = {"pencils": 0, "roots": 0, "kernel_dim": 0, "square": 0,
              "clash": 0, "concurrent": 0}
 
-    def admissible(ell: Form, others: list[Form]) -> bool:
-        p = ProjectivePoint(ell.coeffs)
-        if any(same_point(p, s) for s in sigma_pts):
-            return False
-        return all(not same_point(p, ProjectivePoint(o.coeffs)) for o in others)
-
     for attempt in range(budget):
         height = 9 << (attempt // 16)
         l1 = random_combination(rng, UNIT_DUALS, height)
@@ -192,17 +188,18 @@ def quartic_predecomp(f: Form, sigma=(), seed: int = 0,
         lb = random_combination(rng, UNIT_DUALS, height)
         if l1 is None or la is None or lb is None:
             continue
-        if not admissible(l1, []):
+        if not apart(l1, sigma_pts):
             continue
         stats["pencils"] += 1
 
         g1 = contract(l1, f)
         m_a, m_b = quadric_matrix(contract(la, g1)), quadric_matrix(contract(lb, g1))
 
-        for t in singular_members(m_a, m_b):
+        rational, float_roots = singular_members(*integer_matrices((m_a, m_b)))
+        for t in rational + float_roots():
             stats["roots"] += 1
             l2 = la + lb.scale(t)
-            if l2.is_zero() or not admissible(l2, [l1]):
+            if l2.is_zero() or not apart(l2, [*sigma_pts, l1]):
                 continue
             member = pencil_at(m_a, m_b, t)
             if l2.is_exact:
@@ -213,7 +210,7 @@ def quartic_predecomp(f: Form, sigma=(), seed: int = 0,
                 stats["kernel_dim"] += 1
                 continue
             l0 = Form(3, 1, tuple(kernel[0]))
-            if not admissible(l0, [l1, l2]):
+            if not apart(l0, [*sigma_pts, l1, l2]):
                 stats["clash"] += 1
                 continue
             if concurrent(l0, l1, l2):
@@ -405,6 +402,12 @@ def _two_line_split(f: Form, X: AvoidanceSet, seed: int, tol: float,
 _BINARY_QUADRIC_DUALS = tuple(Form.from_dict(2, 2, {e: 1}) for e in exponents(2, 2))
 
 
+def _middle_rows(f0: Form) -> list[list]:
+    """The rows of the middle catalecticant of a binary quartic: contract(m, f0),
+    m a dual monomial."""
+    return [list(contract(m, f0).coeffs) for m in _BINARY_QUADRIC_DUALS]
+
+
 def _three_line_split(f: Form, X: AvoidanceSet, triple, seed: int,
                       tol: float, retries: int) -> Decomposition:
     """2 + 3 + 3 strategy on a split triple from the determinant search.
@@ -423,6 +426,8 @@ def _three_line_split(f: Form, X: AvoidanceSet, triple, seed: int,
     pow02 = split.kernel[1][2]
     part0 = split.particular[0]
     exact = part0.is_exact and pow01.is_exact and pow02.is_exact
+    # the rows are linear in f0: those at c01 = 0 plus c01 times those of pow01
+    rows01 = _middle_rows(pow01) if exact else None
     rng = random.Random(seed + 23)
     rejects = {"det": 0, "piece_fail": 0, "clash": 0, "residual": 0}
 
@@ -433,15 +438,14 @@ def _three_line_split(f: Form, X: AvoidanceSet, triple, seed: int,
         def f0_at(c01) -> Form:
             return part0 + pow01.scale(c01) + pow02.scale(c02)
 
-        def det_at(t: Fraction):
-            if exact:  # rows of the middle catalecticant: contract(m, f0), m a dual monomial
-                f0 = f0_at(t)
-                return det3([list(contract(m, f0).coeffs) for m in _BINARY_QUADRIC_DUALS])
-            return complex(np.linalg.det(numeric_catalecticant(f0_at(t), 2)))
-
-        roots = pencil_roots(det_at)
-        if roots is None:
-            roots = [Fraction(0)]
+        if exact:
+            pencil = integer_matrices((_middle_rows(f0_at(0)), rows01))
+            rational, float_roots = singular_members(*pencil)
+        else:
+            rational, float_roots = pencil_roots(cubic_from_samples(*(
+                complex(np.linalg.det(numeric_catalecticant(f0_at(Fraction(v)), 2)))
+                for v in (0, 1, -1, 2))), 1)
+        roots = rational + float_roots()
         if not roots:
             rejects["det"] += 1
             continue

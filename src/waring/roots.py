@@ -23,9 +23,13 @@ is a primitive PRS over the integers.  `is_squarefree_binary` takes the
 gcd with the derivative modulo a few fixed large primes first and falls
 back to the exact PRS only when none of them proves coprimality.
 
-`pencil_roots` is the one determinant-pencil root finder: it rebuilds the
-cubic det(A + t B) from four samples and returns its rational roots, then
-the complex roots of what is left once they are divided out.
+`pencil_roots` is the one determinant-pencil root reader.  It takes the
+cubic det(A + t B) as coefficients: integers from `plane.singular_members`
+for an exact pencil, or complex floats from `cubic_from_samples` for a
+float one.  It returns the rational roots of an integer cubic at once, and
+the float roots on demand: the Aberth roots of the cubic once the rational
+roots are divided out.  A caller that needs only exact members never pays
+for the Aberth iteration.
 """
 
 from __future__ import annotations
@@ -387,27 +391,42 @@ def cubic_from_samples(d0, d1, dm1, d2) -> list:
     return [c0, c1, c2, c3]
 
 
-def pencil_roots(det_at: Callable) -> list | None:
-    """Roots t of the cubic det_at(t), or None when it vanishes identically.
+#: the parameters taken from an identically singular pencil, where every member is singular
+_EVERY_MEMBER = tuple(Fraction(v) for v in (0, 1, -1, 2, -2))
 
-    `det_at` is sampled at the Fractions 0, 1, -1 and 2.  When the samples
-    are exact, the rational roots come first, each once; the Aberth roots
-    of the cubic with them divided out (multiplicities included) follow.
-    A stalled Aberth iteration contributes no float roots.
+
+def pencil_roots(cubic: Sequence, scale: int) -> tuple[list[Fraction], Callable[[], list]]:
+    """The roots t of a pencil's determinant cubic (ascending coefficients):
+    the rational roots at once, and a function that gives the float roots.
+
+    An integer cubic is `scale` times the cubic of an exact pencil.  Its
+    rational roots come each once; its float roots are the Aberth roots of
+    what is left once they are divided out (multiplicities included), or,
+    when there is none, of c / scale for each coefficient c, which has the
+    bits of complex(Fraction(c, scale)).  A float cubic, given with scale 1,
+    has no rational roots and its own coefficients go to Aberth.  A stalled
+    Aberth iteration gives no float roots.  An identically zero cubic (every
+    member singular) gives the rational roots 0, 1, -1, 2, -2 and no float ones.
     """
-    cubic = cubic_from_samples(*(det_at(Fraction(v)) for v in (0, 1, -1, 2)))
-    if all(c == 0 for c in cubic):
-        return None
-    roots = rational_roots(cubic) if all(isinstance(c, Fraction) for c in cubic) else []
-    rest = _integer_poly(cubic) if roots else cubic
-    for r in roots:
-        while _vanishes_at(rest, r.numerator, r.denominator):
-            rest = _exact_quotient(rest, [-r.numerator, r.denominator])
-    try:
-        roots += aberth_roots(rest)
-    except RootFindingError:
-        pass
-    return roots
+    if not any(cubic):
+        return list(_EVERY_MEMBER), lambda: []
+    roots = rational_roots(cubic) if all(type(c) is int for c in cubic) else []
+
+    def float_roots() -> list[complex]:
+        if roots:
+            rest = _integer_poly(cubic)
+            for r in roots:
+                while _vanishes_at(rest, r.numerator, r.denominator):
+                    rest = _exact_quotient(rest, [-r.numerator, r.denominator])
+        else:
+            # a complex divided by 1 can lose the sign of a zero part
+            rest = cubic if scale == 1 else [c / scale for c in cubic]
+        try:
+            return aberth_roots(rest)
+        except RootFindingError:
+            return []
+
+    return roots, float_roots
 
 
 def _primes():

@@ -48,11 +48,11 @@ from .forms import (
     is_exact_scalar,
     power_of_linear,
     random_combination,
-    same_point,
 )
 from .linalg import SPAN_TOL, numeric_nullspace, solve_columns
 from .plane import (
     UNIT_DUALS,
+    apart,
     as_dual_point,
     cross,
     det3,
@@ -61,7 +61,6 @@ from .plane import (
     plane_basis,
     quadric_matrix,
     quadric_rank,
-    rational_singular_members,
     reduced_plane_basis,
     singular_members,
 )
@@ -230,14 +229,7 @@ def _square_root_line(q: Form) -> Form | None:
 
 
 def _pair_ok(l1: Form, l2: Form, forbidden: list[ProjectivePoint]) -> bool:
-    p1 = ProjectivePoint(l1.coeffs)
-    p2 = ProjectivePoint(l2.coeffs)
-    if same_point(p1, p2):
-        return False
-    for s in forbidden:
-        if same_point(p1, s) or same_point(p2, s):
-            return False
-    return True
+    return apart(l1, [l2, *forbidden]) and apart(l2, forbidden)
 
 
 def _split_reducible(q: Form, forbidden: list[ProjectivePoint],
@@ -246,10 +238,7 @@ def _split_reducible(q: Form, forbidden: list[ProjectivePoint],
     rank = quadric_rank(q)
     if rank == 1:
         root = _square_root_line(q)
-        if root is not None and all(
-            not same_point(ProjectivePoint(root.coeffs), ProjectivePoint(s.coeffs))
-            for s in squares
-        ):
+        if root is not None and apart(root, squares):
             squares.append(root)
         return None
     if rank != 2:
@@ -289,10 +278,12 @@ def reducible_member(basis: list[Form], forbidden: list[ProjectivePoint],
     irrational root of a rational cubic, hence simple, so its member has
     a nonzero adjugate (rank two) and is never a square.
 
-    Those later pencils run on the integers: combinations, by the draws of
-    `random_combination`, of the net's quadric matrices over one common
-    denominator, searched by `rational_singular_members`.  Their quadrics
-    become Forms only when a rational root turns up.
+    Every pencil is one call of `singular_members` on the integers: a
+    combination, by the draws of `random_combination`, of the net's quadric
+    matrices over one common denominator.  It gives the rational roots at
+    once and the float roots, an Aberth iteration, only when asked: a
+    pencil after the float pair runs no Aberth iteration, and its quadrics
+    become Forms only when it has a rational root.
     """
     if not basis:
         raise PreconditionError("empty net has no reducible member")
@@ -302,7 +293,7 @@ def reducible_member(basis: list[Form], forbidden: list[ProjectivePoint],
     stats = {"members": 0, "pencils": 0, "squares": 0}
     rng = random.Random(seed)
     float_hit: tuple[Form, Form] | None = None
-    _, net = integer_matrices([quadric_matrix(q) for q in basis])
+    den, net = integer_matrices([quadric_matrix(q) for q in basis])
 
     def record(hit):
         nonlocal float_hit
@@ -337,22 +328,19 @@ def reducible_member(basis: list[Form], forbidden: list[ProjectivePoint],
         if stats["pencils"] >= LINE_BUDGET:
             break
         stats["pencils"] += 1
-        if float_hit is None:
+        rational, float_roots = singular_members(den, (a, b))
+        if rational or float_hit is None:
             qa, qb = combination(ca, basis), combination(cb, basis)
-            ts = singular_members(quadric_matrix(qa), quadric_matrix(qb))
-        elif ts := rational_singular_members(a, b):  # a float pair is held
-            qa, qb = combination(ca, basis), combination(cb, basis)
-        for t in ts:
-            if isinstance(t, Fraction):
-                member = qa + qb.scale(t)
-            elif float_hit is None:
-                member = qa.to_float() + qb.to_float().scale(t)
-            else:  # the float pair came from an earlier root of this pencil
-                continue
+        for t in rational:
             stats["members"] += 1
-            hit = record(_split_reducible(member, forbidden, squares))
+            hit = record(_split_reducible(qa + qb.scale(t), forbidden, squares))
             if hit is not None:
                 return hit
+        for t in float_roots() if float_hit is None else ():
+            stats["members"] += 1
+            record(_split_reducible(qa.to_float() + qb.to_float().scale(t), forbidden, squares))
+            if float_hit is not None:  # only the first float pair is ever returned
+                break
         # two rank-one members factor rationally without more pencil work
         if len(squares) >= 2:
             pair = _square_difference_pair(squares, forbidden)
@@ -402,16 +390,10 @@ def reducible_kernel_pair(g: Form, sigma=(), seed: int = 0) -> KernelPair:
 def _sample_lines(rng, count: int, height: int) -> list[Form]:
     """`count` distinct random lines."""
     lines: list[Form] = []
-    points: list[ProjectivePoint] = []
     while len(lines) < count:
         ell = random_combination(rng, UNIT_DUALS, height)
-        if ell is None:
-            continue
-        p = ProjectivePoint(ell.coeffs)
-        if any(same_point(p, x) for x in points):
-            continue
-        lines.append(ell)
-        points.append(p)
+        if ell is not None and apart(ell, lines):
+            lines.append(ell)
     return lines
 
 

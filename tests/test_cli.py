@@ -143,6 +143,8 @@ def test_verify_of_a_tampered_certificate_exits_2(capsys, tmp_path):
     (None, "n", "two"),            # a variable count that is no integer
     (0, "point", [[0, 1], [0, 1]]),  # a point of zeros
     (0, "point", [[1, 1]]),        # a point of the wrong length
+    (None, "n", float("inf")),     # a variable count no integer can hold
+    (None, "seed", 1e400),         # a seed that overflows to infinity
 ])
 def test_verify_of_a_malformed_certificate_exits_1(capsys, monkeypatch, term, field, value):
     _, out, _ = run(capsys, "decompose", "x0^3 + x1^3")

@@ -36,6 +36,28 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
+# module attributes that the package's users read, not the package itself
+UNREAD_BY_DESIGN = {"__all__", "__version__"}
+
+
+def test_every_module_level_name_is_read_in_src():
+    assigned, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            assigned += [(f"{path.stem}.{name.id}", name.id) for target in targets
+                         for name in ast.walk(target) if isinstance(name, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert [qualified for qualified, name in assigned
+            if name not in read and name not in UNREAD_BY_DESIGN] == []
+
+
 # kept without a caller in src/: the benchmark traces poly_gcd and exact_solve,
 # argparse calls _Parser.error, and AvoidanceSet.from_points builds the binary
 # avoided sets of library callers.  cli.main, the console entry point, needs no

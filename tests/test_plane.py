@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from waring.errors import PreconditionError
-from waring.forms import Form, evaluate, parse_form, substitute
+from waring.forms import Form, ProjectivePoint, evaluate, parse_form, substitute
 from waring.plane import (
     adjugate3,
     conic_contains,
@@ -13,6 +13,7 @@ from waring.plane import (
     det3,
     factor_rank_two_quadric,
     float_point_on_conic,
+    integer_matrices,
     pencil_at,
     plane_basis,
     quadric_matrix,
@@ -22,7 +23,7 @@ from waring.plane import (
     rational_sqrt,
     singular_members,
 )
-from waring.roots import pencil_roots
+from waring.roots import aberth_roots, cubic_from_samples, primitive_integer, rational_roots
 
 F = Fraction
 
@@ -60,17 +61,36 @@ def test_adjugate_and_det():
                 assert got == (d if i == j else 0)
 
 
+EVERY_MEMBER = [F(v) for v in (0, 1, -1, 2, -2)]
+
+
 def fraction_pencil_members(m_a, m_b):
-    """`singular_members` as it sampled before: det3 over Fractions."""
-    ts = pencil_roots(lambda t: det3(pencil_at(m_a, m_b, t)))
-    return [F(v) for v in (0, 1, -1, 2, -2)] if ts is None else ts
+    """The roots of det(m_a + t m_b) from its Fraction samples: the rational
+    roots of the cubic `cubic_from_samples` reads, then the Aberth roots of
+    that cubic, or, when it has rational roots, of the primitive integer
+    multiple of what is left once they are divided out."""
+    cubic = cubic_from_samples(*(det3(pencil_at(m_a, m_b, F(v))) for v in (0, 1, -1, 2)))
+    if not any(cubic):
+        return EVERY_MEMBER
+    rational = rational_roots(cubic)
+    rest = cubic
+    for r in rational:
+        while sum(c * r ** i for i, c in enumerate(rest)) == 0:
+            quotient, carry = [], F(0)  # synthetic division by t - r
+            for c in reversed(rest[1:]):
+                carry = c + carry * r
+                quotient.append(carry)
+            rest = quotient[::-1]
+    return rational + aberth_roots(primitive_integer(rest) if rational else cubic)
 
 
-def test_singular_members_sample_the_integer_pencil_to_the_same_roots():
-    rng = random.Random(18)
+def random_pencils(seed, count, height, denominators):
+    """Exact pencils whose cubic has a rational root (a line pair member) or,
+    mostly, none, with numerators up to `height` over `denominators`."""
+    rng = random.Random(seed)
 
     def entry():
-        return F(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 7, 12]))
+        return F(rng.randint(-height, height), rng.choice(denominators))
 
     def quadric():
         if rng.random() < 0.5:  # a line pair, so that the cubic has a rational root
@@ -78,36 +98,49 @@ def test_singular_members_sample_the_integer_pencil_to_the_same_roots():
             return quadric_matrix(l1 * l2)
         return quadric_matrix(Form(3, 2, tuple(entry() for _ in range(6))))
 
+    return [(quadric(), quadric()) for _ in range(count)]
+
+
+@pytest.mark.parametrize("height, denominators", [
+    (9, [1, 2, 3, 4, 6, 7, 12]),
+    (10**6, [1, 97, 1009, 65537]),  # integer cubics past 2**53, where c / scale rounds once
+])
+def test_singular_members_read_the_roots_of_the_fraction_cubic(height, denominators):
     kinds = set()
-    for _ in range(40):
-        m_a, m_b = quadric(), quadric()
-        got, expected = singular_members(m_a, m_b), fraction_pencil_members(m_a, m_b)
+    for m_a, m_b in random_pencils(18, 60, height, denominators):
+        den, mats = integer_matrices((m_a, m_b))
+        if den == 1:
+            continue
+        rational, float_roots = singular_members(den, mats)
+        got, expected = rational + float_roots(), fraction_pencil_members(m_a, m_b)
         assert [repr(t) for t in got] == [repr(t) for t in expected]
-        kinds.update(type(t) for t in got)
-    assert kinds == {F, complex}
-    # an identically singular pencil: both members vanish on e2
+        kinds.add(bool(rational))
+        assert all(type(t) is complex for t in got[len(rational):])
+    assert kinds == {True, False}  # pencils with and without rational roots
+
+
+def test_an_identically_singular_pencil_gives_five_members_in_every_exact_search(monkeypatch):
+    import waring.quartic as quartic
+    import waring.ternary as ternary
+
+    # both members vanish on e2, so every member of the pencil is singular
     m_a = [[F(1, 3), F(2, 5), 0], [F(2, 5), F(-1, 7), 0], [0, 0, 0]]
     m_b = [[F(5, 2), F(1, 6), 0], [F(1, 6), F(3), 0], [0, 0, 0]]
-    assert singular_members(m_a, m_b) == [F(v) for v in (0, 1, -1, 2, -2)]
-    assert fraction_pencil_members(m_a, m_b) == singular_members(m_a, m_b)
-
-
-def test_singular_members_sample_a_fractional_parameter_exactly(monkeypatch):
-    import waring.plane as plane
-
-    m_a = [[F(1, 3), F(2, 5), F(1)], [F(2, 5), F(-1, 7), F(3, 4)], [F(1), F(3, 4), F(2)]]
-    m_b = [[F(5, 2), F(1, 6), F(-2)], [F(1, 6), F(3), F(0)], [F(-2), F(0), F(1, 9)]]
-    ts = [F(1, 3), F(-5, 2), F(7, 11), F(4)]
+    rational, float_roots = singular_members(*integer_matrices((m_a, m_b)))
+    assert rational == EVERY_MEMBER and float_roots() == []
+    assert fraction_pencil_members(m_a, m_b) == EVERY_MEMBER
+    # the line search, the split triple and the three-line split read the one sampler
+    assert ternary.singular_members is quartic.singular_members is singular_members
+    # a net of quadrics in x0 and x1 alone, where x0 and x1 are forbidden:
+    # its first pencil, x0^2 + t x0 x1, is singular at every t
     seen = []
-
-    def probe(det_at):
-        seen.extend(det_at(t) for t in ts)
-        return []
-
-    monkeypatch.setattr(plane, "pencil_roots", probe)
-    singular_members(m_a, m_b)
-    assert seen == [det3(pencil_at(m_a, m_b, t)) for t in ts]
-    assert all(isinstance(d, F) for d in seen)
+    real = ternary._split_reducible
+    monkeypatch.setattr(ternary, "_split_reducible",
+                        lambda q, *args: seen.append(q) or real(q, *args))
+    basis = [parse_form(text, 3) for text in ("x0^2", "x0*x1", "x1^2")]
+    forbidden = [ProjectivePoint((F(1), F(0), F(0))), ProjectivePoint((F(0), F(1), F(0)))]
+    ternary.reducible_member(basis, forbidden)
+    assert seen[3:] == [basis[0] + basis[1].scale(t) for t in EVERY_MEMBER]
 
 
 def test_quadric_matrix_splits_cross_terms():

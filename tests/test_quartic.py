@@ -21,7 +21,7 @@ from waring.forms import Form, contract, parse_form, power_of_linear, random_for
 from waring.monomials import exponents
 from waring.plane import UNIT_DUALS, det3, pencil_at, quadric_matrix
 from waring.quartic import (
-    _BINARY_QUADRIC_DUALS,
+    _middle_rows,
     quartic_brk3_decompose,
     quartic_decompose_open,
     quartic_predecomp,
@@ -321,7 +321,7 @@ def _product_matrix(f, l1, l2):
 def test_pencil_hessians_equal_the_product_matrices(f, l1, la, lb):
     g1 = contract(l1, f)
     m_a, m_b = quadric_matrix(contract(la, g1)), quadric_matrix(contract(lb, g1))
-    for v in (0, 1, -1, 2):  # the samples `pencil_roots` takes
+    for v in (0, 1, -1, 2):  # the samples `singular_members` takes
         t = F(v)
         member = pencil_at(m_a, m_b, t)
         reference = _product_matrix(f, l1, la + lb.scale(t))
@@ -334,8 +334,7 @@ def test_pencil_hessians_equal_the_product_matrices(f, l1, la, lb):
 @given(st.lists(st.fractions(-9, 9, max_denominator=5), min_size=5, max_size=5))
 def test_binary_dual_rows_are_the_middle_catalecticant(coeffs):
     f0 = Form(2, 4, tuple(coeffs))
-    rows = [list(contract(m, f0).coeffs) for m in _BINARY_QUADRIC_DUALS]
-    assert rows == [list(row) for row in catalecticant(f0, 2).entries]
+    assert _middle_rows(f0) == [list(row) for row in catalecticant(f0, 2).entries]
 
 
 def test_rank_four_quartic_takes_two_ranks_no_kernel_and_one_line_search(monkeypatch):

@@ -307,27 +307,46 @@ def test_rational_roots_none():
     assert rational_roots([Fraction(5)]) == []
 
 
-def test_pencil_roots_identically_zero_is_none():
-    assert pencil_roots(lambda t: Fraction(0)) is None
+def test_pencil_roots_of_a_zero_cubic_are_five_fixed_members():
+    every = [Fraction(v) for v in (0, 1, -1, 2, -2)]
+    for cubic in ([0, 0, 0, 0], [0j, 0j, 0j, 0j]):
+        rational, float_roots = pencil_roots(cubic, 1)
+        assert rational == every and float_roots() == []
 
 
 def test_pencil_roots_rational_first_then_complex():
-    roots = pencil_roots(lambda t: (t - Fraction(1, 2)) * (t * t + 1))
-    assert roots[0] == Fraction(1, 2)
-    assert len(roots) == 3
-    assert sorted(round(complex(r).imag, 9) for r in roots[1:]) == [-1.0, 1.0]
-    assert all(abs(complex(r).real) < 1e-9 for r in roots[1:])
+    # 2 (t - 1/2)(t^2 + 1), read over the scale 2
+    rational, float_roots = pencil_roots([-1, 2, -1, 2], 2)
+    assert rational == [Fraction(1, 2)]
+    floats = float_roots()
+    assert len(floats) == 2
+    assert sorted(round(r.imag, 9) for r in floats) == [-1.0, 1.0]
+    assert all(abs(r.real) < 1e-9 for r in floats)
 
 
 def test_pencil_roots_float_samples_have_no_rational_part():
-    roots = pencil_roots(lambda t: complex((t - 1) * (t - 2) * (t - 3)))
-    assert not any(isinstance(r, Fraction) for r in roots)
-    assert sorted(round(complex(r).real, 9) for r in roots) == [1.0, 2.0, 3.0]
+    # (t - 1)(t - 2)(t - 3) from complex samples
+    cubic = cubic_from_samples(*(complex((t - 1) * (t - 2) * (t - 3)) for t in (0, 1, -1, 2)))
+    rational, float_roots = pencil_roots(cubic, 1)
+    assert rational == []
+    assert sorted(round(r.real, 9) for r in float_roots()) == [1.0, 2.0, 3.0]
 
 
 def test_pencil_roots_never_repeats_a_rational_root():
-    # the Aberth roots land on 1, 2 and -3 again and must all be dropped
-    assert pencil_roots(lambda t: (t - 1) * (t - 2) * (t + 3)) == [1, 2, -3]
-    # a double root spreads into two Aberth near-copies unless divided out
-    assert pencil_roots(lambda t: (t - 1) ** 2 * (t + 3)) == [1, -3]
-    assert pencil_roots(lambda t: (t - Fraction(2, 3)) ** 3) == [Fraction(2, 3)]
+    # the Aberth roots would land on 1, 2 and -3 again: (t - 1)(t - 2)(t + 3)
+    assert pencil_roots([6, -7, 0, 1], 1)[0] == [1, 2, -3]
+    # a double root spreads into two Aberth near-copies unless divided out:
+    # (t - 1)^2 (t + 3) and (3t - 2)^3
+    for cubic, roots in (([3, -5, 1, 1], [1, -3]), ([-8, 36, -54, 27], [Fraction(2, 3)])):
+        rational, float_roots = pencil_roots(cubic, 1)
+        assert rational == roots and float_roots() == []
+
+
+def test_pencil_roots_run_no_aberth_until_the_float_roots_are_read(monkeypatch):
+    calls = []
+    real = roots_module.aberth_roots
+    monkeypatch.setattr(roots_module, "aberth_roots", lambda c: calls.append(c) or real(c))
+    rational, float_roots = pencil_roots([-1, 2, -1, 2], 2)
+    assert rational == [Fraction(1, 2)] and calls == []
+    float_roots()
+    assert len(calls) == 1

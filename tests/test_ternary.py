@@ -38,6 +38,7 @@ from waring.plane import (
     cross,
     det3,
     factor_rank_two_quadric,
+    integer_matrices,
     plane_basis,
     quadric_matrix,
     quadric_rank,
@@ -310,7 +311,9 @@ def float_member_search(basis, forbidden, seed=0):
         if pencils >= ternary.LINE_BUDGET:
             break
         pencils += 1
-        for t in singular_members(quadric_matrix(qa), quadric_matrix(qb)):
+        rational, float_roots = singular_members(
+            *integer_matrices((quadric_matrix(qa), quadric_matrix(qb))))
+        for t in rational + float_roots():
             exact = isinstance(t, Fraction)
             member = qa + qb.scale(t) if exact else qa.to_float() + qb.to_float().scale(t)
             hit = record(split(member, factor=exact or float_hit is None))
@@ -405,10 +408,10 @@ def test_line_search_keeps_a_rational_root_found_after_the_float_pair(monkeypatc
 
 
 def test_line_search_pencils_on_the_integers_after_the_float_pair(monkeypatch):
-    # after the float pair, a rational-only pencil calls no `quadric_matrix`,
-    # builds no Form and makes no Fraction until it finds a root
+    # after the float pair, a pencil reads only its rational roots: it calls
+    # no `quadric_matrix`, builds no Form and makes no Fraction until it finds one
     events = []
-    real_split, real_roots = ternary._split_reducible, ternary.rational_singular_members
+    real_split, real_roots = ternary._split_reducible, ternary.singular_members
 
     def split(q, forbidden, squares):
         hit = real_split(q, forbidden, squares)
@@ -416,19 +419,19 @@ def test_line_search_pencils_on_the_integers_after_the_float_pair(monkeypatch):
             events.append("float pair")
         return hit
 
-    def roots(a, b):
+    def roots(den, mats):
         start = len(events)
-        found = real_roots(a, b)
+        found, float_roots = real_roots(den, mats)
         if found:  # the Fractions of the roots it found
             del events[start:]
         events.append("root" if found else "none")
-        return found
+        return found, float_roots
 
     def noting(name, real):
         return lambda *args, **kwargs: events.append(name) or real(*args, **kwargs)
 
     monkeypatch.setattr(ternary, "_split_reducible", split)
-    monkeypatch.setattr(ternary, "rational_singular_members", roots)
+    monkeypatch.setattr(ternary, "singular_members", roots)
     monkeypatch.setattr(ternary, "quadric_matrix", noting("matrix", quadric_matrix))
     monkeypatch.setattr(Form, "__post_init__", noting("form", Form.__post_init__))
     for kernel in ("_trusted", "_exact_over"):
