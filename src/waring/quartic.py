@@ -426,7 +426,8 @@ def _three_line_split(f: Form, X: AvoidanceSet, triple, seed: int,
     pow02 = split.kernel[1][2]
     part0 = split.particular[0]
     exact = part0.is_exact and pow01.is_exact and pow02.is_exact
-    # the rows are linear in f0: those at c01 = 0 plus c01 times those of pow01
+    # the rows are linear in c01: those at c01 = 0 plus c01 times those of
+    # pow01, whose contractions (not the pencil) are read once per split
     rows01 = _middle_rows(pow01) if exact else None
     rng = random.Random(seed + 23)
     rejects = {"det": 0, "piece_fail": 0, "clash": 0, "residual": 0}

@@ -108,10 +108,7 @@ def random_pencils(seed, count, height, denominators):
 def test_singular_members_read_the_roots_of_the_fraction_cubic(height, denominators):
     kinds = set()
     for m_a, m_b in random_pencils(18, 60, height, denominators):
-        den, mats = integer_matrices((m_a, m_b))
-        if den == 1:
-            continue
-        rational, float_roots = singular_members(den, mats)
+        rational, float_roots = singular_members(*integer_matrices((m_a, m_b)))
         got, expected = rational + float_roots(), fraction_pencil_members(m_a, m_b)
         assert [repr(t) for t in got] == [repr(t) for t in expected]
         kinds.add(bool(rational))

@@ -333,11 +333,11 @@ def test_pencil_roots_float_samples_have_no_rational_part():
 
 
 def test_pencil_roots_never_repeats_a_rational_root():
-    # the Aberth roots would land on 1, 2 and -3 again: (t - 1)(t - 2)(t + 3)
-    assert pencil_roots([6, -7, 0, 1], 1)[0] == [1, 2, -3]
+    # the Aberth roots would land on 1, 2 and -3 again: (t - 1)(t - 2)(t + 3);
     # a double root spreads into two Aberth near-copies unless divided out:
     # (t - 1)^2 (t + 3) and (3t - 2)^3
-    for cubic, roots in (([3, -5, 1, 1], [1, -3]), ([-8, 36, -54, 27], [Fraction(2, 3)])):
+    for cubic, roots in (([6, -7, 0, 1], [1, 2, -3]), ([3, -5, 1, 1], [1, -3]),
+                         ([-8, 36, -54, 27], [Fraction(2, 3)])):
         rational, float_roots = pencil_roots(cubic, 1)
         assert rational == roots and float_roots() == []
 
