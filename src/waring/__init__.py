@@ -36,7 +36,6 @@ from .binary import (
     decompose_binary_bounded,
     embed_binary,
     form_on_line,
-    generic_rank_in_subspace,
     open_rank_binary,
     push_decomposition,
     rank_binary,
@@ -145,7 +144,6 @@ __all__ = [
     "form_on_line",
     "form_to_string",
     "from_json",
-    "generic_rank_in_subspace",
     "minimize_annihilating",
     "numeric_catalecticant",
     "open_rank_binary",

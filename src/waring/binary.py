@@ -32,13 +32,25 @@ with the forms supported on that line; `embed_binary` and `form_on_line`
 convert in the two directions and `push_decomposition` carries a
 decomposition forward onto the line; `decompose_on_line` runs the round
 trip for a form the line carries and judges the pushed sum against it.
+The columns U^(d-j) V^j come from `line_embedding`, for many lines at
+once and with no `Form` built.  A column is exact when both factors are
+(an exact spanning vector, or the power 0): all d + 1 columns of an
+exact line, one column of a line with one exact vector.  Exact columns
+are integer numerators over one denominator, and they become floats
+once, by int division, which gives the bits of complex(Fraction).  Float
+columns follow the `Form` product loops bit for bit (see `monomials`).
+`solve_on_lines` solves a form against the columns of its lines, exactly
+when the form and every column are exact.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
+
+import numpy as np
 
 from .apolarity import (apolar_component, apolar_initial_degree, catalecticant,
                         numeric_catalecticant)
@@ -47,10 +59,9 @@ from .decomposition import RESIDUAL_TOL, Decomposition, Term, term_from_vector
 from .errors import (DegenerateSystemError, PreconditionError, RetryExhausted,
                      RootFindingError, ZeroFormError)
 from .forms import (Form, ProjectivePoint, complex_coords, distinct_points, is_exact_scalar,
-                    power_of_linear, random_combination, random_form, same_point)
-from .linalg import (SPAN_TOL, exact_rank, numeric_nullspace, numeric_rank,
-                     solve_columns)
-from .monomials import space_dim
+                    power_of_linear, random_combination, same_point)
+from .linalg import SPAN_TOL, numeric_nullspace, numeric_rank, solve_columns
+from .monomials import embedding_table, space_dim
 from .roots import (binary_form_roots, exact_degree_drop, is_squarefree_binary,
                     rational_roots)
 
@@ -97,16 +108,173 @@ def open_rank_binary(f: Form) -> int:
 # -- line embeddings --------------------------------------------------------
 
 
-def line_embedding(u, v, d: int) -> list[Form]:
-    """The images U^(d-j) V^j, j = 0..d, of the binary monomials of degree d."""
-    n = len(u)
-    fu, fv = Form(n, 1, tuple(u)), Form(n, 1, tuple(v))
-    u_pows = [Form(n, 0, (Fraction(1),))]
-    v_pows = list(u_pows)
-    for _ in range(d):
-        u_pows.append(u_pows[-1] * fu)
-        v_pows.append(v_pows[-1] * fv)
-    return [u_pows[d - j] * v_pows[j] for j in range(d + 1)]
+#: exact vectors ride in float64 when each numerator 1-norm, raised to the
+#: degree, stays below this: every product and partial sum of their powers
+#: and columns is then an integer that float64 holds exactly, in any order
+_FLOAT64_EXACT = 2 ** 53
+
+
+@lru_cache(maxsize=None)
+def _embedding_plan(n: int, d: int) -> tuple:
+    """`embedding_table(n, d)` as index arrays (cells, lefts, rights), and
+    its column 1 as the power step W^d = W^(d-1) * W: cells within W^d,
+    lefts into W^0, ..., W^(d-1) laid end to end, rights into W itself."""
+    cells, lefts, rights = np.array(embedding_table(n, d), dtype=np.intp).reshape(-1, 3).T
+    size = space_dim(n, d)
+    step = slice(size, size + space_dim(n, d - 1) * n)
+    return cells, lefts, rights, (cells[step] - size, lefts[step], rights[step] - 1)
+
+
+def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entrywise products of a and b, each (parts, rows, k): integers (one
+    part), or complex numbers as (real, imag), whose product is written out
+    in real arithmetic as Python writes it (numpy's own complex product may
+    fuse a multiply and an add, and then differ in a last bit)."""
+    if len(a) == 1:
+        return a * b
+    t = a[:, None] * b[None]  # every real product, each rounded once
+    return np.stack((t[0, 0] - t[1, 1], t[0, 1] + t[1, 0]))
+
+
+def _cell_sums(p: np.ndarray, cells: np.ndarray, size: int) -> np.ndarray:
+    """The products p (parts, rows, k) added into `size` cells per row: from
+    zero, one at a time in plan order (np.add.at is unbuffered)."""
+    parts, rows = p.shape[:2]
+    flat = (cells + size * np.arange(parts * rows)[:, None]).ravel()
+    acc = np.zeros(parts * rows * size, dtype=p.dtype)
+    np.add.at(acc, flat, p.ravel())
+    return acc.reshape(parts, rows, size)
+
+
+def _powers(w: np.ndarray, d: int) -> np.ndarray:
+    """W^0, ..., W^d laid end to end for each row W of w (parts, rows, n),
+    by the plan's power steps."""
+    parts, rows, n = w.shape
+    out = np.zeros((parts, rows, space_dim(n + 1, d)), dtype=w.dtype)  # degrees <= d
+    out[0, :, 0] = 1
+    start = 1
+    for m in range(1, d + 1):
+        cells, lefts, rights = _embedding_plan(n, m)[3]
+        size = space_dim(n, m)
+        products = _products(np.take(out, lefts, axis=2), np.take(w, rights, axis=2))
+        out[:, :, start:start + size] = _cell_sums(products, cells, size)
+        start += size
+    return out
+
+
+def _int_quotient(num: int, den: int) -> float:
+    """num / den by int division; past the float range, an infinity."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _quotients(num: np.ndarray, den) -> np.ndarray:
+    """num / den entrywise (integers), each rounded as int division rounds
+    it: the bits of complex(Fraction(num, den)), or an infinity where that
+    overflows (the exact columns of a line far past the float range are
+    still exact).  numpy divides where every denominator is a float64
+    exactly, since IEEE division of exact operands rounds correctly too;
+    otherwise Python divides the ints."""
+    den = np.asarray(den, dtype=object)
+    if num.dtype != object and all(x.bit_length() < 1024 and int(float(x)) == x
+                                   for x in set(den.flat)):
+        return num / den.astype(float)
+    if num.dtype != object:  # integers below 2^53, held exactly
+        num = num.astype(np.int64).astype(object)
+    return np.vectorize(_int_quotient, otypes=[float])(num, den)
+
+
+def line_embedding(spans, d: int) -> tuple[np.ndarray, list]:
+    """The images U^(d-j) V^j, j = 0..d, of the binary monomials on each line.
+
+    `spans` lists the lines as pairs (u, v).  Returns (floats, exact):
+    column i (d + 1) + j of the C-ordered complex N x len(spans) (d + 1)
+    matrix `floats` is the image of s^(d-j) t^j on line i, and entry
+    i (d + 1) + j of `exact` is that image as (integer numerators,
+    denominator) where it is exact (see the module docstring), else None.
+
+    Exact powers are integer numerators over den^m: in float64, with zero
+    imaginary parts in the float vectors' batch, while `_FLOAT64_EXACT`
+    holds for every exact vector, else Python ints.  Float columns run the
+    loop plan of `embedding_table` in its order on the complex views of
+    their factors, with the complex product written out.  A zero factor,
+    which the `Form` loops skip, adds a signed zero here, and that leaves
+    every partial sum as it is: a sum that starts at +0.0 never reads -0.0.
+    """
+    n = len(spans[0][0])
+    size, width = space_dim(n, d), d + 1
+    vectors = [w for span in spans for w in span]
+    exact = [all(map(is_exact_scalar, w)) for w in vectors]
+    dens = [math.lcm(*(x.denominator for x in w)) if e else None
+            for w, e in zip(vectors, exact)]
+    rows = [[x.numerator * (den // x.denominator) for x in w] if den else complex_coords(w)
+            for w, den in zip(vectors, dens)]
+    # (at d = 0 the numerators themselves still enter the batch)
+    big = any(den and sum(map(abs, r)) ** max(d, 1) >= _FLOAT64_EXACT
+              for r, den in zip(rows, dens))
+    powers = {}  # vector index -> its powers as (real, imag), or (Python ints,)
+    batches = ([i for i, e in enumerate(exact) if not (big and e)],
+               [i for i, e in enumerate(exact) if big and e])
+    for batch, dtype in zip(batches, (complex, object)):
+        if batch:
+            w = np.array([rows[i] for i in batch], dtype=dtype)
+            w = np.stack((w.real, w.imag)) if dtype is complex else w[None]
+            powers.update(zip(batch, _powers(w, d).transpose(1, 0, 2)))
+
+    def factor(i, exact_line):  # vector i's powers: its numerators, or its complex view
+        if exact_line:
+            return powers[i][:1]
+        if not exact[i]:
+            return powers[i]
+        m_dens = [dens[i] ** m for m in range(d + 1) for _ in range(space_dim(n, m))]
+        return np.stack((_quotients(powers[i][0], m_dens), np.zeros(len(m_dens))))
+
+    def top_power(i):  # W^d of vector i as (integer numerators, den): exact, or d = 0
+        return ([1], 1) if d == 0 else (list(map(int, powers[i][0][-size:])), dens[i] ** d)
+
+    cells, lefts, rights = _embedding_plan(n, d)[:3]
+    columns = np.empty((len(spans), width, size), dtype=complex)
+    out = [None] * (len(spans) * width)
+    exact_lines = [exact[2 * i] and exact[2 * i + 1] for i in range(len(spans))]
+    for exact_group in (True, False):
+        lines = [i for i, e in enumerate(exact_lines) if e == exact_group]
+        if not lines:
+            continue
+        left, right = (np.stack([factor(2 * i + s, exact_group) for i in lines], axis=1)
+                       for s in (0, 1))
+        products = _products(np.take(left, lefts, axis=2), np.take(right, rights, axis=2))
+        sums = _cell_sums(products, cells, width * size)
+        sums = sums.reshape(len(sums), len(lines), width, size)
+        if exact_group:
+            col_dens = [[dens[2 * i] ** (d - j) * dens[2 * i + 1] ** j for j in range(width)]
+                        for i in lines]
+            columns[lines] = _quotients(sums[0], np.array(col_dens, dtype=object)[..., None])
+            ints = (sums[0] if big else sums[0].astype(np.int64)).tolist()
+            for i, line, line_dens in zip(lines, ints, col_dens):
+                out[i * width:(i + 1) * width] = zip(line, line_dens)
+        else:
+            z = np.empty(sums.shape[1:], dtype=complex)
+            z.real, z.imag = sums
+            columns[lines] = z
+            for i in lines:
+                if exact[2 * i] or d == 0:
+                    out[i * width] = top_power(2 * i)
+                if exact[2 * i + 1] and d:
+                    out[i * width + d] = top_power(2 * i + 1)
+    return np.ascontiguousarray(columns.transpose(2, 0, 1).reshape(size, -1)), out
+
+
+def solve_on_lines(f: Form, spans) -> tuple[list, float, int] | None:
+    """`solve_columns` of f against the line embeddings of `spans`, laid
+    side by side: exact when f and every column are, else on the complex
+    floats of the columns and of f."""
+    floats, exact = line_embedding(spans, f.degree)
+    if f.is_exact and None not in exact:
+        return solve_columns([[Fraction(x, den) for x in num] for num, den in exact],
+                             f.coeffs, tol=SPAN_TOL)
+    return solve_columns(floats, f.floats(), tol=SPAN_TOL)
 
 
 def embed_binary(g: Form, u, v) -> Form:
@@ -118,11 +286,15 @@ def embed_binary(g: Form, u, v) -> Form:
     """
     if g.num_vars != 2:
         raise PreconditionError("embed_binary wants a binary form")
-    total = Form.zero(len(u), g.degree, exact=g.is_exact)
+    n = len(u)
+    total = Form.zero(n, g.degree, exact=g.is_exact)
     if not g.is_exact:
         u, v = [complex(x) for x in u], [complex(x) for x in v]
-    for c, column in zip(g.coeffs, line_embedding(u, v, g.degree)):
+    floats, exact = line_embedding([(u, v)], g.degree)
+    for j, c in enumerate(g.coeffs):
         if c != 0:
+            column = (Form(n, g.degree, floats[:, j].tolist()) if exact[j] is None
+                      else Form(n, g.degree, [Fraction(x, exact[j][1]) for x in exact[j][0]]))
             total = total + column.scale(c)
     return total
 
@@ -133,8 +305,7 @@ def form_on_line(f: Form, u, v) -> Form | None:
     Succeeds exactly when f lies in the span of powers of linear forms
     from the line through u and v.
     """
-    solved = solve_columns([c.coeffs for c in line_embedding(u, v, f.degree)], f.coeffs,
-                           tol=SPAN_TOL)
+    solved = solve_on_lines(f, [(u, v)])
     return None if solved is None else Form(2, f.degree, tuple(solved[0]))
 
 
@@ -185,12 +356,16 @@ def initial_degree_any(f: Form) -> int:
     Exact input goes through `apolar_initial_degree` (the middle
     catalecticant rank); float input takes the first catalecticant whose
     numeric rank leaves a kernel, since a numeric rank cut at the middle
-    need not agree with that scan.
+    need not agree with that scan.  Past the middle (e >= 2, 2e > d) Cat(e)
+    has d - e + 1 < e + 1 columns, so it leaves a kernel without an SVD;
+    Cat(1) has read every coefficient by then, so a NaN raises there.
     """
     if f.is_exact:
         return apolar_initial_degree(f)
     d = f.degree
     for e in range(1, d + 1):
+        if e >= 2 and 2 * e > d:
+            return e
         m = numeric_catalecticant(f, e)
         if numeric_rank(m) < space_dim(2, e):
             return e
@@ -409,34 +584,3 @@ def decompose_binary_bounded(f: Form, avoid: AvoidanceSet | None,
     return _sample_decomposition(
         f, size, avoid, seed, tol, retries,
         provenance={"route": route, "initial_degree": b})
-
-
-# -- generic ranks inside subspaces ------------------------------------------
-
-
-def generic_rank_in_subspace(degree: int, k: int, trials: int = 100,
-                             seed: int = 0) -> int:
-    """Max rank over random points of random k-planes in P(S_degree), binary.
-
-    Each trial spans a projective k-plane by k+1 random exact forms
-    (independence certified by exact rank) and takes one random point on
-    it.  Returns the largest Waring rank observed; a statistical probe of
-    the rank cap max(d+1-k, (d+2)/2) for generic points of k-planes.
-    """
-    d = degree
-    if not 0 <= k <= d:
-        raise PreconditionError("need a k-plane of P(S_d): 0 <= k <= d")
-    rng = random.Random(seed)
-    worst = 0
-    for _ in range(trials):
-        while True:
-            basis = [random_form(2, d, rng.randrange(1 << 30)) for _ in range(k + 1)]
-            rows = [list(g.coeffs) for g in basis]
-            if exact_rank(rows) == k + 1:
-                break
-        while True:
-            combo = random_combination(rng, basis, 9)
-            if combo is not None:
-                break
-        worst = max(worst, rank_binary(combo))
-    return worst

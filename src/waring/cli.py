@@ -23,7 +23,7 @@ from functools import partial
 
 from .apolarity import cat_rank_table, essential_variables
 from .avoidance import AvoidanceSet
-from .binary import border_rank_binary, generic_rank_in_subspace, open_rank_binary, rank_binary
+from .binary import border_rank_binary, open_rank_binary, rank_binary
 from .certify import (
     BOUND_WITNESS_CLAIM,
     ROUTES,
@@ -176,19 +176,6 @@ def _cmd_verify(args) -> int:
     return _emit(cert, args.text)
 
 
-def _cmd_crn_sample(args) -> int:
-    observed = generic_rank_in_subspace(args.d, args.k, trials=args.trials,
-                                        seed=args.seed)
-    cap = max(args.d + 1 - args.k, (args.d + 2) // 2)
-    payload = {"command": "crn-sample", "d": args.d, "k": args.k,
-               "trials": args.trials, "max_observed": observed,
-               "bound": cap, "within_bound": observed <= cap,
-               "version": VERSION}
-    text = f"max observed rank {observed} vs bound {cap} over {args.trials} trials"
-    code = _print_value(payload, args.text, text)
-    return code if observed <= cap else EXIT_RETRY
-
-
 # -- parser --------------------------------------------------------------------
 
 
@@ -258,13 +245,6 @@ def _build_parser() -> _Parser:
                        help="replay a JSON certificate ('-' reads stdin)")
     p.add_argument("input", help="certificate JSON text, file path, or '-'")
     p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("crn-sample", parents=[common],
-                       help="probe the generic rank cap on binary pencils")
-    p.add_argument("d", type=int, help="degree of the sampled forms")
-    p.add_argument("k", type=int, help="projective dimension of the subspace")
-    p.add_argument("trials", type=int, nargs="?", default=100)
-    p.set_defaults(handler=_cmd_crn_sample)
 
     return parser
 

@@ -231,24 +231,29 @@ def solve_columns(columns: Sequence[Sequence], target: Sequence,
                   tol: float | None = None) -> tuple[list, float, int] | None:
     """Weights x with sum_j x[j] * columns[j] = target, the residual, the rank.
 
-    When every entry is exact (Fraction or int) this is `exact_solve`: it
-    returns (x, 0.0, rank), or None when the system is inconsistent.
-    Otherwise it is an equilibrated least-squares solve: each column is
-    divided by its largest magnitude (1 for a zero or subnormal column,
-    where complex division overflows), the scaled system is solved, and
-    the solution is divided back, so columns of very different size (high
-    powers of points) keep their digits.  The residual
+    `columns` is a sequence of columns, or a complex numpy matrix that
+    holds them side by side, one row per target entry, which takes the
+    float path as it is.  When every entry is exact (Fraction or int) this
+    is `exact_solve`: it returns (x, 0.0, rank), or None when the system is
+    inconsistent.  Otherwise it is an equilibrated least-squares solve:
+    each column is divided by its largest magnitude (1 for a zero or
+    subnormal column, where complex division overflows), the scaled system
+    is solved, and the solution is divided back, so columns of very
+    different size (high powers of points) keep their digits.  The residual
     max|Mx - b| / max(1, max|b|) comes back with the numeric rank of the
     scaled matrix; with `tol` set, a residual above it (or NaN) gives None.
     """
-    if (all(isinstance(b, (Fraction, int)) for b in target)
+    if isinstance(columns, np.ndarray):  # complex columns, side by side
+        m = columns
+    elif (all(isinstance(b, (Fraction, int)) for b in target)
             and all(isinstance(x, (Fraction, int)) for col in columns for x in col)):
         matrix = [[col[r] for col in columns] for r in range(len(target))]
         x, rank = exact_solve_with_rank(matrix, list(target))
         return None if x is None else (x, 0.0, rank)
-    # numpy converts an exact entry through its __float__, numerator /
-    # denominator, the value complex() gives; the copy keeps the row layout
-    m = np.array(columns, dtype=complex).reshape(len(columns), len(target)).T.copy()
+    else:
+        # numpy converts an exact entry through its __float__, numerator /
+        # denominator, the value complex() gives; the copy keeps the row layout
+        m = np.array(columns, dtype=complex).reshape(len(columns), len(target)).T.copy()
     rhs = np.array(target, dtype=complex)
     scale = np.abs(m).max(axis=0)
     scale[scale < np.finfo(float).tiny] = 1.0

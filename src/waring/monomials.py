@@ -12,6 +12,14 @@ two index tables cached per shape: `product_table` (index of a product) and
 `contraction_table` (index and falling factorial of each nonzero
 derivative).  Both list pairs in monomial order, so a kernel adds its
 products in the order the exponent-tuple loops did: same order, same bits.
+
+A third table, `embedding_table`, is the loop plan of the line embedding
+U^(d-j) V^j, j = 0..d, which `binary.line_embedding` runs without building
+a `Form`: every product of a monomial pair, with the cell it is added into,
+in the order the `Form` product loops add them.  Its float path rests on
+one rule: same order, and each complex product written out in real
+arithmetic as Python computes it (numpy's own complex product may fuse the
+multiply and the add, and then a last bit differs).
 """
 
 from __future__ import annotations
@@ -55,6 +63,29 @@ def product_table(num_vars: int, da: int, db: int) -> tuple[tuple[int, ...], ...
     index = _index_table(num_vars, da + db)
     return tuple(tuple(index[tuple(x + y for x, y in zip(a, b))] for b in exponents(num_vars, db))
                  for a in exponents(num_vars, da))
+
+
+@lru_cache(maxsize=None)
+def embedding_table(num_vars: int, degree: int) -> tuple[tuple[int, int, int], ...]:
+    """The loop plan of the products U^(d-j) * V^j, j = 0..d, for d = degree.
+
+    One triple (cell, left, right) per product of a monomial pair: the
+    left-th entry of U^0, ..., U^d laid end to end times the right-th of
+    V^0, ..., V^d is added into cell j * N + ib of the d + 1 product
+    columns laid end to end (N monomials of degree d, ib the index of the
+    product monomial).  Column j follows column j - 1, and within it the
+    triples come in the order the product loops add them, left factor
+    outer, so every cell receives its pairs in that order.  Column 1 is
+    the power step W^d = W^(d-1) * W.
+    """
+    starts = [0]
+    for m in range(degree + 1):
+        starts.append(starts[-1] + space_dim(num_vars, m))
+    size = space_dim(num_vars, degree)
+    return tuple((j * size + ib, starts[degree - j] + ia, starts[j] + ig)
+                 for j in range(degree + 1)
+                 for ia, row in enumerate(product_table(num_vars, degree - j, j))
+                 for ig, ib in enumerate(row))
 
 
 @lru_cache(maxsize=None)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .apolarity import catalecticant, essential_subspace, essential_variables
 from .binary import (decompose_binary, decompose_binary_bounded, decompose_on_line,
-                     line_embedding, push_decomposition)
+                     push_decomposition, solve_on_lines)
 from .decomposition import RESIDUAL_TOL, Decomposition, term_from_vector
 from .errors import (
     DegenerateSystemError,
@@ -49,7 +49,7 @@ from .forms import (
     power_of_linear,
     random_combination,
 )
-from .linalg import SPAN_TOL, numeric_nullspace, solve_columns
+from .linalg import SPAN_TOL, numeric_nullspace
 from .plane import (
     UNIT_DUALS,
     apart,
@@ -114,12 +114,12 @@ def concurrent(a: Form, b: Form, c: Form) -> bool:
     """
     if a.is_exact and b.is_exact and c.is_exact:
         return det3((a.numerators()[0], b.numerators()[0], c.numerators()[0])) == 0
-    return _through(c, _meet(a, b))
+    return _through(c, complex_coords(_meet(a, b)))
 
 
 def _through(c: Form, u: tuple) -> bool:
-    """The float branch of `concurrent`: line c at the point u of the other two."""
-    u = complex_coords(u)
+    """The float branch of `concurrent`: line c at the point u of the other
+    two, given as complex floats."""
     return abs(evaluate(c, u)) <= CONCURRENCY_TOL * (max(map(abs, u)) * max(1.0, c.max_abs()))
 
 
@@ -130,10 +130,11 @@ def _through(c: Form, u: tuple) -> bool:
 class LineSystem:
     """Pairwise distinct lines in the plane, given by their linear duals.
 
-    A system keeps what it has decided: each pairwise meet, computed once
-    for `in_general_position` and the see-saw points of a split, and the
-    form f for which `annihilating_lines` or `minimize_annihilating` made
-    it, which `annihilates` then passes without a check.
+    A system keeps what it has decided: each pairwise meet with its
+    complex view, each computed once for `in_general_position` and the
+    see-saw points of a split, and the form f for which
+    `annihilating_lines` or `minimize_annihilating` made it, which
+    `annihilates` then passes without a check.
     """
 
     lines: tuple[Form, ...]
@@ -183,12 +184,16 @@ class LineSystem:
         basis = numeric_nullspace(row / np.abs(row).max())
         return tuple(basis[0]), tuple(basis[1])
 
-    def intersection(self, i: int, j: int) -> tuple:
+    def intersection(self, i: int, j: int, floats: bool) -> tuple:
         """The common point of lines i < j: exact when both lines are, else
-        from their complex views (the bits mixed arithmetic gives); kept."""
+        from their complex views (the bits mixed arithmetic gives); with
+        `floats`, its complex view.  Both are kept, so each meet is computed
+        and converted once."""
         if (i, j) not in self._meets:
-            self._meets[i, j] = _meet(self.lines[i], self.lines[j])
-        return self._meets[i, j]
+            meet = _meet(self.lines[i], self.lines[j])
+            self._meets[i, j] = meet, complex_coords(meet)
+        meet, view = self._meets[i, j]
+        return view if floats else meet
 
     def annihilates(self, f: Form) -> bool:
         return self._annihilated is f or annihilates(self.lines, f)
@@ -199,7 +204,7 @@ class LineSystem:
         lines = self.lines
         return not any(concurrent(lines[i], lines[j], lines[m])
                        if all(lines[n].is_exact for n in (i, j, m))
-                       else _through(lines[m], self.intersection(i, j))
+                       else _through(lines[m], self.intersection(i, j, True))
                        for i, j, m in combinations(range(len(lines)), 3))
 
 
@@ -574,21 +579,30 @@ def _note_residual(rejects: dict, residual: float | None) -> None:
         rejects["best_residual"] = residual if best is None else min(best, residual)
 
 
-def _line_coordinates(x, span):
+def _line_frame(span) -> tuple:
+    """A line's span (u, v) with w* and w.w*, for w = u x v and w* its
+    complex conjugate (w itself on an exact span): what
+    `_line_coordinates` reads of the line, computed once per line."""
+    u, v = span
+    w = cross(u, v)
+    exact = all(map(is_exact_scalar, (*u, *v)))
+    w_bar = w if exact else tuple(c.conjugate() for c in w)
+    return u, v, w_bar, sum(p * q for p, q in zip(w, w_bar)), exact
+
+
+def _line_coordinates(x, frame):
     """Coordinates (a, b) of a point x in a line's own basis: x = a u + b v.
 
     In closed form, with w = u x v: x x v = a w and u x x = b w, so
     a = (x x v).w* / (w.w*) and b = (u x x).w* / (w.w*), w* the complex
-    conjugate.  Exact data take plain dot products, which give the
-    Fractions of the unique exact solution.  A point off its line raises
-    DegenerateSystemError: exactly when a u + b v differs from x, on
-    floats when max|a u + b v - x| exceeds SPAN_TOL * max(1, max|x|).
+    conjugate; `frame` is the line's `_line_frame`.  Exact data take plain
+    dot products, which give the Fractions of the unique exact solution.
+    A point off its line raises DegenerateSystemError: exactly when
+    a u + b v differs from x, on floats when max|a u + b v - x| exceeds
+    SPAN_TOL * max(1, max|x|).
     """
-    u, v = span
-    w = cross(u, v)
-    exact = all(is_exact_scalar(c) for c in (*x, *u, *v))
-    w_bar = w if exact else tuple(c.conjugate() for c in w)
-    norm = sum(p * q for p, q in zip(w, w_bar))
+    u, v, w_bar, norm, exact = frame
+    exact = exact and all(map(is_exact_scalar, x))
     a = sum(p * q for p, q in zip(cross(x, v), w_bar)) / norm
     b = sum(p * q for p, q in zip(cross(u, x), w_bar)) / norm
     miss = [a * p + b * q - c for p, q, c in zip(u, v, x)]
@@ -606,7 +620,16 @@ def split_on_lines(f: Form, system: LineSystem) -> SplitProblem:
     generator per pair of lines); a dimension mismatch means the system
     is degenerate and should be resampled.  A system that carries f (see
     `LineSystem`) is not checked for annihilation again; the see-saw points
-    are its kept meets, and a float solve reads the kept complex views.
+    are its kept meets, read through their kept complex views on a float
+    split, and each line's frame for them is computed once.
+
+    The columns come from one `line_embedding` of all the spans, with no
+    `Form` built.  On an exact system and an exact f they are exact and
+    the solve is exact.  Otherwise `solve_columns` takes one complex
+    N x (k + 1)(d + 1) matrix and the complex view of f.  There the float
+    lines' columns have the bits of the `Form` product loops, and the
+    exact lines' columns, integers over one denominator each, become
+    floats once by int division, with the bits of complex(Fraction).
     """
     if f.num_vars != 3:
         raise PreconditionError("split_on_lines expects a ternary form")
@@ -622,11 +645,8 @@ def split_on_lines(f: Form, system: LineSystem) -> SplitProblem:
     exact = f.is_exact and system.is_exact
 
     # the equilibrated solve keeps the rank count from being thrown off by
-    # the very different magnitudes of high powers of the span vectors; the
-    # float solves read the complex views that exact forms keep
-    columns = [col.coeffs if exact else col.floats()
-               for u, v in spans for col in line_embedding(u, v, d)]
-    solved = solve_columns(columns, f.coeffs if exact else f.floats(), tol=SPAN_TOL)
+    # the very different magnitudes of high powers of the span vectors
+    solved = solve_on_lines(f, spans)
     if solved is None:
         raise DegenerateSystemError("annihilating system failed to split the form")
     sol, _, rank = solved
@@ -644,14 +664,13 @@ def split_on_lines(f: Form, system: LineSystem) -> SplitProblem:
     # keep the generators on the particular solution's backend even where
     # two exact lines meet: mixing them would convert every Fraction again
     # on each sampled tuple; exact spans and points are converted once here
-    bases = spans if exact else [tuple(map(complex_coords, span)) for span in spans]
+    frames = [_line_frame(span if exact else tuple(map(complex_coords, span)))
+              for span in spans]
     seesaws = []  # each point in its two lines' coordinates; a point off a line raises here
     for i, j in combinations(range(k + 1), 2):
-        u_ij = system.intersection(i, j)
-        if not exact:
-            u_ij = complex_coords(u_ij)
-        seesaws.append((i, j, _line_coordinates(u_ij, bases[i]),
-                        _line_coordinates(u_ij, bases[j])))
+        u_ij = system.intersection(i, j, not exact)
+        seesaws.append((i, j, _line_coordinates(u_ij, frames[i]),
+                        _line_coordinates(u_ij, frames[j])))
 
     def generators():
         # scale each see-saw generator to the size of the particular solution,

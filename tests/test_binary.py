@@ -15,7 +15,6 @@ from waring.binary import (
     decompose_binary_bounded,
     embed_binary,
     form_on_line,
-    generic_rank_in_subspace,
     open_rank_binary,
     rank_binary,
 )
@@ -144,6 +143,32 @@ def test_binary_invariants_take_one_rank_and_at_most_one_kernel_each(monkeypatch
     verify_decomposition(f, dec)
     # the certificate's rank table: one rank-only elimination per delta
     assert calls == {"exact_nullspace": 0, "exact_rank": f.degree - 1}
+
+
+def scan_every_catalecticant(f):
+    """The float initial degree as the scan read it before it stopped at the
+    middle: the first catalecticant whose numeric rank leaves a kernel."""
+    for e in range(1, f.degree + 1):
+        if binary.numeric_rank(binary.numeric_catalecticant(f, e)) < e + 1:
+            return e
+
+
+def test_float_initial_degree_takes_no_svd_past_the_middle(monkeypatch):
+    # random forms (generic b), monomials (b = min(k, d - k) + 1) and sums of
+    # one or two powers (b = 1, 2), all as floats
+    cases = [random_form(2, d, s) for d in range(1, 13) for s in range(3)]
+    cases += [Form(2, d, tuple(F(int(i == k)) for i in range(d + 1)))
+              for d in range(1, 10) for k in range(d + 1)]
+    cases += [sum_of_powers(pts, d) for d in range(1, 10)
+              for pts in (((F(2), F(-1)),), ((F(1), F(3)), (F(2), F(1))))]
+    svds = []
+    rank = binary.numeric_rank
+    monkeypatch.setattr(binary, "numeric_rank", lambda m: svds.append(m.shape) or rank(m))
+    for f in (g.to_float() for g in cases):
+        svds.clear()
+        b = binary.initial_degree_any(f)
+        assert len(svds) <= max(1, f.degree // 2)
+        assert b == scan_every_catalecticant(f)
 
 
 # -- line embeddings ----------------------------------------------------------
@@ -419,23 +444,3 @@ def test_root_finding_failure_is_a_retry_signal(monkeypatch):
         decompose_binary_bounded(f, None, 10)
     with pytest.raises(RetryExhausted):
         decompose_binary(f)
-
-# -- generic ranks in subspaces ----------------------------------------------
-
-
-def test_generic_rank_in_subspace_full_space():
-    # k = d: the whole space; generic rank caps at max(1, (d+2)/2 floored)
-    assert generic_rank_in_subspace(4, 4, trials=30, seed=1) == 3
-    assert generic_rank_in_subspace(5, 5, trials=30, seed=1) == 3
-
-
-def test_generic_rank_in_subspace_point():
-    # k = 0: a single random form; its rank is at most d
-    d = 5
-    r = generic_rank_in_subspace(d, 0, trials=20, seed=2)
-    assert 1 <= r <= d
-
-
-def test_generic_rank_in_subspace_validates_k():
-    with pytest.raises(PreconditionError):
-        generic_rank_in_subspace(4, 5)

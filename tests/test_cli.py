@@ -190,14 +190,6 @@ def test_witness_with_non_numeric_weights_exits_1(capsys):
     assert err.startswith("input error:")
 
 
-def test_crn_sample_stays_within_the_bound(capsys):
-    code, out, _ = run(capsys, "crn-sample", "6", "2", "5")
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    assert (payload["max_observed"], payload["bound"]) == (4, 5)
-    assert payload["within_bound"]
-
-
 @pytest.mark.parametrize("form, bound", [
     ("x0^4 + x1^4 + x2^4 + x0*x1*x2^2", {"value": 8, "source_tag": BOUND_QUARTIC_EIGHT}),
     ("x0^5+x1^5+x2^5+x0*x1*x2^3", {"value": 12, "source_tag": BOUND_ODD_SPLIT}),

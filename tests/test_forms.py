@@ -736,15 +736,43 @@ def test_numerator_storage_matches_canonical_fractions(case, scalar):
     assert bits(contract(c, floats)) == bits(reference_contract(ec, floats))
 
 
+# `line_embedding` builds no `Form`: an exact vector's powers are integer
+# numerators, gathered in float64 below 2^53 and as Python ints above it,
+# and a float column runs the loop plan with the complex product written
+# out.  The vectors below reach every path: floats with signed zeros and
+# magnitudes from 1e-200 to 1e6, dyadic numerators near 2^20 (past the
+# float64 bound from d = 3 on), small non-dyadic fractions, and mixed
+# coordinates; a span takes any two of them.
+DYADIC = st.builds(lambda k, e: Fraction(k, 2 ** e),
+                   st.one_of(st.integers(-8, 8), st.integers(-2 ** 21, 2 ** 21)),
+                   st.integers(0, 22))
+EMBEDDED = {"float": FLOAT, "dyadic": DYADIC,
+            "fraction": st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)), "mixed": SPAN}
+
+
+@st.composite
+def embedded_spans(draw, n):
+    def vector():
+        return draw(st.lists(EMBEDDED[draw(st.sampled_from(sorted(EMBEDDED)))],
+                             min_size=n, max_size=n))
+    return vector(), vector()
+
+
 @KERNEL
-@given(st.lists(SPAN, min_size=6, max_size=6), st.integers(0, 7))
-def test_line_embedding_columns_are_embedded_unit_monomials(vectors, d):
-    u, v = vectors[:3], vectors[3:]
-    columns = line_embedding(u, v, d)
-    assert len(columns) == d + 1
-    for j, column in enumerate(columns):
-        unit = Form(2, d, tuple(Fraction(int(i == j)) for i in range(d + 1)))
-        assert bits(column) == bits(embed_binary(unit, u, v))
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(embedded_spans(n), min_size=1, max_size=2)),
+       st.integers(0, 7))
+def test_line_embedding_is_the_reference_images_of_the_unit_monomials(spans, d):
+    n = len(spans[0][0])
+    floats, exact = line_embedding(spans, d)
+    assert floats.shape == (space_dim(n, d), len(spans) * (d + 1)) == (space_dim(n, d), len(exact))
+    for c, (u, v) in enumerate(span for span in spans for _ in range(d + 1)):
+        j = c % (d + 1)
+        want = reference_embed(Form(2, d, tuple(Fraction(int(i == j)) for i in range(d + 1))), u, v)
+        got = floats[:, c].tolist()
+        assert [repr(z) for z in got] == [repr(z) for z in want.floats()]
+        if exact[c] is not None:
+            got = [Fraction(x, exact[c][1]) for x in exact[c][0]]
+        assert bits(Form(n, d, got)) == bits(want)
 
 
 @KERNEL

@@ -87,7 +87,7 @@ def test_line_system_geometry():
         for w in (u, v):
             assert sum(a * b for a, b in zip(ell, w)) == 0
     # intersection of x0 = 0 and x1 = 0 is the point (0, 0, 1)
-    p = sys.intersection(0, 1)
+    p = sys.intersection(0, 1, False)
     nz = next(c for c in p if c != 0)
     assert tuple(F(c) / nz for c in p) == (F(0), F(0), F(1))
     assert sys.in_general_position()
@@ -612,10 +612,18 @@ def test_a_system_made_for_f_is_not_checked_again_and_meets_once(monkeypatch):
     assert minimize_annihilating(f, system) is system
     assert checks == [n - 1] * n
     # the split checks nothing, and computes only the meets that the
-    # general-position test of the float triples left
+    # general-position test of the float triples left; it converts each of
+    # those once and the kept ones not again, beside the two span vectors
+    # of each line, and takes each line's frame once
     kept = len(system._meets)
+    converted, frames = [], []
+    real_coords, real_frame = ternary.complex_coords, ternary._line_frame
+    monkeypatch.setattr(ternary, "complex_coords",
+                        lambda xs: converted.append(1) or real_coords(xs))
+    monkeypatch.setattr(ternary, "_line_frame", lambda span: frames.append(1) or real_frame(span))
     split = split_on_lines(f, system)
     assert checks == [n - 1] * n and 0 < kept < len(meets) + kept == math.comb(n, 2)
+    assert len(converted) == len(meets) + 2 * n and len(frames) == n
     assert split.solution_dim == math.comb(n, 2)
     # any other form is checked
     with pytest.raises(PreconditionError):
@@ -683,8 +691,9 @@ def test_split_on_lines_two_planted_lines():
 # -- see-saw coordinates ------------------------------------------------------
 #
 # `_line_coordinates` writes a point x of a line spanned by (u, v) as
-# x = a u + b v in closed form, through the cross product w = u x v.  The
-# reference is the span solve it replaced, `solve_columns`.
+# x = a u + b v in closed form, through the cross product w = u x v, which
+# `_line_frame` takes once per line.  The reference is the span solve it
+# replaced, `solve_columns`.
 
 nonzero_duals = st.lists(st.integers(-5, 5), min_size=3, max_size=3).filter(any)
 small_fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
@@ -695,7 +704,7 @@ small_fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
 def test_line_coordinates_are_the_exact_solve(dual, a, b):
     u, v = plane_basis([F(c) for c in dual])
     x = tuple(a * p + b * q for p, q in zip(u, v))
-    got = ternary._line_coordinates(x, (u, v))
+    got = ternary._line_coordinates(x, ternary._line_frame((u, v)))
     assert got == (a, b)
     assert all(type(c) is Fraction for c in got)
     assert list(got) == solve_columns((u, v), x)[0]
@@ -712,7 +721,7 @@ def test_line_coordinates_agree_with_the_float_solve(dual, parts):
     a, b = complex(parts[0], parts[1]), complex(parts[2], parts[3])
     for u, v in (orthonormal, pivot):
         x = tuple(a * p + b * q for p, q in zip(u, v))
-        got = ternary._line_coordinates(x, (u, v))
+        got = ternary._line_coordinates(x, ternary._line_frame((u, v)))
         assert all(type(c) is complex for c in got)
         want = solve_columns((u, v), x)[0]
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
@@ -722,13 +731,13 @@ def test_line_coordinates_reject_a_point_off_the_line():
     u, v = plane_basis([F(1), F(-2), F(3)])
     off = tuple(c + d for c, d in zip(u, cross(u, v)))
     with pytest.raises(DegenerateSystemError):
-        ternary._line_coordinates(off, (u, v))
+        ternary._line_coordinates(off, ternary._line_frame((u, v)))
     floats = tuple(tuple(map(complex, vec)) for vec in (u, v))
     with pytest.raises(DegenerateSystemError):
-        ternary._line_coordinates(tuple(map(complex, off)), floats)
+        ternary._line_coordinates(tuple(map(complex, off)), ternary._line_frame(floats))
     # a miss below the span tolerance is rounding, not an escape
     near = tuple(complex(c) + 1e-12 * d for c, d in zip(u, cross(u, v)))
-    assert ternary._line_coordinates(near, floats) == pytest.approx((1, 0))
+    assert ternary._line_coordinates(near, ternary._line_frame(floats)) == pytest.approx((1, 0))
 
 
 def test_float_septic_split_makes_one_least_squares_solve(monkeypatch):
