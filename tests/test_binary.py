@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -171,6 +172,18 @@ def test_float_initial_degree_takes_no_svd_past_the_middle(monkeypatch):
         assert b == scan_every_catalecticant(f)
 
 
+def test_float_initial_degree_raises_on_a_nan_as_the_full_scan_does():
+    # the NaN sits in the last coefficient, which only Cat(1) reads before
+    # the scan stops at the middle
+    for d in range(1, 9):
+        f = Form(2, d, (1 + 0j,) * d + (complex(math.nan, 0.0),))
+        with pytest.raises(Exception) as skipped:
+            binary.initial_degree_any(f)
+        with pytest.raises(Exception) as full:
+            scan_every_catalecticant(f)
+        assert type(skipped.value) is type(full.value)
+
+
 # -- line embeddings ----------------------------------------------------------
 
 
@@ -188,6 +201,31 @@ def test_embed_restrict_round_trip():
         back = form_on_line(big, u, v)
         assert back is not None
         assert back.coeffs == g.coeffs
+
+
+def test_solve_on_lines_is_exact_only_when_f_and_every_column_are():
+    # two lines of the plane meet in one point, whose cube lies on both:
+    # eight columns of rank seven, and f is the sum of one form on each line
+    spans = [((F(1), F(0), F(2)), (F(0), F(1), F(-1))), ((F(1), F(1), F(0)), (F(1, 3), F(0), F(1)))]
+    g, h = Form(2, 3, (F(1), F(0), F(-2), F(0))), Form(2, 3, (F(0), F(3), F(0), F(1)))
+    f = embed_binary(g, *spans[0]) + embed_binary(h, *spans[1])
+
+    def on_lines(x, spans):
+        parts = (Form(2, 3, tuple(x[:4])), Form(2, 3, tuple(x[4:])))
+        return embed_binary(parts[0], *spans[0]) + embed_binary(parts[1], *spans[1])
+
+    x, residual, rank = binary.solve_on_lines(f, spans)
+    assert all(type(w) is Fraction for w in x) and residual == 0.0 and rank == 7
+    assert on_lines(x, spans) == f
+    float_spans = [spans[0], tuple(tuple(complex(c) for c in w) for w in spans[1])]
+    for form, lines in ((f.to_float(), spans), (f, float_spans)):
+        x, residual, rank = binary.solve_on_lines(form, lines)
+        assert not any(isinstance(w, Fraction) for w in x)
+        assert residual < 1e-12 and rank == 7
+        assert (on_lines([complex(w) for w in x], float_spans) - f.to_float()).max_abs() < 1e-12
+    off = f + Form(3, 3, tuple(F(int(i == 4)) for i in range(10)))  # + x0 x1 x2
+    assert binary.solve_on_lines(off, spans) is None
+    assert binary.solve_on_lines(off.to_float(), spans) is None
 
 
 def test_embed_power_is_power():

@@ -32,7 +32,14 @@ from waring.forms import (
     same_point,
     substitute,
 )
-from waring.monomials import exponents, falling_product, index_of, multinomial, space_dim
+from waring.monomials import (
+    embedding_table,
+    exponents,
+    falling_product,
+    index_of,
+    multinomial,
+    space_dim,
+)
 from waring.plane import cross
 
 
@@ -762,6 +769,34 @@ def embedded_spans(draw, n):
 @given(st.integers(1, 3).flatmap(lambda n: st.lists(embedded_spans(n), min_size=1, max_size=2)),
        st.integers(0, 7))
 def test_line_embedding_is_the_reference_images_of_the_unit_monomials(spans, d):
+    assert_reference_columns(spans, d)
+
+
+def test_line_embedding_keeps_non_dyadic_numerators_past_2_53():
+    # numerators near 10^12 over 7, 11 and 13 send every exact vector of the
+    # call, the one of the mixed span too, to the Python-int path, and their
+    # columns become floats by int division, with no power of two to spare
+    big = (Fraction(10 ** 12 + 1, 7), Fraction(-3 ** 20, 11), Fraction(5, 13))
+    small = (Fraction(1, 3), Fraction(2), Fraction(-1, 5))
+    float_vector = (0.25 - 1j, -0.0 + 0j, 1e-200 + 0j)
+    for d in (3, 5, 7):
+        assert_reference_columns([(big, small), (small, float_vector), (float_vector, big)], d)
+
+
+def test_embedding_table_is_the_product_loops_column_by_column():
+    for n in (1, 2, 3):
+        for d in range(7):
+            starts = list(itertools.accumulate((space_dim(n, m) for m in range(d + 1)), initial=0))
+            want = [(j * space_dim(n, d) + index_of(tuple(x + y for x, y in zip(a, b))),
+                     starts[d - j] + index_of(a), starts[j] + index_of(b))
+                    for j in range(d + 1) for a in exponents(n, d - j) for b in exponents(n, j)]
+            assert list(embedding_table(n, d)) == want
+            assert embedding_table(n, d) is embedding_table(n, d)
+
+
+def assert_reference_columns(spans, d):
+    """Every column of `line_embedding`, floats and exact values, has the
+    bits of `reference_embed`'s image of its unit monomial."""
     n = len(spans[0][0])
     floats, exact = line_embedding(spans, d)
     assert floats.shape == (space_dim(n, d), len(spans) * (d + 1)) == (space_dim(n, d), len(exact))

@@ -242,6 +242,28 @@ def test_solve_columns_takes_a_subnormal_column_unscaled():
     assert np.allclose(x, [0, 1]) and residual < 1e-15 and rank == 1
 
 
+def test_solve_columns_takes_a_complex_matrix_as_it_is():
+    # a matrix holding the columns side by side solves as the columns do,
+    # bit for bit, and takes the float path even where its values are integers
+    rng = np.random.default_rng(7)
+    for rows, cols in ((3, 3), (5, 2), (6, 4)):
+        m = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        m[:, -1] *= 1e-6  # a small column, which the scaling brings up
+        for target in (m @ rng.normal(size=cols), rng.normal(size=rows) + 0j):
+            columns = [tuple(m[:, j].tolist()) for j in range(cols)]
+            for tol in (None, 1e-8):
+                got, want = (solve_columns(c, target.tolist(), tol=tol) for c in (m, columns))
+                if want is None:
+                    assert got is None
+                    continue
+                assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()
+                assert repr(got[1]) == repr(want[1]) and got[2] == want[2]
+    x, residual, rank = solve_columns(np.array([[1, 0], [0, 1], [1, 1]], dtype=complex),
+                                      (Fraction(2), Fraction(3), Fraction(5)))
+    assert not any(isinstance(v, Fraction) for v in x)
+    assert np.allclose(x, [2, 3]) and residual < 1e-15 and rank == 2
+
+
 def row_by_row_system(columns, target):
     """The matrix, right-hand side and column scales of the float branch
     of `solve_columns` as it built them before: a transposed list of rows,
