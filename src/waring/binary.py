@@ -37,8 +37,9 @@ once and with no `Form` built.  A column is exact when both factors are
 (an exact spanning vector, or the power 0): all d + 1 columns of an
 exact line, one column of a line with one exact vector.  Exact columns
 are integer numerators over one denominator, and they become floats
-once, by int division, which gives the bits of complex(Fraction).  Float
-columns follow the `Form` product loops bit for bit (see `monomials`).
+once, by int division, which gives the bits of complex(Fraction), and
+only when a float solve reads them.  Float columns follow the `Form`
+product loops bit for bit (see `monomials`).
 `solve_on_lines` solves a form against the columns of its lines, exactly
 when the form and every column are exact.
 """
@@ -48,7 +49,8 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -114,26 +116,19 @@ def open_rank_binary(f: Form) -> int:
 _FLOAT64_EXACT = 2 ** 53
 
 
-@lru_cache(maxsize=None)
-def _embedding_plan(n: int, d: int) -> tuple:
-    """`embedding_table(n, d)` as index arrays (cells, lefts, rights), and
-    its column 1 as the power step W^d = W^(d-1) * W: cells within W^d,
-    lefts into W^0, ..., W^(d-1) laid end to end, rights into W itself."""
-    cells, lefts, rights = np.array(embedding_table(n, d), dtype=np.intp).reshape(-1, 3).T
-    size = space_dim(n, d)
-    step = slice(size, size + space_dim(n, d - 1) * n)
-    return cells, lefts, rights, (cells[step] - size, lefts[step], rights[step] - 1)
-
-
 def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Entrywise products of a and b, each (parts, rows, k): integers (one
     part), or complex numbers as (real, imag), whose product is written out
     in real arithmetic as Python writes it (numpy's own complex product may
-    fuse a multiply and an add, and then differ in a last bit)."""
+    fuse a multiply and an add, and then differ in a last bit).  A complex
+    product with a zero factor, which the `Form` loops skip, is +0.0 here
+    even where the other factor overflowed (inf * 0 would give NaN), and
+    adding +0.0 moves no bit of a sum that starts at +0.0."""
     if len(a) == 1:
         return a * b
     t = a[:, None] * b[None]  # every real product, each rounded once
-    return np.stack((t[0, 0] - t[1, 1], t[0, 1] + t[1, 0]))
+    zero = ((a[0] == 0) & (a[1] == 0)) | ((b[0] == 0) & (b[1] == 0))
+    return np.where(zero, 0.0, np.stack((t[0, 0] - t[1, 1], t[0, 1] + t[1, 0])))
 
 
 def _cell_sums(p: np.ndarray, cells: np.ndarray, size: int) -> np.ndarray:
@@ -154,7 +149,7 @@ def _powers(w: np.ndarray, d: int) -> np.ndarray:
     out[0, :, 0] = 1
     start = 1
     for m in range(1, d + 1):
-        cells, lefts, rights = _embedding_plan(n, m)[3]
+        cells, lefts, rights = embedding_table(n, m)[3]
         size = space_dim(n, m)
         products = _products(np.take(out, lefts, axis=2), np.take(w, rights, axis=2))
         out[:, :, start:start + size] = _cell_sums(products, cells, size)
@@ -162,10 +157,10 @@ def _powers(w: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def _int_quotient(num: int, den: int) -> float:
-    """num / den by int division; past the float range, an infinity."""
+def _int_quotient(num, den: int) -> float:
+    """int(num) / den by int division; past the float range, an infinity."""
     try:
-        return num / den
+        return int(num) / den
     except OverflowError:
         return math.inf if num > 0 else -math.inf
 
@@ -181,27 +176,25 @@ def _quotients(num: np.ndarray, den) -> np.ndarray:
     if num.dtype != object and all(x.bit_length() < 1024 and int(float(x)) == x
                                    for x in set(den.flat)):
         return num / den.astype(float)
-    if num.dtype != object:  # integers below 2^53, held exactly
-        num = num.astype(np.int64).astype(object)
     return np.vectorize(_int_quotient, otypes=[float])(num, den)
 
 
-def line_embedding(spans, d: int) -> tuple[np.ndarray, list]:
+@np.errstate(over="ignore", invalid="ignore")  # as Python's float products overflow: silently
+def line_embedding(spans, d: int) -> tuple[list, Callable[[], np.ndarray]]:
     """The images U^(d-j) V^j, j = 0..d, of the binary monomials on each line.
 
-    `spans` lists the lines as pairs (u, v).  Returns (floats, exact):
-    column i (d + 1) + j of the C-ordered complex N x len(spans) (d + 1)
-    matrix `floats` is the image of s^(d-j) t^j on line i, and entry
-    i (d + 1) + j of `exact` is that image as (integer numerators,
-    denominator) where it is exact (see the module docstring), else None.
+    `spans` lists the lines as pairs (u, v).  Returns (exact, floats):
+    entry i (d + 1) + j of `exact` is the image of s^(d-j) t^j on line i as
+    (integer numerators, denominator) where it is exact (see the module
+    docstring), else None; `floats()` builds the C-ordered complex
+    N x len(spans) (d + 1) matrix of every image, column i (d + 1) + j for
+    that one, and only then turns the exact columns into floats.
 
     Exact powers are integer numerators over den^m: in float64, with zero
     imaginary parts in the float vectors' batch, while `_FLOAT64_EXACT`
     holds for every exact vector, else Python ints.  Float columns run the
     loop plan of `embedding_table` in its order on the complex views of
-    their factors, with the complex product written out.  A zero factor,
-    which the `Form` loops skip, adds a signed zero here, and that leaves
-    every partial sum as it is: a sum that starts at +0.0 never reads -0.0.
+    their factors, with the complex product written out (see `_products`).
     """
     n = len(spans[0][0])
     size, width = space_dim(n, d), d + 1
@@ -231,50 +224,56 @@ def line_embedding(spans, d: int) -> tuple[np.ndarray, list]:
         m_dens = [dens[i] ** m for m in range(d + 1) for _ in range(space_dim(n, m))]
         return np.stack((_quotients(powers[i][0], m_dens), np.zeros(len(m_dens))))
 
+    cells, lefts, rights = embedding_table(n, d)[:3]
+
+    def column_sums(lines, exact_line):  # (parts, lines, d + 1, N)
+        left, right = (np.stack([factor(2 * i + s, exact_line) for i in lines], axis=1)
+                       for s in (0, 1))
+        products = _products(np.take(left, lefts, axis=2), np.take(right, rights, axis=2))
+        return _cell_sums(products, cells, width * size).reshape(-1, len(lines), width, size)
+
     def top_power(i):  # W^d of vector i as (integer numerators, den): exact, or d = 0
         return ([1], 1) if d == 0 else (list(map(int, powers[i][0][-size:])), dens[i] ** d)
 
-    cells, lefts, rights = _embedding_plan(n, d)[:3]
-    columns = np.empty((len(spans), width, size), dtype=complex)
+    exact_lines = [i for i in range(len(spans)) if exact[2 * i] and exact[2 * i + 1]]
+    float_lines = [i for i in range(len(spans)) if not (exact[2 * i] and exact[2 * i + 1])]
     out = [None] * (len(spans) * width)
-    exact_lines = [exact[2 * i] and exact[2 * i + 1] for i in range(len(spans))]
-    for exact_group in (True, False):
-        lines = [i for i, e in enumerate(exact_lines) if e == exact_group]
-        if not lines:
-            continue
-        left, right = (np.stack([factor(2 * i + s, exact_group) for i in lines], axis=1)
-                       for s in (0, 1))
-        products = _products(np.take(left, lefts, axis=2), np.take(right, rights, axis=2))
-        sums = _cell_sums(products, cells, width * size)
-        sums = sums.reshape(len(sums), len(lines), width, size)
-        if exact_group:
-            col_dens = [[dens[2 * i] ** (d - j) * dens[2 * i + 1] ** j for j in range(width)]
-                        for i in lines]
-            columns[lines] = _quotients(sums[0], np.array(col_dens, dtype=object)[..., None])
-            ints = (sums[0] if big else sums[0].astype(np.int64)).tolist()
-            for i, line, line_dens in zip(lines, ints, col_dens):
-                out[i * width:(i + 1) * width] = zip(line, line_dens)
-        else:
-            z = np.empty(sums.shape[1:], dtype=complex)
-            z.real, z.imag = sums
-            columns[lines] = z
-            for i in lines:
-                if exact[2 * i] or d == 0:
-                    out[i * width] = top_power(2 * i)
-                if exact[2 * i + 1] and d:
-                    out[i * width + d] = top_power(2 * i + 1)
-    return np.ascontiguousarray(columns.transpose(2, 0, 1).reshape(size, -1)), out
+    if exact_lines:
+        ints = column_sums(exact_lines, True)[0]
+        col_dens = np.array([[dens[2 * i] ** (d - j) * dens[2 * i + 1] ** j for j in range(width)]
+                             for i in exact_lines], dtype=object)
+        for i, line, line_dens in zip(exact_lines, (ints if big else ints.astype(np.int64)).tolist(),
+                                      col_dens.tolist()):
+            out[i * width:(i + 1) * width] = zip(line, line_dens)
+    if float_lines:
+        z = np.empty((len(float_lines), width, size), dtype=complex)
+        z.real, z.imag = column_sums(float_lines, False)
+        for i in float_lines:
+            if exact[2 * i] or d == 0:
+                out[i * width] = top_power(2 * i)
+            if exact[2 * i + 1] and d:
+                out[i * width + d] = top_power(2 * i + 1)
+
+    def floats() -> np.ndarray:
+        columns = np.empty((len(spans), width, size), dtype=complex)
+        if exact_lines:
+            columns[exact_lines] = _quotients(ints, col_dens[..., None])
+        if float_lines:
+            columns[float_lines] = z
+        return np.ascontiguousarray(columns.transpose(2, 0, 1).reshape(size, -1))
+
+    return out, floats
 
 
 def solve_on_lines(f: Form, spans) -> tuple[list, float, int] | None:
     """`solve_columns` of f against the line embeddings of `spans`, laid
     side by side: exact when f and every column are, else on the complex
     floats of the columns and of f."""
-    floats, exact = line_embedding(spans, f.degree)
+    exact, floats = line_embedding(spans, f.degree)
     if f.is_exact and None not in exact:
         return solve_columns([[Fraction(x, den) for x in num] for num, den in exact],
                              f.coeffs, tol=SPAN_TOL)
-    return solve_columns(floats, f.floats(), tol=SPAN_TOL)
+    return solve_columns(floats(), f.floats(), tol=SPAN_TOL)
 
 
 def embed_binary(g: Form, u, v) -> Form:
@@ -290,10 +289,11 @@ def embed_binary(g: Form, u, v) -> Form:
     total = Form.zero(n, g.degree, exact=g.is_exact)
     if not g.is_exact:
         u, v = [complex(x) for x in u], [complex(x) for x in v]
-    floats, exact = line_embedding([(u, v)], g.degree)
+    exact, floats = line_embedding([(u, v)], g.degree)
+    columns = None if None not in exact else floats()
     for j, c in enumerate(g.coeffs):
         if c != 0:
-            column = (Form(n, g.degree, floats[:, j].tolist()) if exact[j] is None
+            column = (Form(n, g.degree, columns[:, j].tolist()) if exact[j] is None
                       else Form(n, g.degree, [Fraction(x, exact[j][1]) for x in exact[j][0]]))
             total = total + column.scale(c)
     return total

@@ -15,17 +15,19 @@ products in the order the exponent-tuple loops did: same order, same bits.
 
 A third table, `embedding_table`, is the loop plan of the line embedding
 U^(d-j) V^j, j = 0..d, which `binary.line_embedding` runs without building
-a `Form`: every product of a monomial pair, with the cell it is added into,
-in the order the `Form` product loops add them.  Its float path rests on
-one rule: same order, and each complex product written out in real
-arithmetic as Python computes it (numpy's own complex product may fuse the
-multiply and the add, and then a last bit differs).
+a `Form`: index arrays of every product of a monomial pair, with the cell
+it is added into, in the order the `Form` product loops add them.  Its
+float path rests on one rule: same order, and each complex product written
+out in real arithmetic as Python computes it (numpy's own complex product
+may fuse the multiply and the add, and then a last bit differs).
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+
+import numpy as np
 
 
 def space_dim(num_vars: int, degree: int) -> int:
@@ -66,26 +68,34 @@ def product_table(num_vars: int, da: int, db: int) -> tuple[tuple[int, ...], ...
 
 
 @lru_cache(maxsize=None)
-def embedding_table(num_vars: int, degree: int) -> tuple[tuple[int, int, int], ...]:
+def embedding_table(num_vars: int, degree: int) -> tuple:
     """The loop plan of the products U^(d-j) * V^j, j = 0..d, for d = degree.
 
-    One triple (cell, left, right) per product of a monomial pair: the
-    left-th entry of U^0, ..., U^d laid end to end times the right-th of
-    V^0, ..., V^d is added into cell j * N + ib of the d + 1 product
-    columns laid end to end (N monomials of degree d, ib the index of the
-    product monomial).  Column j follows column j - 1, and within it the
-    triples come in the order the product loops add them, left factor
-    outer, so every cell receives its pairs in that order.  Column 1 is
-    the power step W^d = W^(d-1) * W.
+    Read-only index arrays (cells, lefts, rights, step), one entry per
+    product of a monomial pair: the lefts[k]-th entry of U^0, ..., U^d laid
+    end to end times the rights[k]-th of V^0, ..., V^d is added into cell
+    cells[k] = j * N + ib of the d + 1 product columns laid end to end (N
+    monomials of degree d, ib the index of the product monomial).  Column j
+    follows column j - 1, and within it the products come in the order the
+    product loops add them, left factor outer, so every cell receives its
+    pairs in that order.  `step` is column 1 as the power step
+    W^d = W^(d-1) * W: (cells within W^d, lefts into W^0, ..., W^(d-1) laid
+    end to end, rights into W itself).
     """
     starts = [0]
     for m in range(degree + 1):
         starts.append(starts[-1] + space_dim(num_vars, m))
     size = space_dim(num_vars, degree)
-    return tuple((j * size + ib, starts[degree - j] + ia, starts[j] + ig)
-                 for j in range(degree + 1)
-                 for ia, row in enumerate(product_table(num_vars, degree - j, j))
-                 for ig, ib in enumerate(row))
+    cells, lefts, rights = np.array(
+        [(j * size + ib, starts[degree - j] + ia, starts[j] + ig)
+         for j in range(degree + 1)
+         for ia, row in enumerate(product_table(num_vars, degree - j, j))
+         for ig, ib in enumerate(row)], dtype=np.intp).reshape(-1, 3).T
+    column1 = slice(size, size + space_dim(num_vars, degree - 1) * num_vars)
+    arrays = (cells, lefts, rights, cells[column1] - size, lefts[column1], rights[column1] - 1)
+    for a in arrays:
+        a.flags.writeable = False
+    return (*arrays[:3], arrays[3:])
 
 
 @lru_cache(maxsize=None)

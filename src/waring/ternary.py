@@ -188,12 +188,13 @@ class LineSystem:
         """The common point of lines i < j: exact when both lines are, else
         from their complex views (the bits mixed arithmetic gives); with
         `floats`, its complex view.  Both are kept, so each meet is computed
-        and converted once."""
+        once and converted once, when its view is first read."""
         if (i, j) not in self._meets:
-            meet = _meet(self.lines[i], self.lines[j])
-            self._meets[i, j] = meet, complex_coords(meet)
-        meet, view = self._meets[i, j]
-        return view if floats else meet
+            self._meets[i, j] = [_meet(self.lines[i], self.lines[j]), None]
+        kept = self._meets[i, j]  # the meet, and its view once read
+        if floats and kept[1] is None:
+            kept[1] = complex_coords(kept[0])
+        return kept[1] if floats else kept[0]
 
     def annihilates(self, f: Form) -> bool:
         return self._annihilated is f or annihilates(self.lines, f)

@@ -203,7 +203,7 @@ def test_embed_restrict_round_trip():
         assert back.coeffs == g.coeffs
 
 
-def test_solve_on_lines_is_exact_only_when_f_and_every_column_are():
+def test_solve_on_lines_is_exact_only_when_f_and_every_column_are(monkeypatch):
     # two lines of the plane meet in one point, whose cube lies on both:
     # eight columns of rank seven, and f is the sum of one form on each line
     spans = [((F(1), F(0), F(2)), (F(0), F(1), F(-1))), ((F(1), F(1), F(0)), (F(1, 3), F(0), F(1)))]
@@ -214,13 +214,17 @@ def test_solve_on_lines_is_exact_only_when_f_and_every_column_are():
         parts = (Form(2, 3, tuple(x[:4])), Form(2, 3, tuple(x[4:])))
         return embed_binary(parts[0], *spans[0]) + embed_binary(parts[1], *spans[1])
 
+    divided = []
+    real_quotients = binary._quotients
+    monkeypatch.setattr(binary, "_quotients", lambda *a: divided.append(1) or real_quotients(*a))
     x, residual, rank = binary.solve_on_lines(f, spans)
     assert all(type(w) is Fraction for w in x) and residual == 0.0 and rank == 7
+    assert not divided  # the exact solve turns no column into floats
     assert on_lines(x, spans) == f
     float_spans = [spans[0], tuple(tuple(complex(c) for c in w) for w in spans[1])]
     for form, lines in ((f.to_float(), spans), (f, float_spans)):
         x, residual, rank = binary.solve_on_lines(form, lines)
-        assert not any(isinstance(w, Fraction) for w in x)
+        assert divided and not any(isinstance(w, Fraction) for w in x)
         assert residual < 1e-12 and rank == 7
         assert (on_lines([complex(w) for w in x], float_spans) - f.to_float()).max_abs() < 1e-12
     off = f + Form(3, 3, tuple(F(int(i == 4)) for i in range(10)))  # + x0 x1 x2

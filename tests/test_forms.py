@@ -783,6 +783,19 @@ def test_line_embedding_keeps_non_dyadic_numerators_past_2_53():
         assert_reference_columns([(big, small), (small, float_vector), (float_vector, big)], d)
 
 
+def test_embed_binary_skips_zero_factors_past_the_float_range():
+    # 1e160^2 overflows to inf; a zero factor times it adds nothing, as the
+    # `Form` loops skip it, where inf * 0 would put NaN into other cells
+    huge = (1e160, 0.0, -0.0)
+    spans = [(huge, (0.0, 1.0, 0.0)), ((Fraction(1, 3), Fraction(0), Fraction(2)), (1e160j, 0.0, 1.0)),
+             ((1e200, 1e-200, 0.0), huge)]
+    for d in (2, 3, 5):
+        units = [tuple(Fraction(int(i == j)) for i in range(d + 1)) for j in range(d + 1)]
+        for g in [Form(2, d, unit) for unit in units] + [Form(2, d, (1.0,) * (d + 1))]:
+            for u, v in spans:
+                assert bits(embed_binary(g, u, v)) == bits(reference_embed(g, u, v))
+
+
 def test_embedding_table_is_the_product_loops_column_by_column():
     for n in (1, 2, 3):
         for d in range(7):
@@ -790,15 +803,22 @@ def test_embedding_table_is_the_product_loops_column_by_column():
             want = [(j * space_dim(n, d) + index_of(tuple(x + y for x, y in zip(a, b))),
                      starts[d - j] + index_of(a), starts[j] + index_of(b))
                     for j in range(d + 1) for a in exponents(n, d - j) for b in exponents(n, j)]
-            assert list(embedding_table(n, d)) == want
+            cells, lefts, rights, step = embedding_table(n, d)
+            assert list(zip(cells.tolist(), lefts.tolist(), rights.tolist())) == want
+            # the power step W^d = W^(d-1) * W, indexed into W^(d-1) and W
+            assert list(zip(*(a.tolist() for a in step))) == [
+                (c - space_dim(n, d), left, right - 1) for c, left, right in want
+                if space_dim(n, d) <= c < 2 * space_dim(n, d)]
             assert embedding_table(n, d) is embedding_table(n, d)
+            assert not any(a.flags.writeable for a in (cells, lefts, rights, *step))
 
 
 def assert_reference_columns(spans, d):
     """Every column of `line_embedding`, floats and exact values, has the
     bits of `reference_embed`'s image of its unit monomial."""
     n = len(spans[0][0])
-    floats, exact = line_embedding(spans, d)
+    exact, floats = line_embedding(spans, d)
+    floats = floats()
     assert floats.shape == (space_dim(n, d), len(spans) * (d + 1)) == (space_dim(n, d), len(exact))
     for c, (u, v) in enumerate(span for span in spans for _ in range(d + 1)):
         j = c % (d + 1)

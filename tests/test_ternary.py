@@ -91,6 +91,9 @@ def test_line_system_geometry():
     nz = next(c for c in p if c != 0)
     assert tuple(F(c) / nz for c in p) == (F(0), F(0), F(1))
     assert sys.in_general_position()
+    # an exact meet gets its complex view only when the view is read
+    assert sys._meets[0, 1][1] is None
+    assert sys.intersection(0, 1, True) == (0j, 0j, 1 + 0j) and sys._meets[0, 1][1] is not None
 
 
 @settings(max_examples=60, deadline=None)
