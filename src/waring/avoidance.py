@@ -1,8 +1,14 @@
 """Closed subsets to avoid, given by finite generator lists.
 
 An avoidance set X is the common zero locus of its generators inside the
-projective space of linear forms.  Membership testing is exact when both
-the generators and the point are exact, and tolerance-based otherwise.
+projective space of linear forms.  `AvoidanceSet.evaluate_at` is the one
+evaluation of the generators at a point and holds the membership rule:
+exact when both the generators and the point are exact, and
+tolerance-based (`MEMBER_TOL`) otherwise.  `contains` and the
+certificate's avoidance check and report read it, so a certificate
+evaluates each point once.  An empty set (`AvoidanceSet.none`,
+`is_trivial`) is never restricted: the quartic routes hand their binary
+pieces None in its place.
 A union of two loci is encoded by the products of their generators, so
 callers never need a second representation.
 
@@ -73,21 +79,29 @@ class AvoidanceSet:
     def is_trivial(self) -> bool:
         return all(g.degree == 0 for g in self.generators)
 
-    def contains(self, point) -> bool:
-        """Exact vanishing of every generator, else each |g(x)| <= MEMBER_TOL * max(1, |g|)."""
+    def evaluate_at(self, point) -> tuple[list, bool]:
+        """The generators' values at a point, and whether the point lies in X.
+
+        The values are exact when the point and every generator are, else
+        complex at the point's floats.  The point lies in X when every value
+        is exactly zero, on floats when no |g(x)| exceeds
+        MEMBER_TOL * max(1, |g|).  `contains` and the certificate's
+        avoidance check and report all read this one evaluation.
+        """
         pt = point if isinstance(point, ProjectivePoint) else ProjectivePoint(tuple(point))
         if len(pt) != self.num_vars:
             raise PreconditionError("point dimension does not match avoidance set")
-        exact = pt.is_exact and all(g.is_exact for g in self.generators)
-        for g in self.generators:
-            if exact:
-                if evaluate(g, pt.coords) != 0:
-                    return False
-            else:
-                value = complex(evaluate(g, pt.as_floats()))
-                if abs(value) > MEMBER_TOL * max(1.0, g.max_abs()):
-                    return False
-        return True
+        if pt.is_exact and all(g.is_exact for g in self.generators):
+            values = [evaluate(g, pt.coords) for g in self.generators]
+            return values, not any(values)
+        coords = pt.as_floats()
+        values = [evaluate(g, coords) for g in self.generators]
+        return values, not any(abs(value) > MEMBER_TOL * max(1.0, g.max_abs())
+                               for g, value in zip(self.generators, values))
+
+    def contains(self, point) -> bool:
+        """Whether the point lies in X, by the rule of `evaluate_at`."""
+        return self.evaluate_at(point)[1]
 
     def restrict_to_line(self, u: Sequence, v: Sequence) -> "AvoidanceSet":
         """Pull X back to the line spanned by u and v, as a binary set.

@@ -49,7 +49,6 @@ from .forms import (
     Form,
     ProjectivePoint,
     distinct_points,
-    evaluate,
     form_to_string,
     parse_form,
 )
@@ -151,19 +150,12 @@ def _decode_scalar(pair):
     return complex(a, b)
 
 
-def _avoidance_report(avoid: AvoidanceSet, points) -> dict:
-    """Generator values at every decomposition point, exact when possible."""
-    evaluations = []
-    for p in points:
-        exact = p.is_exact and all(g.is_exact for g in avoid.generators)
-        row = []
-        for g in avoid.generators:
-            value = evaluate(g, p.coords if exact else p.as_floats())
-            row.append(_encode_scalar(value))
-        evaluations.append(row)
+def _avoidance_report(avoid: AvoidanceSet, evaluations: list) -> dict:
+    """The generators and their values at every decomposition point, exact
+    when possible: `evaluations` holds `avoid.evaluate_at` of each point."""
     return {
         "generators": [_compact(form_to_string(g)) for g in avoid.generators],
-        "evaluations": evaluations,
+        "evaluations": [[_encode_scalar(v) for v in values] for values, _ in evaluations],
     }
 
 
@@ -194,9 +186,10 @@ def verify_decomposition(f: Form, dec: Decomposition,
 
     avoidance = None
     if avoid is not None and not avoid.is_trivial:
-        hits = sum(1 for p in dec.points() if avoid.contains(p))
+        evaluations = [avoid.evaluate_at(p) for p in dec.points()]
+        hits = sum(1 for _, inside in evaluations if inside)
         checks.append(_check("avoidance", hits == 0, hits, 0))
-        avoidance = _avoidance_report(avoid, dec.points())
+        avoidance = _avoidance_report(avoid, evaluations)
 
     if bound is None:
         bound = (dec.size, BOUND_WITNESSED)

@@ -25,6 +25,12 @@ the bits are those of the coefficient-wise expressions.  Kernel results
 skip re-normalization; so does `scale` on a float form, whose products
 `complex(c * s)` are complex already.
 
+`substitute` runs on coefficient lists over the same product table and
+builds one `Form` at the end: on exact data integer numerators over one
+denominator, otherwise the products and sums of the `Form` operations it
+replaced, in their order, so its float bits are theirs too.  `evaluate`
+likewise sums exact data on integers and keeps the float order.
+
 Points of the projective space P(S_1) are `ProjectivePoint`s.  Exact points
 normalize their first nonzero coordinate to 1; float points normalize the
 first coordinate of largest magnitude (up to a relative 1e-12) to 1.  The
@@ -52,7 +58,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -250,19 +256,24 @@ class Form:
         if self.num_vars != other.num_vars:
             raise DimensionMismatch("product needs matching variable counts")
         n, degree = self.num_vars, self.degree + other.degree
-        exact = self._exact and other._exact
-        if exact:
-            a, b = self._num, other._num
-        else:
-            a, b = self.floats(), other.floats()
-        out = [0 if exact else 0j] * space_dim(n, degree)
-        right = [(ib, cb) for ib, cb in enumerate(b) if cb != 0]
-        for ca, row in zip(a, product_table(n, self.degree, other.degree)):
-            if ca != 0:
-                for ib, cb in right:
-                    out[row[ib]] += ca * cb
-        return (Form._exact_over(n, degree, out, self._den * other._den) if exact
-                else Form._trusted(n, degree, tuple(out), False))
+        if self._exact and other._exact:
+            out = _product(n, self._num, self.degree, other._num, other.degree, 0)
+            return Form._exact_over(n, degree, out, self._den * other._den)
+        out = _product(n, self.floats(), self.degree, other.floats(), other.degree, 0j)
+        return Form._trusted(n, degree, tuple(out), False)
+
+
+def _product(n: int, a, da: int, b, db: int, zero) -> list:
+    """Coefficients of the product of two coefficient lists of degrees da and
+    db: the nonzero products added onto `zero` in monomial order, left
+    factor outer."""
+    out = [zero] * space_dim(n, da + db)
+    right = [(ib, cb) for ib, cb in enumerate(b) if cb != 0]
+    for ca, row in zip(a, product_table(n, da, db)):
+        if ca != 0:
+            for ib, cb in right:
+                out[row[ib]] += ca * cb
+    return out
 
 
 def _numerators(coeffs: tuple) -> tuple[list[int], int]:
@@ -332,16 +343,39 @@ def power_of_linear(point: Sequence, degree: int, coeff=1) -> Form:
 
 
 def evaluate(f: Form, point: Sequence) -> Scalar:
-    """Evaluate f at coordinates (substituting x_i := point[i])."""
+    """Evaluate f at coordinates (substituting x_i := point[i]).
+
+    Exact data give a Fraction, summed on integer numerators over one
+    denominator.  Otherwise each nonzero coefficient times its coordinate
+    powers is added onto 0j in monomial order; at all-complex coordinates
+    an exact coefficient enters as its complex view, the complex(c) that
+    its product with a complex takes.
+    """
     if len(point) != f.num_vars:
         raise DimensionMismatch("point length must match variable count")
-    total = Fraction(0) if f.is_exact and all(is_exact_scalar(p) for p in point) else 0j
-    for expo, c in f.items():
-        term = c
-        for p, e in zip(point, expo):
-            if e:
-                term = term * (p ** e)
-        total = total + term
+    expos = exponents(f.num_vars, f.degree)
+    if f.is_exact and all(is_exact_scalar(p) for p in point):
+        nums, den = _numerators(tuple(point))
+        total = 0
+        for expo, c in zip(expos, f._num):
+            if c:
+                for x, e in zip(nums, expo):
+                    if e:
+                        c *= x ** e
+                total += c
+        return Fraction(total, f._den * den ** f.degree)
+    if f.is_exact:
+        nonzero = f._num
+        values = f.floats() if all(type(p) is complex for p in point) else f.coeffs
+    else:
+        nonzero = values = f.coeffs
+    total = 0j
+    for expo, c, term in zip(expos, nonzero, values):
+        if c != 0:
+            for p, e in zip(point, expo):
+                if e:
+                    term = term * (p ** e)
+            total = total + term
     return total
 
 
@@ -351,6 +385,15 @@ def substitute(f: Form, images: Sequence[Form]) -> Form:
     With linear images this restricts f to a subspace or changes
     coordinates; with quadratic images it pulls f back along a conic
     parametrization.  The result has degree deg(f) * deg(images).
+
+    The work runs on coefficient lists and builds one `Form` at the end.
+    The term of c x^k is c * 1 * P_0^k_0 * ... * P_(n-1)^k_(n-1), the
+    power P_i^k being 1 * g_i * ... * g_i, each product as `Form.__mul__`
+    takes it: on integer numerators when both factors are exact, else on
+    their complex views, the exact 1 included.  Exact terms are summed
+    over one denominator; otherwise the terms are added onto the float
+    zero in monomial order, so every float bit is that of the `Form`
+    operations this replaced.
     """
     if len(images) != f.num_vars:
         raise DimensionMismatch("need one image per variable")
@@ -359,19 +402,50 @@ def substitute(f: Form, images: Sequence[Form]) -> Form:
     for g in images:
         if g.num_vars != m or g.degree != e:
             raise DimensionMismatch("images must share variable count and degree")
+    d = f.degree
     exact = f.is_exact and all(g.is_exact for g in images)
-    # memoized powers of each image form, starting at the constant 1
-    one = Form(m, 0, (Fraction(1),))
-    powers: list[list[Form]] = [[one] for _ in images]
-    result = Form.zero(m, f.degree * e, exact=exact)
-    for expo, c in f.items():
-        term = Form(m, 0, (c,))
+    # a value is (degree, coefficients, denominator), the denominator None on floats
+    one = (0, [1], 1)
+    pieces = [(e, g._num, g._den) if g.is_exact else (e, g.coeffs, None) for g in images]
+    powers = [[one] for _ in images]  # P_i^0, P_i^1, ... as far as read
+    out = [0 if exact else 0j] * space_dim(m, d * e)
+    if exact:  # every term's denominator divides den_f * prod den_i^d
+        common = f._den * math.prod(den ** d for _, _, den in pieces)
+    coeffs = zip(f._num, repeat(f._den)) if f.is_exact else zip(f.coeffs, repeat(None))
+    for expo, (c, den) in zip(exponents(f.num_vars, d), coeffs):
+        if c == 0:
+            continue
+        term = (0, [c], den)
         for i, k in enumerate(expo):
-            while len(powers[i]) <= k:
-                powers[i].append(powers[i][-1] * images[i])
-            term = term * powers[i][k]
-        result = result + term
-    return result
+            power = powers[i]
+            while len(power) <= k:
+                power.append(_value_product(m, power[-1], pieces[i]))
+            term = _value_product(m, term, power[k])
+        _, vals, den = term
+        if exact:
+            scale = common // den
+            for idx, y in enumerate(vals):
+                out[idx] += y * scale
+        else:
+            for idx, y in enumerate(_value_floats(vals, den)):
+                out[idx] = out[idx] + y
+    if exact:
+        return Form._exact_over(m, d * e, out, common)
+    return Form._trusted(m, d * e, tuple(out), False)
+
+
+def _value_floats(vals, den) -> list:
+    """A value's complex view: an exact one by the int division of `Form`'s."""
+    return vals if den is None else [complex(v / den) for v in vals]
+
+
+def _value_product(n: int, x: tuple, y: tuple) -> tuple:
+    """The product of two (degree, coefficients, denominator) values, as
+    `Form.__mul__` takes it: on integers when both are exact."""
+    (da, a, den_a), (db, b, den_b) = x, y
+    if den_a is not None and den_b is not None:
+        return da + db, _product(n, a, da, b, db, 0), den_a * den_b
+    return da + db, _product(n, _value_floats(a, den_a), da, _value_floats(b, den_b), db, 0j), None
 
 
 def random_form(num_vars: int, degree: int, seed: int, height: int = 9) -> Form:

@@ -242,19 +242,27 @@ def solve_columns(columns: Sequence[Sequence], target: Sequence,
     different size (high powers of points) keep their digits.  The residual
     max|Mx - b| / max(1, max|b|) comes back with the numeric rank of the
     scaled matrix; with `tol` set, a residual above it (or NaN) gives None.
+    A float system with an infinite or NaN entry (an exact entry past the
+    float range reads as one) gives None before any LAPACK call, whose SVD
+    would not converge on it.
     """
-    if isinstance(columns, np.ndarray):  # complex columns, side by side
-        m = columns
-    elif (all(isinstance(b, (Fraction, int)) for b in target)
+    if (not isinstance(columns, np.ndarray)
+            and all(isinstance(b, (Fraction, int)) for b in target)
             and all(isinstance(x, (Fraction, int)) for col in columns for x in col)):
         matrix = [[col[r] for col in columns] for r in range(len(target))]
         x, rank = exact_solve_with_rank(matrix, list(target))
         return None if x is None else (x, 0.0, rank)
-    else:
-        # numpy converts an exact entry through its __float__, numerator /
+    try:
+        rhs = np.array(target, dtype=complex)
+        # a numpy matrix holds complex columns side by side already; numpy
+        # converts an exact entry through its __float__, numerator /
         # denominator, the value complex() gives; the copy keeps the row layout
-        m = np.array(columns, dtype=complex).reshape(len(columns), len(target)).T.copy()
-    rhs = np.array(target, dtype=complex)
+        m = (columns if isinstance(columns, np.ndarray) else
+             np.array(columns, dtype=complex).reshape(len(columns), len(target)).T.copy())
+    except OverflowError:  # an exact entry past the float range
+        return None
+    if not (np.isfinite(m).all() and np.isfinite(rhs).all()):
+        return None
     scale = np.abs(m).max(axis=0)
     scale[scale < np.finfo(float).tiny] = 1.0
     x, rank = lstsq_solve(m / scale, rhs)

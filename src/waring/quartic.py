@@ -367,7 +367,11 @@ def quartic_brk3_decompose(f: Form, avoid: AvoidanceSet | None = None,
 # -- split-based routes --------------------------------------------------------
 
 
-def _restrict_avoid(X: AvoidanceSet, span) -> AvoidanceSet:
+def _restrict_avoid(X: AvoidanceSet, span) -> AvoidanceSet | None:
+    """X pulled back to the line spanned by `span`; None for an empty X,
+    so the binary pieces restrict and test nothing."""
+    if X.is_trivial:
+        return None
     try:
         return X.restrict_to_line(span[0], span[1])
     except PreconditionError as err:
@@ -486,7 +490,7 @@ def _line_open(f: Form, X: AvoidanceSet, u, v, seed: int, tol: float,
     """f decomposed off X on the line through u and v, which carries f."""
     return decompose_on_line(
         f, (u, v), lambda g: decompose_binary_avoiding(
-            g, X.restrict_to_line(u, v), seed=seed, tol=tol, retries=retries), route, tol)
+            g, _restrict_avoid(X, (u, v)), seed=seed, tol=tol, retries=retries), route, tol)
 
 
 def _power_route(f: Form, X: AvoidanceSet, seed: int, tol: float,

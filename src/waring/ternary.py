@@ -30,7 +30,7 @@ import numpy as np
 from .apolarity import catalecticant, essential_subspace, essential_variables
 from .binary import (decompose_binary, decompose_binary_bounded, decompose_on_line,
                      push_decomposition, solve_on_lines)
-from .decomposition import RESIDUAL_TOL, Decomposition, term_from_vector
+from .decomposition import RESIDUAL_TOL, Decomposition, Term, term_from_vector
 from .errors import (
     DegenerateSystemError,
     PreconditionError,
@@ -48,6 +48,7 @@ from .forms import (
     is_exact_scalar,
     power_of_linear,
     random_combination,
+    same_point,
 )
 from .linalg import SPAN_TOL, numeric_nullspace
 from .plane import (
@@ -525,7 +526,9 @@ class SplitProblem:
               rejects: dict) -> Decomposition | None:
         """The piece decompositions `decs` (by line index), pushed to the plane.
 
-        None on clashing points or on a sum that misses f, each counted in
+        Pushed points that clash (a point where two lines meet, taken by
+        both pieces) are merged first, by `_merge_clashes`.  None on points
+        that still clash or on a sum that misses f, each counted in
         `rejects`; the provenance gains `lines` and `piece_sizes`.  A
         `best_residual` entry of `rejects`, where the caller keeps one, is
         lowered to the residual of a sum that misses.
@@ -533,8 +536,10 @@ class SplitProblem:
         terms = [t for i, dec in decs.items()
                  for t in push_decomposition(dec, self.spans[i]).terms]
         if not distinct_points([t.point for t in terms]):
-            rejects["clash"] += 1
-            return None
+            terms = _merge_clashes(terms)
+            if not distinct_points([t.point for t in terms]):
+                rejects["clash"] += 1
+                return None
         merged = Decomposition(3, self.form.degree, tuple(terms), {
             **provenance,
             "lines": [tuple(map(str, ell.coeffs)) for ell in self.system.lines],
@@ -571,6 +576,21 @@ class SplitProblem:
                 _note_residual(rejects, err.diagnostics.get("best_residual"))
                 return None
         return self.merge(decs, provenance, tol, rejects)
+
+
+def _merge_clashes(terms: list[Term]) -> list[Term]:
+    """The terms with each one at the same point (at 1e-6) as an earlier
+    one folded into it: one term at the first point with the summed
+    coefficient (exact stays exact), dropped when the sum is exactly zero.
+    The merged sum is judged by the residual check as any other."""
+    groups: list[list] = []
+    for t in terms:
+        group = next((g for g in groups if same_point(g[1], t.point, 1e-6)), None)
+        if group is None:
+            groups.append([t.coeff, t.point])
+        else:
+            group[0] += t.coeff
+    return [Term(c, p) for c, p in groups if c != 0]
 
 
 def _note_residual(rejects: dict, residual: float | None) -> None:

@@ -14,13 +14,15 @@ from waring.binary import (
     decompose_binary,
     decompose_binary_avoiding,
     decompose_binary_bounded,
+    decompose_on_line,
     embed_binary,
     form_on_line,
     open_rank_binary,
     rank_binary,
 )
 from waring.certify import BOUND_BINARY_OPEN, BOUND_BINARY_RANK, to_json, verify_decomposition
-from waring.errors import PreconditionError, RetryExhausted, RootFindingError, WaringError
+from waring.errors import (DegenerateSystemError, PreconditionError, RetryExhausted,
+                           RootFindingError, WaringError)
 from waring.forms import Form, parse_form, power_of_linear, random_form
 
 F = Fraction
@@ -486,3 +488,14 @@ def test_root_finding_failure_is_a_retry_signal(monkeypatch):
         decompose_binary_bounded(f, None, 10)
     with pytest.raises(RetryExhausted):
         decompose_binary(f)
+
+
+def test_a_line_past_the_float_range_carries_no_form(capfd):
+    # its exact column reads as inf on floats: the solve misses, with no
+    # LAPACK message and no numpy error
+    f = random_form(3, 4, seed=0)
+    span = ((Fraction(10 ** 400), 1, Fraction(3, 7)), (1j, 2.0, 0.5))
+    assert form_on_line(f, *span) is None
+    with pytest.raises(DegenerateSystemError):
+        decompose_on_line(f, span, decompose_binary, "test", 1e-8)
+    assert capfd.readouterr().err == ""

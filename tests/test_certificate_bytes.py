@@ -15,6 +15,12 @@ A third pin covers the respread of avoided pure powers: d + 1 integer
 points off the power point, on both backends and on the quartic power
 route's line.
 
+A fourth pin covers the five fixed route cases of the quartic-avoid
+benchmark: the conic pullback, the power re-spread, the line-open route,
+the two-line split and the witness quartic, each off its own set.  They
+substitute into the avoided generators along quadratic images (conic
+parametrizations) and linear ones (line restrictions).
+
 A change that alters certificate bytes on purpose (a fix that moves a
 float result, say) updates the pins here and records the old and the
 new hashes in CHANGES.md.
@@ -34,6 +40,7 @@ from waring import (
     rank_binary,
     to_json,
     verify_decomposition,
+    witness_quartic,
 )
 from waring.certify import (BOUND_BINARY_OPEN, BOUND_BINARY_RANK, BOUND_ODD_SPLIT,
                             BOUND_QUARTIC_EIGHT)
@@ -43,6 +50,8 @@ PINNED_SHA256 = "d2e79804e3a8e0f661f375f836a59fd243cc9e98cfb6f21c8714cf555c59a1a
 ODD_SPLIT_PINNED_SHA256 = "e075894e1c7b729e68fcd7207f70327e1cbf131a412de19aa22fb3b66c291fdc"
 
 RESPREAD_PINNED_SHA256 = "e7f78c4e5d5a262331d92261473f670aac13d4564dce9e25503e35c314a6aea1"
+
+QUARTIC_ROUTES_PINNED_SHA256 = "37da90d276949221b784fc0883a23d116283a2a7d2054b5f4767c8609e0fb770"
 
 QUARTIC_AVOID = (None, "x2", "x0*x2 - x1^2", "x0^3 + x1^3 + x2^3")
 
@@ -107,3 +116,25 @@ def test_respread_certificate_bytes_are_pinned():
     assert all(c.valid for c in certificates)
     texts = "\n".join(to_json(c) for c in certificates)
     assert hashlib.sha256(texts.encode()).hexdigest() == RESPREAD_PINNED_SHA256
+
+
+def quartic_route_certificates():
+    routes = (
+        (parse_form("x0^4 + x1^4", 3) + power_of_linear((1, 1, 1), 4), "x2", "conic-pullback"),
+        (parse_form("x0^4", 3), "x1", "power-respread-line"),
+        (parse_form("x0^4 + x0^3*x1 + x1^4", 3), "x0 - x2", "line-open"),
+        (parse_form("x0^3*x1", 3), "x2", "two-line-split"),
+        (witness_quartic(), "x2", "three-line-split"),
+    )
+    for f, g, route in routes:
+        avoid = AvoidanceSet(3, (parse_form(g, 3),))
+        dec = quartic_decompose_open(f, avoid)
+        assert dec.provenance["route"] == route
+        yield verify_decomposition(f, dec, avoid=avoid, bound=(8, BOUND_QUARTIC_EIGHT))
+
+
+def test_quartic_route_certificate_bytes_are_pinned():
+    certificates = list(quartic_route_certificates())
+    assert all(c.valid for c in certificates)
+    texts = "\n".join(to_json(c) for c in certificates)
+    assert hashlib.sha256(texts.encode()).hexdigest() == QUARTIC_ROUTES_PINNED_SHA256

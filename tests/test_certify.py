@@ -25,7 +25,7 @@ from waring.certify import (
 )
 from waring.decomposition import Decomposition, Term
 from waring.errors import DimensionMismatch, ParseFormError, PreconditionError
-from waring.forms import Form, ProjectivePoint, parse_form, random_form
+from waring.forms import Form, ProjectivePoint, evaluate, parse_form, power_of_linear, random_form
 from waring.ternary import decompose_ternary_odd
 
 F = Fraction
@@ -318,3 +318,31 @@ def test_float_input_in_exponent_or_complex_notation_replays_valid(coeff):
     assert replay(from_json(to_json(cert))).valid
     text = to_json(cert)
     assert to_json(replay(from_json(text))) == text
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_the_avoidance_check_agrees_with_contains(exact):
+    # two generators: (0:0:1) and (1:1:1) zero one each and are not in X,
+    # (1:0:1) and (0:1:0) zero both and are
+    X = AvoidanceSet(3, (parse_form("x0*x1", 3), parse_form("x2^2 - x0^2", 3)))
+    coords = [(0, 0, 1), (1, 1, 1), (1, 0, 1), (1, 2, 3), (0, 1, 0)]
+    points = [ProjectivePoint(c if exact else tuple(map(complex, c))) for c in coords]
+    dec = Decomposition(3, 4, tuple(Term(Fraction(k + 1) if exact else complex(k + 1), p)
+                                    for k, p in enumerate(points)))
+    f = power_of_linear(points[0].coords, 4, dec.terms[0].coeff)
+    for t in dec.terms[1:]:
+        f = f + power_of_linear(t.point.coords, 4, t.coeff)
+    cert = verify_decomposition(f, dec, avoid=X)
+    inside = [X.contains(p) for p in points]
+    assert inside == [False, False, True, False, True]
+    check = next(c for c in cert.checks if c["name"] == "avoidance")
+    assert check == {"name": "avoidance", "pass": False, "value": 2, "limit": 0}
+    assert not cert.valid
+    assert [c["pass"] for c in cert.checks if c["name"] != "avoidance"] == [True] * 4
+    # the report holds the generators' values at each point, as evaluated
+    values = [[evaluate(g, p.coords if exact else p.as_floats()) for g in X.generators]
+              for p in points]
+    assert cert.avoidance["evaluations"] == [
+        [[v.numerator, v.denominator] if exact else [v.real + 0.0, v.imag + 0.0] for v in row]
+        for row in values]
+    assert json.loads(to_json(cert))["avoidance"] == json.loads(json.dumps(cert.avoidance))

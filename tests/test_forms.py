@@ -515,6 +515,85 @@ def test_power_of_linear_matches_the_reference_bit_for_bit(point, degree, coeff)
     assert bits(got) == bits(reference_power_of_linear(point, degree, coeff))
 
 
+def reference_substitute(f, images):
+    """The `Form`-product substitution the list kernel replaced: each term
+    is c * 1 * P_0^k_0 * ..., the powers 1 * g * ... * g, summed onto zero."""
+    m, e = images[0].num_vars, images[0].degree
+    exact = f.is_exact and all(g.is_exact for g in images)
+    one = Form(m, 0, (Fraction(1),))
+    powers = [[one] for _ in images]
+    result = Form.zero(m, f.degree * e, exact=exact)
+    for expo, c in f.items():
+        term = Form(m, 0, (c,))
+        for i, k in enumerate(expo):
+            while len(powers[i]) <= k:
+                powers[i].append(powers[i][-1] * images[i])
+            term = term * powers[i][k]
+        result = result + term
+    return result
+
+
+@st.composite
+def substitutions(draw):
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    d, e = draw(st.integers(0, 4)), draw(st.integers(0, 2))
+    images = [draw(forms(m, e)) for _ in range(n)]
+    return draw(forms(n, d)), images
+
+
+@KERNEL
+@given(substitutions())
+@example((Form(3, 0, (Fraction(5, 3),)), [Form(2, 1, (1 + 0j, complex(-0.0, 2.0)))] * 3))
+@example((Form(2, 2, (complex(-0.0, -0.0), 1.5 + 0j, complex(2.0, -0.0))),
+          [Form(2, 1, (Fraction(1, 3), Fraction(0))), Form(2, 1, (complex(-0.0, 1.0), 0j))]))
+@example((Form(2, 1, (Fraction(2, 7), Fraction(-1))),
+          [Form(2, 2, (Fraction(1), Fraction(0), Fraction(-3, 4))),
+           Form(2, 2, (complex(0.0, -0.0), 1e-200 + 0j, complex(-1.0, -0.0)))]))
+@example((Form(3, 2, tuple(Fraction(k, 5) for k in range(6))),
+          [Form(2, 0, (Fraction(0),)), Form(2, 0, (complex(-0.0, 0.0),)),
+           Form(2, 0, (Fraction(3),))]))
+@example((Form(2, 1, (1e300 + 0j, 0j)),  # an overflowed term times the exact 1 has a NaN
+          [Form(2, 1, (1e300 + 0j, 0j)), Form(2, 1, (Fraction(1), Fraction(1)))]))
+def test_substitute_matches_the_form_products_bit_for_bit(case):
+    # exact, float and mixed images of degree 0, 1 and 2, signed zeros
+    # included: the same backend and the same coefficient reprs
+    f, images = case
+    assert bits(substitute(f, images)) == bits(reference_substitute(f, images))
+
+
+def reference_evaluate(f, point):
+    """The term-by-term evaluation the integer and float-view loops replaced."""
+    exact = f.is_exact and all(isinstance(p, (Fraction, int)) for p in point)
+    total = Fraction(0) if exact else 0j
+    for expo, c in f.items():
+        term = c
+        for p, e in zip(point, expo):
+            if e:
+                term = term * (p ** e)
+        total = total + term
+    return total
+
+
+@st.composite
+def evaluations(draw):
+    n, d = draw(st.integers(1, 3)), draw(st.integers(0, 5))
+    coordinate = draw(st.sampled_from([SPAN, EXACT, FLOAT, st.integers(-9, 9)]))
+    return draw(forms(n, d)), draw(st.lists(coordinate, min_size=n, max_size=n))
+
+
+@KERNEL
+@given(evaluations())
+@example((Form(2, 2, (Fraction(1, 10 ** 400), Fraction(3), Fraction(-1, 7))),
+          [complex(-0.0, 1.0), 1e150 + 0j]))
+@example((Form(3, 0, (Fraction(5, 3),)), [0j, 0j, 1 + 0j]))
+@example((Form(2, 1, (1.5 + 0j, complex(-0.0, -0.0))), [Fraction(1, 3), Fraction(2)]))
+def test_evaluate_matches_the_reference_bit_for_bit(case):
+    # exact, float and mixed: the same type and the same repr
+    f, point = case
+    got, expected = evaluate(f, point), reference_evaluate(f, point)
+    assert type(got) is type(expected) and repr(got) == repr(expected)
+
+
 def test_power_of_linear_takes_complex_terms_as_they_are(monkeypatch):
     # a complex point and coefficient give complex terms, kept without the
     # normalizing scan; a numpy scalar or a float still goes through it

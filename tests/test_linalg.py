@@ -326,3 +326,17 @@ def test_solve_columns_matrix_build_keeps_every_bit(rows, cols, data):
         return
     assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()
     assert repr(got[1]) == repr(want[1]) and got[2] == want[2]
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(np.nan, 0.0), complex(1.0, np.inf)])
+def test_solve_columns_gives_none_on_a_non_finite_system(bad, capfd):
+    # LAPACK's SVD does not converge on such entries and writes to stderr
+    columns = [[1.0 + 0j, 2.0], [bad, 1.0]]
+    for tol in (None, 1e-8):
+        assert solve_columns(columns, [1.0, 2.0], tol=tol) is None
+        assert solve_columns(np.array(columns, dtype=complex).T.copy(), [1.0, 2.0],
+                             tol=tol) is None
+        assert solve_columns([[1.0, 2.0], [0.0, 1.0]], [bad, 2.0], tol=tol) is None
+    # an exact entry past the float range reads as no float at all
+    assert solve_columns([[Fraction(10 ** 400), 1.0], [0.0, 1.0]], [1.0, 2.0]) is None
+    assert capfd.readouterr().err == ""

@@ -9,7 +9,7 @@ from waring import apolarity, avoidance, quartic
 from waring.apolarity import catalecticant, essential_variables, rank_lower_bound
 from waring.avoidance import AvoidanceSet
 from waring.binary import border_rank_binary
-from waring.certify import BOUND_QUARTIC_EIGHT, verify_decomposition
+from waring.certify import BOUND_QUARTIC_EIGHT, to_json, verify_decomposition
 from waring.errors import (
     NoSmoothConic,
     PreconditionError,
@@ -383,3 +383,23 @@ def test_quartic_open_certifies_valid_or_raises_a_waring_error(f, avoided, seed,
         return
     cert = verify_decomposition(f, dec, tol=tol, avoid=X, bound=(8, BOUND_QUARTIC_EIGHT))
     assert cert.valid, cert
+
+
+@pytest.mark.parametrize("f", [
+    parse_form("x0^4 + x0^3*x1 + x1^4", 3),  # line-open route
+    parse_form("x0^3*x1", 3),                # plane route: the 4 + 4 split
+    random_form(3, 4, seed=5),               # triple route: the 2 + 3 + 3 split
+])
+def test_nothing_avoided_restricts_and_tests_nothing(f, monkeypatch):
+    # with the empty set the binary pieces avoid nothing: no restriction to
+    # a line and no membership test, and the certificate is unchanged
+    expected = verify_decomposition(f, quartic_decompose_open(f, AvoidanceSet.none(3)))
+    calls = []
+    for name in ("restrict_to_line", "contains", "evaluate_at"):
+        original = getattr(AvoidanceSet, name)
+        monkeypatch.setattr(AvoidanceSet, name, lambda self, *args, _o=original, _n=name:
+                            calls.append(_n) or _o(self, *args))
+    cert = verify_decomposition(f, quartic_decompose_open(f))
+    assert calls == []
+    assert cert.valid
+    assert to_json(cert) == to_json(expected)

@@ -775,12 +775,48 @@ def test_split_merge_counts_clash_and_residual():
     assert merged.provenance["route"] == "test"
     assert rejects == {"clash": 0, "residual": 0}
     first = min(decs)
+    # a piece listing each of its points twice merges them into one term
+    # with the summed coefficient: the doubled piece misses f as a residual
     doubled = Decomposition(2, 5, decs[first].terms * 2)
     assert split.merge({first: doubled}, {}, 1e-8, rejects) is None
-    assert rejects == {"clash": 1, "residual": 0}
+    assert rejects == {"clash": 0, "residual": 1}
     halved = Decomposition(2, 5, tuple(Term(t.coeff / 2, t.point) for t in decs[first].terms))
     assert split.merge({**decs, first: halved}, {}, 1e-8, rejects) is None
-    assert rejects == {"clash": 1, "residual": 1}
+    assert rejects == {"clash": 0, "residual": 2}
+    # the two halves of each point merge back into the piece: the sum is f
+    rejoined = split.merge({**decs, first: Decomposition(2, 5, halved.terms * 2)},
+                           {}, 1e-8, rejects)
+    assert rejoined.size == merged.size
+    assert [t.coeff for t in rejoined.terms] == [t.coeff for t in merged.terms]
+    assert verify_decomposition(f, rejoined).valid
+    assert rejects == {"clash": 0, "residual": 2}
+    # a point and its negated twin cancel exactly and leave no term
+    cancelled = Decomposition(2, 5, decs[first].terms + tuple(
+        Term(-t.coeff, t.point) for t in decs[first].terms))
+    assert split.merge({first: cancelled}, {}, 1e-8, rejects) is None
+    assert rejects == {"clash": 0, "residual": 3}
+
+
+def three_powers(d, seed):
+    rng = random.Random(seed)
+    f = None
+    for _ in range(3):
+        p = (0, 0, 0)
+        while not any(p):
+            p = tuple(rng.randint(-3, 3) for _ in range(3))
+        f = power_of_linear(p, d) if f is None else f + power_of_linear(p, d)
+    return f
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_sums_of_three_powers_merge_their_clashing_points(d):
+    # the pieces of such sums put points where two lines meet, on both
+    # lines; merging them certifies the three powers themselves
+    for seed in range(6):
+        f = three_powers(d, seed)
+        dec = decompose_ternary_odd(f, seed=seed)
+        assert verify_decomposition(f, dec).valid
+        assert dec.size == 3
 
 
 # -- full odd-degree decompositions ---------------------------------------------
