@@ -345,4 +345,3 @@ def test_the_avoidance_check_agrees_with_contains(exact):
     assert cert.avoidance["evaluations"] == [
         [[v.numerator, v.denominator] if exact else [v.real + 0.0, v.imag + 0.0] for v in row]
         for row in values]
-    assert json.loads(to_json(cert))["avoidance"] == json.loads(json.dumps(cert.avoidance))

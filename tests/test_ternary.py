@@ -793,6 +793,7 @@ def test_split_merge_counts_clash_and_residual():
     # a point and its negated twin cancel exactly and leave no term
     cancelled = Decomposition(2, 5, decs[first].terms + tuple(
         Term(-t.coeff, t.point) for t in decs[first].terms))
+    assert ternary._merge_clashes(list(cancelled.terms)) == []
     assert split.merge({first: cancelled}, {}, 1e-8, rejects) is None
     assert rejects == {"clash": 0, "residual": 3}
 
