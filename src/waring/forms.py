@@ -28,8 +28,7 @@ skip re-normalization; so does `scale` on a float form, whose products
 `substitute` runs on coefficient lists over the same product table and
 builds one `Form` at the end: on exact data integer numerators over one
 denominator, otherwise the products and sums of the `Form` operations it
-replaced, in their order, so its float bits are theirs too.  `evaluate`
-likewise sums exact data on integers and keeps the float order.
+replaced, in their order, so its float bits are theirs too.
 
 Points of the projective space P(S_1) are `ProjectivePoint`s.  Exact points
 normalize their first nonzero coordinate to 1; float points normalize the
@@ -343,39 +342,16 @@ def power_of_linear(point: Sequence, degree: int, coeff=1) -> Form:
 
 
 def evaluate(f: Form, point: Sequence) -> Scalar:
-    """Evaluate f at coordinates (substituting x_i := point[i]).
-
-    Exact data give a Fraction, summed on integer numerators over one
-    denominator.  Otherwise each nonzero coefficient times its coordinate
-    powers is added onto 0j in monomial order; at all-complex coordinates
-    an exact coefficient enters as its complex view, the complex(c) that
-    its product with a complex takes.
-    """
+    """Evaluate f at coordinates (substituting x_i := point[i])."""
     if len(point) != f.num_vars:
         raise DimensionMismatch("point length must match variable count")
-    expos = exponents(f.num_vars, f.degree)
-    if f.is_exact and all(is_exact_scalar(p) for p in point):
-        nums, den = _numerators(tuple(point))
-        total = 0
-        for expo, c in zip(expos, f._num):
-            if c:
-                for x, e in zip(nums, expo):
-                    if e:
-                        c *= x ** e
-                total += c
-        return Fraction(total, f._den * den ** f.degree)
-    if f.is_exact:
-        nonzero = f._num
-        values = f.floats() if all(type(p) is complex for p in point) else f.coeffs
-    else:
-        nonzero = values = f.coeffs
-    total = 0j
-    for expo, c, term in zip(expos, nonzero, values):
-        if c != 0:
-            for p, e in zip(point, expo):
-                if e:
-                    term = term * (p ** e)
-            total = total + term
+    total = Fraction(0) if f.is_exact and all(is_exact_scalar(p) for p in point) else 0j
+    for expo, c in f.items():
+        term = c
+        for p, e in zip(point, expo):
+            if e:
+                term = term * (p ** e)
+        total = total + term
     return total
 
 

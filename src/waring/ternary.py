@@ -527,8 +527,8 @@ class SplitProblem:
         """The piece decompositions `decs` (by line index), pushed to the plane.
 
         Pushed points that clash (a point where two lines meet, taken by
-        both pieces) are merged first, by `_merge_clashes`.  None on points
-        that still clash or on a sum that misses f, each counted in
+        both pieces) are merged first, by `_merge_clashes`, which leaves
+        distinct points.  None on a sum that misses f, counted in
         `rejects`; the provenance gains `lines` and `piece_sizes`.  A
         `best_residual` entry of `rejects`, where the caller keeps one, is
         lowered to the residual of a sum that misses.
@@ -536,10 +536,7 @@ class SplitProblem:
         terms = [t for i, dec in decs.items()
                  for t in push_decomposition(dec, self.spans[i]).terms]
         if not distinct_points([t.point for t in terms]):
-            terms = _merge_clashes(terms)
-            if not distinct_points([t.point for t in terms]):
-                rejects["clash"] += 1
-                return None
+            terms = _merge_clashes(terms, self.form.degree)
         merged = Decomposition(3, self.form.degree, tuple(terms), {
             **provenance,
             "lines": [tuple(map(str, ell.coeffs)) for ell in self.system.lines],
@@ -578,19 +575,22 @@ class SplitProblem:
         return self.merge(decs, provenance, tol, rejects)
 
 
-def _merge_clashes(terms: list[Term]) -> list[Term]:
-    """The terms with each one at the same point (at 1e-6) as an earlier
-    one folded into it: one term at the first point with the summed
-    coefficient (exact stays exact), dropped when the sum is exactly zero.
-    The merged sum is judged by the residual check as any other."""
-    groups: list[list] = []
+def _merge_clashes(terms: list[Term], degree: int) -> list[Term]:
+    """The terms of one degree with each one at the same point (at 1e-6)
+    as an earlier one folded into it: one term at the first point, dropped
+    when its coefficient sums to exactly zero.  Two float copies of a point
+    can pivot on different coordinates, so a later term enters as
+    coeff * q[k]^degree, with k a coordinate where the first point reads 1;
+    exact copies agree, q[k] is 1 and exact stays exact.  The merged sum is
+    judged by the residual check as any other."""
+    groups: list[list] = []  # [coefficient, point, index of a coordinate 1]
     for t in terms:
         group = next((g for g in groups if same_point(g[1], t.point, 1e-6)), None)
         if group is None:
-            groups.append([t.coeff, t.point])
+            groups.append([t.coeff, t.point, t.point.coords.index(1)])
         else:
-            group[0] += t.coeff
-    return [Term(c, p) for c, p in groups if c != 0]
+            group[0] += t.coeff * t.point.coords[group[2]] ** degree
+    return [Term(c, p) for c, p, _ in groups if c != 0]
 
 
 def _note_residual(rejects: dict, residual: float | None) -> None:

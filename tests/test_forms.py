@@ -561,39 +561,6 @@ def test_substitute_matches_the_form_products_bit_for_bit(case):
     assert bits(substitute(f, images)) == bits(reference_substitute(f, images))
 
 
-def reference_evaluate(f, point):
-    """The term-by-term evaluation the integer and float-view loops replaced."""
-    exact = f.is_exact and all(isinstance(p, (Fraction, int)) for p in point)
-    total = Fraction(0) if exact else 0j
-    for expo, c in f.items():
-        term = c
-        for p, e in zip(point, expo):
-            if e:
-                term = term * (p ** e)
-        total = total + term
-    return total
-
-
-@st.composite
-def evaluations(draw):
-    n, d = draw(st.integers(1, 3)), draw(st.integers(0, 5))
-    coordinate = draw(st.sampled_from([SPAN, EXACT, FLOAT, st.integers(-9, 9)]))
-    return draw(forms(n, d)), draw(st.lists(coordinate, min_size=n, max_size=n))
-
-
-@KERNEL
-@given(evaluations())
-@example((Form(2, 2, (Fraction(1, 10 ** 400), Fraction(3), Fraction(-1, 7))),
-          [complex(-0.0, 1.0), 1e150 + 0j]))
-@example((Form(3, 0, (Fraction(5, 3),)), [0j, 0j, 1 + 0j]))
-@example((Form(2, 1, (1.5 + 0j, complex(-0.0, -0.0))), [Fraction(1, 3), Fraction(2)]))
-def test_evaluate_matches_the_reference_bit_for_bit(case):
-    # exact, float and mixed: the same type and the same repr
-    f, point = case
-    got, expected = evaluate(f, point), reference_evaluate(f, point)
-    assert type(got) is type(expected) and repr(got) == repr(expected)
-
-
 def test_power_of_linear_takes_complex_terms_as_they_are(monkeypatch):
     # a complex point and coefficient give complex terms, kept without the
     # normalizing scan; a numpy scalar or a float still goes through it

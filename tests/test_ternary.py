@@ -793,7 +793,7 @@ def test_split_merge_counts_clash_and_residual():
     # a point and its negated twin cancel exactly and leave no term
     cancelled = Decomposition(2, 5, decs[first].terms + tuple(
         Term(-t.coeff, t.point) for t in decs[first].terms))
-    assert ternary._merge_clashes(list(cancelled.terms)) == []
+    assert ternary._merge_clashes(list(cancelled.terms), 5) == []
     assert split.merge({first: cancelled}, {}, 1e-8, rejects) is None
     assert rejects == {"clash": 0, "residual": 3}
 
@@ -818,6 +818,16 @@ def test_sums_of_three_powers_merge_their_clashing_points(d):
         dec = decompose_ternary_odd(f, seed=seed)
         assert verify_decomposition(f, dec).valid
         assert dec.size == 3
+    # two float copies of one point with tied largest coordinates pivot
+    # on different ones, a factor near -1 apart: the later coefficient
+    # enters scaled by it, so the merged term is the sum of both powers
+    b = ProjectivePoint((1.0, -1 + 1e-10, 0.5))
+    a = ProjectivePoint((1.0, -1 - 1e-10, 0.5))
+    assert b.coords[0] == 1 and a.coords[1] == 1 and same_point(a, b, 1e-6)
+    (term,) = ternary._merge_clashes([Term(2.0, b), Term(3.0, a)], d)
+    assert term.point == b and abs(term.coeff - (2 - 3)) < 1e-8
+    both = power_of_linear(b.coords, d, 2.0) + power_of_linear(a.coords, d, 3.0)
+    assert (power_of_linear(term.point.coords, d, term.coeff) - both).max_abs() < 1e-6
 
 
 # -- full odd-degree decompositions ---------------------------------------------
