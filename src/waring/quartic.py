@@ -389,18 +389,14 @@ def _two_line_split(f: Form, X: AvoidanceSet, seed: int, tol: float,
         pair = reducible_member(basis, forbidden, seed=seed)
     split = split_on_lines(f, LineSystem(pair))
     avoids = [_restrict_avoid(X, split.spans[i]) for i in range(2)]
-    rng = random.Random(seed + 5)
     rejects = {"piece_fail": 0, "clash": 0, "residual": 0}
-    for t in range(retries):
-        height = 9 << (t // 16)
-        c = Fraction(0) if t == 0 else Fraction(rng.randint(-height, height))
-        merged = split.decompose_tuple([c], (4, 4), avoids, seed + 31 * t, tol, rejects,
-                                       {"route": "two-line-split", "tuple_attempt": t})
-        if merged is not None:
-            return merged
-    raise RetryExhausted(
-        f"two-line split found no admissible tuple in {retries} tries",
-        diagnostics=rejects)
+    merged = split.search((4, 4), avoids, random.Random(seed + 5), seed, tol, retries, 16,
+                          rejects, {"route": "two-line-split"})
+    if merged is None:
+        raise RetryExhausted(
+            f"two-line split found no admissible tuple in {retries} tries",
+            diagnostics=rejects)
+    return merged
 
 
 _BINARY_QUADRIC_DUALS = tuple(Form.from_dict(2, 2, {e: 1}) for e in exponents(2, 2))

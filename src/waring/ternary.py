@@ -11,17 +11,19 @@ genericity the per-piece rank bounds need.
 Full decompositions are provided for odd degree at least five.  The
 splitting layer itself (`annihilates`, `annihilating_lines`,
 `split_on_lines`) works in any degree and is reused by the quartic
-pipeline; its entry is `SplitProblem.decompose_tuple`, the one tuple step
-of every split route: decompose each piece on its line within a cap and
-merge the pieces back into the plane.
+pipeline.  `SplitProblem.search` is the one see-saw tuple search of the
+odd split and the quartic 4 + 4 split: the all-zero tuple first, then
+integer draws of growing height.  Its step, `SplitProblem.decompose_tuple`,
+is the one tuple step of every split route: decompose each piece on its
+line within a cap and merge the pieces back into the plane.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -497,23 +499,45 @@ class SplitProblem:
     `particular` is one solution tuple (binary forms, one per line, in the
     coordinates of the line's span).  The direction space is spanned by
     see-saw generators: the d-th power of a pairwise intersection point,
-    added on one line and subtracted on the other.  `kernel` holds them as
-    (i, j, power on line i, power on line j).
+    added on one line and subtracted on the other.  `seesaws` holds each
+    point as (i, j, its coordinates on line i, on line j); `kernel` holds
+    the generators as (i, j, power on line i, power on line j), powered
+    when first read, so a split that succeeds at the all-zero tuple
+    powers none.
     """
 
     form: Form
     system: LineSystem
     particular: tuple[Form, ...]
-    kernel: Sequence[tuple[int, int, Form, Form]]
+    seesaws: tuple[tuple[int, int, tuple, tuple], ...]
     spans: tuple[tuple[tuple, tuple], ...]
-    solution_dim: int
+
+    @cached_property
+    def kernel(self) -> tuple[tuple[int, int, Form, Form], ...]:
+        # scale each see-saw generator to the size of the particular solution,
+        # via an exact dyadic factor, so integer kernel coefficients perturb
+        # the pieces instead of drowning them
+        d = self.form.degree
+        exact = self.form.is_exact and self.system.is_exact
+        ref = max(max(p.max_abs() for p in self.particular), 1e-30)
+        out = []
+        for i, j, ci, cj in self.seesaws:
+            pow_i = power_of_linear(ci, d)
+            pow_j = power_of_linear(cj, d)
+            gnorm = max(pow_i.max_abs(), pow_j.max_abs())
+            shift = round(math.log2(gnorm / ref)) if gnorm > 0 else 0
+            gamma = Fraction(1, 1 << shift) if shift >= 0 else Fraction(1 << -shift)
+            if not exact:  # a power of two: float(gamma) has the bits of complex(gamma)
+                gamma = float(gamma)
+            out.append((i, j, pow_i.scale(gamma), pow_j.scale(gamma)))
+        return tuple(out)
 
     def pieces(self, coeffs) -> list[Form]:
         """The summand tuple at one choice of kernel coefficients; a zero
         coefficient reads nothing of its generator."""
-        if len(coeffs) != len(self.kernel):
+        if len(coeffs) != len(self.seesaws):
             raise PreconditionError(
-                f"expected {len(self.kernel)} kernel coefficients")
+                f"expected {len(self.seesaws)} kernel coefficients")
         out = list(self.particular)
         for n, c in enumerate(coeffs):
             if c:
@@ -558,8 +582,8 @@ class SplitProblem:
         nothing) from `decompose_binary_bounded` at seed `seed + i`; zero
         pieces and those already decomposed in `done` (by line index) are
         skipped.  None when a piece fails (counted as `piece_fail`) or the
-        merge rejects the sum (`clash`, `residual`); a failed piece's best
-        residual lowers a `best_residual` entry of `rejects` as `merge` does.
+        merge rejects the sum (`residual`); a failed piece's best residual
+        lowers a `best_residual` entry of `rejects` as `merge` does.
         """
         decs = dict(done or {})
         for i, piece in enumerate(self.pieces(coeffs)):
@@ -573,6 +597,28 @@ class SplitProblem:
                 _note_residual(rejects, err.diagnostics.get("best_residual"))
                 return None
         return self.merge(decs, provenance, tol, rejects)
+
+    def search(self, caps, avoids, rng, seed: int, tol: float, retries: int,
+               every: int, rejects: dict, provenance: dict) -> Decomposition | None:
+        """The see-saw tuple search: the first of `retries` tuples whose
+        pieces decompose within `caps` off `avoids` and merge into f.
+
+        Tuple 0 is all zeros; tuple t >= 1 draws one `rng.randint(-h, h)`
+        per generator, with h = 9 << (t // every).  Each runs
+        `decompose_tuple` at seed `seed + 31 t`, with `tuple_attempt` added
+        to the provenance.  None when the budget is spent; `rejects` then
+        holds the counts.
+        """
+        size = len(self.seesaws)
+        for t in range(retries):
+            height = 9 << (t // every)
+            coeffs = ([Fraction(rng.randint(-height, height)) for _ in range(size)]
+                      if t else [0] * size)
+            merged = self.decompose_tuple(coeffs, caps, avoids, seed + 31 * t, tol, rejects,
+                                          {**provenance, "tuple_attempt": t})
+            if merged is not None:
+                return merged
+        return None
 
 
 def _merge_clashes(terms: list[Term], degree: int) -> list[Term]:
@@ -692,44 +738,8 @@ def split_on_lines(f: Form, system: LineSystem) -> SplitProblem:
         u_ij = system.intersection(i, j, not exact)
         seesaws.append((i, j, _line_coordinates(u_ij, frames[i]),
                         _line_coordinates(u_ij, frames[j])))
-
-    def generators():
-        # scale each see-saw generator to the size of the particular solution,
-        # via an exact dyadic factor, so integer kernel coefficients perturb
-        # the pieces instead of drowning them
-        ref = max(max(p.max_abs() for p in particular), 1e-30)
-        for i, j, ci, cj in seesaws:
-            pow_i = power_of_linear(ci, d)
-            pow_j = power_of_linear(cj, d)
-            gnorm = max(pow_i.max_abs(), pow_j.max_abs())
-            shift = round(math.log2(gnorm / ref)) if gnorm > 0 else 0
-            gamma = Fraction(1, 1 << shift) if shift >= 0 else Fraction(1 << -shift)
-            if not exact:  # a power of two: float(gamma) has the bits of complex(gamma)
-                gamma = float(gamma)
-            yield i, j, pow_i.scale(gamma), pow_j.scale(gamma)
-
-    return SplitProblem(
-        form=f, system=system, particular=particular,
-        kernel=_PoweredOnRead(generators, len(seesaws)), spans=spans, solution_dim=got)
-
-
-class _PoweredOnRead(Sequence):
-    """The see-saw generators of a split, powered when first read.
-
-    The first tuple every split route tries has all coefficients zero and
-    reads no generator, so a split that succeeds there powers none.
-    """
-
-    def __init__(self, generators, size: int):
-        self._generators, self._size, self._items = generators, size, None
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __getitem__(self, index):
-        if self._items is None:
-            self._items = tuple(self._generators())
-        return self._items[index]
+    return SplitProblem(form=f, system=system, particular=particular,
+                        seesaws=tuple(seesaws), spans=spans)
 
 
 # -- full decompositions in odd degree ---------------------------------------
@@ -809,19 +819,10 @@ def decompose_ternary_odd(f: Form, seed: int = 0, tol: float = RESIDUAL_TOL,
         rng = random.Random(seed + 977 * sys_attempt + 13)
         rejects = {"piece_fail": 0, "clash": 0, "residual": 0,
                    "best_residual": best_residual}
-        for t in range(retries):
-            height = 9 << (t // 32)
-            if t == 0:
-                coeffs = [0] * len(split.kernel)
-            else:
-                coeffs = [Fraction(rng.randint(-height, height))
-                          for _ in split.kernel]
-            provenance = {"route": "odd-line-split", "k": k, "cap": cap,
-                          "tuple_attempt": t, "seed": seed}
-            merged = split.decompose_tuple(coeffs, caps, avoids, seed + 31 * t, tol,
-                                           rejects, provenance)
-            if merged is not None:
-                return merged
+        merged = split.search(caps, avoids, rng, seed, tol, retries, 32, rejects,
+                              {"route": "odd-line-split", "k": k, "cap": cap, "seed": seed})
+        if merged is not None:
+            return merged
         best_residual = rejects.pop("best_residual")
         best = {"stage": "tuples", "rejects": rejects, "k": k, "cap": cap,
                 "best_residual": best_residual}

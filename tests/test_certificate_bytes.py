@@ -21,6 +21,10 @@ the two-line split and the witness quartic, each off its own set.  They
 substitute into the avoided generators along quadratic images (conic
 parametrizations) and linear ones (line restrictions).
 
+A fifth pin covers the see-saw tuple search past its all-zero tuple:
+five degree-5 monomials through the odd line split and two binary
+quartics through the 4 + 4 split off x2, each certified at tuple 1.
+
 A change that alters certificate bytes on purpose (a fix that moves a
 float result, say) updates the pins here and records the old and the
 new hashes in CHANGES.md.
@@ -52,6 +56,8 @@ ODD_SPLIT_PINNED_SHA256 = "e075894e1c7b729e68fcd7207f70327e1cbf131a412de19aa22fb
 RESPREAD_PINNED_SHA256 = "e7f78c4e5d5a262331d92261473f670aac13d4564dce9e25503e35c314a6aea1"
 
 QUARTIC_ROUTES_PINNED_SHA256 = "37da90d276949221b784fc0883a23d116283a2a7d2054b5f4767c8609e0fb770"
+
+TUPLE_DRAW_PINNED_SHA256 = "f74ae4cef1494852115debab58eacc1760c2296a31258184d4361ae95fdca709"
 
 QUARTIC_AVOID = (None, "x2", "x0*x2 - x1^2", "x0^3 + x1^3 + x2^3")
 
@@ -138,3 +144,24 @@ def test_quartic_route_certificate_bytes_are_pinned():
     assert all(c.valid for c in certificates)
     texts = "\n".join(to_json(c) for c in certificates)
     assert hashlib.sha256(texts.encode()).hexdigest() == QUARTIC_ROUTES_PINNED_SHA256
+
+
+def tuple_draw_certificates():
+    for text in ("x0^3*x1*x2", "x0^2*x1^2*x2", "x0^2*x1*x2^2", "x0*x1^3*x2", "x0*x1^2*x2^2"):
+        f = parse_form(text, 3)
+        dec = decompose_ternary_odd(f)
+        assert dec.provenance["tuple_attempt"] == 1
+        yield verify_decomposition(f, dec, bound=(12, BOUND_ODD_SPLIT))
+    avoid = AvoidanceSet(3, (parse_form("x2", 3),))
+    for text in ("x0^4 + x1^4", "x0^3*x1 + x0*x1^3"):
+        f = parse_form(text, 3)
+        dec = quartic_decompose_open(f, avoid)
+        assert (dec.provenance["route"], dec.provenance["tuple_attempt"]) == ("two-line-split", 1)
+        yield verify_decomposition(f, dec, avoid=avoid, bound=(8, BOUND_QUARTIC_EIGHT))
+
+
+def test_tuple_draw_certificate_bytes_are_pinned():
+    certificates = list(tuple_draw_certificates())
+    assert all(c.valid for c in certificates)
+    texts = "\n".join(to_json(c) for c in certificates)
+    assert hashlib.sha256(texts.encode()).hexdigest() == TUPLE_DRAW_PINNED_SHA256

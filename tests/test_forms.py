@@ -700,7 +700,7 @@ def test_split_on_lines_converts_no_fraction_on_a_mixed_system(monkeypatch, degr
     pushed = [push_decomposition(piece, span) for span in split.spans]
     assert calls == {"__complex__": 0}
     monkeypatch.undo()
-    assert split.solution_dim == math.comb(len(system.lines), 2)
+    assert len(split.seesaws) == math.comb(len(system.lines), 2)
     for (u, v), got in zip(split.spans, pushed):
         expected = [term_from_vector(t.coeff, [a * x + b * y for x, y in zip(u, v)], degree)
                     for t in piece.terms for a, b in [t.point.coords]]

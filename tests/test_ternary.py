@@ -627,7 +627,7 @@ def test_a_system_made_for_f_is_not_checked_again_and_meets_once(monkeypatch):
     split = split_on_lines(f, system)
     assert checks == [n - 1] * n and 0 < kept < len(meets) + kept == math.comb(n, 2)
     assert len(converted) == len(meets) + 2 * n and len(frames) == n
-    assert split.solution_dim == math.comb(n, 2)
+    assert len(split.seesaws) == math.comb(n, 2)
     # any other form is checked
     with pytest.raises(PreconditionError):
         split_on_lines(f + power_of_linear((F(1), F(2), F(3)), 7), system)
@@ -655,8 +655,7 @@ def test_split_on_lines_solution_space():
     sys = minimize_annihilating(f, annihilating_lines(f, seed=5))
     split = split_on_lines(f, sys)
     k = sys.k
-    assert split.solution_dim == math.comb(k + 1, 2)
-    assert len(split.kernel) == split.solution_dim
+    assert len(split.seesaws) == len(split.kernel) == math.comb(k + 1, 2)
     # the particular solution assembles back to f
     zero = [F(0)] * len(split.kernel)
     assert (_assemble(split, split.pieces(zero)) - f).is_zero()
@@ -686,7 +685,7 @@ def test_split_on_lines_two_planted_lines():
     sys = LineSystem((lin(0, 0, 1), lin(1, 0, 0)))
     assert sys.annihilates(fsum)
     split = split_on_lines(fsum, sys)
-    assert split.solution_dim == 1
+    assert len(split.seesaws) == 1
     zero = [F(0)]
     assert (_assemble(split, split.pieces(zero)) - fsum).is_zero()
 
@@ -927,6 +926,16 @@ def test_tuple_rejects_use_one_vocabulary():
     rejects = err.value.diagnostics["rejects"]
     assert set(rejects) == {"piece_fail", "clash", "residual"}
     assert sum(rejects.values()) == 8
+
+
+def test_tuple_search_powers_the_seesaws_only_past_the_zero_tuple(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ternary, "power_of_linear",
+                        lambda *args: calls.append(1) or power_of_linear(*args))
+    dec = decompose_ternary_odd(random_form(3, 5, 0))
+    assert dec.provenance["tuple_attempt"] == 0 and calls == []
+    dec = decompose_ternary_odd(parse_form("x0^3*x1*x2", 3))
+    assert dec.provenance["tuple_attempt"] == 1 and calls
 
 
 def test_binary_subspace_route_certifies_a_nearly_parallel_plane_valid():
