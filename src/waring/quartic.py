@@ -59,7 +59,7 @@ from .forms import (
     substitute,
 )
 from .linalg import SPAN_TOL, exact_nullspace, numeric_nullspace, solve_columns
-from .monomials import exponents, multinomial
+from .monomials import exponents
 from .plane import (
     UNIT_DUALS,
     apart,
@@ -106,10 +106,9 @@ def witness_quartic(coeffs=(1, 1, 1, 1)) -> Form:
 
     Built on the four-jet of the rational curve (1, t, t^3): the jet
     spans x0^4, x0^3 x1, x0^2 x1^2 and the coupled pair
-    x0 x1^3 + x0^3 x2, weighted by `coeffs`.  The construction is
-    re-derived from the curve on every call and cross-checked, and the
-    result must use all three variables and certify a rank of at least
-    four; unsuitable weights are rejected.
+    x0 x1^3 + x0^3 x2, weighted by `coeffs`.  The result must use all
+    three variables and certify a rank of at least four; unsuitable
+    weights are rejected.
     """
     if len(coeffs) != 4:
         raise PreconditionError("witness takes four weights")
@@ -121,24 +120,6 @@ def witness_quartic(coeffs=(1, 1, 1, 1)) -> Form:
         (1, 3, 0): c[3],
         (3, 0, 1): c[3],
     })
-    # jets of (x0 + t x1 + t^3 x2)^4 at t = 0, recomputed from scratch:
-    # the s^j coefficient collects multinomial(4; a, b, c) x0^a x1^b x2^c
-    # over b + 3c = j
-    jets = [Form.zero(3, 4) for _ in range(4)]
-    for b in range(5):
-        for cc in range(5 - b):
-            j = b + 3 * cc
-            if j > 3:
-                continue
-            a = 4 - b - cc
-            mono = Form.from_dict(3, 4, {(a, b, cc): Fraction(multinomial((a, b, cc)))})
-            jets[j] = jets[j] + mono
-    weights = [c[0], c[1] / 4, c[2] / 6, c[3] / 4]
-    recomputed = Form.zero(3, 4)
-    for w, jet in zip(weights, jets):
-        recomputed = recomputed + jet.scale(w)
-    if recomputed.coeffs != f.coeffs:
-        raise PreconditionError("witness construction failed its jet recheck")
     if essential_variables(f) != 3:
         raise PreconditionError("witness weights must keep all three variables")
     if catalecticant_rank(f, 2) < 4:

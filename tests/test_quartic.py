@@ -18,7 +18,7 @@ from waring.errors import (
     ZeroFormError,
 )
 from waring.forms import Form, contract, parse_form, power_of_linear, random_form
-from waring.monomials import exponents
+from waring.monomials import exponents, multinomial
 from waring.plane import UNIT_DUALS, det3, pencil_at, quadric_matrix
 from waring.quartic import (
     _middle_rows,
@@ -57,6 +57,21 @@ def test_witness_construction():
     assert rank_lower_bound(f) >= 4
     g = witness_quartic((2, -1, 3, 5))
     assert essential_variables(g) == 3
+
+
+def test_witness_is_the_weighted_four_jet_of_its_curve():
+    # the t^j coefficient of (x0 + t x1 + t^3 x2)^4 collects
+    # multinomial(4; a, b, c) x0^a x1^b x2^c over b + 3c = j
+    jets = [{} for _ in range(4)]
+    for a, b, c in exponents(3, 4):
+        if b + 3 * c < 4:
+            jets[b + 3 * c][(a, b, c)] = F(multinomial((a, b, c)))
+    for weights in ((1, 1, 1, 1), (2, -1, 3, 5), (F(1, 3), 7, F(-5, 2), 4), (-4, 0, 1, F(9, 7))):
+        c0, c1, c2, c3 = map(F, weights)
+        expected = Form.zero(3, 4)
+        for w, jet in zip((c0, c1 / 4, c2 / 6, c3 / 4), jets):
+            expected = expected + Form.from_dict(3, 4, jet).scale(w)
+        assert witness_quartic(weights).coeffs == expected.coeffs
 
 
 def test_witness_rejects_degenerate_weights():
