@@ -21,6 +21,7 @@ search is memoized per generator tuple and backend in a bounded cache.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -85,7 +86,8 @@ class AvoidanceSet:
         The values are exact when the point and every generator are, else
         complex at the point's floats.  The point lies in X when every value
         is exactly zero, on floats when no |g(x)| exceeds
-        MEMBER_TOL * max(1, |g|).  `contains` and the certificate's
+        MEMBER_TOL * max(1, |g|).  A float point with a NaN coordinate lies
+        in X, wherever the NaN sits.  `contains` and the certificate's
         avoidance check and report all read this one evaluation.
         """
         pt = point if isinstance(point, ProjectivePoint) else ProjectivePoint(tuple(point))
@@ -96,8 +98,9 @@ class AvoidanceSet:
             return values, not any(values)
         coords = pt.as_floats()
         values = [evaluate(g, coords) for g in self.generators]
-        return values, not any(abs(value) > MEMBER_TOL * max(1.0, g.max_abs())
-                               for g, value in zip(self.generators, values))
+        return values, (any(map(cmath.isnan, coords))
+                        or not any(abs(value) > MEMBER_TOL * max(1.0, g.max_abs())
+                                   for g, value in zip(self.generators, values)))
 
     def contains(self, point) -> bool:
         """Whether the point lies in X, by the rule of `evaluate_at`."""

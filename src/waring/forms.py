@@ -469,14 +469,15 @@ def pivot_index(coords: Sequence, exact: bool) -> int:
     Exact coordinates pivot on the first nonzero one.  Float coordinates
     pivot on the first one within a relative rounding slack of the largest
     magnitude, so coordinates of equal magnitude (roots of unity) keep
-    their pivot when the point is normalized again.  Every caller that
-    scales by the pivot must pick it here.
+    their pivot when the point is normalized again; a NaN in front makes
+    the largest magnitude NaN, and they pivot on the first.  Every caller
+    that scales by the pivot must pick it here.
     """
     if exact:
         return next(i for i, c in enumerate(coords) if c != 0)
     mags = [abs(c) for c in coords]
     top = max(mags) * (1 - _PIVOT_SLACK)
-    return next(i for i, m in enumerate(mags) if m >= top)
+    return next((i for i, m in enumerate(mags) if m >= top), 0)
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,16 @@ def test_membership_exact_and_float():
         X.contains((F(1), F(0)))
 
 
+@pytest.mark.parametrize("generators", [("x2",), ("x0*x2 - x1^2", "x0 + x1 + x2")])
+def test_a_float_point_with_a_nan_coordinate_is_inside_wherever_it_sits(generators):
+    X = AvoidanceSet(3, tuple(parse_form(g, 3) for g in generators))
+    nan = float("nan")
+    for point in ((1.0, 2.0, nan), (1.0, nan, 2.0), (nan, 1.0, 2.0), (complex(1, nan), 1.0, 2.0)):
+        assert X.contains(point)
+        assert X.evaluate_at(ProjectivePoint(point))[1]
+    assert not X.contains((1.0, 2.0, 3.0))
+
+
 def test_membership_multiple_generators_is_intersection():
     X = AvoidanceSet(3, (parse_form("x0", 3), parse_form("x1", 3)))
     assert X.contains((F(0), F(0), F(1)))

@@ -115,6 +115,17 @@ def test_avoidance_check_and_report():
     assert "avoidance" in failed
 
 
+def test_the_avoidance_check_counts_a_point_with_a_nan_coordinate():
+    # off x2 at (1, 2, 3); on the old rule (1, nan, 2) read x2 = 1 and was off X
+    X = AvoidanceSet(3, (parse_form("x2", 3),))
+    nan = float("nan")
+    points = [ProjectivePoint(c) for c in ((1.0, 2.0, 3.0), (1.0, nan, 2.0), (nan, 1.0, 2.0))]
+    dec = Decomposition(3, 4, tuple(Term(complex(1), p) for p in points))
+    cert = verify_decomposition(power_of_linear((1, 2, 3), 4), dec, avoid=X)
+    check = next(c for c in cert.checks if c["name"] == "avoidance")
+    assert check == {"name": "avoidance", "pass": False, "value": 2, "limit": 0}
+
+
 def test_trivial_avoidance_not_reported():
     f, dec, _ = make_cert()
     cert = verify_decomposition(f, dec, avoid=AvoidanceSet.none(2))
