@@ -80,6 +80,7 @@ from .ternary import (
     LineSystem,
     annihilates,
     concurrent,
+    essential_line,
     reducible_member,
     single_power,
     split_on_lines,
@@ -511,7 +512,7 @@ def _triple_route(f: Form, X: AvoidanceSet, seed: int, tol: float,
 
 def _plane_route(f: Form, X: AvoidanceSet, seed: int, tol: float,
                  retries: int) -> Decomposition:
-    u, v = (tuple(x) for x in essential_subspace(f))
+    u, v = essential_line(f)
     if not X.contains_line(u, v):
         return _line_open(f, X, u, v, seed, tol, retries, "line-open")
     # the supporting line sits inside X, so the decomposition must leave it

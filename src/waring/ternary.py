@@ -757,9 +757,16 @@ def single_power(f: Form) -> Decomposition:
     return Decomposition(3, f.degree, (term,), {"route": "single-power"})
 
 
-def _binary_on_subspace(f: Form, seed: int, tol: float) -> Decomposition:
+def essential_line(f: Form) -> tuple[tuple, tuple]:
+    """A Lagrange-reduced integer basis (u, v) of the essential line of a
+    form in two essential variables: points pushed through a nearly
+    parallel basis lose their digits."""
     u, v = reduced_plane_basis(*essential_subspace(f))
-    return decompose_on_line(f, (tuple(u), tuple(v)),
+    return tuple(u), tuple(v)
+
+
+def _binary_on_subspace(f: Form, seed: int, tol: float) -> Decomposition:
+    return decompose_on_line(f, essential_line(f),
                              lambda g: decompose_binary(g, seed=seed, tol=tol),
                              "binary-subspace", tol)
 

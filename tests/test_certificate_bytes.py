@@ -55,7 +55,7 @@ ODD_SPLIT_PINNED_SHA256 = "e075894e1c7b729e68fcd7207f70327e1cbf131a412de19aa22fb
 
 RESPREAD_PINNED_SHA256 = "e7f78c4e5d5a262331d92261473f670aac13d4564dce9e25503e35c314a6aea1"
 
-QUARTIC_ROUTES_PINNED_SHA256 = "37da90d276949221b784fc0883a23d116283a2a7d2054b5f4767c8609e0fb770"
+QUARTIC_ROUTES_PINNED_SHA256 = "88d6f3794c597b7b35f6bff6ff28dbbd00ac009d7749a36a5e5715470d1f2cb9"
 
 TUPLE_DRAW_PINNED_SHA256 = "f74ae4cef1494852115debab58eacc1760c2296a31258184d4361ae95fdca709"
 

@@ -17,7 +17,7 @@ from waring.errors import (
     WaringError,
     ZeroFormError,
 )
-from waring.forms import Form, contract, parse_form, power_of_linear, random_form
+from waring.forms import Form, contract, parse_form, power_of_linear, random_form, substitute
 from waring.monomials import exponents, multinomial
 from waring.plane import UNIT_DUALS, det3, pencil_at, quadric_matrix
 from waring.quartic import (
@@ -205,6 +205,21 @@ def test_route_line_open_for_plane_forms():
     assert dec.provenance["route"] == "line-open"
     check_open(f, dec, X, max_size=3)
     assert dec.size == 3
+
+
+def test_plane_route_pushes_through_a_reduced_essential_line():
+    # the essential plane's exact basis (141288, -94512, 94512),
+    # (-94512, 63456, -63456) is nearly parallel; pushed through it, the
+    # decomposition missed f by 7e-7 to 3e-6 at every seed
+    g = parse_form("5887*x0^4 - 15752*x0^3*x1 + 15864*x0^2*x1^2 - 7520*x0*x1^3"
+                   " + 1552*x1^4", 2)
+    f = substitute(g, [parse_form("x0", 3), parse_form("x1 - x2", 3)])
+    X = AvoidanceSet(3, (parse_form("x2", 3), parse_form("x0*x2 - x1^2", 3)))
+    for avoid in (None, X):
+        for seed in range(4):
+            dec = quartic_decompose_open(f, avoid, seed=seed)
+            assert dec.provenance["route"] == "line-open"
+            assert verify_decomposition(f, dec, avoid=avoid, bound=(8, BOUND_QUARTIC_EIGHT)).valid
 
 
 @pytest.mark.parametrize("text, avoided", [
