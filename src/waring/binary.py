@@ -58,8 +58,8 @@ from .apolarity import (apolar_component, apolar_initial_degree, catalecticant,
                         numeric_catalecticant)
 from .avoidance import AvoidanceSet
 from .decomposition import RESIDUAL_TOL, Decomposition, Term, term_from_vector
-from .errors import (DegenerateSystemError, PreconditionError, RetryExhausted,
-                     RootFindingError, ZeroFormError)
+from .errors import (DegenerateSystemError, PreconditionError, Rejects, RootFindingError,
+                     ZeroFormError)
 from .forms import (Form, ProjectivePoint, complex_coords, distinct_points, is_exact_scalar,
                     power_of_linear, random_combination, same_point)
 from .linalg import SPAN_TOL, numeric_nullspace, numeric_rank, solve_columns
@@ -342,8 +342,9 @@ def decompose_on_line(f: Form, span, decompose, route: str, tol: float) -> Decom
     pushed = push_decomposition(decompose(g), span)
     pushed.provenance["route"] = route
     if not pushed.meets_tolerance(f, tol):
-        raise RetryExhausted("the decomposition pushed onto the line misses tol",
-                             diagnostics={"best_residual": pushed.provenance["residual"]})
+        rejects = Rejects("push", "residual")
+        rejects.count("residual", pushed.provenance["residual"])
+        raise rejects.exhausted("the decomposition pushed onto the line misses tol")
     return pushed
 
 
@@ -479,6 +480,8 @@ def _sample_decomposition(f, size, avoid, seed, tol, retries,
     d = f.degree
     rng = random.Random(seed)
     pure_power = d >= 1 and size == d + 1
+    rejects = Rejects("sample", "zero_combo", "repeated_roots", "few_points", "avoided",
+                      "tiny_weight", "residual")
     if pure_power:
         c0, c1 = _kernel_any(f, 1)[0].coeffs
         draw = partial(_respread_points, f, ProjectivePoint((-c1, c0)), avoid, rng)
@@ -486,43 +489,34 @@ def _sample_decomposition(f, size, avoid, seed, tol, retries,
     else:
         basis = _kernel_any(f, size)
         if not basis:
-            raise RetryExhausted("apolar ideal is empty in the target degree",
-                                 diagnostics={"target_size": size})
+            raise rejects.exhausted("apolar ideal is empty in the target degree",
+                                    target_size=size)
         draw = partial(_apolar_member_roots, rng, basis)
     reject_tiny = not pure_power and 2 * size != d + 2
-    rejects = {"zero_combo": 0, "repeated_roots": 0, "few_points": 0, "avoided": 0,
-               "tiny_weight": 0, "residual": 0}
-    best_residual = None
     for attempt in range(retries):
         pts, why = draw(9 << (attempt // 8))
         if pts is None:
-            rejects[why] += 1
+            rejects.count(why)
             continue
         # a respread draw is already off `avoid`, point by point
         if avoid is not None and not pure_power and any(avoid.contains(p) for p in pts):
-            rejects["avoided"] += 1
+            rejects.count("avoided")
             continue
         weights = _solve_weights(f, pts)
         if weights is None:
-            rejects["residual"] += 1
+            rejects.count("residual")
             continue
         mags = [abs(complex(w)) for w in weights]
         if min(mags) == 0 or reject_tiny and min(mags) <= SMALL_COEFF_TOL * max(mags):
-            rejects["tiny_weight"] += 1
+            rejects.count("tiny_weight")
             continue
         dec = _build(f, pts, weights, {**provenance, "attempt": attempt,
                                        "target_size": size})
-        ok = dec.meets_tolerance(f, tol)
-        res = dec.provenance["residual"]
-        best_residual = res if best_residual is None else min(best_residual, res)
-        if not ok:
-            rejects["residual"] += 1
-            continue
-        return dec
-    raise RetryExhausted(
-        f"no admissible {size}-point decomposition in {retries} attempts",
-        diagnostics={"rejects": rejects, "best_residual": best_residual,
-                     "target_size": size})
+        if dec.meets_tolerance(f, tol):
+            return dec
+        rejects.count("residual", dec.provenance["residual"])
+    raise rejects.exhausted(f"no admissible {size}-point decomposition in {retries} attempts",
+                            target_size=size)
 
 
 def decompose_binary_avoiding(f: Form, avoid: AvoidanceSet | None = None,
@@ -560,6 +554,7 @@ def decompose_binary_bounded(f: Form, avoid: AvoidanceSet | None,
     _require_binary(f, avoid)
     d = f.degree
     b = initial_degree_any(f)
+    rejects = Rejects("bounded", "inconsistent", "residual", "cap")
     if 2 * b == d + 2:
         size, route = b, "pencil-avoiding"
     else:
@@ -568,19 +563,21 @@ def decompose_binary_bounded(f: Form, avoid: AvoidanceSet | None,
         if pts is not None and (avoid is None or not any(avoid.contains(p) for p in pts)):
             weights = _solve_weights(f, pts)
             if weights is None:
-                raise RetryExhausted("apolar root system was inconsistent")
+                rejects.count("inconsistent")
+                raise rejects.exhausted("apolar root system was inconsistent", target_size=b)
             dec = _build(f, pts, weights, {"route": "kernel-roots-avoiding",
                                            "initial_degree": b})
             if not dec.meets_tolerance(f, tol):
                 res = dec.provenance["residual"]
-                raise RetryExhausted(f"root-route decomposition residual {res:.2e}",
-                                     diagnostics={"best_residual": res, "target_size": b})
+                rejects.count("residual", res)
+                raise rejects.exhausted(f"root-route decomposition residual {res:.2e}",
+                                        target_size=b)
             return dec
         size, route = d + 2 - b, "kernel-sampling-avoiding"
     if size > max_size:
-        raise RetryExhausted(
-            f"needs {size} points, cap is {max_size}",
-            diagnostics={"needed": size, "cap": max_size})
+        rejects.count("cap")
+        raise rejects.exhausted(f"needs {size} points, cap is {max_size}",
+                                needed=size, cap=max_size)
     return _sample_decomposition(
         f, size, avoid, seed, tol, retries,
         provenance={"route": route, "initial_degree": b})

@@ -2,7 +2,8 @@
 
 Every decomposition command prints a JSON certificate on stdout (or a
 human summary with --text) and exits 0 when the certificate is valid.
-Budget exhaustion exits 2, an unmet mathematical hypothesis exits 3, and
+Budget exhaustion exits 2 and prints its diagnostics on stderr as one
+line of sorted-key JSON, an unmet mathematical hypothesis exits 3, and
 malformed input exits 1.  Polynomials are given inline or as a path to a
 file containing the same text; `verify` also accepts '-' for stdin.
 
@@ -263,7 +264,7 @@ def main(argv=None) -> int:
     except RetryExhausted as err:
         print(f"search budget exhausted: {err}", file=sys.stderr)
         if err.diagnostics:
-            print(f"diagnostics: {err.diagnostics}", file=sys.stderr)
+            print(f"diagnostics: {json.dumps(err.diagnostics, sort_keys=True)}", file=sys.stderr)
         return EXIT_RETRY
     except PreconditionError as err:
         print(f"precondition failed: {err}", file=sys.stderr)

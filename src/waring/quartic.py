@@ -45,6 +45,7 @@ from .errors import (
     DegenerateSystemError,
     NoSmoothConic,
     PreconditionError,
+    Rejects,
     RetryExhausted,
     ZeroFormError,
 )
@@ -160,28 +161,25 @@ def quartic_predecomp(f: Form, sigma=(), seed: int = 0,
     sigma_pts = [as_dual_point(s) for s in sigma]
     rng = random.Random(seed)
     fallback: tuple[Form, Form, Form] | None = None
-    stats = {"pencils": 0, "roots": 0, "kernel_dim": 0, "square": 0,
-             "clash": 0, "concurrent": 0}
+    rejects = Rejects("split-triple", "line", "kernel_dim", "clash", "concurrent", "square")
 
     for attempt in range(budget):
         height = 9 << (attempt // 16)
         l1 = random_combination(rng, UNIT_DUALS, height)
         la = random_combination(rng, UNIT_DUALS, height)
         lb = random_combination(rng, UNIT_DUALS, height)
-        if l1 is None or la is None or lb is None:
+        if l1 is None or la is None or lb is None or not apart(l1, sigma_pts):
+            rejects.count("line")
             continue
-        if not apart(l1, sigma_pts):
-            continue
-        stats["pencils"] += 1
 
         g1 = contract(l1, f)
         m_a, m_b = quadric_matrix(contract(la, g1)), quadric_matrix(contract(lb, g1))
 
         rational, float_roots = singular_members(*integer_matrices((m_a, m_b)))
         for t in rational + float_roots():
-            stats["roots"] += 1
             l2 = la + lb.scale(t)
             if l2.is_zero() or not apart(l2, [*sigma_pts, l1]):
+                rejects.count("line")
                 continue
             member = pencil_at(m_a, m_b, t)
             if l2.is_exact:
@@ -189,17 +187,17 @@ def quartic_predecomp(f: Form, sigma=(), seed: int = 0,
             else:
                 kernel = numeric_nullspace(np.array(member, dtype=complex))
             if len(kernel) != 1:
-                stats["kernel_dim"] += 1
+                rejects.count("kernel_dim")
                 continue
             l0 = Form(3, 1, tuple(kernel[0]))
             if not apart(l0, [*sigma_pts, l1, l2]):
-                stats["clash"] += 1
+                rejects.count("clash")
                 continue
             if concurrent(l0, l1, l2):
-                stats["concurrent"] += 1
+                rejects.count("concurrent")
                 continue
             if quadric_rank(contract(l2, g1)) < 2:
-                stats["square"] += 1
+                rejects.count("square")
                 continue
             triple = (l0, l1, l2)
             if _zero_pair(f, triple) is not None:
@@ -208,9 +206,7 @@ def quartic_predecomp(f: Form, sigma=(), seed: int = 0,
             return triple
     if fallback is not None:
         return fallback
-    raise RetryExhausted(
-        f"no split triple found in {budget} determinant pencils",
-        diagnostics=stats)
+    raise rejects.exhausted(f"no split triple found in {budget} determinant pencils")
 
 
 # -- conic pullback for catalecticant rank three ------------------------------
@@ -280,8 +276,8 @@ def quartic_brk3_decompose(f: Form, avoid: AvoidanceSet | None = None,
     net = list(cat.kernel)
     rng = random.Random(seed)
     smooth_seen = 0
-    failures = {"point": 0, "inside": 0, "span": 0, "octic_rank": 0,
-                "binary": 0, "residual": 0}
+    rejects = Rejects("conic-pullback", "point", "inside", "span", "octic_rank", "binary",
+                      "avoided", "residual")
     for q in _smooth_members(net, rng, retries):
         smooth_seen += 1
         point = rational_point_on_conic(q, height=12)
@@ -289,17 +285,17 @@ def quartic_brk3_decompose(f: Form, avoid: AvoidanceSet | None = None,
             try:
                 point = float_point_on_conic(q, seed=seed + smooth_seen)
             except (RetryExhausted, PreconditionError):
-                failures["point"] += 1
+                rejects.count("point")
                 continue
         try:
             phi = conic_parametrization(q, point)
         except PreconditionError:
-            failures["point"] += 1
+            rejects.count("point")
             continue
         pulled = [substitute(g, phi) for g in X.generators]
         live = tuple(h for h in pulled if not h.is_zero())
         if not live:
-            failures["inside"] += 1
+            rejects.count("inside")
             continue
         # express f in fourth powers of nine conic points; consistency is
         # exactly the statement that f lives on the conic's power span
@@ -307,7 +303,7 @@ def quartic_brk3_decompose(f: Form, avoid: AvoidanceSet | None = None,
         solved = solve_columns([power_of_linear(z, 4).coeffs for z in images], f.coeffs,
                                tol=SPAN_TOL)
         if solved is None:
-            failures["span"] += 1
+            rejects.count("span")
             continue
         mu = solved[0]
         exact = all(isinstance(m, Fraction) for m in mu)
@@ -317,12 +313,12 @@ def quartic_brk3_decompose(f: Form, avoid: AvoidanceSet | None = None,
                 octic = octic + power_of_linear(w, 8, coeff=m)
         try:
             if initial_degree_any(octic) != 3:
-                failures["octic_rank"] += 1
+                rejects.count("octic_rank")
                 continue
             dec8 = decompose_binary_avoiding(
                 octic, AvoidanceSet(2, live), seed=seed + 17 * smooth_seen, tol=tol)
         except (RetryExhausted, PreconditionError):
-            failures["binary"] += 1
+            rejects.count("binary")
             continue
         terms = []
         for term in dec8.terms:
@@ -335,15 +331,16 @@ def quartic_brk3_decompose(f: Form, avoid: AvoidanceSet | None = None,
             "octic": [str(c) for c in octic.coeffs],
             "octic_exact": exact,
         })
-        if (any(X.contains(t.point) for t in merged.terms)
-                or not merged.meets_tolerance(f, tol)):
-            failures["residual"] += 1
+        if any(X.contains(t.point) for t in merged.terms):
+            rejects.count("avoided")
+            continue
+        if not merged.meets_tolerance(f, tol):
+            rejects.count("residual", merged.provenance["residual"])
             continue
         return merged
-    raise RetryExhausted(
-        f"no smooth conic produced an admissible pullback "
-        f"({smooth_seen} conics tried)",
-        diagnostics=failures)
+    raise rejects.exhausted(
+        f"no smooth conic produced an admissible pullback ({smooth_seen} conics tried)",
+        conics=smooth_seen)
 
 
 # -- split-based routes --------------------------------------------------------
@@ -371,13 +368,11 @@ def _two_line_split(f: Form, X: AvoidanceSet, seed: int, tol: float,
         pair = reducible_member(basis, forbidden, seed=seed)
     split = split_on_lines(f, LineSystem(pair))
     avoids = [_restrict_avoid(X, split.spans[i]) for i in range(2)]
-    rejects = {"piece_fail": 0, "clash": 0, "residual": 0}
+    rejects = Rejects("two-line-split", "piece_fail", "clash", "residual")
     merged = split.search((4, 4), avoids, random.Random(seed + 5), seed, tol, retries, 16,
                           rejects, {"route": "two-line-split"})
     if merged is None:
-        raise RetryExhausted(
-            f"two-line split found no admissible tuple in {retries} tries",
-            diagnostics=rejects)
+        raise rejects.exhausted(f"two-line split found no admissible tuple in {retries} tries")
     return merged
 
 
@@ -412,7 +407,7 @@ def _three_line_split(f: Form, X: AvoidanceSet, triple, seed: int,
     # pow01, whose contractions (not the pencil) are read once per split
     rows01 = _middle_rows(pow01) if exact else None
     rng = random.Random(seed + 23)
-    rejects = {"det": 0, "piece_fail": 0, "clash": 0, "residual": 0}
+    rejects = Rejects("three-line-split", "det", "piece_fail", "clash", "residual")
 
     for round_ in range(-(-retries // 8)):
         height = 9 << (round_ // 4)
@@ -430,7 +425,7 @@ def _three_line_split(f: Form, X: AvoidanceSet, triple, seed: int,
                 for v in (0, 1, -1, 2))), 1)
         roots = rational + float_roots()
         if not roots:
-            rejects["det"] += 1
+            rejects.count("det")
             continue
         for c01 in roots[:4]:
             f0 = f0_at(c01)
@@ -439,8 +434,8 @@ def _three_line_split(f: Form, X: AvoidanceSet, triple, seed: int,
             try:
                 dec0 = decompose_binary_bounded(
                     f0, avoids[0], max_size=2, seed=seed + round_, tol=tol)
-            except RetryExhausted:
-                rejects["piece_fail"] += 1
+            except RetryExhausted as err:
+                rejects.count("piece_fail", err.diagnostics["best_residual"])
                 continue
             for inner in range(8):
                 c12 = Fraction(rng.randint(-height, height))
@@ -449,9 +444,7 @@ def _three_line_split(f: Form, X: AvoidanceSet, triple, seed: int,
                     rejects, {"route": "three-line-split"}, done={0: dec0})
                 if merged is not None:
                     return merged
-    raise RetryExhausted(
-        "three-line split found no admissible configuration",
-        diagnostics=rejects)
+    raise rejects.exhausted("three-line split found no admissible configuration")
 
 
 # -- essential-variable shortcuts ----------------------------------------------
@@ -481,18 +474,17 @@ def _power_route(f: Form, X: AvoidanceSet, seed: int, tol: float,
     candidates = list(_DIRECTIONS)
     for _ in range(16):
         candidates.append(tuple(rng.randint(-9, 9) for _ in range(3)))
+    rejects = Rejects("power-line", "degenerate", "avoided")
     for direction in candidates:
-        if all(x == 0 for x in direction):
-            continue
         vec = tuple(Fraction(x) for x in direction)
-        if same_point(ProjectivePoint(vec), p):
-            continue
-        if X.contains_line(tuple(w), vec):
-            continue
-        return _line_open(f, X, tuple(w), vec, seed, tol, retries, "power-respread-line")
-    raise RetryExhausted(
-        "no line through the power point escapes the avoidance set",
-        diagnostics={"directions": len(candidates)})
+        if not any(vec) or same_point(ProjectivePoint(vec), p):  # w and vec span no line
+            rejects.count("degenerate")
+        elif X.contains_line(tuple(w), vec):
+            rejects.count("avoided")
+        else:
+            return _line_open(f, X, tuple(w), vec, seed, tol, retries, "power-respread-line")
+    raise rejects.exhausted("no line through the power point escapes the avoidance set",
+                            directions=len(candidates))
 
 
 def _triple_route(f: Form, X: AvoidanceSet, seed: int, tol: float,

@@ -36,6 +36,7 @@ from .decomposition import RESIDUAL_TOL, Decomposition, Term, term_from_vector
 from .errors import (
     DegenerateSystemError,
     PreconditionError,
+    Rejects,
     RetryExhausted,
     ZeroFormError,
 )
@@ -299,7 +300,7 @@ def reducible_member(basis: list[Form], forbidden: list[ProjectivePoint],
     if not all(q.is_exact for q in basis):
         raise PreconditionError("reducible member search needs exact quadrics")
     squares: list[Form] = []
-    stats = {"members": 0, "pencils": 0, "squares": 0}
+    rejects = Rejects("reducible-member", "members", "pencils")
     rng = random.Random(seed)
     float_hit: tuple[Form, Form] | None = None
     den, net = integer_matrices([quadric_matrix(q) for q in basis])
@@ -315,7 +316,7 @@ def reducible_member(basis: list[Form], forbidden: list[ProjectivePoint],
         return None
 
     for q in basis:
-        stats["members"] += 1
+        rejects.count("members")
         hit = record(_split_reducible(q, forbidden, squares))
         if hit is not None:
             return hit
@@ -334,19 +335,19 @@ def reducible_member(basis: list[Form], forbidden: list[ProjectivePoint],
                 yield pair
 
     for (ca, a), (cb, b) in pencil_stream():
-        if stats["pencils"] >= LINE_BUDGET:
+        if rejects.counts["pencils"] >= LINE_BUDGET:
             break
-        stats["pencils"] += 1
+        rejects.count("pencils")
         rational, float_roots = singular_members(den, (a, b))
         if rational or float_hit is None:
             qa, qb = combination(ca, basis), combination(cb, basis)
         for t in rational:
-            stats["members"] += 1
+            rejects.count("members")
             hit = record(_split_reducible(qa + qb.scale(t), forbidden, squares))
             if hit is not None:
                 return hit
         for t in float_roots() if float_hit is None else ():
-            stats["members"] += 1
+            rejects.count("members")
             record(_split_reducible(qa.to_float() + qb.to_float().scale(t), forbidden, squares))
             if float_hit is not None:  # only the first float pair is ever returned
                 break
@@ -354,16 +355,14 @@ def reducible_member(basis: list[Form], forbidden: list[ProjectivePoint],
         if len(squares) >= 2:
             pair = _square_difference_pair(squares, forbidden)
             if pair is not None:
-                stats["squares"] = len(squares)
                 return pair
-        if float_hit is not None and stats["pencils"] >= 8:
+        if float_hit is not None and rejects.counts["pencils"] >= 8:
             break
 
-    stats["squares"] = len(squares)
     if float_hit is not None:
         return float_hit
-    raise RetryExhausted(
-        "no admissible reducible member found in the net", diagnostics=stats)
+    raise rejects.exhausted("no admissible reducible member found in the net",
+                            squares=len(squares))
 
 
 def reducible_kernel_pair(g: Form, sigma=(), seed: int = 0) -> KernelPair:
@@ -388,8 +387,9 @@ def reducible_kernel_pair(g: Form, sigma=(), seed: int = 0) -> KernelPair:
     net = list(catalecticant(g, 2).kernel)
     l1, l2 = reducible_member(net, sigma_points, seed=seed)
     if not annihilates((l1, l2), g):
-        raise RetryExhausted("factored member failed the annihilation recheck",
-                             diagnostics={"stage": "recheck"})
+        rejects = Rejects("kernel-pair", "recheck")
+        rejects.count("recheck")
+        raise rejects.exhausted("factored member failed the annihilation recheck")
     return KernelPair(l1, l2, from_sigma=False)
 
 
@@ -429,38 +429,37 @@ def annihilating_lines(f: Form, seed: int = 0) -> LineSystem:
     if not f.is_exact:
         raise PreconditionError("annihilating_lines runs on the exact backend")
 
-    rejects = {"zero_residual": 0, "pair_condition": 0, "kernel_pair": 0,
-               "position": 0, "duplicate": 0}
+    rejects = Rejects("lines", "zero_residual", "pair_condition", "kernel_pair",
+                      "position", "duplicate")
     for attempt in range(LINE_BUDGET):
         sampled = _sample_lines(rng, d - 3, 9 << (attempt // 16))
         g = f
         for ell in sampled:
             g = contract(ell, g)  # a zero residual stays zero
         if g.is_zero():
-            rejects["zero_residual"] += 1
+            rejects.count("zero_residual")
             continue
         # a sampled pair that already kills g comes back flagged
         try:
             pair = reducible_kernel_pair(g, sigma=sampled, seed=seed + 7919 * attempt)
         except RetryExhausted:
-            rejects["kernel_pair"] += 1
+            rejects.count("kernel_pair")
             continue
         if pair.from_sigma:
-            rejects["pair_condition"] += 1
+            rejects.count("pair_condition")
             continue
         try:
             system = LineSystem(tuple(sampled) + (pair.first, pair.second))
         except PreconditionError:
-            rejects["duplicate"] += 1
+            rejects.count("duplicate")
             continue
         if not system.in_general_position():
-            rejects["position"] += 1
+            rejects.count("position")
             continue
         object.__setattr__(system, "_annihilated", f)
         return system
-    raise RetryExhausted(
-        f"no annihilating system of {d - 1} lines in {LINE_BUDGET} attempts",
-        diagnostics={"rejects": rejects})
+    raise rejects.exhausted(
+        f"no annihilating system of {d - 1} lines in {LINE_BUDGET} attempts")
 
 
 def minimize_annihilating(f: Form, system: LineSystem) -> LineSystem:
@@ -547,15 +546,14 @@ class SplitProblem:
         return out
 
     def merge(self, decs: dict, provenance: dict, tol: float,
-              rejects: dict) -> Decomposition | None:
+              rejects: Rejects) -> Decomposition | None:
         """The piece decompositions `decs` (by line index), pushed to the plane.
 
         Pushed points that clash (a point where two lines meet, taken by
         both pieces) are merged first, by `_merge_clashes`, which leaves
         distinct points.  None on a sum that misses f, counted in
-        `rejects`; the provenance gains `lines` and `piece_sizes`.  A
-        `best_residual` entry of `rejects`, where the caller keeps one, is
-        lowered to the residual of a sum that misses.
+        `rejects` as `residual` with its residual; the provenance gains
+        `lines` and `piece_sizes`.
         """
         terms = [t for i, dec in decs.items()
                  for t in push_decomposition(dec, self.spans[i]).terms]
@@ -568,22 +566,20 @@ class SplitProblem:
                             for i in range(len(self.spans))],
         })
         if not merged.meets_tolerance(self.form, tol):
-            rejects["residual"] += 1
-            _note_residual(rejects, merged.provenance["residual"])
+            rejects.count("residual", merged.provenance["residual"])
             return None
         return merged
 
     def decompose_tuple(self, coeffs, caps, avoids, seed: int, tol: float,
-                        rejects: dict, provenance: dict,
+                        rejects: Rejects, provenance: dict,
                         done: dict | None = None) -> Decomposition | None:
         """The tuple step: the pieces at `coeffs`, decomposed and merged.
 
         Piece i gets at most `caps[i]` points off `avoids[i]` (None avoids
         nothing) from `decompose_binary_bounded` at seed `seed + i`; zero
         pieces and those already decomposed in `done` (by line index) are
-        skipped.  None when a piece fails (counted as `piece_fail`) or the
-        merge rejects the sum (`residual`); a failed piece's best residual
-        lowers a `best_residual` entry of `rejects` as `merge` does.
+        skipped.  None when a piece fails (counted as `piece_fail`, with the
+        piece's best residual) or the merge rejects the sum (`residual`).
         """
         decs = dict(done or {})
         for i, piece in enumerate(self.pieces(coeffs)):
@@ -593,13 +589,12 @@ class SplitProblem:
                 decs[i] = decompose_binary_bounded(piece, avoids[i], caps[i],
                                                    seed=seed + i, tol=tol)
             except RetryExhausted as err:
-                rejects["piece_fail"] += 1
-                _note_residual(rejects, err.diagnostics.get("best_residual"))
+                rejects.count("piece_fail", err.diagnostics["best_residual"])
                 return None
         return self.merge(decs, provenance, tol, rejects)
 
     def search(self, caps, avoids, rng, seed: int, tol: float, retries: int,
-               every: int, rejects: dict, provenance: dict) -> Decomposition | None:
+               every: int, rejects: Rejects, provenance: dict) -> Decomposition | None:
         """The see-saw tuple search: the first of `retries` tuples whose
         pieces decompose within `caps` off `avoids` and merge into f.
 
@@ -607,7 +602,7 @@ class SplitProblem:
         per generator, with h = 9 << (t // every).  Each runs
         `decompose_tuple` at seed `seed + 31 t`, with `tuple_attempt` added
         to the provenance.  None when the budget is spent; `rejects` then
-        holds the counts.
+        holds the counts and the best residual.
         """
         size = len(self.seesaws)
         for t in range(retries):
@@ -637,13 +632,6 @@ def _merge_clashes(terms: list[Term], degree: int) -> list[Term]:
         else:
             group[0] += t.coeff * t.point.coords[group[2]] ** degree
     return [Term(c, p) for c, p, _ in groups if c != 0]
-
-
-def _note_residual(rejects: dict, residual: float | None) -> None:
-    """Lower rejects["best_residual"] to `residual`, where the caller keeps one."""
-    if residual is not None and "best_residual" in rejects:
-        best = rejects["best_residual"]
-        rejects["best_residual"] = residual if best is None else min(best, residual)
 
 
 def _line_frame(span) -> tuple:
@@ -780,10 +768,11 @@ def decompose_ternary_odd(f: Form, seed: int = 0, tol: float = RESIDUAL_TOL,
     within the per-line cap max(d + 1 - k, (d + 1) / 2).  The total never
     exceeds (d^2 - 1) / 2, because (k + 1) times the cap does not for any
     1 <= k <= d - 2.  Forms in fewer essential variables take the direct
-    single-power or binary route instead.  When the tuple stage gives up,
-    the RetryExhausted diagnostics carry `best_residual`, the least
-    residual that any merged sum or failed piece reached (None if none
-    got that far).
+    single-power or binary route instead.  One record counts the rejects
+    of the whole call: line systems not found (`lines`) or not split
+    (`split`), and the tuples' `piece_fail`, `clash` and `residual`.  Its
+    `best_residual` is the least residual that any merged sum or failed
+    piece reached (None if none got that far).
     """
     if f.num_vars != 3:
         raise PreconditionError("decompose_ternary_odd expects a ternary form")
@@ -802,15 +791,14 @@ def decompose_ternary_odd(f: Form, seed: int = 0, tol: float = RESIDUAL_TOL,
     if ess == 2:
         return _binary_on_subspace(f, seed, tol)
 
-    best: dict | None = None
-    best_residual = None
+    rejects = Rejects("odd-split", "lines", "split", "piece_fail", "clash", "residual")
     outer_budget = 4
     for sys_attempt in range(outer_budget):
         try:
             system = annihilating_lines(f, seed=seed + 101 * sys_attempt)
             system = minimize_annihilating(f, system)
-        except RetryExhausted as err:
-            best = best or {"stage": "lines", **err.diagnostics}
+        except RetryExhausted:
+            rejects.count("lines")
             continue
         k = system.k
         if k < 1:
@@ -818,24 +806,18 @@ def decompose_ternary_odd(f: Form, seed: int = 0, tol: float = RESIDUAL_TOL,
                 "single annihilating line on a three-variable form")
         try:
             split = split_on_lines(f, system)
-        except DegenerateSystemError as err:
-            best = best or {"stage": "split", "detail": str(err)}
+        except DegenerateSystemError:
+            rejects.count("split")
             continue
         cap = max(d + 1 - k, (d + 1) // 2)
         caps, avoids = (cap,) * (k + 1), (None,) * (k + 1)
         rng = random.Random(seed + 977 * sys_attempt + 13)
-        rejects = {"piece_fail": 0, "clash": 0, "residual": 0,
-                   "best_residual": best_residual}
         merged = split.search(caps, avoids, rng, seed, tol, retries, 32, rejects,
                               {"route": "odd-line-split", "k": k, "cap": cap, "seed": seed})
         if merged is not None:
             return merged
-        best_residual = rejects.pop("best_residual")
-        best = {"stage": "tuples", "rejects": rejects, "k": k, "cap": cap,
-                "best_residual": best_residual}
-    raise RetryExhausted(
-        f"no admissible split decomposition after {outer_budget} line systems",
-        diagnostics=best or {})
+    raise rejects.exhausted(
+        f"no admissible split decomposition after {outer_budget} line systems")
 
 
 # -- upper bound from moving hypersurfaces ------------------------------------

@@ -411,8 +411,10 @@ def test_an_exhausted_respread_names_its_rejects(exact, options):
     with pytest.raises(RetryExhausted) as err:
         decompose_binary_avoiding(f, X, seed=2, **options)
     diag = err.value.diagnostics
-    assert set(diag) == {"rejects", "best_residual", "target_size"}
-    assert diag["target_size"] == 6
+    assert set(diag) == {"stage", "rejects", "best_residual", "target_size"}
+    assert diag["stage"] == "sample" and diag["target_size"] == 6
+    assert set(diag["rejects"]) == {"zero_combo", "repeated_roots", "few_points", "avoided",
+                                    "tiny_weight", "residual"}
     if "tol" in options:
         assert diag["rejects"]["residual"] == 64 and diag["best_residual"] > 1e-30
     else:

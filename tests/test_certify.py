@@ -1,7 +1,11 @@
 import json
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waring.avoidance import AvoidanceSet
 from waring.binary import (
@@ -24,8 +28,11 @@ from waring.certify import (
     verify_decomposition,
 )
 from waring.decomposition import Decomposition, Term
-from waring.errors import DimensionMismatch, ParseFormError, PreconditionError
-from waring.forms import Form, ProjectivePoint, evaluate, parse_form, power_of_linear, random_form
+from waring.errors import (DimensionMismatch, ParseFormError, PreconditionError,
+                           RetryExhausted, WaringError)
+from waring.forms import (Form, ProjectivePoint, evaluate, parse_form, power_of_linear,
+                          random_form, substitute)
+from waring.monomials import exponents, space_dim
 from waring.ternary import decompose_ternary_odd
 
 F = Fraction
@@ -356,3 +363,67 @@ def test_the_avoidance_check_agrees_with_contains(exact):
     assert cert.avoidance["evaluations"] == [
         [[v.numerator, v.denominator] if exact else [v.real + 0.0, v.imag + 0.0] for v in row]
         for row in values]
+
+
+# -- every route on structured inputs ------------------------------------------
+
+SMALL_COEFFS = st.sampled_from((-3, -2, -1, 1, 2, 3)).map(Fraction)
+
+
+def small_points(n):
+    return st.lists(st.integers(-2, 2).map(Fraction), min_size=n, max_size=n).filter(any)
+
+
+def structured_forms(n, d):
+    """Monomials, sums of 1 to 6 powers of small integer points, products of
+    d lines, and forms in n - 1 essential variables: the shapes where a
+    random form's genericity does not hold."""
+    monomials = st.tuples(st.sampled_from(exponents(n, d)), SMALL_COEFFS).map(
+        lambda ec: Form.from_dict(n, d, {ec[0]: ec[1]}))
+    powers = st.lists(st.tuples(SMALL_COEFFS, small_points(n)), min_size=1, max_size=6).map(
+        lambda cps: sum((power_of_linear(p, d, coeff=c) for c, p in cps), Form.zero(n, d)))
+    lines = st.lists(small_points(n), min_size=d, max_size=d).map(
+        lambda ps: reduce(mul, (Form(n, 1, tuple(p)) for p in ps)))
+    fewer = st.tuples(
+        st.lists(SMALL_COEFFS, min_size=space_dim(n - 1, d), max_size=space_dim(n - 1, d)),
+        st.lists(small_points(n), min_size=n - 1, max_size=n - 1)).map(
+        lambda gl: substitute(Form(n - 1, d, tuple(gl[0])), [Form(n, 1, tuple(p)) for p in gl[1]]))
+    return st.one_of(monomials, powers, lines, fewer)
+
+
+# (variables, degrees, avoided sets) for each route in ROUTES; the rank and odd
+# routes avoid nothing
+ROUTE_SHAPES = {
+    "binary-rank": (2, st.integers(2, 12), (None,)),
+    "binary-open": (2, st.integers(2, 12),
+                    (None, AvoidanceSet.from_points([(Fraction(1), Fraction(1)),
+                                                     (Fraction(1), Fraction(-1))]))),
+    "quartic8": (3, st.just(4), (None, AvoidanceSet(3, (parse_form("x2", 3),)))),
+    "brk3": (3, st.just(4), (None, AvoidanceSet(3, (parse_form("x2", 3),)))),
+    "odd-split": (3, st.sampled_from((5, 7)), (None,)),
+}
+
+
+@st.composite
+def route_cases(draw):
+    route = draw(st.sampled_from(sorted(ROUTES)))
+    n, degrees, avoided = ROUTE_SHAPES[route]
+    f = draw(structured_forms(n, draw(degrees)))
+    return route, f if draw(st.booleans()) else f.to_float(), draw(st.sampled_from(avoided))
+
+
+@settings(max_examples=100, deadline=None)
+@given(route_cases(), st.integers(0, 3))
+def test_every_route_certifies_structured_forms_valid_or_raises_a_waring_error(case, seed):
+    route, f, avoid = case
+    decompose, bound_value, bound_tag = ROUTES[route]
+    try:  # as the command line runs a route: the decomposition, then its bound
+        dec = decompose(f, avoid, seed=seed)
+        bound = (bound_value(f), bound_tag)
+    except RetryExhausted as err:
+        assert {"stage", "rejects", "best_residual"} <= set(err.diagnostics)
+        return
+    except WaringError:
+        return
+    cert = verify_decomposition(f, dec, avoid=avoid, seed=seed, bound=bound)
+    assert cert.valid, cert

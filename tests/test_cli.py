@@ -222,6 +222,12 @@ def test_exhausted_search_exits_2(capsys, tmp_path):
     assert code == EXIT_RETRY
     assert out == ""
     assert "search budget exhausted" in err
+    # the diagnostics follow as one line of sorted-key JSON
+    line = err.splitlines()[-1]
+    assert line.startswith("diagnostics: ")
+    diag = json.loads(line.removeprefix("diagnostics: "))
+    assert line == "diagnostics: " + json.dumps(diag, sort_keys=True)
+    assert {"stage", "rejects", "best_residual"} <= set(diag)
 
 
 @pytest.mark.parametrize("argv", [

@@ -36,6 +36,23 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
+def test_only_errors_gives_a_retry_exhausted_its_diagnostics():
+    # every search gives up through `errors.Rejects.exhausted`, so its
+    # diagnostics keep the one shape that the errors module states
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "RetryExhausted" and (len(node.args) > 1 or any(
+                    k.arg in ("diagnostics", None) for k in node.keywords)):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 # module attributes that the package's users read, not the package itself
 UNREAD_BY_DESIGN = {"__all__", "__version__"}
 

@@ -9,7 +9,8 @@ from waring import apolarity, avoidance, quartic
 from waring.apolarity import catalecticant, essential_variables, rank_lower_bound
 from waring.avoidance import AvoidanceSet
 from waring.binary import border_rank_binary
-from waring.certify import BOUND_QUARTIC_EIGHT, to_json, verify_decomposition
+from waring.certify import (BOUND_CONIC_PULLBACK, BOUND_QUARTIC_EIGHT, to_json,
+                            verify_decomposition)
 from waring.errors import (
     NoSmoothConic,
     PreconditionError,
@@ -239,17 +240,72 @@ def test_triple_route_spends_the_callers_retry_budget():
         quartic_decompose_open(random_form(3, 4, seed=5), LINE_X2, seed=0, retries=0)
 
 
-@pytest.mark.parametrize("f, route_key", [
-    (parse_form("x0^3*x1", 3), None),   # plane route: the 4 + 4 split
-    (random_form(3, 4, seed=5), "det"),  # triple route: the 2 + 3 + 3 split
+@pytest.mark.parametrize("f, stage, route_key", [
+    (parse_form("x0^3*x1", 3), "two-line-split", None),        # plane route: the 4 + 4 split
+    (random_form(3, 4, seed=5), "three-line-split", "det"),  # triple route: 2 + 3 + 3
 ])
-def test_split_rejects_use_one_vocabulary(f, route_key):
+def test_split_rejects_use_one_vocabulary(f, stage, route_key):
     # no tuple meets 1e-30, so the split runs out and names its rejects
     with pytest.raises(RetryExhausted) as err:
         quartic_decompose_open(f, LINE_X2, seed=0, tol=1e-30, retries=8)
+    diag = err.value.diagnostics
+    assert set(diag) == {"stage", "rejects", "best_residual"} and diag["stage"] == stage
     expected = {"piece_fail", "clash", "residual"} | ({route_key} if route_key else set())
-    assert set(err.value.diagnostics) == expected
-    assert err.value.diagnostics["piece_fail"] > 0
+    assert set(diag["rejects"]) == expected
+    assert diag["rejects"]["piece_fail"] > 0
+    assert diag["best_residual"] > 1e-30
+
+
+def test_brk3_pulls_back_through_a_float_conic_point(monkeypatch):
+    # with no rational point at the search height the conic is parametrized
+    # from a float point
+    f = parse_form("x0^4 + x1^4", 3) + power_of_linear((1, 1, 1), 4)
+    floats = []
+    float_point = quartic.float_point_on_conic
+    monkeypatch.setattr(quartic, "rational_point_on_conic", lambda q, height: None)
+    monkeypatch.setattr(quartic, "float_point_on_conic",
+                        lambda q, seed: floats.append(seed) or float_point(q, seed=seed))
+    for seed in range(2):
+        try:
+            dec = quartic_brk3_decompose(f, LINE_X2, seed=seed)
+        except RetryExhausted as err:
+            assert set(err.diagnostics) == {"stage", "rejects", "best_residual", "conics"}
+            continue
+        cert = verify_decomposition(f, dec, avoid=LINE_X2, bound=(7, BOUND_CONIC_PULLBACK))
+        assert cert.valid and dec.size <= 7
+        assert dec.provenance["route"] == "conic-pullback" and not dec.provenance["octic_exact"]
+    assert floats
+
+
+def test_brk3_counts_a_pushed_point_inside_the_avoided_set_apart(monkeypatch):
+    # every pushed point reads as inside X: each conic is rejected as
+    # `avoided` before its residual is taken, so no best residual is kept
+    f = parse_form("x0^4 + x1^4", 3) + power_of_linear((1, 1, 1), 4)
+    contains = AvoidanceSet.contains
+    monkeypatch.setattr(AvoidanceSet, "contains",
+                        lambda self, p: self.num_vars == 3 or contains(self, p))
+    with pytest.raises(RetryExhausted) as err:
+        quartic_brk3_decompose(f, LINE_X2, seed=0, retries=3)
+    diag = err.value.diagnostics
+    assert diag["stage"] == "conic-pullback" and diag["conics"] == 3
+    assert diag["rejects"]["avoided"] == 3 and diag["rejects"]["residual"] == 0
+    assert diag["best_residual"] is None
+
+
+@pytest.mark.parametrize("triple", [("x0", "x1", "x0 + x1 + x2"), ("x0", "x0 + x1 + x2", "x1")])
+def test_triple_route_reroutes_a_zero_pair_to_the_two_line_split(monkeypatch, triple):
+    # no x0*x1 monomial: the dual product x0 x1 kills f, so (l0, l1) or (l0, l2)
+    # of the triple annihilates it and the 4 + 4 split runs on that pair
+    f = parse_form("x0^4 + 2*x0^3*x2 - 3*x0^2*x2^2 + x1^4 - x1^3*x2 + 2*x1*x2^3 + x2^4", 3)
+    assert essential_variables(f) == 3 and catalecticant(f, 2).rank >= 4
+    lines = tuple(parse_form(text, 3) for text in triple)
+    monkeypatch.setattr(quartic, "quartic_predecomp", lambda *args, **kwargs: lines)
+    X = AvoidanceSet(3, (parse_form("x0 + x1 + x2", 3),))
+    for avoid in (None, X):
+        dec = quartic_decompose_open(f, avoid, seed=0)
+        assert dec.provenance["route"] == "two-line-split"
+        assert dec.provenance["lines"] == [("1", "0", "0"), ("0", "1", "0")]
+        assert verify_decomposition(f, dec, avoid=avoid, bound=(8, BOUND_QUARTIC_EIGHT)).valid
 
 
 def test_conic_route_spends_the_callers_retry_budget():

@@ -16,6 +16,7 @@ from waring.decomposition import Decomposition, Term
 from waring.errors import (
     DegenerateSystemError,
     PreconditionError,
+    Rejects,
     RetryExhausted,
     WaringError,
     ZeroFormError,
@@ -767,34 +768,35 @@ def test_split_merge_counts_clash_and_residual():
     split = split_on_lines(f, sys)
     decs = {i: decompose_binary(p) for i, p in enumerate(split.pieces([F(0)]))
             if not p.is_zero()}
-    rejects = {"clash": 0, "residual": 0}
+    rejects = Rejects("test", "clash", "residual")
     merged = split.merge(decs, {"route": "test"}, 1e-8, rejects)
     assert verify_decomposition(f, merged).valid
     assert merged.provenance["lines"] == [tuple(map(str, ell.coeffs)) for ell in sys.lines]
     assert merged.provenance["route"] == "test"
-    assert rejects == {"clash": 0, "residual": 0}
+    assert rejects.counts == {"clash": 0, "residual": 0} and rejects.best_residual is None
     first = min(decs)
     # a piece listing each of its points twice merges them into one term
     # with the summed coefficient: the doubled piece misses f as a residual
     doubled = Decomposition(2, 5, decs[first].terms * 2)
     assert split.merge({first: doubled}, {}, 1e-8, rejects) is None
-    assert rejects == {"clash": 0, "residual": 1}
+    assert rejects.counts == {"clash": 0, "residual": 1}
+    assert rejects.best_residual > 1e-8
     halved = Decomposition(2, 5, tuple(Term(t.coeff / 2, t.point) for t in decs[first].terms))
     assert split.merge({**decs, first: halved}, {}, 1e-8, rejects) is None
-    assert rejects == {"clash": 0, "residual": 2}
+    assert rejects.counts == {"clash": 0, "residual": 2}
     # the two halves of each point merge back into the piece: the sum is f
     rejoined = split.merge({**decs, first: Decomposition(2, 5, halved.terms * 2)},
                            {}, 1e-8, rejects)
     assert rejoined.size == merged.size
     assert [t.coeff for t in rejoined.terms] == [t.coeff for t in merged.terms]
     assert verify_decomposition(f, rejoined).valid
-    assert rejects == {"clash": 0, "residual": 2}
+    assert rejects.counts == {"clash": 0, "residual": 2}
     # a point and its negated twin cancel exactly and leave no term
     cancelled = Decomposition(2, 5, decs[first].terms + tuple(
         Term(-t.coeff, t.point) for t in decs[first].terms))
     assert ternary._merge_clashes(list(cancelled.terms), 5) == []
     assert split.merge({first: cancelled}, {}, 1e-8, rejects) is None
-    assert rejects == {"clash": 0, "residual": 3}
+    assert rejects.counts == {"clash": 0, "residual": 3}
 
 
 def three_powers(d, seed):
@@ -900,23 +902,26 @@ def test_spent_tuple_budget_reports_the_best_residual():
     with pytest.raises(RetryExhausted) as err:
         decompose_ternary_odd(random_form(3, 5, 0), tol=1e-15, retries=4)
     diag = err.value.diagnostics
-    assert diag["stage"] == "tuples"
-    assert set(diag["rejects"]) == {"piece_fail", "clash", "residual"}
+    assert set(diag) == {"stage", "rejects", "best_residual"} and diag["stage"] == "odd-split"
+    assert set(diag["rejects"]) == {"lines", "split", "piece_fail", "clash", "residual"}
     assert 1e-15 < diag["best_residual"] < 1e-8
 
 
-def test_tuple_step_keeps_the_best_residual_only_where_asked():
+def test_every_tuple_step_lowers_the_records_best_residual():
     f = random_form(3, 5, 0)
     split = split_on_lines(f, minimize_annihilating(f, annihilating_lines(f)))
     caps, avoids = (6,) * len(split.spans), (None,) * len(split.spans)
-    zero = [0] * len(split.kernel)
-    tracked = {"piece_fail": 0, "clash": 0, "residual": 0, "best_residual": None}
-    assert split.decompose_tuple(zero, caps, avoids, 0, 1e-30, tracked, {}) is None
-    assert tracked["best_residual"] > 0
-    counts = {"piece_fail": 0, "clash": 0, "residual": 0}
-    assert split.decompose_tuple(zero, caps, avoids, 0, 1e-30, counts, {}) is None
-    assert "best_residual" not in counts
-    assert sum(counts.values()) == 1 == sum(v for k, v in tracked.items() if k != "best_residual")
+    rejects, bests = Rejects("test", "piece_fail", "clash", "residual"), []
+    for c in (0, 1, -2):
+        # each step alone, then into the shared record: it holds the least so far
+        alone = Rejects("test", "piece_fail", "clash", "residual")
+        coeffs = [c] * len(split.kernel)
+        assert split.decompose_tuple(coeffs, caps, avoids, 0, 1e-30, alone, {}) is None
+        assert split.decompose_tuple(coeffs, caps, avoids, 0, 1e-30, rejects, {}) is None
+        bests.append(alone.best_residual)
+        assert alone.best_residual > 0 and sum(alone.counts.values()) == 1
+        assert rejects.best_residual == min(bests)
+    assert sum(rejects.counts.values()) == 3 and len(set(bests)) > 1
 
 
 def test_tuple_rejects_use_one_vocabulary():
@@ -924,8 +929,11 @@ def test_tuple_rejects_use_one_vocabulary():
     with pytest.raises(RetryExhausted) as err:
         decompose_ternary_odd(random_form(3, 5, 0), tol=1e-30, retries=8)
     rejects = err.value.diagnostics["rejects"]
-    assert set(rejects) == {"piece_fail", "clash", "residual"}
-    assert sum(rejects.values()) == 8
+    assert set(rejects) == {"lines", "split", "piece_fail", "clash", "residual"}
+    # each of the four line systems is lost before its tuples or spends all eight
+    systems = 4 - rejects["lines"] - rejects["split"]
+    assert systems > 0
+    assert rejects["piece_fail"] + rejects["clash"] + rejects["residual"] == 8 * systems
 
 
 def test_tuple_search_powers_the_seesaws_only_past_the_zero_tuple(monkeypatch):
