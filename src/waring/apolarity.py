@@ -26,7 +26,11 @@ net kernels of the quartic and ternary routes) eliminate these integer
 rows, built without a Fraction: binary rows are slices of g (G is Hankel),
 other shapes gather g through the index of `_gather_table`.
 `cat_rank_table` of a binary form keeps the falling-product entries of
-`_entries`, and the tests hold the integer rows to them.
+`_exact_entries`, and the tests hold the integer rows to them.  Each rank
+without a kernel here is an `exact_rank`, which a full rank modulo a prime
+settles without Bareiss, so building those Fraction entries is now the
+binary table's main cost; dropping them waits on the benchmark's memory
+reading (see `cat_rank_table`).
 
 Float pipelines use `numeric_catalecticant` and make their own tolerance
 calls.  It is one gather: the form's complex view (`floats()`,
@@ -222,12 +226,14 @@ def cat_rank_table(f: Form) -> list[tuple[int, int]]:
 
     Binary forms still scan every delta with `exact_rank` of the
     falling-product entries `_exact_entries`, though rank Cat(delta) =
-    min(delta + 1, b, d + 1 - delta) with b the middle rank.  Replaying a
+    min(delta + 1, b, d + 1 - delta) with b the middle rank.  A full rank
+    modulo the prime of `exact_rank` settles most deltas, so building the
+    Fraction entries costs more than ranking them.  Replaying a
     certificate recomputes this table, and a faster table lets the
     benchmark time more replays, whose statistics step then holds more
     memory: the peak it reports grows with the number of timed operations
     (the open `peak_rss_mb` finding on `perfbench/run.py`).  So the binary
-    scan stays until that step stops growing.
+    scan and its entries stay until that step stops growing.
     """
     d = f.degree
     if d <= 1:

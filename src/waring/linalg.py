@@ -2,13 +2,22 @@
 
 Exact routines take matrices as rows of `int` and `Fraction` entries; any
 other entry (a float, a complex, a numpy scalar) raises PreconditionError.
-They clear denominators row by row, reading each entry's numerator and
-denominator in place (no Fraction is built), and run fraction-free
-(Bareiss) elimination with partial pivoting on the resulting integers, so
-every intermediate division is exact.  Kernels and solutions
-back-substitute over one integer vector and a common denominator, so the
-returned vector holds the only Fractions built.  These decide all ranks
-and kernels in the library.
+They decide all ranks and kernels in the library.
+
+`exact_rank` first reads a certificate modulo the prime `RANK_PRIME`: it
+reduces each entry (an int as it is, a Fraction as its numerator times the
+inverse of its denominator, so no Fraction is built) and eliminates over
+the residues, which stay single-digit ints.  A rank modulo the prime is at
+most the rank over Q, so a full one is the answer.  A short rank, or a
+denominator the prime divides, falls back to the elimination below, as
+every kernel and solve does.
+
+That elimination clears denominators row by row, reading each entry's
+numerator and denominator in place, and runs fraction-free (Bareiss)
+elimination with partial pivoting on the resulting integers, so every
+intermediate division is exact.  Kernels and solutions back-substitute
+over one integer vector and a common denominator, so the returned vector
+holds the only Fractions built.
 
 Numeric routines wrap numpy SVD / least squares and are used only where
 roots have already forced the float backend.  Numeric rank cuts singular
@@ -35,6 +44,14 @@ from .errors import PreconditionError
 NUMERIC_RANK_TOL = 1e-8
 #: relative residual up to which a float target counts as in the span
 SPAN_TOL = 1e-8
+#: the modulus of `exact_rank`'s certificate, the largest prime below 2**15:
+#: a product of two residues stays below 2**30, one digit of a Python int
+RANK_PRIME = 32749
+
+
+def _not_exact(x) -> PreconditionError:
+    return PreconditionError(
+        f"exact linear algebra takes int and Fraction entries, not {type(x).__name__}")
 
 
 def _integer_rows(matrix: Sequence[Sequence[Fraction]]) -> list[list[int]]:
@@ -55,8 +72,7 @@ def _integer_rows(matrix: Sequence[Sequence[Fraction]]) -> list[list[int]]:
                 if denom % d:
                     denom = denom // gcd(denom, d) * d
             elif type(x) is not int:
-                raise PreconditionError(
-                    f"exact linear algebra takes int and Fraction entries, not {type(x).__name__}")
+                raise _not_exact(x)
         if denom == 1:
             scaled = [x if type(x) is int else x.numerator for x in row]
         else:
@@ -110,9 +126,71 @@ def _echelon(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], lis
     return rows, pivots
 
 
+def _rank_mod_p(matrix: Sequence[Sequence[Fraction]]) -> int | None:
+    """Rank of the matrix's image modulo RANK_PRIME, or None when the prime
+    divides a denominator and the image is undefined.
+
+    It is the rank modulo the prime of the integer matrix whose rows are
+    multiplied by the lcm of their denominators, a unit modulo the prime,
+    and a minor of that matrix that is nonzero modulo the prime is a
+    nonzero integer.  So it is at most the rank over Q, and a full one
+    equals it.  The elimination
+    runs on the orientation with fewer rows and stops at a full rank, or
+    at the first column without a pivot once every residue left is zero.
+    """
+    p = RANK_PRIME
+    inverses = {}
+    rows = []
+    for row in matrix:
+        image = []
+        for x in row:
+            if type(x) is Fraction:
+                v, d = x.as_integer_ratio()
+                if d != 1:
+                    inv = inverses.get(d)
+                    if inv is None:
+                        if d % p == 0:
+                            return None
+                        inv = inverses[d] = pow(d, -1, p)
+                    v = v % p * inv
+            elif type(x) is int:
+                v = x
+            else:
+                raise _not_exact(x)
+            image.append(v % p)
+        rows.append(image)
+    if len(rows) > len(rows[0]):
+        rows = [list(col) for col in zip(*rows)]
+    full, rank = len(rows), 0
+    # each row keeps only the columns not yet eliminated
+    for _ in range(len(rows[0])):
+        i = next((i for i, row in enumerate(rows) if row[0]), None)
+        if i is None:
+            if not any(map(any, rows)):
+                break
+            rows = [row[1:] for row in rows]
+            continue
+        pivot = rows.pop(i)
+        rank += 1
+        if rank == full:
+            break
+        tail, minus_inv = pivot[1:], p - pow(pivot[0], -1, p)
+        updated = []
+        for row in rows:
+            f = row[0] * minus_inv % p
+            updated.append([(a + f * b) % p for a, b in zip(row[1:], tail)] if f else row[1:])
+        rows = updated
+    return rank
+
+
 def exact_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
+    """Rank over Q: a full rank modulo RANK_PRIME when the matrix has one,
+    else the pivot count of the Bareiss elimination `_echelon`."""
     if not matrix or not matrix[0]:
         return 0
+    full = min(len(matrix), len(matrix[0]))
+    if _rank_mod_p(matrix) == full:
+        return full
     return len(_echelon(matrix)[1])
 
 

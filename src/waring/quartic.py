@@ -368,7 +368,7 @@ def _two_line_split(f: Form, X: AvoidanceSet, seed: int, tol: float,
         pair = reducible_member(basis, forbidden, seed=seed)
     split = split_on_lines(f, LineSystem(pair))
     avoids = [_restrict_avoid(X, split.spans[i]) for i in range(2)]
-    rejects = Rejects("two-line-split", "piece_fail", "clash", "residual")
+    rejects = Rejects("two-line-split", "piece_fail", "residual")
     merged = split.search((4, 4), avoids, random.Random(seed + 5), seed, tol, retries, 16,
                           rejects, {"route": "two-line-split"})
     if merged is None:
@@ -407,7 +407,7 @@ def _three_line_split(f: Form, X: AvoidanceSet, triple, seed: int,
     # pow01, whose contractions (not the pencil) are read once per split
     rows01 = _middle_rows(pow01) if exact else None
     rng = random.Random(seed + 23)
-    rejects = Rejects("three-line-split", "det", "piece_fail", "clash", "residual")
+    rejects = Rejects("three-line-split", "det", "piece_fail", "residual")
 
     for round_ in range(-(-retries // 8)):
         height = 9 << (round_ // 4)

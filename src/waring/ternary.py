@@ -469,20 +469,29 @@ def minimize_annihilating(f: Form, system: LineSystem) -> LineSystem:
     adding lines, so anything kept against a superset stays necessary.
     A system that carries f (see `LineSystem`) is not checked first; the
     result carries f, and is the system itself when no line drops.
+
+    On an exact f each kept exact line is contracted into f once, as a
+    prefix h, and each trial checks the kept float lines and the later
+    lines against h: exact contractions commute, and the kept float lines
+    stay first in the float fold, so every trial decides as
+    `annihilates(kept + later, f)` would.
     """
     if f.is_zero():
         return LineSystem(())
     if not system.annihilates(f):
         raise PreconditionError("system does not annihilate the form")
-    kept = list(system.lines)
-    i = 0
-    while i < len(kept):
-        rest = kept[:i] + kept[i + 1:]
-        if rest and annihilates(rest, f):
-            del kept[i]
+    lines = system.lines
+    kept, unfolded, h = [], [], f
+    for i, ell in enumerate(lines):
+        later = list(lines[i + 1:])
+        if (kept or later) and annihilates(unfolded + later, h):
+            continue
+        kept.append(ell)
+        if f.is_exact and ell.is_exact:
+            h = contract(ell, h)
         else:
-            i += 1
-    if len(kept) < len(system.lines):
+            unfolded.append(ell)
+    if len(kept) < len(lines):
         system = LineSystem(tuple(kept))
     object.__setattr__(system, "_annihilated", f)
     return system
@@ -770,7 +779,7 @@ def decompose_ternary_odd(f: Form, seed: int = 0, tol: float = RESIDUAL_TOL,
     1 <= k <= d - 2.  Forms in fewer essential variables take the direct
     single-power or binary route instead.  One record counts the rejects
     of the whole call: line systems not found (`lines`) or not split
-    (`split`), and the tuples' `piece_fail`, `clash` and `residual`.  Its
+    (`split`), and the tuples' `piece_fail` and `residual`.  Its
     `best_residual` is the least residual that any merged sum or failed
     piece reached (None if none got that far).
     """
@@ -791,7 +800,7 @@ def decompose_ternary_odd(f: Form, seed: int = 0, tol: float = RESIDUAL_TOL,
     if ess == 2:
         return _binary_on_subspace(f, seed, tol)
 
-    rejects = Rejects("odd-split", "lines", "split", "piece_fail", "clash", "residual")
+    rejects = Rejects("odd-split", "lines", "split", "piece_fail", "residual")
     outer_budget = 4
     for sys_attempt in range(outer_budget):
         try:

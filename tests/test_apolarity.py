@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waring import apolarity
+from waring import apolarity, linalg
 from waring.apolarity import (
     apolar_component,
     apolar_initial_degree,
@@ -396,6 +396,21 @@ def test_cat_rank_table_eliminates_half_the_deltas(monkeypatch, d):
     monkeypatch.setattr(apolarity, "exact_rank", lambda m: calls.append(m) or real(m))
     cat_rank_table(random_form(3, d, 0))
     assert len(calls) == d // 2
+
+
+def test_cat_rank_table_eliminates_over_q_only_where_a_rank_falls_short(monkeypatch):
+    # a full rank modulo the prime is the rank; Bareiss runs on the others
+    calls = []
+    real = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon", lambda m: calls.append(m) or real(m))
+    for f in (random_form(2, 24, 0), random_form(3, 9, 0)):
+        cat_rank_table(f)
+        assert calls == []
+    # a sum of three powers: rank min(delta + 1, 3, 25 - delta), short of
+    # full for delta = 3..21
+    f = sum((power_of_linear(p, 24) for p in ((3, -1), (2, 5))), power_of_linear((1, 2), 24))
+    assert cat_rank_table(f) == [(delta, min(delta + 1, 3, 25 - delta)) for delta in range(1, 24)]
+    assert len(calls) == 19
 
 
 def test_rank_lower_bound_is_a_lower_bound_on_points():

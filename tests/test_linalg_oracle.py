@@ -1,11 +1,13 @@
 """The exact layer of `linalg` checked against sympy.
 
 Matrices are at most 6 x 6 and mix ints with Fractions whose numerators
-and denominators reach 2^64.  Some rows are multiples of earlier rows,
-and some rows and columns are zero, so that ranks below full, free
-columns and inconsistent systems all occur.  sympy's `Matrix.rank`,
-`nullspace` and `gauss_jordan_solve` (the elimination behind
-`Matrix.solve`) are the oracle.
+and denominators reach 2^64.  Some entries are multiples of `RANK_PRIME`
+or Fractions whose denominators are, so that `exact_rank` both returns a
+full rank modulo the prime and falls back to elimination over Q.  Some
+rows are multiples of earlier rows, and some rows and columns are zero,
+so that ranks below full, free columns and inconsistent systems all
+occur.  sympy's `Matrix.rank`, `nullspace` and `gauss_jordan_solve` (the
+elimination behind `Matrix.solve`) are the oracle.
 """
 
 from fractions import Fraction
@@ -17,16 +19,20 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given, settings = hypothesis.given, hypothesis.settings
 
-from waring.linalg import exact_nullspace, exact_rank, exact_solve  # noqa: E402
+from waring.linalg import RANK_PRIME, exact_nullspace, exact_rank, exact_solve  # noqa: E402
 
 BIG = 2**64
 PROPERTY = settings(max_examples=50, deadline=None)
 
+P = RANK_PRIME
 ENTRY = st.one_of(
     st.integers(-3, 3),
     st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
     st.integers(-BIG, BIG),
     st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+    # zero modulo the prime, and no image modulo it: the fallback of exact_rank
+    st.integers(-3, 3).map(lambda k: k * P),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, 4).map(lambda k: k * P)),
 )
 ZERO = st.sampled_from([0, Fraction(0)])
 

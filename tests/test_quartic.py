@@ -250,7 +250,7 @@ def test_split_rejects_use_one_vocabulary(f, stage, route_key):
         quartic_decompose_open(f, LINE_X2, seed=0, tol=1e-30, retries=8)
     diag = err.value.diagnostics
     assert set(diag) == {"stage", "rejects", "best_residual"} and diag["stage"] == stage
-    expected = {"piece_fail", "clash", "residual"} | ({route_key} if route_key else set())
+    expected = {"piece_fail", "residual"} | ({route_key} if route_key else set())
     assert set(diag["rejects"]) == expected
     assert diag["rejects"]["piece_fail"] > 0
     assert diag["best_residual"] > 1e-30

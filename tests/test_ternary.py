@@ -612,9 +612,9 @@ def test_a_system_made_for_f_is_not_checked_again_and_meets_once(monkeypatch):
     monkeypatch.setattr(ternary, "annihilates",
                         lambda duals, g: checks.append(len(duals)) or real_annihilates(duals, g))
     monkeypatch.setattr(ternary, "_meet", lambda a, b: meets.append(1) or real_meet(a, b))
-    # minimizing runs only its n trials of n - 1 lines, and no line drops
+    # minimizing runs only its n trials, and no line drops
     assert minimize_annihilating(f, system) is system
-    assert checks == [n - 1] * n
+    assert len(checks) == n
     # the split checks nothing, and computes only the meets that the
     # general-position test of the float triples left; it converts each of
     # those once and the kept ones not again, beside the two span vectors
@@ -626,7 +626,7 @@ def test_a_system_made_for_f_is_not_checked_again_and_meets_once(monkeypatch):
                         lambda xs: converted.append(1) or real_coords(xs))
     monkeypatch.setattr(ternary, "_line_frame", lambda span: frames.append(1) or real_frame(span))
     split = split_on_lines(f, system)
-    assert checks == [n - 1] * n and 0 < kept < len(meets) + kept == math.comb(n, 2)
+    assert len(checks) == n and 0 < kept < len(meets) + kept == math.comb(n, 2)
     assert len(converted) == len(meets) + 2 * n and len(frames) == n
     assert len(split.seesaws) == math.comb(n, 2)
     # any other form is checked
@@ -768,35 +768,35 @@ def test_split_merge_counts_clash_and_residual():
     split = split_on_lines(f, sys)
     decs = {i: decompose_binary(p) for i, p in enumerate(split.pieces([F(0)]))
             if not p.is_zero()}
-    rejects = Rejects("test", "clash", "residual")
+    rejects = Rejects("test", "residual")
     merged = split.merge(decs, {"route": "test"}, 1e-8, rejects)
     assert verify_decomposition(f, merged).valid
     assert merged.provenance["lines"] == [tuple(map(str, ell.coeffs)) for ell in sys.lines]
     assert merged.provenance["route"] == "test"
-    assert rejects.counts == {"clash": 0, "residual": 0} and rejects.best_residual is None
+    assert rejects.counts == {"residual": 0} and rejects.best_residual is None
     first = min(decs)
     # a piece listing each of its points twice merges them into one term
     # with the summed coefficient: the doubled piece misses f as a residual
     doubled = Decomposition(2, 5, decs[first].terms * 2)
     assert split.merge({first: doubled}, {}, 1e-8, rejects) is None
-    assert rejects.counts == {"clash": 0, "residual": 1}
+    assert rejects.counts == {"residual": 1}
     assert rejects.best_residual > 1e-8
     halved = Decomposition(2, 5, tuple(Term(t.coeff / 2, t.point) for t in decs[first].terms))
     assert split.merge({**decs, first: halved}, {}, 1e-8, rejects) is None
-    assert rejects.counts == {"clash": 0, "residual": 2}
+    assert rejects.counts == {"residual": 2}
     # the two halves of each point merge back into the piece: the sum is f
     rejoined = split.merge({**decs, first: Decomposition(2, 5, halved.terms * 2)},
                            {}, 1e-8, rejects)
     assert rejoined.size == merged.size
     assert [t.coeff for t in rejoined.terms] == [t.coeff for t in merged.terms]
     assert verify_decomposition(f, rejoined).valid
-    assert rejects.counts == {"clash": 0, "residual": 2}
+    assert rejects.counts == {"residual": 2}
     # a point and its negated twin cancel exactly and leave no term
     cancelled = Decomposition(2, 5, decs[first].terms + tuple(
         Term(-t.coeff, t.point) for t in decs[first].terms))
     assert ternary._merge_clashes(list(cancelled.terms), 5) == []
     assert split.merge({first: cancelled}, {}, 1e-8, rejects) is None
-    assert rejects.counts == {"clash": 0, "residual": 3}
+    assert rejects.counts == {"residual": 3}
 
 
 def three_powers(d, seed):
@@ -903,7 +903,7 @@ def test_spent_tuple_budget_reports_the_best_residual():
         decompose_ternary_odd(random_form(3, 5, 0), tol=1e-15, retries=4)
     diag = err.value.diagnostics
     assert set(diag) == {"stage", "rejects", "best_residual"} and diag["stage"] == "odd-split"
-    assert set(diag["rejects"]) == {"lines", "split", "piece_fail", "clash", "residual"}
+    assert set(diag["rejects"]) == {"lines", "split", "piece_fail", "residual"}
     assert 1e-15 < diag["best_residual"] < 1e-8
 
 
@@ -911,10 +911,10 @@ def test_every_tuple_step_lowers_the_records_best_residual():
     f = random_form(3, 5, 0)
     split = split_on_lines(f, minimize_annihilating(f, annihilating_lines(f)))
     caps, avoids = (6,) * len(split.spans), (None,) * len(split.spans)
-    rejects, bests = Rejects("test", "piece_fail", "clash", "residual"), []
+    rejects, bests = Rejects("test", "piece_fail", "residual"), []
     for c in (0, 1, -2):
         # each step alone, then into the shared record: it holds the least so far
-        alone = Rejects("test", "piece_fail", "clash", "residual")
+        alone = Rejects("test", "piece_fail", "residual")
         coeffs = [c] * len(split.kernel)
         assert split.decompose_tuple(coeffs, caps, avoids, 0, 1e-30, alone, {}) is None
         assert split.decompose_tuple(coeffs, caps, avoids, 0, 1e-30, rejects, {}) is None
@@ -929,11 +929,11 @@ def test_tuple_rejects_use_one_vocabulary():
     with pytest.raises(RetryExhausted) as err:
         decompose_ternary_odd(random_form(3, 5, 0), tol=1e-30, retries=8)
     rejects = err.value.diagnostics["rejects"]
-    assert set(rejects) == {"lines", "split", "piece_fail", "clash", "residual"}
+    assert set(rejects) == {"lines", "split", "piece_fail", "residual"}
     # each of the four line systems is lost before its tuples or spends all eight
     systems = 4 - rejects["lines"] - rejects["split"]
     assert systems > 0
-    assert rejects["piece_fail"] + rejects["clash"] + rejects["residual"] == 8 * systems
+    assert rejects["piece_fail"] + rejects["residual"] == 8 * systems
 
 
 def test_tuple_search_powers_the_seesaws_only_past_the_zero_tuple(monkeypatch):
