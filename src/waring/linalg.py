@@ -126,17 +126,16 @@ def _echelon(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], lis
     return rows, pivots
 
 
-def _rank_mod_p(matrix: Sequence[Sequence[Fraction]]) -> int | None:
-    """Rank of the matrix's image modulo RANK_PRIME, or None when the prime
-    divides a denominator and the image is undefined.
+def _full_rank_mod_p(matrix: Sequence[Sequence[Fraction]]) -> bool:
+    """Whether the matrix's image modulo RANK_PRIME has full rank; False
+    also when the prime divides a denominator and the image is undefined.
 
-    It is the rank modulo the prime of the integer matrix whose rows are
-    multiplied by the lcm of their denominators, a unit modulo the prime,
-    and a minor of that matrix that is nonzero modulo the prime is a
-    nonzero integer.  So it is at most the rank over Q, and a full one
-    equals it.  The elimination
-    runs on the orientation with fewer rows and stops at a full rank, or
-    at the first column without a pivot once every residue left is zero.
+    The image is that of the integer matrix whose rows are multiplied by
+    the lcm of their denominators, a unit modulo the prime, and a minor
+    of that matrix that is nonzero modulo the prime is a nonzero integer.
+    So a full rank modulo the prime is the rank over Q.  The elimination
+    runs on the orientation with fewer rows and stops once the columns
+    left are fewer than the rows left.
     """
     p = RANK_PRIME
     inverses = {}
@@ -150,7 +149,7 @@ def _rank_mod_p(matrix: Sequence[Sequence[Fraction]]) -> int | None:
                     inv = inverses.get(d)
                     if inv is None:
                         if d % p == 0:
-                            return None
+                            return False
                         inv = inverses[d] = pow(d, -1, p)
                     v = v % p * inv
             elif type(x) is int:
@@ -161,26 +160,25 @@ def _rank_mod_p(matrix: Sequence[Sequence[Fraction]]) -> int | None:
         rows.append(image)
     if len(rows) > len(rows[0]):
         rows = [list(col) for col in zip(*rows)]
-    full, rank = len(rows), 0
-    # each row keeps only the columns not yet eliminated
-    for _ in range(len(rows[0])):
+    # each row keeps only the columns not yet eliminated; slack counts the
+    # pivot-free columns a full rank can still afford
+    slack = len(rows[0]) - len(rows)
+    while rows:
         i = next((i for i, row in enumerate(rows) if row[0]), None)
         if i is None:
-            if not any(map(any, rows)):
-                break
+            if not slack:
+                return False
+            slack -= 1
             rows = [row[1:] for row in rows]
             continue
         pivot = rows.pop(i)
-        rank += 1
-        if rank == full:
-            break
         tail, minus_inv = pivot[1:], p - pow(pivot[0], -1, p)
         updated = []
         for row in rows:
             f = row[0] * minus_inv % p
             updated.append([(a + f * b) % p for a, b in zip(row[1:], tail)] if f else row[1:])
         rows = updated
-    return rank
+    return True
 
 
 def exact_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
@@ -188,9 +186,8 @@ def exact_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
     else the pivot count of the Bareiss elimination `_echelon`."""
     if not matrix or not matrix[0]:
         return 0
-    full = min(len(matrix), len(matrix[0]))
-    if _rank_mod_p(matrix) == full:
-        return full
+    if _full_rank_mod_p(matrix):
+        return min(len(matrix), len(matrix[0]))
     return len(_echelon(matrix)[1])
 
 

@@ -469,29 +469,20 @@ def minimize_annihilating(f: Form, system: LineSystem) -> LineSystem:
     adding lines, so anything kept against a superset stays necessary.
     A system that carries f (see `LineSystem`) is not checked first; the
     result carries f, and is the system itself when no line drops.
-
-    On an exact f each kept exact line is contracted into f once, as a
-    prefix h, and each trial checks the kept float lines and the later
-    lines against h: exact contractions commute, and the kept float lines
-    stay first in the float fold, so every trial decides as
-    `annihilates(kept + later, f)` would.
     """
     if f.is_zero():
         return LineSystem(())
     if not system.annihilates(f):
         raise PreconditionError("system does not annihilate the form")
-    lines = system.lines
-    kept, unfolded, h = [], [], f
-    for i, ell in enumerate(lines):
-        later = list(lines[i + 1:])
-        if (kept or later) and annihilates(unfolded + later, h):
-            continue
-        kept.append(ell)
-        if f.is_exact and ell.is_exact:
-            h = contract(ell, h)
+    kept = list(system.lines)
+    i = 0
+    while i < len(kept):
+        rest = kept[:i] + kept[i + 1:]
+        if rest and annihilates(rest, f):
+            del kept[i]
         else:
-            unfolded.append(ell)
-    if len(kept) < len(lines):
+            i += 1
+    if len(kept) < len(system.lines):
         system = LineSystem(tuple(kept))
     object.__setattr__(system, "_annihilated", f)
     return system

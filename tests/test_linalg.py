@@ -86,15 +86,17 @@ def test_exact_rank_falls_back_where_the_image_mod_p_loses_rank_or_is_undefined(
     monkeypatch.setattr(linalg, "_echelon", lambda m: calls.append(m) or real(m))
     # a full rank modulo p is the answer, and no elimination over Q runs
     assert exact_rank([[p + 1, 0], [Fraction(1, p + 1), 1]]) == 2 and calls == []
+    # also past a column without a pivot, which a wide matrix affords
+    assert exact_rank([[p, 1, 0], [0, 0, 1]]) == 2 and calls == []
     cases = [
-        ([[p, 0], [0, 1]], 1, 2),                    # rank 1 mod p, rank 2 over Q
-        ([[Fraction(1, p), 1], [0, 1]], None, 2),    # p divides a denominator
-        ([[1, 2, 3], [2, 4, 6], [-1, 0, 5]], 2, 2),  # short over Q too
+        ([[p, 0], [0, 1]], 2),                    # rank 1 mod p, rank 2 over Q
+        ([[Fraction(1, p), 1], [0, 1]], 2),       # p divides a denominator
+        ([[1, 2, 3], [2, 4, 6], [-1, 0, 5]], 2),  # short over Q too
     ]
-    for m, mod_p, rank in cases:
-        assert linalg._rank_mod_p(m) == mod_p
+    for m, rank in cases:
+        assert not linalg._full_rank_mod_p(m)
         assert exact_rank(m) == naive_rank(m) == rank
-    assert calls == [m for m, _, _ in cases]
+    assert calls == [m for m, _ in cases]
 
 
 def test_nullspace_vectors_annihilate():

@@ -612,9 +612,9 @@ def test_a_system_made_for_f_is_not_checked_again_and_meets_once(monkeypatch):
     monkeypatch.setattr(ternary, "annihilates",
                         lambda duals, g: checks.append(len(duals)) or real_annihilates(duals, g))
     monkeypatch.setattr(ternary, "_meet", lambda a, b: meets.append(1) or real_meet(a, b))
-    # minimizing runs only its n trials, and no line drops
+    # minimizing runs only its n trials of n - 1 lines, and no line drops
     assert minimize_annihilating(f, system) is system
-    assert len(checks) == n
+    assert checks == [n - 1] * n
     # the split checks nothing, and computes only the meets that the
     # general-position test of the float triples left; it converts each of
     # those once and the kept ones not again, beside the two span vectors
@@ -626,7 +626,7 @@ def test_a_system_made_for_f_is_not_checked_again_and_meets_once(monkeypatch):
                         lambda xs: converted.append(1) or real_coords(xs))
     monkeypatch.setattr(ternary, "_line_frame", lambda span: frames.append(1) or real_frame(span))
     split = split_on_lines(f, system)
-    assert len(checks) == n and 0 < kept < len(meets) + kept == math.comb(n, 2)
+    assert checks == [n - 1] * n and 0 < kept < len(meets) + kept == math.comb(n, 2)
     assert len(converted) == len(meets) + 2 * n and len(frames) == n
     assert len(split.seesaws) == math.comb(n, 2)
     # any other form is checked
