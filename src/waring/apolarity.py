@@ -25,12 +25,9 @@ kernel of `catalecticant` (`rank_binary`, `apolar_component`, the conic and
 net kernels of the quartic and ternary routes) eliminate these integer
 rows, built without a Fraction: binary rows are slices of g (G is Hankel),
 other shapes gather g through the index of `_gather_table`.
-`cat_rank_table` of a binary form keeps the falling-product entries of
-`_exact_entries`, and the tests hold the integer rows to them.  Each rank
-without a kernel here is an `exact_rank`, which a full rank modulo a prime
-settles without Bareiss, so building those Fraction entries is now the
-binary table's main cost; dropping them waits on the benchmark's memory
-reading (see `cat_rank_table`).
+`cat_rank_table` of a binary form still ranks the Fraction entries of
+`catalecticant_entries` (see there), and the tests hold the integer rows
+to them.
 
 Float pipelines use `numeric_catalecticant` and make their own tolerance
 calls.  It is one gather: the form's complex view (`floats()`,
@@ -58,7 +55,7 @@ def _entry(f: Form, row: tuple[int, ...], col: tuple[int, ...]):
     return f.coeffs[index_of(beta)] * falling_product(beta, row)  # never zero: beta >= row
 
 
-def _entries(f: Form, delta: int) -> list[list]:
+def catalecticant_entries(f: Form, delta: int) -> list[list]:
     """Rows contract(m, f) of the delta-th catalecticant, m a dual monomial, as lists:
     freed short tuples would pile up on the interpreter's free lists (resident memory)."""
     cols = exponents(f.num_vars, f.degree - delta)
@@ -79,7 +76,7 @@ class CatalecticantMatrix:
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         """The Fraction entries contract(m, f), built on each read."""
-        return tuple(map(tuple, _entries(self.form, self.delta)))
+        return tuple(map(tuple, catalecticant_entries(self.form, self.delta)))
 
 
 def _require_exact(f: Form, delta: int) -> None:
@@ -87,11 +84,6 @@ def _require_exact(f: Form, delta: int) -> None:
         raise PreconditionError("catalecticant ranks require the exact backend")
     if not 0 <= delta <= f.degree:
         raise PreconditionError(f"delta must lie in 0..{f.degree}, got {delta}")
-
-
-def _exact_entries(f: Form, delta: int) -> list[list[Fraction]]:
-    _require_exact(f, delta)
-    return _entries(f, delta)
 
 
 def _weighted_rows(f: Form, delta: int) -> list[list[int]]:
@@ -142,12 +134,13 @@ def _gather_table(num_vars: int, degree: int, delta: int) -> tuple[np.ndarray, n
     return index, falls
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an infinite entry is refused by the SVDs
 def numeric_catalecticant(f: Form, delta: int) -> np.ndarray:
     """Float catalecticant matrix, same orientation as the exact one.
 
     One gather from the form's complex view, times the falling products
     as floats: on a float form each entry has the bits of
-    `complex(c * falling_product(...))`.
+    `complex(c * falling_product(...))`, an overflow included.
     """
     index, falls = _gather_table(f.num_vars, f.degree, delta)
     return np.array(f.floats(), dtype=complex)[index] * falls
@@ -204,7 +197,7 @@ def essential_subspace(f: Form) -> list[list[Fraction]]:
     symmetric power contains f."""
     if f.is_zero():
         return []
-    matrix = _entries(f, f.degree - 1)
+    matrix = catalecticant_entries(f, f.degree - 1)
     transpose = [list(column) for column in zip(*matrix)]
     keep = exact_column_space_basis(transpose)
     return [matrix[i] for i in keep]
@@ -224,21 +217,20 @@ def cat_rank_table(f: Form) -> list[tuple[int, int]]:
     scalings, so forms in three or more variables eliminate only the
     integer rows of `catalecticant_rank` for delta <= d // 2.
 
-    Binary forms still scan every delta with `exact_rank` of the
-    falling-product entries `_exact_entries`, though rank Cat(delta) =
-    min(delta + 1, b, d + 1 - delta) with b the middle rank.  A full rank
-    modulo the prime of `exact_rank` settles most deltas, so building the
-    Fraction entries costs more than ranking them.  Replaying a
-    certificate recomputes this table, and a faster table lets the
+    Binary forms still scan every delta with `exact_rank` of the Fraction
+    entries of `catalecticant_entries`, which cost more to build than to
+    rank, though rank Cat(delta) = min(delta + 1, b, d + 1 - delta) with b
+    the middle rank, and though the half scan above serves them too.
+    Replay recomputes this table, and either faster table lets the
     benchmark time more replays, whose statistics step then holds more
-    memory: the peak it reports grows with the number of timed operations
-    (the open `peak_rss_mb` finding on `perfbench/run.py`).  So the binary
-    scan and its entries stay until that step stops growing.
+    memory (the open `peak_rss_mb` finding on `perfbench/run.py`).  So
+    the binary scan stays until that step stops growing.
     """
     d = f.degree
     if d <= 1:
         return []
     if f.num_vars == 2:
-        return [(delta, exact_rank(_exact_entries(f, delta))) for delta in range(1, d)]
+        _require_exact(f, 1)
+        return [(delta, exact_rank(catalecticant_entries(f, delta))) for delta in range(1, d)]
     half = [catalecticant_rank(f, delta) for delta in range(1, d // 2 + 1)]
     return [(delta, half[min(delta, d - delta) - 1]) for delta in range(1, d)]

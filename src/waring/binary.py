@@ -28,20 +28,19 @@ of d other distinct powers).
 Binary data often lives on a line inside a bigger projective space.  The
 embedding sending the monomial s^(d-j) t^j to U^(d-j) V^j (U, V the
 linear forms of the line's spanning vectors) identifies binary forms
-with the forms supported on that line; `embed_binary` and `form_on_line`
-convert in the two directions and `push_decomposition` carries a
-decomposition forward onto the line; `decompose_on_line` runs the round
-trip for a form the line carries and judges the pushed sum against it.
-The columns U^(d-j) V^j come from `line_embedding`, for many lines at
-once and with no `Form` built.  A column is exact when both factors are
-(an exact spanning vector, or the power 0): all d + 1 columns of an
-exact line, one column of a line with one exact vector.  Exact columns
-are integer numerators over one denominator, and they become floats
-once, by int division, which gives the bits of complex(Fraction), and
-only when a float solve reads them.  Float columns follow the `Form`
-product loops bit for bit (see `monomials`).
-`solve_on_lines` solves a form against the columns of its lines, exactly
-when the form and every column are exact.
+with the forms supported on that line; `embed_binary` (the substitution
+of U and V) and `form_on_line` convert in the two directions and
+`push_decomposition` carries a decomposition forward onto the line;
+`decompose_on_line` runs the round trip for a form the line carries and
+judges the pushed sum against it.  The columns U^(d-j) V^j come from
+`line_embedding`, for many lines at once and with no `Form` built.  A
+line is exact when both spanning vectors are, and float otherwise, read
+through the complex views of both.  The columns of an exact line are
+integer numerators over one denominator, and they become floats once, by
+int division, which gives the bits of complex(Fraction), and only when a
+float solve reads them.  Float columns follow the `Form` product loops
+bit for bit (see `monomials`).  `solve_on_lines` solves a form against
+the columns of its lines, exactly when the form and every line are exact.
 """
 
 from __future__ import annotations
@@ -57,11 +56,12 @@ import numpy as np
 from .apolarity import (apolar_component, apolar_initial_degree, catalecticant,
                         numeric_catalecticant)
 from .avoidance import AvoidanceSet
-from .decomposition import RESIDUAL_TOL, Decomposition, Term, term_from_vector
+from .decomposition import (RESIDUAL_TOL, Decomposition, Term, require_float_range,
+                            term_from_vector)
 from .errors import (DegenerateSystemError, PreconditionError, Rejects, RootFindingError,
                      ZeroFormError)
 from .forms import (Form, ProjectivePoint, complex_coords, distinct_points, is_exact_scalar,
-                    power_of_linear, random_combination, same_point)
+                    power_of_linear, random_combination, same_point, substitute)
 from .linalg import SPAN_TOL, numeric_nullspace, numeric_rank, solve_columns
 from .monomials import embedding_table, space_dim
 from .roots import (binary_form_roots, exact_degree_drop, is_squarefree_binary,
@@ -157,36 +157,26 @@ def _powers(w: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def _int_quotient(num, den: int) -> float:
-    """int(num) / den by int division; past the float range, an infinity."""
-    try:
-        return int(num) / den
-    except OverflowError:
-        return math.inf if num > 0 else -math.inf
-
-
 def _quotients(num: np.ndarray, den) -> np.ndarray:
-    """num / den entrywise (integers), each rounded as int division rounds
-    it: the bits of complex(Fraction(num, den)), or an infinity where that
-    overflows (the exact columns of a line far past the float range are
-    still exact).  numpy divides where every denominator is a float64
-    exactly, since IEEE division of exact operands rounds correctly too;
-    otherwise Python divides the ints."""
+    """num / den entrywise (integers) as int division rounds it, the bits of
+    complex(Fraction(num, den)), and OverflowError past the float range:
+    numpy divides where every denominator is a float64 exactly (IEEE
+    division of exact operands rounds correctly too), Python otherwise."""
     den = np.asarray(den, dtype=object)
     if num.dtype != object and all(x.bit_length() < 1024 and int(float(x)) == x
                                    for x in set(den.flat)):
         return num / den.astype(float)
-    return np.vectorize(_int_quotient, otypes=[float])(num, den)
+    return np.vectorize(lambda a, b: int(a) / b, otypes=[float])(num, den)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as Python's float products overflow: silently
-def line_embedding(spans, d: int) -> tuple[list, Callable[[], np.ndarray]]:
+def line_embedding(spans, d: int) -> tuple[list | None, Callable[[], np.ndarray]]:
     """The images U^(d-j) V^j, j = 0..d, of the binary monomials on each line.
 
     `spans` lists the lines as pairs (u, v).  Returns (exact, floats):
-    entry i (d + 1) + j of `exact` is the image of s^(d-j) t^j on line i as
-    (integer numerators, denominator) where it is exact (see the module
-    docstring), else None; `floats()` builds the C-ordered complex
+    when every line is exact, entry i (d + 1) + j of `exact` is the image
+    of s^(d-j) t^j on line i as (integer numerators, denominator), else
+    `exact` is None; `floats()` builds the C-ordered complex
     N x len(spans) (d + 1) matrix of every image, column i (d + 1) + j for
     that one, and only then turns the exact columns into floats.
 
@@ -194,109 +184,79 @@ def line_embedding(spans, d: int) -> tuple[list, Callable[[], np.ndarray]]:
     imaginary parts in the float vectors' batch, while `_FLOAT64_EXACT`
     holds for every exact vector, else Python ints.  Float columns run the
     loop plan of `embedding_table` in its order on the complex views of
-    their factors, with the complex product written out (see `_products`).
+    their vectors, with the complex product written out (see `_products`).
+    An exact vector on a float line past the float range raises
+    OverflowError, and so does `floats()` on an exact line past it.
     """
     n = len(spans[0][0])
     size, width = space_dim(n, d), d + 1
     vectors = [w for span in spans for w in span]
-    exact = [all(map(is_exact_scalar, w)) for w in vectors]
-    dens = [math.lcm(*(x.denominator for x in w)) if e else None
-            for w, e in zip(vectors, exact)]
+    exact = [all(map(is_exact_scalar, (*u, *v))) for u, v in spans]
+    exact_lines = [i for i, e in enumerate(exact) if e]
+    float_lines = [i for i, e in enumerate(exact) if not e]
+    dens = [math.lcm(*(x.denominator for x in w)) if exact[k // 2] else None
+            for k, w in enumerate(vectors)]
     rows = [[x.numerator * (den // x.denominator) for x in w] if den else complex_coords(w)
             for w, den in zip(vectors, dens)]
     # (at d = 0 the numerators themselves still enter the batch)
     big = any(den and sum(map(abs, r)) ** max(d, 1) >= _FLOAT64_EXACT
               for r, den in zip(rows, dens))
     powers = {}  # vector index -> its powers as (real, imag), or (Python ints,)
-    batches = ([i for i, e in enumerate(exact) if not (big and e)],
-               [i for i, e in enumerate(exact) if big and e])
+    batches = ([k for k, den in enumerate(dens) if not (big and den)],
+               [k for k, den in enumerate(dens) if big and den])
     for batch, dtype in zip(batches, (complex, object)):
         if batch:
-            w = np.array([rows[i] for i in batch], dtype=dtype)
+            w = np.array([rows[k] for k in batch], dtype=dtype)
             w = np.stack((w.real, w.imag)) if dtype is complex else w[None]
             powers.update(zip(batch, _powers(w, d).transpose(1, 0, 2)))
 
-    def factor(i, exact_line):  # vector i's powers: its numerators, or its complex view
-        if exact_line:
-            return powers[i][:1]
-        if not exact[i]:
-            return powers[i]
-        m_dens = [dens[i] ** m for m in range(d + 1) for _ in range(space_dim(n, m))]
-        return np.stack((_quotients(powers[i][0], m_dens), np.zeros(len(m_dens))))
-
     cells, lefts, rights = embedding_table(n, d)[:3]
 
-    def column_sums(lines, exact_line):  # (parts, lines, d + 1, N)
-        left, right = (np.stack([factor(2 * i + s, exact_line) for i in lines], axis=1)
+    def column_sums(lines, parts):  # (parts, lines, d + 1, N): 1 part for exact lines
+        left, right = (np.stack([powers[2 * i + s][:parts] for i in lines], axis=1)
                        for s in (0, 1))
         products = _products(np.take(left, lefts, axis=2), np.take(right, rights, axis=2))
         return _cell_sums(products, cells, width * size).reshape(-1, len(lines), width, size)
 
-    def top_power(i):  # W^d of vector i as (integer numerators, den): exact, or d = 0
-        return ([1], 1) if d == 0 else (list(map(int, powers[i][0][-size:])), dens[i] ** d)
-
-    exact_lines = [i for i in range(len(spans)) if exact[2 * i] and exact[2 * i + 1]]
-    float_lines = [i for i in range(len(spans)) if not (exact[2 * i] and exact[2 * i + 1])]
-    out = [None] * (len(spans) * width)
     if exact_lines:
-        ints = column_sums(exact_lines, True)[0]
+        ints = column_sums(exact_lines, 1)[0]
         col_dens = np.array([[dens[2 * i] ** (d - j) * dens[2 * i + 1] ** j for j in range(width)]
                              for i in exact_lines], dtype=object)
-        for i, line, line_dens in zip(exact_lines, (ints if big else ints.astype(np.int64)).tolist(),
-                                      col_dens.tolist()):
-            out[i * width:(i + 1) * width] = zip(line, line_dens)
+    columns = np.empty((len(spans), width, size), dtype=complex)
     if float_lines:
-        z = np.empty((len(float_lines), width, size), dtype=complex)
-        z.real, z.imag = column_sums(float_lines, False)
-        for i in float_lines:
-            if exact[2 * i] or d == 0:
-                out[i * width] = top_power(2 * i)
-            if exact[2 * i + 1] and d:
-                out[i * width + d] = top_power(2 * i + 1)
+        columns.real[float_lines], columns.imag[float_lines] = column_sums(float_lines, 2)
 
     def floats() -> np.ndarray:
-        columns = np.empty((len(spans), width, size), dtype=complex)
         if exact_lines:
             columns[exact_lines] = _quotients(ints, col_dens[..., None])
-        if float_lines:
-            columns[float_lines] = z
         return np.ascontiguousarray(columns.transpose(2, 0, 1).reshape(size, -1))
 
-    return out, floats
+    if float_lines:
+        return None, floats
+    numerators = (ints if big else ints.astype(np.int64)).tolist()  # Python ints
+    return [column for line in zip(numerators, col_dens.tolist()) for column in zip(*line)], floats
 
 
 def solve_on_lines(f: Form, spans) -> tuple[list, float, int] | None:
-    """`solve_columns` of f against the line embeddings of `spans`, laid
-    side by side: exact when f and every column are, else on the complex
-    floats of the columns and of f."""
-    exact, floats = line_embedding(spans, f.degree)
-    if f.is_exact and None not in exact:
-        return solve_columns([[Fraction(x, den) for x in num] for num, den in exact],
-                             f.coeffs, tol=SPAN_TOL)
-    return solve_columns(floats(), f.floats(), tol=SPAN_TOL)
+    """`solve_columns` of f against the line embeddings of `spans`: exact when
+    f and every line are, else in complex floats (None where they overflow)."""
+    try:
+        exact, floats = line_embedding(spans, f.degree)
+        if f.is_exact and exact is not None:
+            return solve_columns([[Fraction(x, den) for x in num] for num, den in exact],
+                                 f.coeffs, tol=SPAN_TOL)
+        return solve_columns(floats(), f.floats(), tol=SPAN_TOL)
+    except OverflowError:  # an exact value past the float range
+        return None
 
 
 def embed_binary(g: Form, u, v) -> Form:
-    """Image of a binary form on the line spanned by u and v.
-
-    Sends s^(d-j) t^j to U^(d-j) V^j where U, V are the ambient linear
-    forms with coefficient vectors u, v; powers of (a s + b t) map to
-    powers of the linear form a U + b V.
-    """
+    """Image of a binary form on the line spanned by u and v: the
+    substitution s := U, t := V of the linear forms with coefficient
+    vectors u and v, so (a s + b t)^d goes to (a U + b V)^d."""
     if g.num_vars != 2:
         raise PreconditionError("embed_binary wants a binary form")
-    n = len(u)
-    total = Form.zero(n, g.degree, exact=g.is_exact)
-    if not g.is_exact:
-        u, v = [complex(x) for x in u], [complex(x) for x in v]
-    exact, floats = line_embedding([(u, v)], g.degree)
-    columns = None if None not in exact else floats()
-    for j, c in enumerate(g.coeffs):
-        if c != 0:
-            column = (Form(n, g.degree, columns[:, j].tolist()) if exact[j] is None
-                      else Form(n, g.degree, [Fraction(x, exact[j][1]) for x in exact[j][0]]))
-            total = total + column.scale(c)
-    return total
+    return substitute(g, (Form(len(u), 1, tuple(u)), Form(len(v), 1, tuple(v))))
 
 
 def form_on_line(f: Form, u, v) -> Form | None:
@@ -530,6 +490,7 @@ def decompose_binary_avoiding(f: Form, avoid: AvoidanceSet | None = None,
     gives it when the power point is avoided.
     """
     _require_binary(f, avoid)
+    require_float_range(f)
     b = initial_degree_any(f)
     return _sample_decomposition(
         f, f.degree + 2 - b, avoid, seed, tol, retries,
@@ -552,6 +513,7 @@ def decompose_binary_bounded(f: Form, avoid: AvoidanceSet | None,
     zero or non-binary form and a non-binary avoidance set.
     """
     _require_binary(f, avoid)
+    require_float_range(f)
     d = f.degree
     b = initial_degree_any(f)
     rejects = Rejects("bounded", "inconsistent", "residual", "cap")

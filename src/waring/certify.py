@@ -38,7 +38,7 @@ from fractions import Fraction
 from .apolarity import cat_rank_table, rank_lower_bound
 from .avoidance import AvoidanceSet
 from .binary import decompose_binary, decompose_binary_avoiding, open_rank_binary, rank_binary
-from .decomposition import RESIDUAL_TOL, Decomposition, Term
+from .decomposition import RESIDUAL_TOL, Decomposition, Term, require_float_range
 from .errors import (
     DimensionMismatch,
     ParseFormError,
@@ -173,6 +173,7 @@ def verify_decomposition(f: Form, dec: Decomposition,
     """
     if f.num_vars != dec.num_vars or f.degree != dec.degree:
         raise DimensionMismatch("decomposition does not match the form's space")
+    require_float_range(f)
     checks: list[dict] = []
 
     zero_coeffs = sum(1 for t in dec.terms if complex(t.coeff) == 0)

@@ -17,6 +17,7 @@ the thread count.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -29,6 +30,17 @@ from .monomials import exponents, multinomials
 
 #: residual the pipelines accept unless a caller passes its own tolerance
 RESIDUAL_TOL = 1e-8
+
+
+def require_float_range(f: Form) -> None:
+    """PreconditionError unless every coefficient of f is a finite float: the
+    residual is computed in floats, so past that range nothing is certified."""
+    try:
+        if all(map(cmath.isfinite, f.floats())):
+            return
+    except OverflowError:  # an exact coefficient that no float holds
+        pass
+    raise PreconditionError("a coefficient lies past the float range: no certificate")
 
 
 @dataclass(frozen=True, eq=False)

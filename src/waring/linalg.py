@@ -271,9 +271,16 @@ def exact_column_space_basis(matrix: Sequence[Sequence[Fraction]]) -> list[int]:
 # -- numeric --------------------------------------------------------------
 
 
+def _require_finite(matrix: np.ndarray) -> None:
+    """Refuse an infinite or NaN entry, on which an SVD does not converge."""
+    if not np.isfinite(matrix).all():
+        raise PreconditionError("a float matrix overflows: its form lies past the float range")
+
+
 def numeric_rank(matrix: np.ndarray, tol: float = NUMERIC_RANK_TOL) -> int:
     if matrix.size == 0:
         return 0
+    _require_finite(matrix)
     s = np.linalg.svd(matrix, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
@@ -285,6 +292,7 @@ def numeric_nullspace(matrix: np.ndarray) -> list[np.ndarray]:
     vectors whose singular values are at most NUMERIC_RANK_TOL times the largest."""
     if matrix.size == 0:
         return []
+    _require_finite(matrix)
     _, s, vh = np.linalg.svd(matrix)
     cutoff = NUMERIC_RANK_TOL * (s[0] if s.size else 0.0)
     null = [np.conj(vh[i]) for i in range(vh.shape[0]) if i >= s.size or s[i] <= cutoff]

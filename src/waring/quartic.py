@@ -27,6 +27,7 @@ import numpy as np
 
 from .apolarity import (
     catalecticant,
+    catalecticant_entries,
     catalecticant_rank,
     essential_subspace,
     essential_variables,
@@ -40,7 +41,7 @@ from .binary import (
     form_on_line,
     initial_degree_any,
 )
-from .decomposition import RESIDUAL_TOL, Decomposition, term_from_vector
+from .decomposition import RESIDUAL_TOL, Decomposition, require_float_range, term_from_vector
 from .errors import (
     DegenerateSystemError,
     NoSmoothConic,
@@ -60,7 +61,6 @@ from .forms import (
     substitute,
 )
 from .linalg import SPAN_TOL, exact_nullspace, numeric_nullspace, solve_columns
-from .monomials import exponents
 from .plane import (
     UNIT_DUALS,
     apart,
@@ -98,6 +98,7 @@ def _require_quartic(f: Form):
         raise ZeroFormError("cannot decompose the zero form")
     if not f.is_exact:
         raise PreconditionError("the quartic pipeline runs on the exact backend")
+    require_float_range(f)
 
 
 # -- a form needing the full length of eight ---------------------------------
@@ -376,15 +377,6 @@ def _two_line_split(f: Form, X: AvoidanceSet, seed: int, tol: float,
     return merged
 
 
-_BINARY_QUADRIC_DUALS = tuple(Form.from_dict(2, 2, {e: 1}) for e in exponents(2, 2))
-
-
-def _middle_rows(f0: Form) -> list[list]:
-    """The rows of the middle catalecticant of a binary quartic: contract(m, f0),
-    m a dual monomial."""
-    return [list(contract(m, f0).coeffs) for m in _BINARY_QUADRIC_DUALS]
-
-
 def _three_line_split(f: Form, X: AvoidanceSet, triple, seed: int,
                       tol: float, retries: int) -> Decomposition:
     """2 + 3 + 3 strategy on a split triple from the determinant search.
@@ -403,9 +395,9 @@ def _three_line_split(f: Form, X: AvoidanceSet, triple, seed: int,
     pow02 = split.kernel[1][2]
     part0 = split.particular[0]
     exact = part0.is_exact and pow01.is_exact and pow02.is_exact
-    # the rows are linear in c01: those at c01 = 0 plus c01 times those of
-    # pow01, whose contractions (not the pencil) are read once per split
-    rows01 = _middle_rows(pow01) if exact else None
+    # the catalecticant rows are linear in c01: those at c01 = 0 plus c01
+    # times those of pow01, which are read once per split
+    rows01 = catalecticant_entries(pow01, 2) if exact else None
     rng = random.Random(seed + 23)
     rejects = Rejects("three-line-split", "det", "piece_fail", "residual")
 
@@ -417,7 +409,7 @@ def _three_line_split(f: Form, X: AvoidanceSet, triple, seed: int,
             return part0 + pow01.scale(c01) + pow02.scale(c02)
 
         if exact:
-            pencil = integer_matrices((_middle_rows(f0_at(0)), rows01))
+            pencil = integer_matrices((catalecticant_entries(f0_at(0), 2), rows01))
             rational, float_roots = singular_members(*pencil)
         else:
             rational, float_roots = pencil_roots(cubic_from_samples(*(

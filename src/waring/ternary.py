@@ -32,7 +32,8 @@ import numpy as np
 from .apolarity import catalecticant, essential_subspace, essential_variables
 from .binary import (decompose_binary, decompose_binary_bounded, decompose_on_line,
                      push_decomposition, solve_on_lines)
-from .decomposition import RESIDUAL_TOL, Decomposition, Term, term_from_vector
+from .decomposition import (RESIDUAL_TOL, Decomposition, Term, require_float_range,
+                            term_from_vector)
 from .errors import (
     DegenerateSystemError,
     PreconditionError,
@@ -678,13 +679,9 @@ def split_on_lines(f: Form, system: LineSystem) -> SplitProblem:
     are its kept meets, read through their kept complex views on a float
     split, and each line's frame for them is computed once.
 
-    The columns come from one `line_embedding` of all the spans, with no
-    `Form` built.  On an exact system and an exact f they are exact and
-    the solve is exact.  Otherwise `solve_columns` takes one complex
-    N x (k + 1)(d + 1) matrix and the complex view of f.  There the float
-    lines' columns have the bits of the `Form` product loops, and the
-    exact lines' columns, integers over one denominator each, become
-    floats once by int division, with the bits of complex(Fraction).
+    The columns come from one `line_embedding` of all the spans (see
+    `binary`): on an exact system and an exact f the solve is exact,
+    otherwise it runs on one complex N x (k + 1)(d + 1) matrix.
     """
     if f.num_vars != 3:
         raise PreconditionError("split_on_lines expects a ternary form")
@@ -778,6 +775,7 @@ def decompose_ternary_odd(f: Form, seed: int = 0, tol: float = RESIDUAL_TOL,
         raise PreconditionError("decompose_ternary_odd expects a ternary form")
     if not f.is_exact:
         raise PreconditionError("decompose_ternary_odd runs on the exact backend")
+    require_float_range(f)
     if f.is_zero():
         raise ZeroFormError("cannot decompose the zero form")
     d = f.degree

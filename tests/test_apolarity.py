@@ -303,7 +303,7 @@ def test_integer_rows_agree_with_the_reference_entries(f, data):
     # Cat(delta) = G(delta) * diag(1 / (den * m'!)): same rank, and the same
     # primitive rows of Cat(delta) transposed, hence the same kernel Fractions
     delta = data.draw(st.integers(0, f.degree))
-    reference = apolarity._exact_entries(f, delta)
+    reference = apolarity.catalecticant_entries(f, delta)
     transposed = [list(column) for column in zip(*reference)]
     assert catalecticant_rank(f, delta) == exact_rank(reference)
     assert (_integer_rows(apolarity._weighted_rows(f, f.degree - delta))
@@ -316,7 +316,7 @@ def test_integer_rows_agree_with_the_reference_entries(f, data):
 def test_catalecticant_builds_entries_only_on_read(monkeypatch):
     f = random_form(3, 5, seed=4)
     want = catalecticant(f, 2).entries
-    monkeypatch.setattr(apolarity, "_entries", None)  # rank and kernel never call it
+    monkeypatch.setattr(apolarity, "catalecticant_entries", None)  # rank and kernel never call it
     cat = catalecticant(f, 2)
     assert (cat.rank, len(cat.kernel)) == (6, 0)
     monkeypatch.undo()

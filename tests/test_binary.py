@@ -492,6 +492,15 @@ def test_root_finding_failure_is_a_retry_signal(monkeypatch):
         decompose_binary(f)
 
 
+def test_an_exact_line_past_the_float_range_carries_no_float_form(capfd):
+    # its columns stay exact, and reading them as floats overflows: the
+    # float solve misses, with no numpy error
+    f = random_form(3, 4, seed=0)
+    span = ((Fraction(10 ** 400), 1, Fraction(3, 7)), (0, 2, 1))
+    assert form_on_line(f.to_float(), *span) is None
+    assert capfd.readouterr().err == ""
+
+
 def test_a_line_past_the_float_range_carries_no_form(capfd):
     # its exact column reads as inf on floats: the solve misses, with no
     # LAPACK message and no numpy error
@@ -501,3 +510,37 @@ def test_a_line_past_the_float_range_carries_no_form(capfd):
     with pytest.raises(DegenerateSystemError):
         decompose_on_line(f, span, decompose_binary, "test", 1e-8)
     assert capfd.readouterr().err == ""
+
+
+# -- reject reasons, each forced through the collaborator that decides it ------
+
+
+def test_a_tiny_weight_is_rejected_only_at_a_sampled_length(monkeypatch):
+    # with the ratio at 1 every weight but the largest reads as tiny
+    monkeypatch.setattr(binary, "SMALL_COEFF_TOL", 1.0)
+    f = random_form(2, 5, seed=1)  # b = 3, sampled at d + 2 - b = 4
+    with pytest.raises(RetryExhausted) as err:
+        decompose_binary_avoiding(f, seed=0, retries=4)
+    diag = err.value.diagnostics
+    assert diag["stage"] == "sample" and diag["target_size"] == 4
+    assert diag["rejects"]["tiny_weight"] == 4 and diag["best_residual"] is None
+    # kept at the pencil length b (2b = d + 2) and for a pure power
+    pencil = decompose_binary(random_form(2, 4, seed=1))
+    assert pencil.provenance["route"] == "pencil-avoiding" and pencil.size == 3
+    power = decompose_binary_avoiding(parse_form("x0^5", 2).scale(F(3)), seed=0)
+    assert power.provenance["route"] == "power-respread" and power.size == 6
+
+
+def test_a_failed_weight_solve_counts_as_residual_or_inconsistent(monkeypatch):
+    monkeypatch.setattr(binary, "_solve_weights", lambda f, points: None)
+    with pytest.raises(RetryExhausted) as err:  # sampled: counted, no residual kept
+        decompose_binary_avoiding(random_form(2, 5, seed=1), seed=0, retries=4)
+    diag = err.value.diagnostics
+    assert diag["stage"] == "sample" and diag["rejects"]["residual"] == 4
+    assert diag["best_residual"] is None
+    with pytest.raises(RetryExhausted) as err:  # the kernel roots of x0 x1: no resampling
+        decompose_binary(parse_form("x0^3 + x1^3", 2))
+    diag = err.value.diagnostics
+    assert diag["stage"] == "bounded" and diag["target_size"] == 2
+    assert diag["rejects"] == {"inconsistent": 1, "residual": 0, "cap": 0}
+    assert diag["best_residual"] is None

@@ -30,8 +30,8 @@ from waring.certify import (
 from waring.decomposition import Decomposition, Term
 from waring.errors import (DimensionMismatch, ParseFormError, PreconditionError,
                            RetryExhausted, WaringError)
-from waring.forms import (Form, ProjectivePoint, evaluate, parse_form, power_of_linear,
-                          random_form, substitute)
+from waring.forms import (Form, ProjectivePoint, evaluate, form_to_string, parse_form,
+                          power_of_linear, random_form, substitute)
 from waring.monomials import exponents, space_dim
 from waring.ternary import decompose_ternary_odd
 
@@ -214,6 +214,34 @@ def test_route_by_shape_rejects_uncovered_shapes(text, n, avoided):
     avoid = AvoidanceSet(n, (parse_form("x0 - x1", n),)) if avoided else None
     with pytest.raises(PreconditionError):
         route_by_shape(parse_form(text, n), avoid)
+
+
+PAST_THE_FLOAT_RANGE = [
+    ("1e400*x0^3 + x1^3", 2),                       # exact: the weights hold no float
+    ("1e400*x0^5 + x1^5 + x2^5", 3),
+    ("1e400*x0^4 + x1^4 + x2^4 + x0*x1*x2^2", 3),
+    ("(1e400+0j)*x0^3 + x1^3", 2),                  # float: an infinite coefficient
+    ("(1e308+0j)*x0^3 + (1e308+0j)*x1^3", 2),       # float: the catalecticant overflows
+]
+
+
+@pytest.mark.parametrize("text, n", PAST_THE_FLOAT_RANGE)
+def test_every_route_refuses_a_form_past_the_float_range(text, n):
+    # the certificate's residual is computed in floats: a precondition, not
+    # an OverflowError, LinAlgError or IndexError from deep inside a route
+    f = parse_form(text, n)
+    decompose = ROUTES[route_by_shape(f)][0]
+    with pytest.raises(PreconditionError, match="float range"):
+        decompose(f, None)
+
+
+def test_replay_refuses_an_input_past_the_float_range():
+    f = parse_form(PAST_THE_FLOAT_RANGE[0][0], 2)
+    payload = json.loads(to_json(make_cert()[2]))
+    payload["input"] = form_to_string(f).replace(" ", "")
+    payload["terms"][0]["coeff"] = [10 ** 400, 1]
+    with pytest.raises(PreconditionError, match="float range"):
+        replay(payload)
 
 
 def test_rank_bracket_rejects_even_ternary_degrees():

@@ -48,6 +48,13 @@ def test_decompose_binary_prints_a_valid_certificate(capsys):
     assert payload["avoidance"] is None
 
 
+def test_a_form_past_the_float_range_exits_3_with_one_line(capsys):
+    # no traceback: the float residual of a certificate cannot be computed
+    code, out, err = run(capsys, "decompose", "1e400*x0^3 + x1^3")
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert err.count("\n") == 1 and "float range" in err
+
+
 def test_decompose_meets_a_tolerance_below_the_default(capsys):
     form = form_to_string(random_form(2, 28, 0))
     code, out, _ = run(capsys, "decompose", form, "--tol", "1e-15")

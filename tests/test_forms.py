@@ -25,6 +25,7 @@ from waring.forms import (
     distinct_points,
     evaluate,
     form_to_string,
+    is_exact_scalar,
     parse_form,
     power_of_linear,
     random_combination,
@@ -789,13 +790,14 @@ def test_numerator_storage_matches_canonical_fractions(case, scalar):
     assert bits(contract(c, floats)) == bits(reference_contract(ec, floats))
 
 
-# `line_embedding` builds no `Form`: an exact vector's powers are integer
-# numerators, gathered in float64 below 2^53 and as Python ints above it,
-# and a float column runs the loop plan with the complex product written
-# out.  The vectors below reach every path: floats with signed zeros and
-# magnitudes from 1e-200 to 1e6, dyadic numerators near 2^20 (past the
-# float64 bound from d = 3 on), small non-dyadic fractions, and mixed
-# coordinates; a span takes any two of them.
+# `line_embedding` builds no `Form`: the powers of an exact line's vectors
+# are integer numerators, gathered in float64 below 2^53 and as Python ints
+# above it, and a float line runs the loop plan on the complex views of
+# both vectors, with the complex product written out.  The vectors below
+# reach every path: floats with signed zeros and magnitudes from 1e-200 to
+# 1e6, dyadic numerators near 2^20 (past the float64 bound from d = 3 on),
+# small non-dyadic fractions, and mixed coordinates; a span takes any two
+# of them.
 DYADIC = st.builds(lambda k, e: Fraction(k, 2 ** e),
                    st.one_of(st.integers(-8, 8), st.integers(-2 ** 21, 2 ** 21)),
                    st.integers(0, 22))
@@ -819,19 +821,21 @@ def test_line_embedding_is_the_reference_images_of_the_unit_monomials(spans, d):
 
 
 def test_line_embedding_keeps_non_dyadic_numerators_past_2_53():
-    # numerators near 10^12 over 7, 11 and 13 send every exact vector of the
-    # call, the one of the mixed span too, to the Python-int path, and their
-    # columns become floats by int division, with no power of two to spare
+    # numerators near 10^12 over 7, 11 and 13 send every exact line of the
+    # call to the Python-int path, and their columns become floats by int
+    # division, with no power of two to spare; a float line reads them
+    # through their complex views
     big = (Fraction(10 ** 12 + 1, 7), Fraction(-3 ** 20, 11), Fraction(5, 13))
     small = (Fraction(1, 3), Fraction(2), Fraction(-1, 5))
     float_vector = (0.25 - 1j, -0.0 + 0j, 1e-200 + 0j)
     for d in (3, 5, 7):
+        assert_reference_columns([(big, small), (small, big)], d)
         assert_reference_columns([(big, small), (small, float_vector), (float_vector, big)], d)
 
 
 def test_embed_binary_skips_zero_factors_past_the_float_range():
     # 1e160^2 overflows to inf; a zero factor times it adds nothing, as the
-    # `Form` loops skip it, where inf * 0 would put NaN into other cells
+    # `Form` products skip it, where inf * 0 would put NaN into other cells
     huge = (1e160, 0.0, -0.0)
     spans = [(huge, (0.0, 1.0, 0.0)), ((Fraction(1, 3), Fraction(0), Fraction(2)), (1e160j, 0.0, 1.0)),
              ((1e200, 1e-200, 0.0), huge)]
@@ -839,7 +843,8 @@ def test_embed_binary_skips_zero_factors_past_the_float_range():
         units = [tuple(Fraction(int(i == j)) for i in range(d + 1)) for j in range(d + 1)]
         for g in [Form(2, d, unit) for unit in units] + [Form(2, d, (1.0,) * (d + 1))]:
             for u, v in spans:
-                assert bits(embed_binary(g, u, v)) == bits(reference_embed(g, u, v))
+                images = [Form(3, 1, tuple(u)), Form(3, 1, tuple(v))]
+                assert bits(embed_binary(g, u, v)) == bits(reference_substitute(g, images))
 
 
 def test_embedding_table_is_the_product_loops_column_by_column():
@@ -861,19 +866,26 @@ def test_embedding_table_is_the_product_loops_column_by_column():
 
 def assert_reference_columns(spans, d):
     """Every column of `line_embedding`, floats and exact values, has the
-    bits of `reference_embed`'s image of its unit monomial."""
+    bits of `reference_embed`'s image of its unit monomial: on the complex
+    views of both vectors of a line with a float vector, and exact values
+    come back only when every line is exact."""
     n = len(spans[0][0])
     exact, floats = line_embedding(spans, d)
     floats = floats()
-    assert floats.shape == (space_dim(n, d), len(spans) * (d + 1)) == (space_dim(n, d), len(exact))
+    assert floats.shape == (space_dim(n, d), len(spans) * (d + 1))
+    exact_lines = [all(map(is_exact_scalar, (*u, *v))) for u, v in spans]
+    assert (exact is not None) == all(exact_lines)
+    assert exact is None or len(exact) == len(spans) * (d + 1)
     for c, (u, v) in enumerate(span for span in spans for _ in range(d + 1)):
         j = c % (d + 1)
+        if not exact_lines[c // (d + 1)]:
+            u, v = complex_coords(u), complex_coords(v)
         want = reference_embed(Form(2, d, tuple(Fraction(int(i == j)) for i in range(d + 1))), u, v)
         got = floats[:, c].tolist()
         assert [repr(z) for z in got] == [repr(z) for z in want.floats()]
-        if exact[c] is not None:
+        if exact is not None:
             got = [Fraction(x, exact[c][1]) for x in exact[c][0]]
-        assert bits(Form(n, d, got)) == bits(want)
+            assert bits(Form(n, d, got)) == bits(want)
 
 
 @KERNEL
@@ -881,8 +893,10 @@ def assert_reference_columns(spans, d):
 @example([Fraction(1, 3), Fraction(2, 7), Fraction(-5, 9), Fraction(4, 9), Fraction(1), Fraction(1, 7)],
          Form(2, 3, (0.3 + 0.1j, 1j, 0.7, 0.2)))
 def test_embed_binary_matches_the_reference_bit_for_bit(vectors, g):
+    # embed_binary is the substitution of the linear forms of u and v
     u, v = vectors[:3], vectors[3:]
-    assert bits(embed_binary(g, u, v)) == bits(reference_embed(g, u, v))
+    images = [Form(3, 1, tuple(u)), Form(3, 1, tuple(v))]
+    assert bits(embed_binary(g, u, v)) == bits(reference_substitute(g, images))
 
 
 def low_rank_form(num_vars, degree, rng):

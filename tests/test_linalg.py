@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waring import linalg
-from waring.apolarity import _exact_entries, catalecticant_rank
+from waring.apolarity import catalecticant_entries, catalecticant_rank
 from waring.errors import PreconditionError
 from waring.forms import Form, random_form
 from waring.linalg import (
@@ -174,8 +174,8 @@ def test_exact_rank_builds_no_fraction(monkeypatch):
     monkeypatch.undo()
     assert built == []
     assert rank == naive_rank(m) == 5
-    assert cat_ranks == [naive_rank(_exact_entries(binary, 12)),
-                         naive_rank(_exact_entries(nonic, 4))] == [13, 15]
+    assert cat_ranks == [naive_rank(catalecticant_entries(binary, 12)),
+                         naive_rank(catalecticant_entries(nonic, 4))] == [13, 15]
 
 
 def test_numeric_rank_detects_near_dependence():

@@ -22,7 +22,6 @@ from waring.forms import Form, contract, parse_form, power_of_linear, random_for
 from waring.monomials import exponents, multinomial
 from waring.plane import UNIT_DUALS, det3, pencil_at, quadric_matrix
 from waring.quartic import (
-    _middle_rows,
     quartic_brk3_decompose,
     quartic_decompose_open,
     quartic_predecomp,
@@ -292,6 +291,39 @@ def test_brk3_counts_a_pushed_point_inside_the_avoided_set_apart(monkeypatch):
     assert diag["best_residual"] is None
 
 
+BRK3_REASONS = ("point", "inside", "span", "octic_rank", "binary", "avoided", "residual")
+
+
+@pytest.mark.parametrize("reason", ["point", "inside", "span", "octic_rank", "binary", "residual"])
+def test_brk3_counts_each_reason_where_its_collaborator_decides_it(monkeypatch, reason):
+    # one collaborator forced to fail rejects every conic for that reason
+    # alone; only a pushed sum that misses f keeps a best residual
+    f = parse_form("x0^4 + x1^4", 3) + power_of_linear((1, 1, 1), 4)
+    push = quartic.term_from_vector
+
+    def fail(*args, **kwargs):
+        raise (PreconditionError if reason == "point" else RetryExhausted)("forced")
+
+    name, patch = {
+        "point": ("conic_parametrization", fail),
+        "inside": ("substitute", lambda g, phi: Form.zero(2, 2 * g.degree)),
+        "span": ("solve_columns", lambda *args, **kwargs: None),
+        "octic_rank": ("initial_degree_any", lambda octic: 2),
+        "binary": ("decompose_binary_avoiding", fail),
+        "residual": ("term_from_vector", lambda c, z, d: push(2 * c, z, d)),  # twice f
+    }[reason]
+    monkeypatch.setattr(quartic, name, patch)
+    with pytest.raises(RetryExhausted) as err:
+        quartic_brk3_decompose(f, LINE_X2, seed=0, retries=3)
+    diag = err.value.diagnostics
+    assert diag["stage"] == "conic-pullback" and diag["conics"] == 3
+    assert diag["rejects"] == {r: 3 * (r == reason) for r in BRK3_REASONS}
+    if reason == "residual":
+        assert diag["best_residual"] > 0.5
+    else:
+        assert diag["best_residual"] is None
+
+
 @pytest.mark.parametrize("triple", [("x0", "x1", "x0 + x1 + x2"), ("x0", "x0 + x1 + x2", "x1")])
 def test_triple_route_reroutes_a_zero_pair_to_the_two_line_split(monkeypatch, triple):
     # no x0*x1 monomial: the dual product x0 x1 kills f, so (l0, l1) or (l0, l2)
@@ -414,13 +446,6 @@ def test_pencil_hessians_equal_the_product_matrices(f, l1, la, lb):
         assert [[2 * x for x in row] for row in member] == reference
         assert all(type(x) is Fraction for row in member for x in row)
         assert 8 * det3(member) == det3(reference)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.fractions(-9, 9, max_denominator=5), min_size=5, max_size=5))
-def test_binary_dual_rows_are_the_middle_catalecticant(coeffs):
-    f0 = Form(2, 4, tuple(coeffs))
-    assert _middle_rows(f0) == [list(row) for row in catalecticant(f0, 2).entries]
 
 
 def test_rank_four_quartic_takes_two_ranks_no_kernel_and_one_line_search(monkeypatch):
