@@ -61,7 +61,8 @@ from .decomposition import (RESIDUAL_TOL, Decomposition, Term, require_float_ran
 from .errors import (DegenerateSystemError, PreconditionError, Rejects, RootFindingError,
                      ZeroFormError)
 from .forms import (Form, ProjectivePoint, complex_coords, distinct_points, is_exact_scalar,
-                    power_of_linear, random_combination, same_point, substitute)
+                    normalized_point, power_of_linear, random_combination, same_point,
+                    substitute)
 from .linalg import SPAN_TOL, numeric_nullspace, numeric_rank, solve_columns
 from .monomials import embedding_table, space_dim
 from .roots import (binary_form_roots, exact_degree_drop, is_squarefree_binary,
@@ -376,12 +377,14 @@ def decompose_binary(f: Form, seed: int = 0, tol: float = RESIDUAL_TOL) -> Decom
 
 def _try_exact_then_float_points(g: Form) -> list[ProjectivePoint] | None:
     """Distinct roots of g, exact when g splits over the rationals; None on
-    repeated roots or when the root iteration fails to converge."""
+    repeated roots or when the root iteration fails to converge.  The roots
+    come as (1, r) or (0, 1), on one backend and nonzero, so each point is
+    `normalized_point` of its pair."""
     drop = exact_degree_drop(g.coeffs) if g.is_exact else None
     if g.is_exact and drop <= 1:
         roots = rational_roots(g.coeffs)
         if len(roots) + drop == g.degree:
-            pts = [ProjectivePoint((Fraction(1), r)) for r in roots]
+            pts = [normalized_point((Fraction(1), r), True)[0] for r in roots]
             return pts + [ProjectivePoint((Fraction(0), Fraction(1)))] * drop
     if g.is_exact and not is_squarefree_binary(g.coeffs, g.degree):
         return None
@@ -389,7 +392,7 @@ def _try_exact_then_float_points(g: Form) -> list[ProjectivePoint] | None:
         pairs = binary_form_roots(g.coeffs, exact_degree_drop=drop)
     except RootFindingError:
         return None
-    pts = [ProjectivePoint(p) for p in pairs]
+    pts = [normalized_point(p, False)[0] for p in pairs]
     if len(pts) != g.degree or not distinct_points(pts, SEPARATION_TOL):
         return None
     return pts
@@ -507,10 +510,14 @@ def decompose_binary_bounded(f: Form, avoid: AvoidanceSet | None,
     avoidance filter built in, fixed kernel roots are used when they all
     clear the avoidance set, and otherwise the length grows to d + 2 - b,
     sampled as `decompose_binary_avoiding` samples it: an avoided pure
-    power takes d + 1 respread points, exact for an exact form.  Every
-    failure, a length over the cap included, raises RetryExhausted, which
-    callers treat as a resampling signal; PreconditionError is left for a
-    zero or non-binary form and a non-binary avoidance set.
+    power takes d + 1 respread points, exact for an exact form.  On a float
+    form the length also grows when the roots' sum misses `tol`: near a
+    repeated factor the float generator's roots miss, and b need not be
+    the rank.  An exact form's roots are distinct, b is its rank, and a
+    miss raises.  Every failure, a length over the cap included, raises
+    RetryExhausted, which callers treat as a resampling signal;
+    PreconditionError is left for a zero or non-binary form and a
+    non-binary avoidance set.
     """
     _require_binary(f, avoid)
     require_float_range(f)
@@ -529,12 +536,15 @@ def decompose_binary_bounded(f: Form, avoid: AvoidanceSet | None,
                 raise rejects.exhausted("apolar root system was inconsistent", target_size=b)
             dec = _build(f, pts, weights, {"route": "kernel-roots-avoiding",
                                            "initial_degree": b})
-            if not dec.meets_tolerance(f, tol):
-                res = dec.provenance["residual"]
-                rejects.count("residual", res)
+            if dec.meets_tolerance(f, tol):
+                return dec
+            res = dec.provenance["residual"]
+            rejects.count("residual", res)
+            if f.is_exact:  # distinct exact roots: b is the rank, a longer sum is not
                 raise rejects.exhausted(f"root-route decomposition residual {res:.2e}",
                                         target_size=b)
-            return dec
+            # a float generator near a repeated factor has roots that miss;
+            # the sampled length below does not read them
         size, route = d + 2 - b, "kernel-sampling-avoiding"
     if size > max_size:
         rejects.count("cap")

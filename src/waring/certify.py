@@ -170,13 +170,16 @@ def verify_decomposition(f: Form, dec: Decomposition,
     most `tol`, all points off `avoid` when one is attached, and size
     within the claimed bound unless the bound tag marks an unchecked
     claim.  The certificate is valid exactly when every check passes.
+    A coefficient of f, or a term's coefficient or coordinate, past the
+    float range raises PreconditionError before any check runs.
     """
     if f.num_vars != dec.num_vars or f.degree != dec.degree:
         raise DimensionMismatch("decomposition does not match the form's space")
     require_float_range(f)
+    weights = dec.float_weights()  # refuses a term past the float range
     checks: list[dict] = []
 
-    zero_coeffs = sum(1 for t in dec.terms if complex(t.coeff) == 0)
+    zero_coeffs = sum(1 for w in weights if w == 0)
     checks.append(_check("nonzero-coefficients", zero_coeffs == 0,
                          dec.size - zero_coeffs, dec.size))
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PreconditionError
-from .forms import Form, ProjectivePoint, is_exact_scalar, pivot_index
+from .forms import Form, ProjectivePoint, is_exact_scalar, normalized_point
 from .monomials import exponents, multinomials
 
 #: residual the pipelines accept unless a caller passes its own tolerance
@@ -63,17 +63,17 @@ class Term:
 def term_from_vector(coeff, vector, degree: int) -> Term:
     """Build a term from an unnormalized coordinate vector.
 
-    The point gets normalized; the coefficient absorbs pivot**degree so
-    that coeff * point**degree stays equal to the original summand.  The
-    pivot comes from `pivot_index`, the rule ProjectivePoint normalizes by.
+    The point gets normalized once, by `normalized_point`; the coefficient
+    absorbs the pivot it divided by, to the degree, so that
+    coeff * point**degree stays equal to the original summand.
     """
     vec = list(vector)
     if all(c == 0 for c in vec):
         raise PreconditionError("term point needs a nonzero coordinate vector")
     exact = all(is_exact_scalar(c) for c in vec)
-    vec = [Fraction(c) for c in vec] if exact else [complex(c) for c in vec]
-    pivot = vec[pivot_index(vec, exact)]
-    return Term(coeff * pivot ** degree, ProjectivePoint(tuple(vec)))
+    point, pivot = normalized_point([Fraction(c) for c in vec] if exact
+                                    else [complex(c) for c in vec], exact)
+    return Term(coeff * pivot ** degree, point)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,15 +99,28 @@ class Decomposition:
     def points(self) -> list[ProjectivePoint]:
         return [t.point for t in self.terms]
 
+    def float_weights(self) -> list[complex]:
+        """The coefficients as complex floats, read after every point's float
+        view (which the point keeps).  PreconditionError when a coefficient
+        or a coordinate lies past the float range: no residual is computed
+        there, so nothing is certified."""
+        try:
+            for t in self.terms:
+                t.point.as_floats()
+            return [complex(t.coeff) for t in self.terms]
+        except OverflowError as err:  # an exact scalar that no float holds
+            raise PreconditionError(
+                "a term lies past the float range: no certificate") from err
+
     def residual(self, f: Form) -> float:
         """max|f - sum of the powered terms| / max(1, max|f|), in floats."""
         if f.num_vars != self.num_vars or f.degree != self.degree:
             raise PreconditionError("decomposition does not match the form's space")
         n, d = self.num_vars, self.degree
         expo, multi = _power_sum_table(n, d)
+        weights = np.array(self.float_weights(), dtype=complex)
         points = np.array([t.point.as_floats() for t in self.terms],
                           dtype=complex).reshape(len(self.terms), n)
-        weights = np.array([complex(t.coeff) for t in self.terms], dtype=complex)
         powers = np.empty(points.shape + (d + 1,), dtype=complex)
         powers[..., 0] = 1.0
         powers[..., 1:] = points[..., None]

@@ -34,10 +34,14 @@ Points of the projective space P(S_1) are `ProjectivePoint`s.  Exact points
 normalize their first nonzero coordinate to 1; float points normalize the
 first coordinate of largest magnitude (up to a relative 1e-12) to 1.  The
 pivot becomes exactly 1, so normalizing a normalized point changes no bit.
-`complex_coords` turns exact coordinates into floats by the same int
-division as the view of an exact form.  Comparisons use a
-normalization-free chordal distance, so they do not depend on which
-coordinate was scaled.  `distinct_points` takes all the pairwise
+This module is the one place that normalizes: `normalized_point` serves
+callers whose coordinates are on one backend already, or that scale by the
+pivot.  `complex_coords` turns exact coordinates into floats by the same
+int division as the view of an exact form; a point keeps that view, and
+the rescaled copy with its norm that distances read, from its first read
+on.  Comparisons use a normalization-free chordal distance, so they do not
+depend on which coordinate was scaled.  `distinct_points` of a few points
+takes every pair by that distance; of more, it takes all the pairwise
 distances in one vectorised pass, which only prefilters: every pair it
 puts within 2 * tol (plus a rounding slack) is confirmed by the scalar
 distance, so its answer is that of the pairwise definition.
@@ -84,6 +88,10 @@ _PIVOT_SLACK = 1e-12
 #: norms within which neither a vector's squares nor the wedge of two such
 #: vectors under- or overflow; `chordal_distance` rescales a vector outside
 _NORM_RANGE = (2.0 ** -200, 2.0 ** 200)
+
+#: point counts up to which `distinct_points` takes every pair by the scalar
+#: distance, which beats the vectorised pass there and loses to it at eight
+_PAIRWISE_MAX = 5
 
 #: bound on how far a chordal distance taken in another rounding order (the
 #: vectorised pass of `distinct_points`) can stray: both are within a few
@@ -336,22 +344,37 @@ def power_of_linear(point: Sequence, degree: int, coeff=1) -> Form:
         coeffs.append(term)
     if exact:
         return Form._exact_over(n, degree, coeffs, coeff.denominator * den ** degree)
-    if type(coeff) is complex and all(type(p) is complex for p in point):
-        return Form._trusted(n, degree, tuple(coeffs), False)  # every term is complex already
+    # on complex points every term is complex already: a complex coeff makes
+    # it so, and an int one (the default 1) does once a coordinate is a factor
+    if ((type(coeff) is complex or type(coeff) is int and degree >= 1)
+            and all(type(p) is complex for p in point)):
+        return Form._trusted(n, degree, tuple(coeffs), False)
     return Form._trusted(n, degree, *_normalize_coeffs(coeffs))
 
 
 def evaluate(f: Form, point: Sequence) -> Scalar:
-    """Evaluate f at coordinates (substituting x_i := point[i])."""
+    """Evaluate f at coordinates (substituting x_i := point[i]).
+
+    At complex coordinates an exact f is read through its kept complex
+    view: c * z for a Fraction c and a complex z is complex(c) * z, and the
+    view holds complex(c), so the bits are those of the exact coefficients.
+    """
     if len(point) != f.num_vars:
         raise DimensionMismatch("point length must match variable count")
-    total = Fraction(0) if f.is_exact and all(is_exact_scalar(p) for p in point) else 0j
-    for expo, c in f.items():
-        term = c
-        for p, e in zip(point, expo):
-            if e:
-                term = term * (p ** e)
-        total = total + term
+    values = f.coeffs
+    if f.is_exact and all(is_exact_scalar(p) for p in point):
+        total = Fraction(0)
+    else:
+        total = 0j
+        if all(type(p) is complex for p in point):
+            values = f.floats()
+    for expo, c, value in zip(exponents(f.num_vars, f.degree), f.coeffs, values):
+        if c != 0:
+            term = value
+            for p, e in zip(point, expo):
+                if e:
+                    term = term * (p ** e)
+            total = total + term
     return total
 
 
@@ -482,7 +505,12 @@ def pivot_index(coords: Sequence, exact: bool) -> int:
 
 @dataclass(frozen=True)
 class ProjectivePoint:
-    """A point of P(S_1), stored with normalized homogeneous coordinates."""
+    """A point of P(S_1), stored with normalized homogeneous coordinates.
+
+    Its float views are built on first read and kept with the point: the
+    complex coordinates (`as_floats`) and the pair that the chordal
+    distances read (see `_floats_with_norm`).
+    """
 
     coords: tuple
 
@@ -490,12 +518,17 @@ class ProjectivePoint:
         coords, exact = _normalize_coeffs(self.coords)
         if all(c == 0 for c in coords):
             raise ZeroFormError("projective point needs a nonzero coordinate vector")
-        k = pivot_index(coords, exact)
-        # the pivot is set to 1 outright: a complex c / c can miss 1+0j by
-        # an ulp, and then normalizing again would move the other coordinates
-        scaled = [c / coords[k] for c in coords]
-        scaled[k] = Fraction(1) if exact else complex(1)
-        object.__setattr__(self, "coords", tuple(scaled))
+        object.__setattr__(self, "coords", _divided_by_pivot(coords, exact)[0])
+
+    def __getattr__(self, name):  # a missing float view: built on first read, kept
+        if name == "_floats":
+            view = complex_coords(self.coords)
+        elif name == "_with_norm":
+            view = _with_norm(self._floats)
+        else:
+            raise AttributeError(name)
+        self.__dict__[name] = view
+        return view
 
     @property
     def is_exact(self) -> bool:
@@ -505,7 +538,33 @@ class ProjectivePoint:
         return len(self.coords)
 
     def as_floats(self) -> tuple[complex, ...]:
-        return complex_coords(self.coords)
+        return self._floats
+
+
+def _divided_by_pivot(coords: Sequence, exact: bool) -> tuple[tuple, Scalar]:
+    """Coordinates divided by their pivot (see `pivot_index`), and the pivot."""
+    k = pivot_index(coords, exact)
+    pivot = coords[k]
+    # the pivot is set to 1 outright: a complex c / c can miss 1+0j by an
+    # ulp, and then normalizing again would move the other coordinates
+    scaled = [c / pivot for c in coords]
+    scaled[k] = Fraction(1) if exact else complex(1)
+    return tuple(scaled), pivot
+
+
+def normalized_point(coords: Sequence, exact: bool) -> tuple[ProjectivePoint, Scalar]:
+    """The point of coordinates already on one backend, and its pivot.
+
+    `coords` are all `Fraction` when `exact`, else all complex, and not all
+    zero.  The point is the one `ProjectivePoint(coords)` gives, divided by
+    the same pivot in the same way; the pivot is the coordinate it was
+    divided by.  A caller that has converted its coordinates, or scales a
+    coefficient by the pivot, takes both here instead of normalizing twice.
+    """
+    scaled, pivot = _divided_by_pivot(coords, exact)
+    point = object.__new__(ProjectivePoint)
+    object.__setattr__(point, "coords", scaled)
+    return point, pivot
 
 
 def complex_coords(values: Sequence) -> tuple[complex, ...]:
@@ -526,7 +585,13 @@ def _norm(a: tuple[complex, ...]) -> float:
 
 
 def _floats_with_norm(p: ProjectivePoint | Sequence) -> tuple[tuple[complex, ...], float]:
-    a = p.as_floats() if isinstance(p, ProjectivePoint) else complex_coords(p)
+    """A point's complex coordinates with their norm, rescaled by a power of
+    two where the squares would leave the float range; a `ProjectivePoint`
+    keeps its pair, raw coordinates are read afresh."""
+    return p._with_norm if isinstance(p, ProjectivePoint) else _with_norm(complex_coords(p))
+
+
+def _with_norm(a: tuple[complex, ...]) -> tuple[tuple[complex, ...], float]:
     norm = _norm(a)
     if not _NORM_RANGE[0] <= norm <= _NORM_RANGE[1]:
         # squares, here or in a wedge, may have under- or overflowed: scale by
@@ -566,16 +631,18 @@ def same_point(p, q, tol: float = 1e-8) -> bool:
 def distinct_points(points: Sequence, tol: float = 1e-6) -> bool:
     """Pairwise distinctness at the library's separation tolerance.
 
-    The floats are made once, and one vectorised pass takes every pairwise
-    chordal distance.  That pass only rules pairs out: a pair it does not
-    put above 2 * tol + _WEDGE_SLACK is confirmed by the scalar `_chordal`,
-    so the answer is the one of the pairwise definition.
+    The floats are read once per point (a `ProjectivePoint` keeps them).
+    Up to _PAIRWISE_MAX points take the scalar `_chordal` of every pair.
+    More take every pairwise chordal distance in one vectorised pass, which
+    only rules pairs out: a pair it does not put above 2 * tol + _WEDGE_SLACK
+    is confirmed by the scalar `_chordal`, so the answer is the one of the
+    pairwise definition either way.
     """
     pts = [_floats_with_norm(p) for p in points]
-    if len(pts) < 2:
-        return True
     if len({len(a) for a, _ in pts}) > 1:
         raise DimensionMismatch("points live in different spaces")
+    if len(pts) <= _PAIRWISE_MAX:
+        return not any(_chordal(*p, *q) <= tol for p, q in combinations(pts, 2))
     coords = np.array([a for a, _ in pts])
     norms = np.array([na for _, na in pts])
     wedge = np.zeros((len(pts), len(pts)))

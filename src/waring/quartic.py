@@ -89,6 +89,8 @@ from .ternary import (
 
 CONIC_BUDGET = 48
 PREDECOMP_BUDGET = 64
+#: split triples `_triple_route` draws before it gives up
+TRIPLE_BUDGET = 4
 
 
 def _require_quartic(f: Form):
@@ -169,7 +171,8 @@ def quartic_predecomp(f: Form, sigma=(), seed: int = 0,
         l1 = random_combination(rng, UNIT_DUALS, height)
         la = random_combination(rng, UNIT_DUALS, height)
         lb = random_combination(rng, UNIT_DUALS, height)
-        if l1 is None or la is None or lb is None or not apart(l1, sigma_pts):
+        p1 = None if l1 is None else as_dual_point(l1)  # one point for all three tests
+        if p1 is None or la is None or lb is None or not apart(p1, sigma_pts):
             rejects.count("line")
             continue
 
@@ -179,7 +182,8 @@ def quartic_predecomp(f: Form, sigma=(), seed: int = 0,
         rational, float_roots = singular_members(*integer_matrices((m_a, m_b)))
         for t in rational + float_roots():
             l2 = la + lb.scale(t)
-            if l2.is_zero() or not apart(l2, [*sigma_pts, l1]):
+            p2 = None if l2.is_zero() else as_dual_point(l2)
+            if p2 is None or not apart(p2, [*sigma_pts, p1]):
                 rejects.count("line")
                 continue
             member = pencil_at(m_a, m_b, t)
@@ -191,7 +195,7 @@ def quartic_predecomp(f: Form, sigma=(), seed: int = 0,
                 rejects.count("kernel_dim")
                 continue
             l0 = Form(3, 1, tuple(kernel[0]))
-            if not apart(l0, [*sigma_pts, l1, l2]):
+            if not apart(l0, [*sigma_pts, p1, p2]):
                 rejects.count("clash")
                 continue
             if concurrent(l0, l1, l2):
@@ -485,13 +489,22 @@ def _triple_route(f: Form, X: AvoidanceSet, seed: int, tol: float,
 
     The search has certified that (l1 l2) does not, and the router has
     settled the rank gate.  `retries` is the search's budget of
-    determinant pencils and the split's budget of tuples."""
+    determinant pencils and the split's budget of tuples.  A triple whose
+    split spends its budget is followed by a fresh one, drawn and split at
+    seed + 1009 k for the k-th, up to TRIPLE_BUDGET triples; the last
+    split's RetryExhausted is raised."""
     sigma = [ProjectivePoint(t) for t in X.rational_lines]
-    triple = quartic_predecomp(f, sigma=sigma, seed=seed, budget=retries, check_gate=False)
-    pair = _zero_pair(f, triple)
-    if pair is not None:
-        return _two_line_split(f, X, seed, tol, retries, pair=pair)
-    return _three_line_split(f, X, triple, seed, tol, retries)
+    for k in range(TRIPLE_BUDGET):
+        draw = seed + 1009 * k
+        triple = quartic_predecomp(f, sigma=sigma, seed=draw, budget=retries, check_gate=False)
+        pair = _zero_pair(f, triple)
+        try:
+            if pair is not None:
+                return _two_line_split(f, X, draw, tol, retries, pair=pair)
+            return _three_line_split(f, X, triple, draw, tol, retries)
+        except RetryExhausted:
+            if k == TRIPLE_BUDGET - 1:
+                raise
 
 
 def _plane_route(f: Form, X: AvoidanceSet, seed: int, tol: float,

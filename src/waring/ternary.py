@@ -240,7 +240,8 @@ def _square_root_line(q: Form) -> Form | None:
 
 
 def _pair_ok(l1: Form, l2: Form, forbidden: list[ProjectivePoint]) -> bool:
-    return apart(l1, [l2, *forbidden]) and apart(l2, forbidden)
+    p2 = as_dual_point(l2)  # one point for both tests
+    return apart(l1, [p2, *forbidden]) and apart(p2, forbidden)
 
 
 def _split_reducible(q: Form, forbidden: list[ProjectivePoint],
@@ -398,12 +399,18 @@ def reducible_kernel_pair(g: Form, sigma=(), seed: int = 0) -> KernelPair:
 
 
 def _sample_lines(rng, count: int, height: int) -> list[Form]:
-    """`count` distinct random lines."""
+    """`count` distinct random lines; each becomes a point once, to be
+    compared with the later draws."""
     lines: list[Form] = []
+    points = []
     while len(lines) < count:
         ell = random_combination(rng, UNIT_DUALS, height)
-        if ell is not None and apart(ell, lines):
+        if ell is None:
+            continue
+        p = as_dual_point(ell)
+        if apart(p, points):
             lines.append(ell)
+            points.append(p)
     return lines
 
 

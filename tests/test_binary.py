@@ -544,3 +544,17 @@ def test_a_failed_weight_solve_counts_as_residual_or_inconsistent(monkeypatch):
     assert diag["stage"] == "bounded" and diag["target_size"] == 2
     assert diag["rejects"] == {"inconsistent": 1, "residual": 0, "cap": 0}
     assert diag["best_residual"] is None
+
+
+@pytest.mark.parametrize("factors, size", [
+    ((((1, 0), 2), ((1, 2), 3)), 4),    # x0^2 (x0 + 2 x1)^3
+    ((((1, 1), 5), ((2, -1), 2)), 6),   # (x0 + x1)^5 (2 x0 - x1)^2
+])
+def test_float_forms_with_a_repeated_factor_take_the_sampled_length(factors, size):
+    # the float generator of degree b has near-repeated roots whose sum
+    # misses tol; the route then samples d + 2 - b points, the exact rank
+    f = math.prod((power_of_linear(p, e) for p, e in factors), start=Form(2, 0, (1,)))
+    assert rank_binary(f) == size
+    dec = decompose_binary(f.to_float())
+    assert dec.size == size and dec.provenance["route"] == "kernel-sampling-avoiding"
+    assert verify_decomposition(f.to_float(), dec).valid

@@ -165,3 +165,15 @@ def test_tuple_draw_certificate_bytes_are_pinned():
     assert all(c.valid for c in certificates)
     texts = "\n".join(to_json(c) for c in certificates)
     assert hashlib.sha256(texts.encode()).hexdigest() == TUPLE_DRAW_PINNED_SHA256
+
+
+def test_every_pinned_corpus_gives_the_same_bytes_when_built_again():
+    # points keep their float views; a second build in the same process
+    # must not read anything a first build left behind
+    corpora = (corpus_certificates, odd_split_certificates, respread_certificates,
+               quartic_route_certificates, tuple_draw_certificates)
+
+    def texts():
+        return ["\n".join(to_json(c) for c in corpus()) for corpus in corpora]
+
+    assert texts() == texts()

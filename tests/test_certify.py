@@ -244,6 +244,31 @@ def test_replay_refuses_an_input_past_the_float_range():
         replay(payload)
 
 
+def payload_past_the_float_range(field):
+    """The certificate of x0^3 + x1^3 with the first term's coefficient, or
+    its point's second coordinate, set to 10^400."""
+    payload = json.loads(to_json(make_cert()[2]))
+    if field == "coeff":
+        payload["terms"][0]["coeff"] = [10 ** 400, 1]
+    else:
+        payload["terms"][0]["point"][1] = [10 ** 400, 1]
+    return payload
+
+
+@pytest.mark.parametrize("field", ["coeff", "point"])
+def test_replay_refuses_a_term_past_the_float_range(field):
+    with pytest.raises(PreconditionError, match="float range"):
+        replay(payload_past_the_float_range(field))
+
+
+def test_verify_refuses_a_term_past_the_float_range():
+    f = parse_form("x0^3 + x1^3", 2)
+    dec = Decomposition(2, 3, (Term(Fraction(10 ** 400), ProjectivePoint((1, 0))),
+                               Term(Fraction(1), ProjectivePoint((0, 1)))))
+    with pytest.raises(PreconditionError, match="float range"):
+        verify_decomposition(f, dec)
+
+
 def test_rank_bracket_rejects_even_ternary_degrees():
     with pytest.raises(PreconditionError):
         rank_bracket(random_form(3, 6, seed=92))

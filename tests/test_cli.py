@@ -169,6 +169,21 @@ def test_verify_of_a_malformed_certificate_exits_1(capsys, monkeypatch, term, fi
     assert err.startswith("input error:")
 
 
+@pytest.mark.parametrize("field", ["coeff", "point"])
+def test_verify_of_a_term_past_the_float_range_exits_3_with_one_line(capsys, monkeypatch,
+                                                                     field):
+    _, out, _ = run(capsys, "decompose", "x0^3 + x1^3")
+    payload = json.loads(out)
+    if field == "coeff":
+        payload["terms"][0]["coeff"] = [10 ** 400, 1]
+    else:
+        payload["terms"][0]["point"][1] = [10 ** 400, 1]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code, again, err = run(capsys, "verify", "-")
+    assert (code, again) == (EXIT_PRECONDITION, "")
+    assert err.count("\n") == 1 and "float range" in err
+
+
 def test_scalar_rank_prints_the_rank(capsys):
     code, out, _ = run(capsys, "rank", "x0^3 + x1^3")
     assert code == EXIT_OK

@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from waring import ternary
@@ -18,6 +18,7 @@ from waring.errors import DimensionMismatch, ParseFormError, PreconditionError, 
 from waring.forms import (
     Form,
     ProjectivePoint,
+    _floats_with_norm,
     _normalize_coeffs,
     chordal_distance,
     complex_coords,
@@ -26,6 +27,7 @@ from waring.forms import (
     evaluate,
     form_to_string,
     is_exact_scalar,
+    normalized_point,
     parse_form,
     power_of_linear,
     random_combination,
@@ -39,6 +41,7 @@ from waring.monomials import (
     falling_product,
     index_of,
     multinomial,
+    multinomials,
     space_dim,
 )
 from waring.plane import cross
@@ -968,3 +971,111 @@ def test_distinct_points_is_pairwise_chordal_at_the_tolerance(pairs, tol, factor
     expected = all(chordal_distance(p, q) > tol
                    for i, p in enumerate(points) for q in points[i + 1:])
     assert distinct_points(points, tol) == expected
+
+
+# -- points read once: every kept view and shortcut has the bits of the
+# -- normalization and conversion it stands in for -------------------------
+
+
+def point_bits(values):
+    return [(type(c), repr(c)) for c in values]
+
+
+POINT_PART = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan, math.inf, 1e-300]),
+                       st.floats(min_value=-1e6, max_value=1e6))
+POINT_COORD = st.one_of(st.sampled_from([0j, complex(-0.0, -0.0), complex(0.0, -0.0)]),
+                        st.builds(complex, POINT_PART, POINT_PART))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.one_of(
+    st.lists(st.fractions(max_denominator=50), min_size=n, max_size=n),
+    st.lists(POINT_COORD, min_size=n, max_size=n))))
+@example([complex(-0.0, 0.0), complex(math.nan, 0.0)])
+@example([complex(0.5, -0.0), complex(-0.5, 0.0), complex(0.0, -0.0)])
+def test_a_point_on_a_chosen_pivot_is_the_normalized_point_bit_for_bit(vec):
+    assume(any(c != 0 for c in vec))
+    exact = all(isinstance(c, Fraction) for c in vec)
+
+    def outcome(build):  # the coordinates' bits, or the error, as a NaN pivot divides by 0
+        try:
+            return point_bits(build().coords)
+        except ZeroDivisionError:
+            return ZeroDivisionError
+
+    want = outcome(lambda: ProjectivePoint(tuple(vec)))
+    assert outcome(lambda: normalized_point(vec, exact)[0]) == want
+    assert outcome(lambda: term_from_vector(Fraction(3) if exact else 3 + 0j, vec, 4).point) == want
+    if want is not ZeroDivisionError:  # the pivot is the first coordinate set to 1
+        point, pivot = normalized_point(vec, exact)
+        assert point.coords[next(i for i, c in enumerate(vec) if c is pivot)] == 1
+
+
+# exact coordinates reach far outside the norm range that distances rescale
+FAR_COORD = st.builds(lambda m, e: Fraction(m) * Fraction(2) ** e,
+                      st.integers(-999, 999), st.integers(-400, 400))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.one_of(
+    st.lists(FAR_COORD, min_size=n, max_size=n),
+    st.lists(POINT_COORD, min_size=n, max_size=n))))
+@example([Fraction(1), Fraction(2) ** 300])
+@example([Fraction(1), Fraction(0), Fraction(3, 2 ** 400)])
+def test_a_kept_view_is_the_view_of_the_raw_coordinates_bit_for_bit(vec):
+    assume(any(c != 0 for c in vec))
+    try:
+        p = ProjectivePoint(tuple(vec))
+    except ZeroDivisionError:  # a NaN ahead of the pivot
+        reject()
+    want = _floats_with_norm(p.coords)
+    for _ in range(2):  # built on the first read, then kept
+        assert point_bits(p.as_floats()) == point_bits(complex_coords(p.coords))
+        floats, norm = _floats_with_norm(p)
+        assert point_bits(floats) == point_bits(want[0])
+        assert point_bits([norm]) == point_bits([want[1]])
+    assert p.as_floats() is p.as_floats() and _floats_with_norm(p) is _floats_with_norm(p)
+
+
+def test_a_kept_pair_outside_the_norm_range_is_rescaled():
+    # |(1, 2^300)| is past the 2^200 that distances rescale beyond
+    p = ProjectivePoint((Fraction(1), Fraction(2) ** 300))
+    assert _floats_with_norm(p) == ((2.0 ** -301 + 0j, 0.5 + 0j), math.hypot(2.0 ** -301, 0.5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(VECTOR, VECTOR), min_size=1, max_size=2),
+       st.lists(VECTOR, max_size=1),
+       st.sampled_from([1e-8, 1e-6, 1e-3]),
+       st.lists(st.sampled_from([1 - 1e-9, 1.0, 1 + 1e-9]), min_size=1, max_size=2))
+def test_distinct_points_of_a_few_points_is_pairwise_chordal_at_the_tolerance(
+        pairs, extra, tol, factors):
+    # two to five points, pairs at chordal distance tol * (1 +- 1e-9): the
+    # scalar pass, on raw coordinates and on points that keep their views
+    points = []
+    for (p, r), factor in zip(pairs, itertools.cycle(factors)):
+        points += [p, at_chordal_distance(p, r, tol * factor)]
+    points += extra
+    expected = all(chordal_distance(p, q) > tol
+                   for i, p in enumerate(points) for q in points[i + 1:])
+    assert distinct_points(points, tol) == expected
+    kept = [ProjectivePoint(tuple(p)) for p in points]
+    want = all(chordal_distance(p.coords, q.coords) > tol
+               for i, p in enumerate(kept) for q in kept[i + 1:])
+    assert distinct_points(kept, tol) == distinct_points(kept, tol) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(POINT_COORD.filter(lambda z: all(map(math.isfinite, (z.real, z.imag)))),
+                min_size=2, max_size=3).filter(any),
+       st.integers(0, 5))
+def test_a_power_of_a_complex_point_is_the_normalized_expansion_bit_for_bit(point, degree):
+    n = len(point)
+    coeffs = []
+    for expo, multi in zip(exponents(n, degree), multinomials(n, degree)):
+        term = 1 * multi
+        for p, e in zip(point, expo):
+            if e:
+                term = term * p ** e
+        coeffs.append(term)
+    assert bits(power_of_linear(point, degree)) == bits(Form(n, degree, tuple(coeffs)))

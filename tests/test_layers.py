@@ -53,6 +53,20 @@ def test_only_errors_gives_a_retry_exhausted_its_diagnostics():
     assert offenders == []
 
 
+def test_only_forms_normalizes_a_projective_point():
+    # callers that scale by the pivot take it from `forms.normalized_point`;
+    # picking it themselves is how a point came to be normalized twice
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "forms.py":
+            continue
+        offenders += [f"{path.name}:{node.lineno}"
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if "pivot_index" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                           getattr(node, "name", None))]
+    assert offenders == []
+
+
 # module attributes that the package's users read, not the package itself
 UNREAD_BY_DESIGN = {"__all__", "__version__"}
 

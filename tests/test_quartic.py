@@ -514,3 +514,13 @@ def test_nothing_avoided_restricts_and_tests_nothing(f, monkeypatch):
     assert calls == []
     assert cert.valid
     assert to_json(cert) == to_json(expected)
+
+
+def test_a_triple_whose_split_exhausts_is_followed_by_a_fresh_one():
+    # at seed 3 the first triple never splits within tol; the next one does
+    f = parse_form("x0*x1^3 - x0*x1^2*x2 - x0*x1*x2^2 + x0*x2^3 - x1^4 + 3*x1^3*x2"
+                   " - x1^2*x2^2 - 3*x1*x2^3 + 2*x2^4", 3)
+    X = AvoidanceSet(3, (parse_form("x2", 3),))
+    dec = quartic_decompose_open(f, X, seed=3)
+    assert dec.size <= 8
+    assert verify_decomposition(f, dec, avoid=X, bound=(8, BOUND_QUARTIC_EIGHT)).valid
